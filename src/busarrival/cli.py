@@ -231,19 +231,17 @@ def cmd_predict(args) -> int:
         raise ValueError(f"unknown trip id {args.trip_id}")
     bank = seq2seq.load_bank(args.checkpoints, args.kind, route.n_sections)
     trip = dataset.by_id[args.trip_id]
-    examples, skips = dataprep.build_examples(
-        dataset, positions=[args.m], days=[trip.day_index],
-        fallback=cfg["dataprep"]["fallback"])
-    examples = [ex for ex in examples if ex.trip_id == args.trip_id]
-    if not examples:
-        reasons = {s.reason for s in skips if s.trip_id == args.trip_id}
+    pw = dataprep.closest_prev_week_trip(dataset, trip.day_index,
+                                         trip.start_time)
+    ex = dataprep.build_example(dataset, trip, args.m, pw, args.tc,
+                                cfg["dataprep"]["fallback"])
+    if isinstance(ex, str):
         raise ValueError(f"could not assemble inputs for trip {args.trip_id} "
-                         f"at m={args.m}: {', '.join(sorted(reasons)) or 'no data'}")
-    ex = examples[0]
+                         f"at m={args.m}: {ex}")
     if args.tc is not None:
-        print(f"predict: overriding T_c {ex.t_c:.1f}s -> {args.tc:.1f}s "
-              "(previous-bus inputs re-resolved)", file=sys.stderr)
-        ex = _requery_example(dataset, ex, args.tc)
+        print(f"predict: overriding T_c {trip.entry(args.m + 1):.1f}s -> "
+              f"{args.tc:.1f}s (previous-bus inputs re-resolved)",
+              file=sys.stderr)
     result = seq2seq.predict(bank, ex)
     writer = sys.stdout
     print("section,predicted_travel_s,cumulative_s,arrival_s", file=writer)
@@ -251,32 +249,6 @@ def cmd_predict(args) -> int:
                             result.cumulative_s, result.arrival_s):
         print(f"{sec},{z:.3f},{c:.3f},{a:.3f}", file=writer)
     return 0
-
-
-def _requery_example(dataset, ex, t_c: float):
-    """Rebuild an example's previous-bus inputs as of a different query time."""
-    from .dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
-                           closest_prev_trip_at_section)
-    dec = ex.dec.copy()
-    prev_ids = ex.prev_trip_ids.copy()
-    fb = ex.fallback_mask.copy()
-    for i in range(ex.k):
-        sec = ex.m + 1 + i
-        prev = closest_prev_trip_at_section(dataset, ex.day_index, sec, t_c)
-        if prev is None:
-            fb[i] = True
-            prev_ids[i] = -1
-            dec[i, DEC_Z_PV] = dec[i, DEC_Z_PW]
-            dec[i, DEC_TE_PV] = dec[i, DEC_TE_PW]
-        else:
-            fb[i] = False
-            prev_ids[i] = prev.trip_id
-            dec[i, DEC_Z_PV] = prev.travel(sec)
-            dec[i, DEC_TE_PV] = prev.entry(sec)
-    return dataprep.TrainingExample(
-        m=ex.m, t_c=t_c, day_index=ex.day_index, trip_id=ex.trip_id,
-        enc=ex.enc, dec=dec, targets=ex.targets, prev_trip_ids=prev_ids,
-        pw_trip_id=ex.pw_trip_id, fallback_mask=fb)
 
 
 def cmd_evaluate(args) -> int:

@@ -279,6 +279,58 @@ def closest_prev_week_trip(dataset: TripDataset, day_index: int,
     return dataset.by_id[best[1]]
 
 
+def build_example(dataset: TripDataset, trip: TripRecord, m: int,
+                  pw: TripRecord | None, t_c: float | None = None,
+                  fallback: str = "previous_week", brute_force: bool = False
+                  ) -> TrainingExample | str:
+    """The example for ``trip`` at position m, or the reason it is skipped.
+
+    ``pw`` is the trip's previous-week match (see
+    :func:`closest_prev_week_trip`). ``t_c`` defaults to the moment the trip
+    finished section m; another query time re-resolves the previous-bus
+    inputs as of that time while the encoder sequence and targets stay the
+    trip's own. ``fallback`` is applied as in :func:`build_examples`.
+    """
+    if fallback not in ("previous_week", "skip"):
+        raise ValueError(f"unknown fallback policy {fallback!r}")
+    n_s = dataset.route.n_sections
+    if not 1 <= m <= n_s - 1:
+        raise ValueError(f"position m={m} outside [1, {n_s - 1}]")
+    if pw is None:
+        return "no_previous_week_trip"
+    if t_c is None:
+        t_c = trip.entry(m + 1)
+    k = n_s - m
+    enc = np.empty((m, 2))
+    enc[:, ENC_Z_CUR] = trip.travel_times[m - 1::-1]
+    enc[:, ENC_Z_PW] = pw.travel_times[m - 1::-1]
+    dec = np.empty((k, 4))
+    prev_ids = np.full(k, -1, dtype=np.int64)
+    fb = np.zeros(k, dtype=bool)
+    for i in range(k):
+        sec = m + 1 + i
+        prev = closest_prev_trip_at_section(dataset, trip.day_index, sec,
+                                            t_c, brute_force=brute_force)
+        if prev is None:
+            if fallback == "skip":
+                return "no_previous_bus"
+            fb[i] = True
+            dec[i, DEC_Z_PV] = pw.travel(sec)
+            dec[i, DEC_TE_PV] = pw.entry(sec)
+        else:
+            prev_ids[i] = prev.trip_id
+            dec[i, DEC_Z_PV] = prev.travel(sec)
+            dec[i, DEC_TE_PV] = prev.entry(sec)
+        dec[i, DEC_Z_PW] = pw.travel(sec)
+        dec[i, DEC_TE_PW] = pw.entry(sec)
+    ex = TrainingExample(
+        m=m, t_c=t_c, day_index=trip.day_index, trip_id=trip.trip_id,
+        enc=enc, dec=dec, targets=trip.travel_times[m:].copy(),
+        prev_trip_ids=prev_ids, pw_trip_id=pw.trip_id, fallback_mask=fb)
+    ex.validate(n_s)
+    return ex
+
+
 def build_examples(dataset: TripDataset, positions: range | list | None = None,
                    days: list[int] | None = None, fallback: str = "previous_week",
                    brute_force: bool = False
@@ -295,9 +347,8 @@ def build_examples(dataset: TripDataset, positions: range | list | None = None,
         raise ValueError(f"unknown fallback policy {fallback!r}")
     if len(dataset) == 0:
         raise DataError("empty dataset")
-    n_s = dataset.route.n_sections
     if positions is None:
-        positions = range(3, n_s)
+        positions = range(3, dataset.route.n_sections)
     day_set = set(days) if days is not None else None
 
     examples: list[TrainingExample] = []
@@ -308,48 +359,11 @@ def build_examples(dataset: TripDataset, positions: range | list | None = None,
         pw = closest_prev_week_trip(dataset, trip.day_index, trip.start_time,
                                     brute_force=brute_force)
         for m in positions:
-            if not 1 <= m <= n_s - 1:
-                raise ValueError(f"position m={m} outside [1, {n_s - 1}]")
-            if pw is None:
-                skips.append(SkipRecord(trip.day_index, trip.trip_id, m,
-                                        "no_previous_week_trip"))
-                continue
-            k = n_s - m
-            t_c = trip.entry(m + 1)
-            enc = np.empty((m, 2))
-            enc[:, ENC_Z_CUR] = trip.travel_times[m - 1::-1]
-            enc[:, ENC_Z_PW] = pw.travel_times[m - 1::-1]
-            dec = np.empty((k, 4))
-            prev_ids = np.full(k, -1, dtype=np.int64)
-            fb = np.zeros(k, dtype=bool)
-            missing = False
-            for i in range(k):
-                sec = m + 1 + i
-                prev = closest_prev_trip_at_section(dataset, trip.day_index, sec,
-                                                    t_c, brute_force=brute_force)
-                if prev is None:
-                    if fallback == "skip":
-                        missing = True
-                        break
-                    fb[i] = True
-                    dec[i, DEC_Z_PV] = pw.travel(sec)
-                    dec[i, DEC_TE_PV] = pw.entry(sec)
-                else:
-                    prev_ids[i] = prev.trip_id
-                    dec[i, DEC_Z_PV] = prev.travel(sec)
-                    dec[i, DEC_TE_PV] = prev.entry(sec)
-                dec[i, DEC_Z_PW] = pw.travel(sec)
-                dec[i, DEC_TE_PW] = pw.entry(sec)
-            if missing:
-                skips.append(SkipRecord(trip.day_index, trip.trip_id, m,
-                                        "no_previous_bus"))
-                continue
-            ex = TrainingExample(
-                m=m, t_c=t_c, day_index=trip.day_index, trip_id=trip.trip_id,
-                enc=enc, dec=dec, targets=trip.travel_times[m:].copy(),
-                prev_trip_ids=prev_ids, pw_trip_id=pw.trip_id, fallback_mask=fb)
-            ex.validate(n_s)
-            examples.append(ex)
+            ex = build_example(dataset, trip, m, pw, None, fallback, brute_force)
+            if isinstance(ex, str):
+                skips.append(SkipRecord(trip.day_index, trip.trip_id, m, ex))
+            else:
+                examples.append(ex)
     return examples, skips
 
 

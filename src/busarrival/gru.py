@@ -1,4 +1,4 @@
-"""GRU cell with exact hand-derived gradients, plus a plain sigmoid RNN cell.
+"""GRU cell with exact hand-derived gradients.
 
 State update per step:
 
@@ -11,6 +11,8 @@ Bias vectors are optional and off by default. All functions accept states
 and inputs either as vectors ``(H,)`` or as column batches ``(H, B)``; in
 batched form the weight gradients from :func:`gru_backward` are summed over
 the batch axis, so scaling the upstream ``dh`` produces mean-loss gradients.
+``seq2seq`` unrolls these steps into whole chains: the encoder and each
+decoder direction.
 """
 
 from __future__ import annotations
@@ -186,21 +188,3 @@ def gru_backward(params: GruParams, cache: GruCache,
         g.bz += _bias_grad(da_z)
     return g, dh_prev, du
 
-
-def rnn_plain_forward(wh: np.ndarray, wu: np.ndarray, h_prev: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
-    """Gateless reference cell: h = sigmoid(Wh h_prev + Wu u)."""
-    if wh.shape[0] != wh.shape[1] or wh.shape[0] != h_prev.shape[0]:
-        raise ValueError("wh must be square and match the state size")
-    if wu.shape != (wh.shape[0], u.shape[0]):
-        raise ValueError(f"wu shape {wu.shape} inconsistent with state/input sizes")
-    return sigmoid(wh @ h_prev + wu @ u)
-
-
-def rnn_plain_backward(wh: np.ndarray, wu: np.ndarray, h: np.ndarray,
-                       h_prev: np.ndarray, u: np.ndarray,
-                       dh: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
-    """Gradients of the plain cell: returns (dwh, dwu, dh_prev, du)."""
-    da = dh * dsigmoid_from_output(h)
-    return _outer(da, h_prev), _outer(da, u), wh.T @ da, wu.T @ da

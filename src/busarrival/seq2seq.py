@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW, NormStats,
-                       TrainingExample, fit_normalizer)
+from .dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW, DataError,
+                       NormStats, TrainingExample, fit_normalizer)
 from .gru import GruCache, GruParams, gru_backward, gru_forward, init_gru
 from .numkit import adam_step, init_adam, spawn_rng
 
@@ -47,11 +47,8 @@ class CoverageError(ValueError):
     """Queried position is outside the trained bank coverage."""
 
 
-@dataclass
-class Context:
-    """Append-block output: [final encoder state; one-hot(m); normalized T_c]."""
-
-    e_a: np.ndarray
+class NonFiniteLossError(ValueError):
+    """A training batch produced a NaN or infinite loss."""
 
 
 @dataclass
@@ -114,6 +111,12 @@ class EdModel:
             raise ValueError("embed shape mismatch")
         if self.w_out.shape != (self.dec_state_width,):
             raise ValueError("output map shape mismatch")
+        if ((self.b_embed is not None and self.b_embed.shape != (self.hidden_dec,))
+                or (self.b_out is not None and self.b_out.shape != (1,))):
+            raise ValueError("bias shape mismatch")
+        for p in (self.enc, self.dec_fwd, self.dec_bwd):
+            if p is not None:
+                p.validate()
 
     def params(self) -> dict:
         """Live parameter arrays, in a fixed order; mutating them updates the model."""
@@ -216,12 +219,15 @@ def new_model(kind: str, m_lo: int, m_hi: int, n_sections: int,
 
 
 # ---------------------------------------------------------------------------
-# Forward passes (batched over examples that share m; B may be 1)
+# Forward and backward passes (batched over examples that share m; B may be 1)
 
 def _normalize_batch(model: EdModel, exs: list[TrainingExample]):
     m = exs[0].m
     if any(ex.m != m for ex in exs):
         raise ValueError("a forward batch must share one current position m")
+    if any(ex.enc.shape != (m, 2) or ex.dec.shape != (ex.k, 4) for ex in exs):
+        raise ValueError(f"examples need an ({m}, 2) encoder sequence and a "
+                         "(K, 4) decoder sequence for K targets")
     if not model.m_lo <= m <= model.m_hi:
         raise CoverageError(f"position m={m} outside model bank "
                             f"[{model.m_lo}, {model.m_hi}]")
@@ -241,17 +247,44 @@ def _normalize_batch(model: EdModel, exs: list[TrainingExample]):
     return enc_n, dec_n, onehot, tc_n, targets_n
 
 
-def _encode_core(model: EdModel, enc_n: np.ndarray, onehot: np.ndarray,
-                 tc_n: np.ndarray) -> tuple[np.ndarray, list[GruCache]]:
-    m, _, b = enc_n.shape
-    h = np.zeros((model.hidden_enc, b))
-    caches = []
-    for j in range(m):
-        h, c = gru_forward(model.enc, h, enc_n[j])
-        caches.append(c)
-    e_a = np.concatenate([h, np.repeat(onehot[:, None], b, axis=1),
-                          tc_n[None, :]], axis=0)
-    return e_a, caches
+def _run_chain(params: GruParams, h0: np.ndarray, xs, reverse: bool = False
+               ) -> tuple[list, list[GruCache]]:
+    """Run one GRU chain from state ``h0`` over the step inputs ``xs``.
+
+    The reverse chain consumes ``xs`` last to first. States and caches come
+    back in input order: ``states[i]`` is the state after consuming ``xs[i]``.
+    """
+    n = len(xs)
+    states, caches = [None] * n, [None] * n
+    h = h0
+    for i in (range(n - 1, -1, -1) if reverse else range(n)):
+        h, caches[i] = gru_forward(params, h, xs[i])
+        states[i] = h
+    return states, caches
+
+
+def _chain_backward(params: GruParams, caches: list[GruCache], dh: np.ndarray,
+                    dstates: list | None = None, reverse: bool = False,
+                    dx_sum: np.ndarray | None = None
+                    ) -> tuple[GruParams, np.ndarray]:
+    """BPTT through a chain run by :func:`_run_chain`.
+
+    ``dh`` is the loss gradient on the chain's final state and ``dstates[i]``,
+    when given, the gradient on ``states[i]``. Returns the parameter
+    gradients summed over steps and the gradient on ``h0``; each step's
+    input gradient is added into ``dx_sum`` when one is given.
+    """
+    total = params.zeros_like()
+    acc = total.as_dict()
+    n = len(caches)
+    for i in (range(n) if reverse else range(n - 1, -1, -1)):
+        g, dh, dx = gru_backward(params, caches[i],
+                                 dh if dstates is None else dh + dstates[i])
+        for name, v in g.as_dict().items():
+            acc[name] += v
+        if dx_sum is not None:
+            dx_sum += dx
+    return total, dh
 
 
 def _embed(model: EdModel, e_a: np.ndarray) -> np.ndarray:
@@ -261,101 +294,40 @@ def _embed(model: EdModel, e_a: np.ndarray) -> np.ndarray:
     return np.tanh(s)
 
 
-def _decode_core(model: EdModel, e_a: np.ndarray, dec_n: np.ndarray):
-    """Run the decoder; returns (Y_norm (K,B), aux dict for backprop)."""
-    k = dec_n.shape[0]
+def _forward(model: EdModel, exs: list[TrainingExample]):
+    """Normalized predictions (K, B) and targets for a same-m batch, plus the
+    intermediates :func:`_batch_step` backpropagates through.
+
+    The context ``e_a`` is [final encoder state; one-hot(m); normalized T_c].
+    """
+    enc_n, dec_n, onehot, tc_n, targets_n = _normalize_batch(model, exs)
+    k, _, b = dec_n.shape
     if k < 1:
         raise ValueError("decoder needs at least one step; empty queries "
                          "should not reach the model")
+    enc_states, enc_caches = _run_chain(
+        model.enc, np.zeros((model.hidden_enc, b)), enc_n)
+    e_a = np.concatenate([enc_states[-1], np.repeat(onehot[:, None], b, axis=1),
+                          tc_n[None, :]], axis=0)
     h0 = _embed(model, e_a)
     inputs = [np.concatenate([dec_n[i], e_a], axis=0) for i in range(k)]
-    aux = {"h0": h0, "inputs": inputs}
-    if model.kind == KIND_EDU:
-        caches, states = [], []
-        h = h0
-        for i in range(k):
-            h, c = gru_forward(model.dec_fwd, h, inputs[i])
-            caches.append(c)
-            states.append(h)
-        aux["fwd_caches"] = caches
-        stacked = states
-    else:
-        fwd_caches, fwd_states = [], []
-        h = h0
-        for i in range(k):
-            h, c = gru_forward(model.dec_fwd, h, inputs[i])
-            fwd_caches.append(c)
-            fwd_states.append(h)
-        bwd_caches, bwd_states = [None] * k, [None] * k
-        h = h0
-        for i in range(k - 1, -1, -1):
-            h, c = gru_forward(model.dec_bwd, h, inputs[i])
-            bwd_caches[i] = c
-            bwd_states[i] = h
-        aux["fwd_caches"] = fwd_caches
-        aux["bwd_caches"] = bwd_caches
-        stacked = [np.concatenate([f, bw], axis=0)
-                   for f, bw in zip(fwd_states, bwd_states)]
-    aux["states"] = stacked
-    y = np.stack([model.w_out @ s for s in stacked], axis=0)
+    states, fwd_caches = _run_chain(model.dec_fwd, h0, inputs)
+    bwd_caches = None
+    if model.kind == KIND_EDB:
+        bwd_states, bwd_caches = _run_chain(model.dec_bwd, h0, inputs,
+                                            reverse=True)
+        states = [np.concatenate([f, bw], axis=0)
+                  for f, bw in zip(states, bwd_states)]
+    y = np.stack([model.w_out @ s for s in states], axis=0)
     if model.b_out is not None:
         y = y + model.b_out[0]
-    return y, aux
-
-
-# ---------------------------------------------------------------------------
-# Public single-example operations (raw seconds in, raw seconds out)
-
-def encode(model: EdModel, enc_seq: np.ndarray, m: int, t_c: float) -> Context:
-    """Encode traversed sections into the context vector for (m, T_c)."""
-    enc_seq = np.asarray(enc_seq, dtype=np.float64)
-    if enc_seq.shape != (m, 2):
-        raise ValueError(f"encoder sequence must have shape ({m}, 2)")
-    if not model.m_lo <= m <= model.m_hi:
-        raise CoverageError(f"position m={m} outside model bank "
-                            f"[{model.m_lo}, {model.m_hi}]")
-    onehot = np.zeros(model.bank_width)
-    onehot[m - model.m_lo] = 1.0
-    e_a, _ = _encode_core(model, model.norm.norm_travel(enc_seq)[:, :, None],
-                          onehot, np.atleast_1d(model.norm.norm_tod(t_c)))
-    return Context(e_a=e_a[:, 0])
-
-
-def _normalize_dec(model: EdModel, dec_seq: np.ndarray) -> np.ndarray:
-    dec_seq = np.asarray(dec_seq, dtype=np.float64)
-    if dec_seq.ndim != 2 or dec_seq.shape[1] != 4 or dec_seq.shape[0] < 1:
-        raise ValueError("decoder sequence must have shape (K>=1, 4)")
-    out = np.empty_like(dec_seq)
-    out[:, DEC_Z_PV] = model.norm.norm_travel(dec_seq[:, DEC_Z_PV])
-    out[:, DEC_Z_PW] = model.norm.norm_travel(dec_seq[:, DEC_Z_PW])
-    out[:, DEC_TE_PV] = model.norm.norm_tod(dec_seq[:, DEC_TE_PV])
-    out[:, DEC_TE_PW] = model.norm.norm_tod(dec_seq[:, DEC_TE_PW])
-    return out
-
-
-def decode_uni(model: EdModel, ctx: Context, dec_seq: np.ndarray) -> np.ndarray:
-    """Left-to-right decoding; returns K travel times in seconds."""
-    if model.kind != KIND_EDU:
-        raise ValueError("decode_uni requires a unidirectional model")
-    dec_n = _normalize_dec(model, dec_seq)
-    y, _ = _decode_core(model, ctx.e_a[:, None], dec_n[:, :, None])
-    return model.norm.denorm_travel(y[:, 0])
-
-
-def decode_bi(model: EdModel, ctx: Context, dec_seq: np.ndarray) -> np.ndarray:
-    """Bidirectional decoding; returns K travel times in seconds."""
-    if model.kind != KIND_EDB:
-        raise ValueError("decode_bi requires a bidirectional model")
-    dec_n = _normalize_dec(model, dec_seq)
-    y, _ = _decode_core(model, ctx.e_a[:, None], dec_n[:, :, None])
-    return model.norm.denorm_travel(y[:, 0])
+    return y, targets_n, (e_a, enc_caches, h0, states, fwd_caches, bwd_caches)
 
 
 def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
     """Per-section travel-time predictions (seconds) for one example."""
-    ctx = encode(model, ex.enc, ex.m, ex.t_c)
-    decoder = decode_uni if model.kind == KIND_EDU else decode_bi
-    return decoder(model, ctx, ex.dec)
+    y, _, _ = _forward(model, [ex])
+    return model.norm.denorm_travel(y[:, 0])
 
 
 def loss(pred_norm: np.ndarray, targets_norm: np.ndarray) -> float:
@@ -369,37 +341,17 @@ def loss(pred_norm: np.ndarray, targets_norm: np.ndarray) -> float:
     return float(np.mean((pred_norm - targets_norm) ** 2))
 
 
-# ---------------------------------------------------------------------------
-# Backward pass
-
-def _accum_gru(grads: dict, prefix: str, g: GruParams) -> None:
-    grads[prefix + "wz"] += g.wz
-    grads[prefix + "wr"] += g.wr
-    grads[prefix + "w"] += g.w
-    grads[prefix + "uz"] += g.uz
-    grads[prefix + "ur"] += g.ur
-    grads[prefix + "u"] += g.u
-    if g.bz is not None:
-        grads[prefix + "bz"] += g.bz
-        grads[prefix + "br"] += g.br
-        grads[prefix + "b"] += g.b
-
-
 def _batch_step(model: EdModel, exs: list[TrainingExample]
                 ) -> tuple[float, dict]:
     """Loss and exact mean-loss gradients for a same-m batch of examples."""
-    enc_n, dec_n, onehot, tc_n, targets_n = _normalize_batch(model, exs)
-    e_a, enc_caches = _encode_core(model, enc_n, onehot, tc_n)
-    y, aux = _decode_core(model, e_a, dec_n)
+    y, targets_n, (e_a, enc_caches, h0, states, fwd_caches,
+                   bwd_caches) = _forward(model, exs)
     k, b = y.shape
     resid = y - targets_n
     batch_loss = float(np.mean(resid ** 2))
     dy = (2.0 / (k * b)) * resid
 
     grads = {name: np.zeros_like(p) for name, p in model.params().items()}
-    hd = model.hidden_dec
-    de_a = np.zeros_like(e_a)
-    states = aux["states"]
     dstates = []
     for i in range(k):
         grads["out.w"] += states[i] @ dy[i]
@@ -407,48 +359,34 @@ def _batch_step(model: EdModel, exs: list[TrainingExample]
             grads["out.b"] += dy[i].sum()
         dstates.append(model.w_out[:, None] * dy[i][None, :])
 
-    if model.kind == KIND_EDU:
-        carry = np.zeros((hd, b))
-        for i in range(k - 1, -1, -1):
-            g, carry, du = gru_backward(model.dec_fwd, aux["fwd_caches"][i],
-                                        carry + dstates[i])
-            _accum_gru(grads, "dec_fwd.", g)
-            de_a += du[4:]
-        dh0 = carry
-    else:
-        carry = np.zeros((hd, b))
-        for i in range(k - 1, -1, -1):
-            g, carry, du = gru_backward(model.dec_fwd, aux["fwd_caches"][i],
-                                        carry + dstates[i][:hd])
-            _accum_gru(grads, "dec_fwd.", g)
-            de_a += du[4:]
-        dh0 = carry
-        carry = np.zeros((hd, b))
-        for i in range(k):  # reverse chain ran K..1, so backprop runs 1..K
-            g, carry, du = gru_backward(model.dec_bwd, aux["bwd_caches"][i],
-                                        carry + dstates[i][hd:])
-            _accum_gru(grads, "dec_bwd.", g)
-            de_a += du[4:]
-        dh0 = dh0 + carry
+    hd = model.hidden_dec
+    zero_dh = np.zeros((hd, b))
+    du = np.zeros((4 + model.ctx_len, b))   # decoder input gradients, summed
+    g, dh0 = _chain_backward(model.dec_fwd, fwd_caches, zero_dh,
+                             [d[:hd] for d in dstates], dx_sum=du)
+    grads.update(g.as_dict("dec_fwd."))
+    if model.kind == KIND_EDB:
+        g, dh0_bwd = _chain_backward(model.dec_bwd, bwd_caches, zero_dh,
+                                     [d[hd:] for d in dstates], reverse=True,
+                                     dx_sum=du)
+        grads.update(g.as_dict("dec_bwd."))
+        dh0 = dh0 + dh0_bwd
 
-    ds0 = dh0 * (1.0 - aux["h0"] ** 2)
+    ds0 = dh0 * (1.0 - h0 ** 2)
     grads["embed.w"] += ds0 @ e_a.T
     if model.b_embed is not None:
         grads["embed.b"] += ds0.sum(axis=1)
+    de_a = du[4:]
     de_a += model.w_embed.T @ ds0
 
-    dh_enc = de_a[:model.hidden_enc]
-    for j in range(len(enc_caches) - 1, -1, -1):
-        g, dh_enc, _ = gru_backward(model.enc, enc_caches[j], dh_enc)
-        _accum_gru(grads, "enc.", g)
+    g, _ = _chain_backward(model.enc, enc_caches, de_a[:model.hidden_enc])
+    grads.update(g.as_dict("enc."))
     return batch_loss, grads
 
 
 def model_loss(model: EdModel, ex: TrainingExample) -> float:
     """Training loss of one example (MSE over normalized targets)."""
-    enc_n, dec_n, onehot, tc_n, targets_n = _normalize_batch(model, [ex])
-    e_a, _ = _encode_core(model, enc_n, onehot, tc_n)
-    y, _ = _decode_core(model, e_a, dec_n)
+    y, targets_n, _ = _forward(model, [ex])
     return loss(y[:, 0], targets_n[:, 0])
 
 
@@ -464,10 +402,8 @@ def mean_loss(model: EdModel, examples: list[TrainingExample]) -> float:
     for ex in examples:
         by_m.setdefault(ex.m, []).append(ex)
     total = 0.0
-    for m, exs in by_m.items():
-        enc_n, dec_n, onehot, tc_n, targets_n = _normalize_batch(model, exs)
-        e_a, _ = _encode_core(model, enc_n, onehot, tc_n)
-        y, _ = _decode_core(model, e_a, dec_n)
+    for exs in by_m.values():
+        y, targets_n, _ = _forward(model, exs)
         total += float(np.sum(np.mean((y - targets_n) ** 2, axis=0)))
     return total / len(examples)
 
@@ -526,8 +462,12 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
                 batches.append([exs[i] for i in order[lo:lo + cfg.batch_size]])
         rng.shuffle(batches)
         total, count = 0.0, 0
-        for batch in batches:
+        for index, batch in enumerate(batches):
             batch_loss, grads = _batch_step(model, batch)
+            if not np.isfinite(batch_loss):
+                raise NonFiniteLossError(
+                    f"{model.kind} bank m={model.m_lo}-{model.m_hi}: training "
+                    f"loss is {batch_loss} at epoch {epoch}, batch {index}")
             adam_step(params, grads, state)
             total += batch_loss * len(batch)
             count += len(batch)
@@ -719,26 +659,36 @@ def save_model_json(model: EdModel, path) -> None:
 
 
 def load_model_json(path) -> EdModel:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format: "
-                         f"{doc.get('format_version')!r}")
-    w = doc["weights"]
-    emb = w["embed.w"]
-    out = w["out.w"]
-    model = EdModel(
-        kind=doc["kind"], m_lo=doc["m_lo"], m_hi=doc["m_hi"],
-        n_sections=doc["n_sections"],
-        enc=_gru_from_json(w["enc"]),
-        dec_fwd=_gru_from_json(w["dec_fwd"]),
-        dec_bwd=_gru_from_json(w["dec_bwd"]) if w["dec_bwd"] is not None else None,
-        w_embed=np.array(emb["data"]).reshape(emb["shape"]),
-        w_out=np.array(out["data"]).reshape(out["shape"]),
-        b_embed=np.array(w["embed.b"]) if w["embed.b"] is not None else None,
-        b_out=np.array(w["out.b"]) if w["out.b"] is not None else None,
-        norm=NormStats.from_dict(doc["norm"]))
-    model.validate()
+    """Read a checkpoint; malformed or non-finite contents raise DataError."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format: "
+                             f"{doc.get('format_version')!r}")
+        w = doc["weights"]
+        emb = w["embed.w"]
+        out = w["out.w"]
+        model = EdModel(
+            kind=doc["kind"], m_lo=doc["m_lo"], m_hi=doc["m_hi"],
+            n_sections=doc["n_sections"],
+            enc=_gru_from_json(w["enc"]),
+            dec_fwd=_gru_from_json(w["dec_fwd"]),
+            dec_bwd=(_gru_from_json(w["dec_bwd"])
+                     if w["dec_bwd"] is not None else None),
+            w_embed=np.array(emb["data"], dtype=np.float64).reshape(emb["shape"]),
+            w_out=np.array(out["data"], dtype=np.float64).reshape(out["shape"]),
+            b_embed=np.array(w["embed.b"]) if w["embed.b"] is not None else None,
+            b_out=np.array(w["out.b"]) if w["out.b"] is not None else None,
+            norm=NormStats.from_dict(doc["norm"]))
+        model.validate()
+        if not all(np.all(np.isfinite(v)) for v in model.params().values()):
+            raise ValueError("non-finite weights")
+        if not model.norm.travel_std > 0:
+            raise ValueError("travel_std must be positive")
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise DataError(f"{path}: malformed checkpoint: "
+                        f"{type(e).__name__}: {e}") from e
     return model
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from busarrival import cli
-from busarrival.dataprep import example_key, load_examples_jsonl
+from busarrival.dataprep import (RouteSpec, example_key, load_examples_jsonl,
+                                 load_trips_csv)
 
 
 def digest(path):
@@ -240,6 +241,44 @@ class TestPredict:
                     ckpt_dir, "--trips", sim_dir / "trips.csv",
                     "--trip-id", 14000, "--m", 2]) == 2
         assert "m=2" in capsys.readouterr().err
+
+
+    def predict(self, config, ckpt_dir, sim_dir, trip_id, m, *extra):
+        return run(["predict", "--config", config, "--checkpoints", ckpt_dir,
+                    "--trips", sim_dir / "trips.csv", "--trip-id", trip_id,
+                    "--m", m, *extra])
+
+    def test_tc_at_default_matches_plain_query(self, tiny_config, sim_dir,
+                                               ckpt_dir, capsys):
+        trip = load_trips_csv(sim_dir / "trips.csv", RouteSpec(8, 500.0)).by_id[14001]
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 0
+        plain = capsys.readouterr().out
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4,
+                            "--tc", repr(trip.entry(5))) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_early_tc_follows_fallback_policy(self, tmp_path, tiny_config,
+                                              sim_dir, ckpt_dir, capsys):
+        # at 100 s after midnight no bus has entered any section yet
+        skip_config = tmp_path / "skip.json"
+        cfg = json.loads(tiny_config.read_text())
+        cfg["dataprep"] = {"fallback": "skip"}
+        skip_config.write_text(json.dumps(cfg))
+        assert self.predict(skip_config, ckpt_dir, sim_dir, 14001, 4,
+                            "--tc", 100) == 2
+        assert "no_previous_bus" in capsys.readouterr().err
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4,
+                            "--tc", 100) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 4
+
+    def test_malformed_checkpoint_reports_path(self, tiny_config, sim_dir,
+                                               ckpt_dir, capsys):
+        path = ckpt_dir / "edb_bank_03_07.json"
+        doc = json.loads(path.read_text())
+        del doc["weights"]["out.w"]
+        path.write_text(json.dumps(doc))
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -5,7 +5,7 @@ import pytest
 from busarrival import dataprep
 from busarrival.dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
                                  DataError, PartialTripError, RouteSpec,
-                                 TripDataset, build_examples,
+                                 TripDataset, build_example, build_examples,
                                  closest_prev_trip_at_section,
                                  closest_prev_week_trip, example_key,
                                  fit_normalizer, interpolate_trip)
@@ -250,6 +250,42 @@ class TestBuildExamples:
         fast, _ = build_examples(ds)
         slow, _ = build_examples(ds, brute_force=True)
         assert {example_key(e) for e in fast} == {example_key(e) for e in slow}
+
+    def test_single_example_builder_matches_batch_builder(self):
+        route = RouteSpec(8, 500.0)
+        rng = make_rng(23)
+        trips = []
+        for day in (0, 1, 7, 8):
+            trips.extend(random_day_trips(rng, day, 10, 8))
+        ds = TripDataset(trips, route)
+        for fallback in ("previous_week", "skip"):
+            examples, skips = build_examples(ds, fallback=fallback)
+            built = {}
+            for trip in ds.trips:
+                pw = closest_prev_week_trip(ds, trip.day_index, trip.start_time)
+                for m in range(3, 8):
+                    built[(trip.trip_id, m)] = build_example(
+                        ds, trip, m, pw, fallback=fallback)
+            assert len(built) == len(examples) + len(skips)
+            for ex in examples:
+                assert example_key(built[(ex.trip_id, ex.m)]) == example_key(ex)
+            for skip in skips:
+                assert built[(skip.trip_id, skip.m)] == skip.reason
+
+    def test_query_time_override(self, small_route):
+        pw = make_trip(1, 0, 21600.0, [100.0, 110.0, 120.0, 130.0, 140.0, 150.0])
+        early = make_trip(10, 7, 21000.0, [90.0] * 6)
+        cur = make_trip(11, 7, 23000.0, [80.0, 81.0, 82.0, 83.0, 84.0, 85.0])
+        ds = TripDataset([pw, early, cur], small_route)
+        # before the earlier bus reaches section 5 nothing is known about it
+        t_c = early.entry(5) - 1.0
+        ex = build_example(ds, cur, 4, pw, t_c)
+        assert ex.t_c == t_c and ex.fallback_mask.all()
+        npt.assert_array_equal(ex.dec[:, DEC_Z_PV], [140.0, 150.0])
+        npt.assert_array_equal(ex.targets, [84.0, 85.0])
+        assert build_example(ds, cur, 4, pw, t_c, fallback="skip") == \
+            "no_previous_bus"
+        assert build_example(ds, cur, 4, None) == "no_previous_week_trip"
 
     def test_empty_dataset_raises(self, small_route):
         with pytest.raises(DataError):

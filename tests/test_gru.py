@@ -2,8 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from busarrival.gru import (GruParams, gru_backward, gru_forward, init_gru,
-                            rnn_plain_backward, rnn_plain_forward)
+from busarrival.gru import GruParams, gru_backward, gru_forward, init_gru
 from busarrival.numkit import (finite_diff_grad, flatten_params, make_rng,
                                sigmoid, write_flat_params)
 
@@ -173,52 +172,6 @@ class TestBackward:
         _, cache = gru_forward(p, rng.normal(size=4), rng.normal(size=3))
         with pytest.raises(ValueError):
             gru_backward(p, cache, np.zeros(5))
-
-
-class TestPlainRnn:
-    def test_zero_weights_constant_half(self):
-        h = rnn_plain_forward(np.zeros((3, 3)), np.zeros((3, 2)),
-                              np.ones(3), np.ones(2))
-        npt.assert_array_equal(h, np.full(3, 0.5))
-
-    def test_scalar_case(self):
-        h = rnn_plain_forward(np.array([[0.0]]), np.array([[1.0]]),
-                              np.array([0.7]), np.array([0.0]))
-        npt.assert_array_equal(h, [0.5])
-
-    def test_matches_sigmoid_formula(self):
-        rng = make_rng(10)
-        wh, wu = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
-        h_prev, u = rng.normal(size=4), rng.normal(size=2)
-        npt.assert_array_equal(rnn_plain_forward(wh, wu, h_prev, u),
-                               sigmoid(wh @ h_prev + wu @ u))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = make_rng(12)
-        wh, wu = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
-        h_prev, u = rng.normal(size=4), rng.normal(size=3)
-        h = rnn_plain_forward(wh, wu, h_prev, u)
-        dwh, dwu, dh_prev, du = rnn_plain_backward(wh, wu, h, h_prev, u, h)
-        for analytic, var, closure in [
-                (dwh, wh, lambda: rnn_plain_forward(wh, wu, h_prev, u)),
-                (dwu, wu, lambda: rnn_plain_forward(wh, wu, h_prev, u)),
-                (dh_prev, h_prev, lambda: rnn_plain_forward(wh, wu, h_prev, u)),
-                (du, u, lambda: rnn_plain_forward(wh, wu, h_prev, u))]:
-            def f(v, var=var, closure=closure):
-                var[...] = v
-                hh = closure()
-                return 0.5 * float(np.sum(hh * hh))
-            fd = finite_diff_grad(f, var.copy())
-            rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
-            assert np.max(rel) < 1e-4
-
-    def test_dim_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            rnn_plain_forward(np.zeros((3, 2)), np.zeros((3, 2)),
-                              np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError):
-            rnn_plain_forward(np.zeros((3, 3)), np.zeros((2, 2)),
-                              np.zeros(3), np.zeros(2))
 
 
 def test_param_count_and_validate():

@@ -1,19 +1,21 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from busarrival import seq2seq
-from busarrival.dataprep import NormStats
+from busarrival.dataprep import DataError, NormStats
 from busarrival.gru import gru_forward
 from busarrival.numkit import (finite_diff_grad, flatten_params, make_rng,
                                write_flat_params)
-from busarrival.seq2seq import (Context, CoverageError, ModelBank, TrainConfig,
-                                bank_layout, bi_hidden_for_parity, decode_bi,
-                                decode_uni, decoder_param_count, encode,
-                                load_bank, load_model_json, loss, mean_loss,
-                                model_backward, model_loss, new_model, predict,
-                                predict_example, save_bank, save_model_json,
-                                train_bank, train_model)
+from busarrival.seq2seq import (CoverageError, ModelBank, NonFiniteLossError,
+                                TrainConfig, bank_layout, bi_hidden_for_parity,
+                                decoder_param_count, load_bank, load_model_json,
+                                loss, mean_loss, model_backward, model_loss,
+                                new_model, predict, predict_example, save_bank,
+                                save_model_json, train_bank, train_model)
 from conftest import make_example
 
 
@@ -49,47 +51,57 @@ class TestBankLayout:
                 assert c == b + 1
 
 
+def context(model, ex):
+    """The context e_a the forward pass builds for one example."""
+    _, _, (e_a, *_) = seq2seq._forward(model, [ex])
+    return e_a[:, 0]
+
+
 class TestEncode:
     def test_zero_weights_collapse(self, toy_norm):
         model = zero_model("edu", 3, 7, 10, toy_norm)
         rng = make_rng(1)
         for m in (3, 5, 7):
-            ctx = encode(model, rng.uniform(60, 200, (m, 2)), m, 30000.0)
-            npt.assert_array_equal(ctx.e_a[:4], np.zeros(4))
-            onehot = ctx.e_a[4:9]
+            ex = replace(make_example(rng, m, 10), t_c=30000.0)
+            e_a = context(model, ex)
+            npt.assert_array_equal(e_a[:4], np.zeros(4))
+            onehot = e_a[4:9]
             assert onehot[m - 3] == 1.0 and onehot.sum() == 1.0
-            assert ctx.e_a[9] == toy_norm.norm_tod(30000.0)
+            assert e_a[9] == toy_norm.norm_tod(30000.0)
 
     def test_onehot_at_bank_start(self, toy_norm):
         model = zero_model("edu", 3, 7, 10, toy_norm)
-        ctx = encode(model, np.full((3, 2), 100.0), 3, 30000.0)
-        npt.assert_array_equal(ctx.e_a[4:9], [1.0, 0.0, 0.0, 0.0, 0.0])
+        ex = replace(make_example(make_rng(1), 3, 10), enc=np.full((3, 2), 100.0))
+        npt.assert_array_equal(context(model, ex)[4:9], [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_matches_manual_unroll(self, toy_norm):
         rng = make_rng(2)
         model = new_model("edu", 3, 7, 10, rng, hidden_enc=4, hidden_dec=3,
                           norm=toy_norm)
         m = 5
-        enc_seq = rng.uniform(60, 200, (m, 2))
-        t_c = 31000.0
-        ctx = encode(model, enc_seq, m, t_c)
+        ex = replace(make_example(rng, m, 10), t_c=31000.0)
+        e_a = context(model, ex)
         h = np.zeros(4)
         for j in range(m):  # rows already ordered section m .. 1
-            h, _ = gru_forward(model.enc, h, toy_norm.norm_travel(enc_seq[j]))
+            h, _ = gru_forward(model.enc, h, toy_norm.norm_travel(ex.enc[j]))
         onehot = np.zeros(5)
         onehot[m - 3] = 1.0
-        expect = np.concatenate([h, onehot, [toy_norm.norm_tod(t_c)]])
-        npt.assert_allclose(ctx.e_a, expect, atol=1e-15)
+        expect = np.concatenate([h, onehot, [toy_norm.norm_tod(ex.t_c)]])
+        npt.assert_allclose(e_a, expect, atol=1e-15)
 
     def test_m_outside_bank_is_usage_error(self, toy_norm):
         model = zero_model("edu", 3, 7, 10, toy_norm)
         with pytest.raises(CoverageError):
-            encode(model, np.full((8, 2), 100.0), 8, 30000.0)
+            predict_example(model, make_example(make_rng(1), 8, 10))
 
     def test_length_mismatch_is_structural_error(self, toy_norm):
         model = zero_model("edu", 3, 7, 10, toy_norm)
-        with pytest.raises(ValueError):
-            encode(model, np.full((4, 2), 100.0), 5, 30000.0)
+        ex = make_example(make_rng(1), 5, 10)
+        for bad in (replace(ex, enc=np.full((4, 2), 100.0)),
+                    replace(ex, dec=ex.dec[:, :3]),
+                    replace(ex, targets=ex.targets[:-1])):
+            with pytest.raises(ValueError, match="encoder sequence"):
+                predict_example(model, bad)
 
 
 class TestDecodeUni:
@@ -105,10 +117,10 @@ class TestDecodeUni:
         model = new_model("edu", 3, 7, 10, rng, hidden_enc=4, hidden_dec=3,
                           norm=toy_norm)
         ex = make_example(rng, 4, 10)
-        ctx = encode(model, ex.enc, ex.m, ex.t_c)
-        full = decode_uni(model, ctx, ex.dec)
+        full = predict_example(model, ex)
         for k in range(1, ex.k + 1):
-            head = decode_uni(model, ctx, ex.dec[:k])
+            head = predict_example(model, replace(ex, dec=ex.dec[:k],
+                                                  targets=ex.targets[:k]))
             npt.assert_array_equal(head, full[:k])
 
     def test_matches_manual_unroll(self, toy_norm):
@@ -116,32 +128,27 @@ class TestDecodeUni:
         model = new_model("edu", 3, 7, 8, rng, hidden_enc=4, hidden_dec=3,
                           norm=toy_norm)
         ex = make_example(rng, 5, 8)  # K = 3
-        ctx = encode(model, ex.enc, ex.m, ex.t_c)
-        got = decode_uni(model, ctx, ex.dec)
+        e_a = context(model, ex)
+        got = predict_example(model, ex)
         dec_n = np.column_stack([
             toy_norm.norm_travel(ex.dec[:, 0]),
             toy_norm.norm_travel(ex.dec[:, 1]),
             toy_norm.norm_tod(ex.dec[:, 2]),
             toy_norm.norm_tod(ex.dec[:, 3])])
-        h = np.tanh(model.w_embed @ ctx.e_a)
+        h = np.tanh(model.w_embed @ e_a)
         expect = []
         for i in range(3):
-            u = np.concatenate([dec_n[i], ctx.e_a])
+            u = np.concatenate([dec_n[i], e_a])
             h, _ = gru_forward(model.dec_fwd, h, u)
             expect.append(toy_norm.denorm_travel(model.w_out @ h))
         npt.assert_allclose(got, expect, atol=1e-12)
 
     def test_empty_decode_is_usage_error(self, toy_norm):
         model = zero_model("edu", 3, 7, 10, toy_norm)
-        ctx = Context(e_a=np.zeros(model.ctx_len))
-        with pytest.raises(ValueError):
-            decode_uni(model, ctx, np.zeros((0, 4)))
-
-    def test_kind_mismatch(self, toy_norm):
-        edb = zero_model("edb", 3, 7, 10, toy_norm)
-        ctx = Context(e_a=np.zeros(edb.ctx_len))
-        with pytest.raises(ValueError):
-            decode_uni(edb, ctx, np.full((2, 4), 100.0))
+        ex = replace(make_example(make_rng(1), 4, 10), dec=np.zeros((0, 4)),
+                     targets=np.zeros(0))
+        with pytest.raises(ValueError, match="at least one step"):
+            predict_example(model, ex)
 
 
 class TestDecodeBi:
@@ -156,13 +163,13 @@ class TestDecodeBi:
         model = new_model("edb", 3, 7, 8, rng, hidden_enc=4, hidden_dec=3,
                           norm=toy_norm)
         ex = make_example(rng, 7, 8)  # K = 1
-        ctx = encode(model, ex.enc, ex.m, ex.t_c)
-        got = decode_bi(model, ctx, ex.dec)
+        e_a = context(model, ex)
+        got = predict_example(model, ex)
         dec_n = np.concatenate([
             toy_norm.norm_travel(ex.dec[0, :2]),
             toy_norm.norm_tod(ex.dec[0, 2:])])
-        u1 = np.concatenate([dec_n, ctx.e_a])
-        h0 = np.tanh(model.w_embed @ ctx.e_a)
+        u1 = np.concatenate([dec_n, e_a])
+        h0 = np.tanh(model.w_embed @ e_a)
         hf, _ = gru_forward(model.dec_fwd, h0, u1)
         hb, _ = gru_forward(model.dec_bwd, h0, u1)
         expect = toy_norm.denorm_travel(model.w_out @ np.concatenate([hf, hb]))
@@ -199,8 +206,26 @@ class TestDecodeBi:
                                        base[0])
 
 
+class TestBatchedForward:
+    @pytest.mark.parametrize("kind", ["edu", "edb"])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_batch_equals_per_example(self, kind, use_bias, toy_norm):
+        rng = make_rng(31)
+        model = new_model(kind, 3, 7, 10, rng, hidden_enc=5, hidden_dec=4,
+                          use_bias=use_bias, norm=toy_norm)
+        for p in model.params().values():  # nonzero biases too
+            p[...] = rng.uniform(-0.5, 0.5, p.shape)
+        exs = [make_example(rng, 6, 10, trip_id=i) for i in range(7)]
+        y, targets_n, _ = seq2seq._forward(model, exs)
+        assert y.shape == (4, 7)
+        for b, ex in enumerate(exs):
+            npt.assert_allclose(toy_norm.denorm_travel(y[:, b]),
+                                predict_example(model, ex), rtol=0, atol=1e-12)
+            npt.assert_array_equal(targets_n[:, b],
+                                   toy_norm.norm_travel(ex.targets))
+
+
 def _with_dec(ex, dec):
-    from dataclasses import replace
     return replace(ex, dec=dec)
 
 
@@ -348,6 +373,19 @@ class TestTraining:
         assert (8, 12) in result.skipped and (3, 7) not in result.skipped
         assert len(result.bank.models) == 6
 
+    def test_nonfinite_loss_raises_before_update(self, toy_norm):
+        model = new_model("edb", 3, 7, 8, make_rng(30), hidden_enc=4,
+                          hidden_dec=3, norm=toy_norm)
+        model.w_out[0] = np.nan
+        before = model.clone_weights()
+        rng = make_rng(31)
+        exs = [make_example(rng, 4, 8, trip_id=i) for i in range(3)]
+        with pytest.raises(NonFiniteLossError,
+                           match=r"edb bank m=3-7: .* epoch 0, batch 0"):
+            train_model(model, exs, exs, TrainConfig(max_epochs=2), make_rng(0))
+        for k, v in model.params().items():
+            npt.assert_array_equal(v, before[k])
+
     def test_no_examples_raises(self, toy_norm):
         model = zero_model("edu", 3, 7, 8, toy_norm)
         with pytest.raises(ValueError):
@@ -433,11 +471,29 @@ class TestCheckpoints:
         model = zero_model("edu", 3, 7, 10, toy_norm)
         path = tmp_path / "m.json"
         save_model_json(model, path)
-        import json
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="format"):
+            load_model_json(path)
+
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["weights"].pop("out.w"),
+        lambda doc: doc["weights"].update({"dec_fwd": None}),
+        lambda doc: doc["weights"]["enc"]["u"].update({"shape": [4, 2]}),
+        lambda doc: doc["weights"]["embed.w"]["data"].__setitem__(0, float("nan")),
+        lambda doc: doc["norm"].update({"travel_std": 0.0}),
+    ])
+    def test_malformed_checkpoint_names_path(self, tmp_path, toy_norm, corrupt):
+        model = new_model("edu", 3, 7, 10, make_rng(29), hidden_enc=4,
+                          hidden_dec=3, norm=toy_norm)
+        path = tmp_path / "m.json"
+        save_model_json(model, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="m.json: malformed checkpoint"):
             load_model_json(path)
 
 
