@@ -30,20 +30,20 @@ def random_example(rng, m, n_sections):
         fallback_mask=np.zeros(k, dtype=bool))
 
 
-print("single GRU step (loss = ||h||^2 / 2)")
+print("GRU chain, T=6 steps, batch of 3 (loss = sum of ||h_t||^2 / 2)")
 for hidden, inp in [(1, 1), (4, 3), (8, 5)]:
     rng = make_rng(hidden * 10 + inp)
     p = init_gru(rng, hidden, inp)
-    h_prev, u = rng.normal(size=hidden), rng.normal(size=inp)
-    h, cache = gru_forward(p, h_prev, u)
-    grads, _, _ = gru_backward(p, cache, h)
+    h0, xs = rng.normal(size=(hidden, 3)), rng.normal(size=(6, inp, 3))
+    states, cache = gru_forward(p, h0, xs)
+    grads, _, _ = gru_backward(p, cache, states)
     params = p.as_dict()
     vec, layout = flatten_params(params)
 
     def f(v):
         write_flat_params(params, v, layout)
-        hh, _ = gru_forward(p, h_prev, u)
-        return 0.5 * float(np.sum(hh * hh))
+        hs, _ = gru_forward(p, h0, xs)
+        return 0.5 * float(np.sum(hs * hs))
 
     fd = finite_diff_grad(f, vec.copy())
     write_flat_params(params, vec, layout)

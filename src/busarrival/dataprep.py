@@ -582,8 +582,10 @@ def load_examples_jsonl(path) -> list[TrainingExample]:
                     prev_trip_ids=np.array(d["prev_trip_ids"], dtype=np.int64),
                     pw_trip_id=d["pw_trip_id"],
                     fallback_mask=np.array(d["fallback"], dtype=bool)))
-            except (KeyError, json.JSONDecodeError) as e:
-                raise DataError(f"{path}: malformed example at line {lineno}") from e
+            except (KeyError, TypeError, ValueError) as e:
+                # TypeError: valid JSON that is not an object, e.g. [1, 2]
+                raise DataError(f"{path}:{lineno}: malformed example: "
+                                f"{type(e).__name__}: {e}") from e
     return examples
 
 

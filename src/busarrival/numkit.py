@@ -13,14 +13,14 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Numerically stable logistic function; saturates instead of overflowing."""
+    """Numerically stable logistic function; saturates instead of overflowing.
+
+    Branch-free: with e = exp(-|x|) <= 1 it is 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, the two overflow-free forms, bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def dsigmoid_from_output(s):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW, DataError,
                        NormStats, TrainingExample, fit_normalizer)
-from .gru import GruCache, GruParams, gru_backward, gru_forward, init_gru
+from .gru import GruParams, gru_backward, gru_forward, init_gru
 from .numkit import adam_step, init_adam, spawn_rng
 
 KIND_EDU = "edu"
@@ -41,6 +41,10 @@ BANK_WIDTH = 5
 DEFAULT_HIDDEN_ENC = 32
 DEFAULT_HIDDEN_DEC = {KIND_EDU: 32, KIND_EDB: 19}
 CHECKPOINT_FORMAT_VERSION = 1
+# Examples per forward pass in mean_loss: a whole 240-example validation set
+# made multi-MB GRU caches that left peak RSS 10-15% higher, and varying from
+# run to run, than chunks of 64, which cost 5-8% of training throughput.
+LOSS_CHUNK = 64
 
 
 class CoverageError(ValueError):
@@ -49,6 +53,10 @@ class CoverageError(ValueError):
 
 class NonFiniteLossError(ValueError):
     """A training batch produced a NaN or infinite loss."""
+
+
+class NonFiniteGradientError(ValueError):
+    """A training batch with a finite loss produced a NaN or infinite gradient."""
 
 
 @dataclass
@@ -114,9 +122,6 @@ class EdModel:
         if ((self.b_embed is not None and self.b_embed.shape != (self.hidden_dec,))
                 or (self.b_out is not None and self.b_out.shape != (1,))):
             raise ValueError("bias shape mismatch")
-        for p in (self.enc, self.dec_fwd, self.dec_bwd):
-            if p is not None:
-                p.validate()
 
     def params(self) -> dict:
         """Live parameter arrays, in a fixed order; mutating them updates the model."""
@@ -247,46 +252,6 @@ def _normalize_batch(model: EdModel, exs: list[TrainingExample]):
     return enc_n, dec_n, onehot, tc_n, targets_n
 
 
-def _run_chain(params: GruParams, h0: np.ndarray, xs, reverse: bool = False
-               ) -> tuple[list, list[GruCache]]:
-    """Run one GRU chain from state ``h0`` over the step inputs ``xs``.
-
-    The reverse chain consumes ``xs`` last to first. States and caches come
-    back in input order: ``states[i]`` is the state after consuming ``xs[i]``.
-    """
-    n = len(xs)
-    states, caches = [None] * n, [None] * n
-    h = h0
-    for i in (range(n - 1, -1, -1) if reverse else range(n)):
-        h, caches[i] = gru_forward(params, h, xs[i])
-        states[i] = h
-    return states, caches
-
-
-def _chain_backward(params: GruParams, caches: list[GruCache], dh: np.ndarray,
-                    dstates: list | None = None, reverse: bool = False,
-                    dx_sum: np.ndarray | None = None
-                    ) -> tuple[GruParams, np.ndarray]:
-    """BPTT through a chain run by :func:`_run_chain`.
-
-    ``dh`` is the loss gradient on the chain's final state and ``dstates[i]``,
-    when given, the gradient on ``states[i]``. Returns the parameter
-    gradients summed over steps and the gradient on ``h0``; each step's
-    input gradient is added into ``dx_sum`` when one is given.
-    """
-    total = params.zeros_like()
-    acc = total.as_dict()
-    n = len(caches)
-    for i in (range(n) if reverse else range(n - 1, -1, -1)):
-        g, dh, dx = gru_backward(params, caches[i],
-                                 dh if dstates is None else dh + dstates[i])
-        for name, v in g.as_dict().items():
-            acc[name] += v
-        if dx_sum is not None:
-            dx_sum += dx
-    return total, dh
-
-
 def _embed(model: EdModel, e_a: np.ndarray) -> np.ndarray:
     s = model.w_embed @ e_a
     if model.b_embed is not None:
@@ -305,23 +270,21 @@ def _forward(model: EdModel, exs: list[TrainingExample]):
     if k < 1:
         raise ValueError("decoder needs at least one step; empty queries "
                          "should not reach the model")
-    enc_states, enc_caches = _run_chain(
+    enc_states, enc_cache = gru_forward(
         model.enc, np.zeros((model.hidden_enc, b)), enc_n)
     e_a = np.concatenate([enc_states[-1], np.repeat(onehot[:, None], b, axis=1),
                           tc_n[None, :]], axis=0)
     h0 = _embed(model, e_a)
-    inputs = [np.concatenate([dec_n[i], e_a], axis=0) for i in range(k)]
-    states, fwd_caches = _run_chain(model.dec_fwd, h0, inputs)
-    bwd_caches = None
+    states, fwd_cache = gru_forward(model.dec_fwd, h0, dec_n, ctx=e_a)
+    bwd_cache = None
     if model.kind == KIND_EDB:
-        bwd_states, bwd_caches = _run_chain(model.dec_bwd, h0, inputs,
+        bwd_states, bwd_cache = gru_forward(model.dec_bwd, h0, dec_n, ctx=e_a,
                                             reverse=True)
-        states = [np.concatenate([f, bw], axis=0)
-                  for f, bw in zip(states, bwd_states)]
-    y = np.stack([model.w_out @ s for s in states], axis=0)
+        states = np.concatenate([states, bwd_states], axis=1)
+    y = model.w_out @ states                               # (K, B)
     if model.b_out is not None:
         y = y + model.b_out[0]
-    return y, targets_n, (e_a, enc_caches, h0, states, fwd_caches, bwd_caches)
+    return y, targets_n, (e_a, enc_cache, h0, states, fwd_cache, bwd_cache)
 
 
 def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
@@ -344,42 +307,38 @@ def loss(pred_norm: np.ndarray, targets_norm: np.ndarray) -> float:
 def _batch_step(model: EdModel, exs: list[TrainingExample]
                 ) -> tuple[float, dict]:
     """Loss and exact mean-loss gradients for a same-m batch of examples."""
-    y, targets_n, (e_a, enc_caches, h0, states, fwd_caches,
-                   bwd_caches) = _forward(model, exs)
+    y, targets_n, (e_a, enc_cache, h0, states, fwd_cache,
+                   bwd_cache) = _forward(model, exs)
     k, b = y.shape
     resid = y - targets_n
     batch_loss = float(np.mean(resid ** 2))
     dy = (2.0 / (k * b)) * resid
 
-    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
-    dstates = []
-    for i in range(k):
-        grads["out.w"] += states[i] @ dy[i]
-        if model.b_out is not None:
-            grads["out.b"] += dy[i].sum()
-        dstates.append(model.w_out[:, None] * dy[i][None, :])
+    grads = dict.fromkeys(model.params())                  # keeps parameter order
+    grads["out.w"] = np.tensordot(states, dy, axes=([0, 2], [0, 1]))
+    if model.b_out is not None:
+        grads["out.b"] = np.array([dy.sum()])
+    dstates = model.w_out[:, None] * dy[:, None, :]        # (K, width, B)
 
     hd = model.hidden_dec
-    zero_dh = np.zeros((hd, b))
-    du = np.zeros((4 + model.ctx_len, b))   # decoder input gradients, summed
-    g, dh0 = _chain_backward(model.dec_fwd, fwd_caches, zero_dh,
-                             [d[:hd] for d in dstates], dx_sum=du)
+    g, dh0, de_a = gru_backward(model.dec_fwd, fwd_cache, dstates[:, :hd])
     grads.update(g.as_dict("dec_fwd."))
     if model.kind == KIND_EDB:
-        g, dh0_bwd = _chain_backward(model.dec_bwd, bwd_caches, zero_dh,
-                                     [d[hd:] for d in dstates], reverse=True,
-                                     dx_sum=du)
+        g, dh0_bwd, de_a_bwd = gru_backward(model.dec_bwd, bwd_cache,
+                                            dstates[:, hd:])
         grads.update(g.as_dict("dec_bwd."))
         dh0 = dh0 + dh0_bwd
+        de_a = de_a + de_a_bwd
 
     ds0 = dh0 * (1.0 - h0 ** 2)
-    grads["embed.w"] += ds0 @ e_a.T
+    grads["embed.w"] = ds0 @ e_a.T
     if model.b_embed is not None:
-        grads["embed.b"] += ds0.sum(axis=1)
-    de_a = du[4:]
+        grads["embed.b"] = ds0.sum(axis=1)
     de_a += model.w_embed.T @ ds0
 
-    g, _ = _chain_backward(model.enc, enc_caches, de_a[:model.hidden_enc])
+    denc = np.zeros_like(enc_cache.states)
+    denc[-1] = de_a[:model.hidden_enc]
+    g, _, _ = gru_backward(model.enc, enc_cache, denc)
     grads.update(g.as_dict("enc."))
     return batch_loss, grads
 
@@ -403,8 +362,9 @@ def mean_loss(model: EdModel, examples: list[TrainingExample]) -> float:
         by_m.setdefault(ex.m, []).append(ex)
     total = 0.0
     for exs in by_m.values():
-        y, targets_n, _ = _forward(model, exs)
-        total += float(np.sum(np.mean((y - targets_n) ** 2, axis=0)))
+        for lo in range(0, len(exs), LOSS_CHUNK):
+            y, targets_n, _ = _forward(model, exs[lo:lo + LOSS_CHUNK])
+            total += float(np.sum(np.mean((y - targets_n) ** 2, axis=0)))
     return total / len(examples)
 
 
@@ -449,6 +409,7 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     by_m: dict[int, list[TrainingExample]] = {}
     for ex in train_ex:
         by_m.setdefault(ex.m, []).append(ex)
+    bank = f"{model.kind} bank m={model.m_lo}-{model.m_hi}"
     history: list[dict] = []
     best_val = np.inf
     best_weights = None
@@ -466,8 +427,14 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
             batch_loss, grads = _batch_step(model, batch)
             if not np.isfinite(batch_loss):
                 raise NonFiniteLossError(
-                    f"{model.kind} bank m={model.m_lo}-{model.m_hi}: training "
-                    f"loss is {batch_loss} at epoch {epoch}, batch {index}")
+                    f"{bank}: training loss is {batch_loss} at epoch {epoch}, "
+                    f"batch {index}")
+            bad = next((name for name, g in grads.items()
+                        if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise NonFiniteGradientError(
+                    f"{bank}: gradient of {bad} is not finite at epoch {epoch}, "
+                    f"batch {index}")
             adam_step(params, grads, state)
             total += batch_loss * len(batch)
             count += len(batch)

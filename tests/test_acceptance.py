@@ -81,8 +81,8 @@ def test_c02_cell_level_checks():
     for v in p.as_dict().values():
         v[...] = 0.0
     h_prev = make_rng(1).normal(size=6)
-    h, _ = gru_forward(p, h_prev, np.ones(3))
-    npt.assert_array_equal(h, 0.5 * h_prev)
+    h, _ = gru_forward(p, h_prev[:, None], np.ones((1, 3, 1)))
+    npt.assert_array_equal(h[0, :, 0], 0.5 * h_prev)
 
     rng = make_rng(2)
     evaluations = 0
@@ -93,11 +93,12 @@ def test_c02_cell_level_checks():
         for _ in range(50):
             hp = rng.normal(scale=1.5, size=5)
             u = rng.normal(scale=1.5, size=3)
-            h, c = gru_forward(params, hp, u)
+            states, c = gru_forward(params, hp[:, None], u[None, :, None])
+            h, h_tilde = states[0, :, 0], c.h_tilde[0, :, 0]
             assert np.all((c.z > 0) & (c.z < 1))
             assert np.all((c.r > 0) & (c.r < 1))
-            lo = np.minimum(hp, c.h_tilde)
-            hi = np.maximum(hp, c.h_tilde)
+            lo = np.minimum(hp, h_tilde)
+            hi = np.maximum(hp, h_tilde)
             assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
             evaluations += 1
     report("criterion 2 (cell-level checks)",

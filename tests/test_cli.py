@@ -189,6 +189,17 @@ class TestTrain:
         final_loss = float(rows[-1].split(",")[3])
         assert final_loss < 1e-3
 
+    def test_non_object_example_line_reports_path_and_line(
+            self, tmp_path, tiny_config, prep_dir, capsys):
+        lines = (prep_dir / "examples.jsonl").read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], "[1, 2]", *lines[1:]]) + "\n")
+        code = run(["train", "--config", tiny_config, "--examples", bad,
+                    "--out", tmp_path / "ckpt", "--kind", "edu",
+                    "--threads", 1])
+        assert code == 2
+        assert f"{bad}:2: malformed example" in capsys.readouterr().err
+
     def test_loss_curves_format(self, tmp_path, tiny_config, prep_dir):
         out = tmp_path / "ckpt"
         run(["train", "--config", tiny_config, "--examples",

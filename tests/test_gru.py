@@ -7,6 +7,24 @@ from busarrival.numkit import (finite_diff_grad, flatten_params, make_rng,
                                sigmoid, write_flat_params)
 
 
+def step(p, h_prev, u):
+    """One GRU step on vectors: a T = 1, B = 1 chain whose input is all
+    context, so that backward returns the input gradient too."""
+    states, cache = gru_forward(p, h_prev[:, None], np.zeros((1, 0, 1)),
+                                ctx=u[:, None])
+    return states[0, :, 0], cache
+
+
+def step_backward(p, cache, dh):
+    """(parameter gradients, dL/dh_prev, dL/du) of a :func:`step`."""
+    g, dh_prev, du = gru_backward(p, cache, dh[None, :, None])
+    return g, dh_prev[:, 0], du[:, 0]
+
+
+def gate(cache, name):
+    return getattr(cache, name)[0, :, 0]
+
+
 def zero_gru(hidden, inp, use_bias=False):
     p = init_gru(make_rng(0), hidden, inp, use_bias)
     for v in p.as_dict().values():
@@ -18,15 +36,15 @@ class TestForward:
     def test_zero_weights_halve_state(self):
         p = zero_gru(5, 3)
         h_prev = make_rng(1).normal(size=5)
-        h, cache = gru_forward(p, h_prev, np.ones(3))
-        npt.assert_array_equal(cache.z, np.full(5, 0.5))
-        npt.assert_array_equal(cache.r, np.full(5, 0.5))
-        npt.assert_array_equal(cache.h_tilde, np.zeros(5))
+        h, cache = step(p, h_prev, np.ones(3))
+        npt.assert_array_equal(gate(cache, "z"), np.full(5, 0.5))
+        npt.assert_array_equal(gate(cache, "r"), np.full(5, 0.5))
+        npt.assert_array_equal(gate(cache, "h_tilde"), np.zeros(5))
         npt.assert_array_equal(h, 0.5 * h_prev)
 
     def test_zero_state_zero_weights(self):
         p = zero_gru(4, 2)
-        h, _ = gru_forward(p, np.zeros(4), make_rng(2).normal(size=2))
+        h, _ = step(p, np.zeros(4), make_rng(2).normal(size=2))
         npt.assert_array_equal(h, np.zeros(4))
 
     def test_matches_straight_line_transcription(self):
@@ -40,7 +58,7 @@ class TestForward:
         r = sigmoid(p.wr @ u + p.ur @ h_prev)
         h_tilde = np.tanh(r * (p.u @ h_prev) + p.w @ u)
         expect = z * h_prev + (1.0 - z) * h_tilde
-        h, _ = gru_forward(p, h_prev, u)
+        h, _ = step(p, h_prev, u)
         npt.assert_array_equal(h, expect)
         naive = (1.0 / (1.0 + np.exp(-(p.wz @ u + p.uz @ h_prev))) * h_prev
                  + (1.0 - 1.0 / (1.0 + np.exp(-(p.wz @ u + p.uz @ h_prev))))
@@ -51,18 +69,23 @@ class TestForward:
     def test_dim_mismatch_raises(self):
         p = init_gru(make_rng(0), 4, 3)
         with pytest.raises(ValueError):
-            gru_forward(p, np.zeros(4), np.zeros(2))
+            step(p, np.zeros(4), np.zeros(2))
         with pytest.raises(ValueError):
-            gru_forward(p, np.zeros(5), np.zeros(3))
+            step(p, np.zeros(5), np.zeros(3))
         with pytest.raises(ValueError):
-            gru_forward(p, np.zeros((4, 2)), np.zeros((3, 5)))
+            gru_forward(p, np.zeros((4, 2)), np.zeros((1, 3, 5)))
+        with pytest.raises(ValueError):
+            gru_forward(p, np.zeros((4, 2)), np.zeros((1, 1, 2)),
+                        ctx=np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            gru_forward(p, np.zeros(4), np.zeros((1, 3, 1)))
 
     def test_deterministic(self):
         rng = make_rng(4)
         p = init_gru(rng, 6, 2)
         h_prev, u = rng.normal(size=6), rng.normal(size=2)
-        h1, _ = gru_forward(p, h_prev, u)
-        h2, _ = gru_forward(p, h_prev, u)
+        h1, _ = step(p, h_prev, u)
+        h2, _ = step(p, h_prev, u)
         npt.assert_array_equal(h1, h2)
 
 
@@ -79,12 +102,13 @@ class TestGateInvariants:
             for _ in range(25):
                 h_prev = rng.normal(scale=1.5, size=6)
                 u = rng.normal(scale=1.5, size=4)
-                h, c = gru_forward(p, h_prev, u)
-                assert np.all((c.z > 0) & (c.z < 1))
-                assert np.all((c.r > 0) & (c.r < 1))
-                assert np.all((c.h_tilde > -1) & (c.h_tilde < 1))
-                lo = np.minimum(h_prev, c.h_tilde)
-                hi = np.maximum(h_prev, c.h_tilde)
+                h, c = step(p, h_prev, u)
+                z, r, h_tilde = gate(c, "z"), gate(c, "r"), gate(c, "h_tilde")
+                assert np.all((z > 0) & (z < 1))
+                assert np.all((r > 0) & (r < 1))
+                assert np.all((h_tilde > -1) & (h_tilde < 1))
+                lo = np.minimum(h_prev, h_tilde)
+                hi = np.maximum(h_prev, h_tilde)
                 assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
                 checked += 1
         assert checked == 1000
@@ -94,8 +118,8 @@ class TestBackward:
     def test_zero_dh_gives_zero_grads(self):
         rng = make_rng(5)
         p = init_gru(rng, 4, 3)
-        _, cache = gru_forward(p, rng.normal(size=4), rng.normal(size=3))
-        g, dh_prev, du = gru_backward(p, cache, np.zeros(4))
+        _, cache = step(p, rng.normal(size=4), rng.normal(size=3))
+        g, dh_prev, du = step_backward(p, cache, np.zeros(4))
         for v in g.as_dict().values():
             npt.assert_array_equal(v, np.zeros_like(v))
         npt.assert_array_equal(dh_prev, np.zeros(4))
@@ -104,9 +128,9 @@ class TestBackward:
     def test_zero_weights_pass_half_gradient(self):
         p = zero_gru(4, 3)
         rng = make_rng(6)
-        _, cache = gru_forward(p, rng.normal(size=4), rng.normal(size=3))
+        _, cache = step(p, rng.normal(size=4), rng.normal(size=3))
         dh = rng.normal(size=4)
-        _, dh_prev, _ = gru_backward(p, cache, dh)
+        _, dh_prev, _ = step_backward(p, cache, dh)
         npt.assert_array_equal(dh_prev, 0.5 * dh)
 
     @pytest.mark.parametrize("hidden", [1, 4, 8])
@@ -119,14 +143,14 @@ class TestBackward:
             p = init_gru(rng, hidden, inp, use_bias)
             h_prev = rng.normal(size=hidden)
             u = rng.normal(size=inp)
-            h, cache = gru_forward(p, h_prev, u)
-            g, dh_prev, du = gru_backward(p, cache, h)  # loss = ||h||^2/2
+            h, cache = step(p, h_prev, u)
+            g, dh_prev, du = step_backward(p, cache, h)  # loss = ||h||^2/2
             params = p.as_dict()
             vec, layout = flatten_params(params)
 
             def f(v):
                 write_flat_params(params, v, layout)
-                hh, _ = gru_forward(p, h_prev, u)
+                hh, _ = step(p, h_prev, u)
                 return 0.5 * float(np.sum(hh * hh))
 
             fd = finite_diff_grad(f, vec.copy())
@@ -136,12 +160,12 @@ class TestBackward:
             assert np.max(rel) < 1e-4
 
             fd_h = finite_diff_grad(
-                lambda v: 0.5 * float(np.sum(gru_forward(p, v, u)[0] ** 2)),
+                lambda v: 0.5 * float(np.sum(step(p, v, u)[0] ** 2)),
                 h_prev.copy())
             rel = np.abs(dh_prev - fd_h) / np.maximum(1.0, np.abs(fd_h))
             assert np.max(rel) < 1e-4
             fd_u = finite_diff_grad(
-                lambda v: 0.5 * float(np.sum(gru_forward(p, h_prev, v)[0] ** 2)),
+                lambda v: 0.5 * float(np.sum(step(p, h_prev, v)[0] ** 2)),
                 u.copy())
             rel = np.abs(du - fd_u) / np.maximum(1.0, np.abs(fd_u))
             assert np.max(rel) < 1e-4
@@ -151,34 +175,124 @@ class TestBackward:
         p = init_gru(rng, 5, 3)
         H = rng.normal(size=(5, 4))
         U = rng.normal(size=(3, 4))
-        hb, cb = gru_forward(p, H, U)
+        hb, cb = gru_forward(p, H, np.zeros((1, 0, 4)), ctx=U)
         dh = rng.normal(size=(5, 4))
-        gb, dhp_b, du_b = gru_backward(p, cb, dh)
-        acc = p.zeros_like()
+        gb, dhp_b, du_b = gru_backward(p, cb, dh[None])
+        acc = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
         for i in range(4):
-            h1, c1 = gru_forward(p, H[:, i], U[:, i])
-            npt.assert_allclose(hb[:, i], h1, atol=1e-15)
-            g1, dhp1, du1 = gru_backward(p, c1, dh[:, i])
+            h1, c1 = step(p, H[:, i], U[:, i])
+            npt.assert_allclose(hb[0, :, i], h1, atol=1e-15)
+            g1, dhp1, du1 = step_backward(p, c1, dh[:, i])
             npt.assert_allclose(dhp_b[:, i], dhp1, atol=1e-14)
             npt.assert_allclose(du_b[:, i], du1, atol=1e-14)
             for k, v in g1.as_dict().items():
-                acc.as_dict()[k] += v
+                acc[k] += v
         for k, v in gb.as_dict().items():
-            npt.assert_allclose(v, acc.as_dict()[k], atol=1e-13)
+            npt.assert_allclose(v, acc[k], atol=1e-13)
 
     def test_dh_shape_mismatch_raises(self):
         rng = make_rng(9)
         p = init_gru(rng, 4, 3)
-        _, cache = gru_forward(p, rng.normal(size=4), rng.normal(size=3))
+        _, cache = step(p, rng.normal(size=4), rng.normal(size=3))
         with pytest.raises(ValueError):
-            gru_backward(p, cache, np.zeros(5))
+            step_backward(p, cache, np.zeros(5))
+
+
+def reference_chain(p, h0, xs, ctx, reverse, dstates):
+    """Oracle: a per-step unroll of the six-matrix equations in the gru
+    module docstring, with per-step BPTT. Returns the states (T, H, B), the
+    parameter gradients by name, dL/dh0 and dL/dctx."""
+    def pre(wx, uh, h, u, bias):
+        a = wx @ u + uh @ h
+        return a if bias is None else a + bias[:, None]
+
+    n = len(xs)
+    order = list(range(n - 1, -1, -1) if reverse else range(n))
+    states, steps = [None] * n, {}
+    h = h0
+    for t in order:
+        u = xs[t] if ctx is None else np.concatenate([xs[t], ctx])
+        z = 1.0 / (1.0 + np.exp(-pre(p.wz, p.uz, h, u, p.bz)))
+        r = 1.0 / (1.0 + np.exp(-pre(p.wr, p.ur, h, u, p.br)))
+        uh = p.u @ h
+        a = p.w @ u + r * uh
+        h_tilde = np.tanh(a if p.b is None else a + p.b[:, None])
+        steps[t] = (u, h, z, r, uh, h_tilde)
+        h = z * h + (1.0 - z) * h_tilde
+        states[t] = h
+    grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
+    dh = np.zeros_like(h0)
+    du = 0.0
+    for t in reversed(order):
+        u, h_prev, z, r, uh, h_tilde = steps[t]
+        dh = dh + dstates[t]
+        da_z = dh * (h_prev - h_tilde) * z * (1.0 - z)
+        da_h = dh * (1.0 - z) * (1.0 - h_tilde ** 2)
+        da_r = da_h * uh * r * (1.0 - r)
+        for name, da, back in (("z", da_z, da_z), ("r", da_r, da_r),
+                               ("", da_h, da_h * r)):
+            grads["w" + name] += da @ u.T
+            grads["u" + name] += back @ h_prev.T
+            if p.use_bias:
+                grads["b" + name] += da.sum(axis=1)
+        du = du + p.wz.T @ da_z + p.wr.T @ da_r + p.w.T @ da_h
+        dh = (dh * z + p.uz.T @ da_z + p.ur.T @ da_r + p.u.T @ (da_h * r))
+    dctx = None if ctx is None else du[xs.shape[1]:]
+    return np.stack(states), grads, dh, dctx
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 31])
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("with_ctx", [False, True])
+def test_sequence_kernel_matches_per_step_oracle(steps, batch, reverse,
+                                                 use_bias, with_ctx):
+    rng = make_rng(100 * steps + batch)
+    hidden, d_x, d_ctx = 5, 3, 4 if with_ctx else 0
+    p = init_gru(rng, hidden, d_x + d_ctx, use_bias)
+    for v in p.as_dict().values():      # nonzero biases exercise their path
+        v += rng.normal(scale=0.3, size=v.shape)
+    h0 = rng.normal(size=(hidden, batch))
+    xs = rng.normal(size=(steps, d_x, batch))
+    ctx = rng.normal(size=(d_ctx, batch)) if with_ctx else None
+    dstates = rng.normal(size=(steps, hidden, batch))
+
+    states, cache = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse)
+    g, dh0, dctx = gru_backward(p, cache, dstates)
+    want_states, want_g, want_dh0, want_dctx = reference_chain(
+        p, h0, xs, ctx, reverse, dstates)
+
+    assert_rel_close(states, want_states)
+    for name, v in g.as_dict().items():
+        assert_rel_close(v, want_g[name])
+    assert set(g.as_dict()) == set(want_g)
+    assert_rel_close(dh0, want_dh0)
+    if with_ctx:
+        assert_rel_close(dctx, want_dctx)
+    else:
+        assert dctx is None
+
+
+def test_stacked_gates_are_views():
+    p = init_gru(make_rng(3), 4, 3, use_bias=True)
+    p.ur[1, 2] = 7.0
+    p.b[3] = -2.0
+    assert p.u_stack[5, 2] == 7.0 and p.b_stack[11] == -2.0
+    assert p.w_stack.shape == (12, 3) and p.u_stack.shape == (12, 4)
 
 
 def test_param_count_and_validate():
     p = init_gru(make_rng(0), 4, 3)
     assert p.param_count() == 3 * 4 * 3 + 3 * 4 * 4
-    p.validate()
-    bad = GruParams(wz=np.zeros((4, 3)), wr=np.zeros((4, 3)), w=np.zeros((4, 3)),
-                    uz=np.zeros((4, 4)), ur=np.zeros((3, 4)), u=np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        bad.validate()
+        GruParams(wz=np.zeros((4, 3)), wr=np.zeros((4, 3)), w=np.zeros((4, 3)),
+                  uz=np.zeros((4, 4)), ur=np.zeros((3, 4)), u=np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        GruParams(*(np.zeros((4, 3)) for _ in range(3)),
+                  *(np.zeros((4, 4)) for _ in range(3)), bz=np.zeros(4))

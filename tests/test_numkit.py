@@ -28,6 +28,17 @@ class TestSigmoid:
         x = np.linspace(-30, 30, 5000)
         assert np.all(np.diff(numkit.sigmoid(x)) > 0)
 
+    def test_branch_free_form_matches_masked_formula(self):
+        x = np.linspace(-700, 700, 200_001)
+        masked = np.empty_like(x)
+        pos = x >= 0
+        masked[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        masked[~pos] = ex / (1.0 + ex)
+        got = numkit.sigmoid(x)
+        assert np.all(got > 0)
+        assert np.max(np.abs(got - masked) / masked) <= 1e-15
+
 
 def test_tanh_is_odd():
     x = numkit.make_rng(1).uniform(-20, 20, size=2000)

@@ -10,12 +10,13 @@ from busarrival.dataprep import DataError, NormStats
 from busarrival.gru import gru_forward
 from busarrival.numkit import (finite_diff_grad, flatten_params, make_rng,
                                write_flat_params)
-from busarrival.seq2seq import (CoverageError, ModelBank, NonFiniteLossError,
-                                TrainConfig, bank_layout, bi_hidden_for_parity,
-                                decoder_param_count, load_bank, load_model_json,
-                                loss, mean_loss, model_backward, model_loss,
-                                new_model, predict, predict_example, save_bank,
-                                save_model_json, train_bank, train_model)
+from busarrival.seq2seq import (CoverageError, ModelBank, NonFiniteGradientError,
+                                NonFiniteLossError, TrainConfig, bank_layout,
+                                bi_hidden_for_parity, decoder_param_count,
+                                load_bank, load_model_json, loss, mean_loss,
+                                model_backward, model_loss, new_model, predict,
+                                predict_example, save_bank, save_model_json,
+                                train_bank, train_model)
 from conftest import make_example
 
 
@@ -51,6 +52,12 @@ class TestBankLayout:
                 assert c == b + 1
 
 
+def step(params, h, u):
+    """One GRU step on vectors, run as a T = 1, B = 1 chain."""
+    states, _ = gru_forward(params, h[:, None], u[None, :, None])
+    return states[0, :, 0]
+
+
 def context(model, ex):
     """The context e_a the forward pass builds for one example."""
     _, _, (e_a, *_) = seq2seq._forward(model, [ex])
@@ -83,7 +90,7 @@ class TestEncode:
         e_a = context(model, ex)
         h = np.zeros(4)
         for j in range(m):  # rows already ordered section m .. 1
-            h, _ = gru_forward(model.enc, h, toy_norm.norm_travel(ex.enc[j]))
+            h = step(model.enc, h, toy_norm.norm_travel(ex.enc[j]))
         onehot = np.zeros(5)
         onehot[m - 3] = 1.0
         expect = np.concatenate([h, onehot, [toy_norm.norm_tod(ex.t_c)]])
@@ -139,7 +146,7 @@ class TestDecodeUni:
         expect = []
         for i in range(3):
             u = np.concatenate([dec_n[i], e_a])
-            h, _ = gru_forward(model.dec_fwd, h, u)
+            h = step(model.dec_fwd, h, u)
             expect.append(toy_norm.denorm_travel(model.w_out @ h))
         npt.assert_allclose(got, expect, atol=1e-12)
 
@@ -170,8 +177,8 @@ class TestDecodeBi:
             toy_norm.norm_tod(ex.dec[0, 2:])])
         u1 = np.concatenate([dec_n, e_a])
         h0 = np.tanh(model.w_embed @ e_a)
-        hf, _ = gru_forward(model.dec_fwd, h0, u1)
-        hb, _ = gru_forward(model.dec_bwd, h0, u1)
+        hf = step(model.dec_fwd, h0, u1)
+        hb = step(model.dec_bwd, h0, u1)
         expect = toy_norm.denorm_travel(model.w_out @ np.concatenate([hf, hb]))
         npt.assert_allclose(got, [expect], atol=1e-12)
 
@@ -242,6 +249,16 @@ class TestLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             loss(np.zeros(3), np.zeros(4))
+
+    def test_mean_loss_is_mean_of_example_losses(self, toy_norm):
+        # more examples per m than one forward pass takes, and two m groups
+        rng = make_rng(12)
+        model = new_model("edb", 3, 7, 10, rng, hidden_enc=4, hidden_dec=3,
+                          norm=toy_norm)
+        exs = [make_example(rng, m, 10, trip_id=i)
+               for i, m in enumerate([4] * 150 + [6] * 3)]
+        want = np.mean([model_loss(model, ex) for ex in exs])
+        assert abs(mean_loss(model, exs) - want) <= 1e-12 * want
 
 
 class TestModelBackward:
@@ -383,6 +400,24 @@ class TestTraining:
         with pytest.raises(NonFiniteLossError,
                            match=r"edb bank m=3-7: .* epoch 0, batch 0"):
             train_model(model, exs, exs, TrainConfig(max_epochs=2), make_rng(0))
+        for k, v in model.params().items():
+            npt.assert_array_equal(v, before[k])
+
+    def test_nonfinite_gradient_raises_before_update(self, toy_norm):
+        # all-zero states make the prediction exactly 0 whatever w_out is,
+        # so the loss stays finite while w_out * dL/dy overflows
+        model = zero_model("edu", 3, 7, 8, toy_norm)
+        model.w_out[:] = np.finfo(np.float64).max
+        before = model.clone_weights()
+        ex = make_example(make_rng(32), 7, 8)      # K = 1
+        ex = replace(ex, targets=np.array([toy_norm.travel_mean
+                                           + 3 * toy_norm.travel_std]))
+        assert np.isfinite(model_loss(model, ex))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonFiniteGradientError,
+                match=r"edu bank m=3-7: gradient of enc\.wz is not finite at "
+                      r"epoch 0, batch 0"):
+            train_model(model, [ex], [], TrainConfig(max_epochs=2), make_rng(0))
         for k, v in model.params().items():
             npt.assert_array_equal(v, before[k])
 
