@@ -41,9 +41,9 @@ BANK_WIDTH = 5
 DEFAULT_HIDDEN_ENC = 32
 DEFAULT_HIDDEN_DEC = {KIND_EDU: 32, KIND_EDB: 19}
 CHECKPOINT_FORMAT_VERSION = 1
-# Examples per forward pass in mean_loss: a whole 240-example validation set
-# made multi-MB GRU caches that left peak RSS 10-15% higher, and varying from
-# run to run, than chunks of 64, which cost 5-8% of training throughput.
+# Examples per forward pass in mean_loss. On a 2-vCPU VM, whole 240-example
+# validation sets made multi-MB GRU caches that left peak RSS 10-15% higher,
+# and varying from run to run, than chunks of 64 (5-8% slower training).
 LOSS_CHUNK = 64
 
 
