@@ -26,7 +26,7 @@ print("section travel times (s):", np.round(trip.travel_times, 1))
 
 # time-of-day profile
 hours = np.arange(5, 23)
-mult = peak_multiplier(cfg, hours * 3600.0)
+mult = [peak_multiplier(cfg, h * 3600.0) for h in hours]
 print("\npeak multiplier by hour:")
 for h, m in zip(hours, mult):
     print(f"  {h:02d}:00  {'#' * int(40 * (m - 1)):<18} {m:.2f}")

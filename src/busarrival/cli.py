@@ -126,10 +126,11 @@ def _train_config(cfg: dict) -> seq2seq.TrainConfig:
         use_bias=bool(t["use_bias"]), seed=int(cfg["seed"]))
 
 
-def _write_manifest(out_dir: str, command: str, cfg: dict, outputs: list) -> None:
+def _write_manifest(out_dir: str, command: str, cfg: dict, outputs: list,
+                    **fields) -> None:
     manifest = {"command": command, "seed": cfg["seed"],
                 "config_sha256": config_hash(cfg),
-                "outputs": sorted(os.path.basename(p) for p in outputs)}
+                "outputs": sorted(os.path.basename(p) for p in outputs), **fields}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -179,12 +180,16 @@ def cmd_train(args) -> int:
     examples = dataprep.load_examples_jsonl(args.examples)
     if not examples:
         raise ValueError(f"{args.examples}: no training examples")
+    for ex in examples:
+        if ex.m + ex.k != route.n_sections:
+            raise dataprep.DataError(
+                f"{args.examples}: the example of trip {ex.trip_id} at m={ex.m} "
+                f"spans {ex.m + ex.k} sections, the route has {route.n_sections}")
     if args.overfit:
         examples = examples[:1]
         tcfg.max_epochs = max(tcfg.max_epochs, 800)
-    weeks = sorted({ex.week for ex in examples})
-    train_ex = ([ex for ex in examples if ex.week != weeks[-1]]
-                if len(weeks) > 1 and not args.overfit else examples)
+    held_out = seq2seq.split_week(examples)
+    train_ex = [ex for ex in examples if ex.week != held_out]
     if not any(seq2seq.FIRST_POSITION <= ex.m <= route.n_sections - 1
                for ex in train_ex):
         raise ValueError("no examples fall inside any coverable bank")
@@ -218,7 +223,8 @@ def cmd_train(args) -> int:
         w.writerow(["kind", "bank", "epoch", "train_loss", "val_loss"])
         w.writerows(loss_rows)
     outputs.append(loss_path)
-    _write_manifest(args.out, "train", cfg, outputs)
+    _write_manifest(args.out, "train", cfg, outputs, held_out_week=held_out,
+                    validation_week=seq2seq.split_week(train_ex))
     print(f"train: wrote {len(outputs) - 1} checkpoints -> {args.out}")
     return 0
 
@@ -256,6 +262,18 @@ def cmd_evaluate(args) -> int:
     route = _route(cfg)
     dataset = dataprep.load_trips_csv(args.trips, route)
     train_trips, test_trips = simulator.split_train_test(dataset.trips)
+    test_week = test_trips[0].day_index // 7
+    manifest_path = os.path.join(args.checkpoints, "manifest.json")
+    try:
+        with open(manifest_path) as f:
+            held_out = json.load(f).get("held_out_week")
+    except (OSError, ValueError, AttributeError) as e:
+        raise dataprep.DataError(
+            f"{manifest_path}: cannot read the training manifest: {e}") from e
+    if held_out != test_week:
+        raise dataprep.DataError(
+            f"{manifest_path}: training held out week {held_out}, not week "
+            f"{test_week}, the week evaluate scores")
     ecfg = cfg["evaluation"]
     i_values = [i for i in ecfg["i_values"] if i <= route.n_sections - 1]
     test_days = sorted({t.day_index for t in test_trips})
@@ -277,7 +295,8 @@ def cmd_evaluate(args) -> int:
     query_path = os.path.join(args.out, "queries.csv")
     evalkit.save_report_csv(rows, report_path)
     evalkit.save_query_log_csv(queries, query_path)
-    _write_manifest(args.out, "evaluate", cfg, [report_path, query_path])
+    _write_manifest(args.out, "evaluate", cfg, [report_path, query_path],
+                    test_week=test_week)
     print(f"evaluate: {len(rows)} grid rows over {len(examples)} test queries "
           f"-> {args.out}")
     return 0

@@ -21,6 +21,7 @@ with the closest start time.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import warnings
@@ -102,6 +103,8 @@ class TripRecord:
                             "with travel times")
         if self.weekday != self.day_index % 7:
             raise DataError(f"trip {self.trip_id}: weekday does not match day index")
+        if self.trip_id < 0:  # examples mark "no previous bus" with id -1
+            raise DataError(f"trip {self.trip_id}: negative trip id")
 
 
 @dataclass
@@ -133,16 +136,18 @@ class TrainingExample:
         k = n_sections - self.m
         if self.dec.shape != (k, 4) or self.targets.shape != (k,):
             raise DataError("decoder sequence / target shape mismatch")
+        if self.prev_trip_ids.shape != (k,) or self.fallback_mask.shape != (k,):
+            raise DataError("previous-trip ids / fallback mask shape mismatch")
+        # array methods, not np.all/np.any: this runs once per example
         for arr in (self.enc, self.dec, self.targets):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DataError("non-finite value in training example")
-        if np.any(self.enc <= 0) or np.any(self.targets <= 0):
+        if (self.enc <= 0).any() or (self.targets <= 0).any():
             raise DataError("travel times must be positive")
         entries = self.dec[:, [DEC_TE_PV, DEC_TE_PW]]
-        if np.any(entries < 0) or np.any(entries >= SECONDS_PER_DAY):
+        if (entries < 0).any() or (entries >= SECONDS_PER_DAY).any():
             raise DataError("entry times must lie in [0, 86400)")
-        real = ~self.fallback_mask
-        if np.any(self.dec[real, DEC_TE_PV] >= self.t_c):
+        if (self.dec[~self.fallback_mask, DEC_TE_PV] >= self.t_c).any():
             raise DataError("previous-bus entry time not before T_c")
 
 
@@ -154,35 +159,10 @@ class SkipRecord:
     reason: str
 
 
-class _CountingIndex:
-    """Sorted (entry_time, trip_id) pairs with a counted predecessor search.
-
-    ``comparisons`` counts key comparisons so tests can assert the
-    O(log n)-per-query behavior directly.
-    """
-
-    def __init__(self, keys: list[tuple[float, int]]):
-        self.keys = sorted(keys)
-        self.comparisons = 0
-
-    def predecessor(self, t: float) -> tuple[float, int] | None:
-        """Largest (entry, trip_id) with entry strictly below t; ties on
-        entry resolve to the largest trip_id by the sort order."""
-        lo, hi = 0, len(self.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.comparisons += 1
-            if self.keys[mid][0] < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return None
-        return self.keys[lo - 1]
-
-
 class TripDataset:
-    """Immutable collection of trips with per-(day, section) entry indexes."""
+    """Immutable collection of trips. :meth:`entry_keys` caches one ascending
+    ``(entry time, trip_id)`` list per (day, section): the previous-bus search
+    uses it at its section, the previous-week search at section 1 (the start)."""
 
     def __init__(self, trips: list[TripRecord], route: RouteSpec):
         for t in trips:
@@ -199,8 +179,7 @@ class TripDataset:
             if t.trip_id in self.by_id:
                 raise DataError(f"duplicate trip id {t.trip_id}")
             self.by_id[t.trip_id] = t
-        self._section_index: dict[tuple[int, int], _CountingIndex] = {}
-        self._start_index: dict[int, list[tuple[float, int]]] = {}
+        self._entry_keys: dict[tuple[int, int], list[tuple[float, int]]] = {}
 
     def __len__(self) -> int:
         return len(self.trips)
@@ -208,22 +187,13 @@ class TripDataset:
     def days(self) -> list[int]:
         return sorted(self.by_day)
 
-    def weeks(self) -> list[int]:
-        return sorted({d // 7 for d in self.by_day})
-
-    def section_index(self, day: int, section: int) -> _CountingIndex:
-        key = (day, section)
-        if key not in self._section_index:
-            trips = self.by_day.get(day, [])
-            self._section_index[key] = _CountingIndex(
-                [(t.entry(section), t.trip_id) for t in trips])
-        return self._section_index[key]
-
-    def start_index(self, day: int) -> list[tuple[float, int]]:
-        if day not in self._start_index:
-            self._start_index[day] = sorted(
-                (t.start_time, t.trip_id) for t in self.by_day.get(day, []))
-        return self._start_index[day]
+    def entry_keys(self, day: int, section: int) -> list[tuple[float, int]]:
+        """Ascending (entry time at ``section``, trip_id) of ``day``'s trips."""
+        keys = self._entry_keys.get((day, section))
+        if keys is None:
+            keys = self._entry_keys[day, section] = sorted(
+                (t.entry(section), t.trip_id) for t in self.by_day.get(day, []))
+        return keys
 
 
 def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
@@ -243,8 +213,10 @@ def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
             if e < t_c and (best is None or (e, t.trip_id) > (best.entry(section), best.trip_id)):
                 best = t
         return best
-    hit = dataset.section_index(day, section).predecessor(t_c)
-    return dataset.by_id[hit[1]] if hit is not None else None
+    keys = dataset.entry_keys(day, section)
+    # (t_c,) sorts before every (t_c, id): i counts the keys with entry < t_c
+    i = bisect.bisect_left(keys, (t_c,))
+    return dataset.by_id[keys[i - 1][1]] if i else None
 
 
 def closest_prev_week_trip(dataset: TripDataset, day_index: int,
@@ -253,7 +225,7 @@ def closest_prev_week_trip(dataset: TripDataset, day_index: int,
     """Trip from exactly 7 days earlier with the closest start time.
 
     Same weekday by construction. Ties on |start difference| go to the
-    earlier trip.
+    earlier trip, and on equal starts to the smaller trip id.
     """
     prev_day = day_index - 7
     if brute_force:
@@ -263,20 +235,14 @@ def closest_prev_week_trip(dataset: TripDataset, day_index: int,
             if best_key is None or key < best_key:
                 best, best_key = t, key
         return best
-    starts = dataset.start_index(prev_day)
-    if not starts:
-        return None
-    lo, hi = 0, len(starts)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if starts[mid][0] < start_time:
-            lo = mid + 1
-        else:
-            hi = mid
-    # Candidates straddle the insertion point; the tie-break needs both.
-    cands = starts[max(0, lo - 1):lo + 1]
-    best = min(cands, key=lambda s: (abs(s[0] - start_time), s[0], s[1]))
-    return dataset.by_id[best[1]]
+    starts = dataset.entry_keys(prev_day, 1)
+    i = bisect.bisect_left(starts, (start_time,))
+    # candidates: every trip with the latest start before start_time (equal
+    # starts tie-break on trip id) and the first one at or after it
+    lo = bisect.bisect_left(starts, (starts[i - 1][0],)) if i else 0
+    best = min(starts[lo:i + 1], default=None,
+               key=lambda s: (abs(s[0] - start_time), s[0], s[1]))
+    return dataset.by_id[best[1]] if best else None
 
 
 def build_example(dataset: TripDataset, trip: TripRecord, m: int,
@@ -305,28 +271,23 @@ def build_example(dataset: TripDataset, trip: TripRecord, m: int,
     enc[:, ENC_Z_CUR] = trip.travel_times[m - 1::-1]
     enc[:, ENC_Z_PW] = pw.travel_times[m - 1::-1]
     dec = np.empty((k, 4))
+    # previous-week values everywhere, then the previous bus where one exists
+    dec[:, DEC_Z_PV] = dec[:, DEC_Z_PW] = pw.travel_times[m:]
+    dec[:, DEC_TE_PV] = dec[:, DEC_TE_PW] = pw.entry_times[m:]
     prev_ids = np.full(k, -1, dtype=np.int64)
-    fb = np.zeros(k, dtype=bool)
-    for i in range(k):
-        sec = m + 1 + i
+    for i, sec in enumerate(range(m + 1, n_s + 1)):
         prev = closest_prev_trip_at_section(dataset, trip.day_index, sec,
                                             t_c, brute_force=brute_force)
-        if prev is None:
-            if fallback == "skip":
-                return "no_previous_bus"
-            fb[i] = True
-            dec[i, DEC_Z_PV] = pw.travel(sec)
-            dec[i, DEC_TE_PV] = pw.entry(sec)
-        else:
+        if prev is not None:
             prev_ids[i] = prev.trip_id
-            dec[i, DEC_Z_PV] = prev.travel(sec)
-            dec[i, DEC_TE_PV] = prev.entry(sec)
-        dec[i, DEC_Z_PW] = pw.travel(sec)
-        dec[i, DEC_TE_PW] = pw.entry(sec)
+            dec[i, DEC_Z_PV] = prev.travel_times[sec - 1]
+            dec[i, DEC_TE_PV] = prev.entry_times[sec - 1]
+        elif fallback == "skip":
+            return "no_previous_bus"
     ex = TrainingExample(
         m=m, t_c=t_c, day_index=trip.day_index, trip_id=trip.trip_id,
         enc=enc, dec=dec, targets=trip.travel_times[m:].copy(),
-        prev_trip_ids=prev_ids, pw_trip_id=pw.trip_id, fallback_mask=fb)
+        prev_trip_ids=prev_ids, pw_trip_id=pw.trip_id, fallback_mask=prev_ids < 0)
     ex.validate(n_s)
     return ex
 
@@ -568,6 +529,8 @@ def save_examples_jsonl(examples: list[TrainingExample], path) -> None:
 
 
 def load_examples_jsonl(path) -> list[TrainingExample]:
+    """Examples from JSON lines, each validated against its own m + K
+    sections; a malformed or invalid line raises DataError naming path:line."""
     examples = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -575,17 +538,19 @@ def load_examples_jsonl(path) -> list[TrainingExample]:
                 continue
             try:
                 d = json.loads(line)
-                examples.append(TrainingExample(
+                ex = TrainingExample(
                     m=d["m"], t_c=d["t_c"], day_index=d["day"],
                     trip_id=d["trip_id"], enc=np.array(d["enc"]),
                     dec=np.array(d["dec"]), targets=np.array(d["targets"]),
                     prev_trip_ids=np.array(d["prev_trip_ids"], dtype=np.int64),
                     pw_trip_id=d["pw_trip_id"],
-                    fallback_mask=np.array(d["fallback"], dtype=bool)))
+                    fallback_mask=np.array(d["fallback"], dtype=bool))
+                ex.validate(ex.m + ex.k)
             except (KeyError, TypeError, ValueError) as e:
                 # TypeError: valid JSON that is not an object, e.g. [1, 2]
                 raise DataError(f"{path}:{lineno}: malformed example: "
                                 f"{type(e).__name__}: {e}") from e
+            examples.append(ex)
     return examples
 
 

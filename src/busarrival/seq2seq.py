@@ -493,12 +493,16 @@ class BankTrainResult:
     skipped: list      # (m_lo, m_hi) ranges with no training examples
 
 
+def split_week(examples: list[TrainingExample]) -> int | None:
+    """The week a split sets aside: the newest week of ``examples``, or None
+    when they cover a single week."""
+    weeks = {ex.week for ex in examples}
+    return max(weeks) if len(weeks) > 1 else None
+
+
 def _split_val(examples: list[TrainingExample]
                ) -> tuple[list[TrainingExample], list[TrainingExample]]:
-    weeks = sorted({ex.week for ex in examples})
-    if len(weeks) < 2:
-        return examples, []
-    val_week = weeks[-1]
+    val_week = split_week(examples)
     return ([ex for ex in examples if ex.week != val_week],
             [ex for ex in examples if ex.week == val_week])
 

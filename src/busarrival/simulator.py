@@ -107,14 +107,8 @@ class SimConfig:
         return 100.0 + 25.0 * np.sin(4.0 * np.pi * s / n)
 
 
-def peak_multiplier(cfg: SimConfig, t_s) -> np.ndarray:
+def peak_multiplier(cfg: SimConfig, t_s: float) -> float:
     """Time-of-day multiplier: flat base with morning and evening bumps."""
-    h = np.asarray(t_s, dtype=np.float64) / 3600.0
-    bump = lambda c: np.exp(-0.5 * ((h - c) / cfg.peak_width_h) ** 2)
-    return 1.0 + cfg.peak_amplitude * (bump(cfg.morning_peak_h) + bump(cfg.evening_peak_h))
-
-
-def _peak_scalar(cfg: SimConfig, t_s: float) -> float:
     h = t_s / 3600.0
     bm = math.exp(-0.5 * ((h - cfg.morning_peak_h) / cfg.peak_width_h) ** 2)
     be = math.exp(-0.5 * ((h - cfg.evening_peak_h) / cfg.peak_width_h) ** 2)
@@ -184,7 +178,7 @@ def simulate_dataset(cfg: SimConfig
             z0 = np.empty(n_s)
             e = dispatches[k]
             for s in range(n_s):
-                z0[s] = base[s] * _peak_scalar(cfg, e) * wd_mult * noise[s]
+                z0[s] = base[s] * peak_multiplier(cfg, e) * wd_mult * noise[s]
                 e += z0[s]
             entries = np.empty(n_s)
             z = np.empty(n_s)

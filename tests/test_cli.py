@@ -200,6 +200,28 @@ class TestTrain:
         assert code == 2
         assert f"{bad}:2: malformed example" in capsys.readouterr().err
 
+    def test_examples_for_another_route_rejected(self, tmp_path, tiny_config,
+                                                 prep_dir, capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["route"]["n_sections"] = 12
+        other = tmp_path / "twelve.json"
+        other.write_text(json.dumps(cfg))
+        out = tmp_path / "ckpt"
+        assert run(["train", "--config", other, "--examples",
+                    prep_dir / "examples.jsonl", "--out", out, "--kind", "edu",
+                    "--threads", 1]) == 2
+        err = capsys.readouterr().err
+        assert "spans 8 sections, the route has 12" in err
+        assert not out.exists()
+
+    def test_manifest_records_held_out_and_validation_weeks(
+            self, tiny_config, ckpt_dir):
+        manifest = json.loads((ckpt_dir / "manifest.json").read_text())
+        # examples cover weeks 1 and 2 (week 0 has no previous week); with
+        # week 2 held out, week 1 alone is left, so nothing is validated on
+        assert manifest["held_out_week"] == 2
+        assert manifest["validation_week"] is None
+
     def test_loss_curves_format(self, tmp_path, tiny_config, prep_dir):
         out = tmp_path / "ckpt"
         run(["train", "--config", tiny_config, "--examples",
@@ -312,6 +334,40 @@ class TestEvaluate:
         assert len(qs) == n
         errs = [abs(float(q[5]) - float(q[6])) for q in qs]
         assert abs(float(row[4]) - sum(errs) / len(errs)) < 1e-5
+
+    def test_manifest_records_test_week(self, tmp_path, tiny_config, sim_dir,
+                                        ckpt_dir):
+        out = tmp_path / "rep"
+        assert run(["evaluate", "--config", tiny_config, "--checkpoints",
+                    ckpt_dir, "--trips", sim_dir / "trips.csv",
+                    "--out", out, "--kind", "edu", "--threads", 1]) == 0
+        assert json.loads((out / "manifest.json").read_text())["test_week"] == 2
+
+    def test_refuses_checkpoints_trained_on_the_test_week(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "two_weeks.json"
+        cfg.write_text(json.dumps({
+            "route": {"n_sections": 8, "section_length_m": 500.0},
+            "simulator": {"weeks": 2, "trips_per_day": 4},
+            "training": {"max_epochs": 1, "hidden_enc": 4,
+                         "hidden_dec_edu": 4, "hidden_dec_edb": 3}}))
+        sim, prep, ckpt = (tmp_path / d for d in ("sim", "prep", "ckpt"))
+        run(["simulate", "--config", cfg, "--out", sim])
+        run(["prepare", "--config", cfg, "--trips", sim / "trips.csv",
+             "--out", prep])
+        # week 0 has no previous week, so every example is from week 1
+        assert run(["train", "--config", cfg, "--examples",
+                    prep / "examples.jsonl", "--out", ckpt, "--kind", "edu",
+                    "--threads", 1]) == 0
+        assert json.loads((ckpt / "manifest.json").read_text())[
+            "held_out_week"] is None
+        capsys.readouterr()
+        assert run(["evaluate", "--config", cfg, "--checkpoints", ckpt,
+                    "--trips", sim / "trips.csv", "--out", tmp_path / "rep",
+                    "--kind", "edu", "--threads", 1]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt / "manifest.json") in err and "week 1" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_idempotent(self, tmp_path, tiny_config, sim_dir, ckpt_dir):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -44,6 +47,8 @@ class TestTripRecord:
         t2.entry_times[1] = 999.0
         with pytest.raises(DataError):
             t2.validate()
+        with pytest.raises(DataError, match="negative trip id"):
+            make_trip(-1, 0, 0.0, [10.0] * 4).validate()
 
 
 class TestInterpolation:
@@ -154,6 +159,15 @@ class TestClosestPrevWeek:
         cur = make_trip(3, 7, 9 * 3600.0, [60.0] * 6)
         ds = TripDataset([a, b, cur], small_route)
         assert closest_prev_week_trip(ds, 7, cur.start_time).trip_id == 1
+
+    def test_equal_starts_prefer_smaller_id(self, small_route):
+        a = make_trip(1, 0, 8 * 3600.0, [60.0] * 6)
+        b = make_trip(2, 0, 8 * 3600.0, [70.0] * 6)
+        cur = make_trip(3, 7, 8 * 3600.0 + 50.0, [60.0] * 6)
+        ds = TripDataset([a, b, cur], small_route)
+        for brute in (False, True):
+            hit = closest_prev_week_trip(ds, 7, cur.start_time, brute_force=brute)
+            assert hit.trip_id == 1
 
     def test_matches_brute_force(self):
         route = RouteSpec(5, 500.0)
@@ -299,15 +313,33 @@ class TestBuildExamples:
 
 class TestComplexity:
     def test_indexed_query_is_logarithmic(self):
+        class CountingTime(float):
+            """Query time that counts the ordering comparisons made with it.
+
+            ``==`` is not counted: a tuple comparison also calls it once per
+            probe, before the ordering test."""
+            count = 0
+
+            def __lt__(self, other):
+                CountingTime.count += 1
+                return float(self) < other
+
+            def __gt__(self, other):
+                CountingTime.count += 1
+                return float(self) > other
+
+        route = RouteSpec(4, 500.0)
         rng = make_rng(9)
         for n in (64, 512, 4096):
-            keys = sorted((float(rng.uniform(0, 1e5)), i) for i in range(n))
-            idx = dataprep._CountingIndex(keys)
+            starts = rng.uniform(0, 1e5, size=n)
+            ds = TripDataset([make_trip(i, 0, float(s), [60.0] * 4)
+                              for i, s in enumerate(starts)], route)
             queries = rng.uniform(0, 1e5, size=200)
+            CountingTime.count = 0
             for q in queries:
-                idx.predecessor(float(q))
-            per_query = idx.comparisons / len(queries)
-            assert per_query <= np.log2(n) + 2
+                closest_prev_trip_at_section(ds, 0, 2, CountingTime(q))
+            per_query = CountingTime.count / len(queries)
+            assert 0 < per_query <= np.log2(n) + 2
 
 
 class TestNormalizer:
@@ -383,6 +415,24 @@ class TestCsvFormats:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError, match="header"):
             dataprep.load_trips_csv(path, small_route)
+
+    def test_example_id_and_mask_shapes_checked(self):
+        ex = make_example(make_rng(3), 5, 8)
+        ex.validate(8)
+        for name in ("prev_trip_ids", "fallback_mask"):
+            bad = replace(ex, **{name: getattr(ex, name)[:-1]})
+            with pytest.raises(DataError, match="fallback mask shape mismatch"):
+                bad.validate(8)
+
+    def test_invalid_jsonl_example_reports_line(self, tmp_path):
+        rng = make_rng(13)
+        good, bad = make_example(rng, 3, 8), make_example(rng, 5, 8)
+        bad.targets[0] = -bad.targets[0]
+        path = tmp_path / "ex.jsonl"
+        dataprep.save_examples_jsonl([good, bad], path)
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: ")
+                           + ".*travel times must be positive"):
+            dataprep.load_examples_jsonl(path)
 
     def test_examples_jsonl_roundtrip(self, tmp_path):
         rng = make_rng(13)

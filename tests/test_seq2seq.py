@@ -351,6 +351,16 @@ class TestTraining:
             model = result.bank.model_for(4)
             assert model_loss(model, ex) < 1e-3
 
+    def test_split_week_sets_aside_the_newest_of_several_weeks(self):
+        rng = make_rng(19)
+        exs = [make_example(rng, 4, 8, day_index=d) for d in (8, 15, 16, 9)]
+        assert seq2seq.split_week(exs) == 2
+        assert seq2seq.split_week(exs[:1]) is None
+        train, val = seq2seq._split_val(exs)
+        assert [ex.day_index for ex in train] == [8, 9]
+        assert [ex.day_index for ex in val] == [15, 16]
+        assert seq2seq._split_val(exs[:1]) == (exs[:1], [])
+
     def test_training_is_deterministic(self, toy_norm):
         rng = make_rng(18)
         exs = [make_example(rng, m, 8, day_index=7 + i % 3, trip_id=i)

@@ -103,10 +103,9 @@ class TestFactors:
 
     def test_peak_multiplier_shape(self):
         cfg = quiet_config(peak_amplitude=0.5)
-        flat = peak_multiplier(quiet_config(), np.array([8.5 * 3600]))
-        assert flat[0] == 1.0
-        peak = peak_multiplier(cfg, np.array([8.5 * 3600, 3 * 3600]))
-        assert peak[0] > 1.4 and peak[1] < 1.1
+        assert peak_multiplier(quiet_config(), 8.5 * 3600) == 1.0
+        assert peak_multiplier(cfg, 8.5 * 3600) > 1.4
+        assert peak_multiplier(cfg, 3 * 3600) < 1.1
 
     def test_weekday_seasonality(self):
         mults = (1.2, 1.0, 1.0, 1.0, 1.0, 0.8)
