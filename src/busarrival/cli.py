@@ -1,65 +1,82 @@
 """Command-line pipeline: simulate -> prepare -> train -> predict -> evaluate.
 
-Configuration lives in one JSON document with full defaults; command-line
-flags override file values. Every command writes a manifest recording the
-master seed and a hash of the effective configuration, and is idempotent:
-identical inputs and seed give byte-identical outputs.
+Configuration lives in one JSON document whose defaults are those of
+SimConfig, TrainConfig and evalkit; command-line flags override file values.
+Every command writes a manifest recording the master seed and a hash of the
+effective configuration, and is idempotent: identical inputs and seed give
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import copy
 import hashlib
 import json
+import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import dataprep, evalkit, seq2seq, simulator
-from .dataprep import RouteSpec
+from .dataprep import RouteSpec, check_ranges
+
+
+def _fields(settings) -> dict:
+    """A config section: a dataclass's settings other than route and seed."""
+    return {k: v for k, v in vars(settings).items() if k not in ("route", "seed")}
+
 
 DEFAULT_CONFIG = {
-    "seed": 0,
-    "route": {"n_sections": 34, "section_length_m": 800.0},
-    "simulator": {
-        "weeks": 8,
-        "trips_per_day": 40,
-        "first_dispatch_s": 21600.0,
-        "headway_mean_s": 1260.0,
-        "headway_jitter_s": 240.0,
-        "morning_peak_h": 8.5,
-        "evening_peak_h": 18.0,
-        "peak_amplitude": 0.40,
-        "peak_width_h": 1.5,
-        "weekday_multipliers": [1.03, 0.99, 1.00, 1.02, 1.07, 0.92],
-        "events_per_day": 8.0,
-        "event_severity_range": [1.6, 2.8],
-        "event_duration_range_s": [1800.0, 5400.0],
-        "event_speed_range_spm": [0.3, 1.5],
-        "event_decay": 0.93,
-        "event_factor_cap": 5.0,
-        "noise_cv": 0.08,
-    },
-    "dataprep": {"fallback": "previous_week"},
-    "training": {
-        "batch_size": 32,
-        "lr": 3e-3,
-        "max_epochs": 30,
-        "patience": 6,
-        "hidden_enc": 32,
-        "hidden_dec_edu": 32,
-        "hidden_dec_edb": 19,
-        "use_bias": False,
-    },
-    "evaluation": {"i_values": [5, 10, 15, 20, 25, 30], "j_step": 5,
-                   "alpha": 0.1},
+    "seed": simulator.SimConfig().seed,
+    "route": _fields(simulator.SimConfig().route),
+    "simulator": _fields(simulator.SimConfig()),
+    "dataprep": {"fallback": dataprep.FALLBACK_POLICIES[0]},
+    "training": _fields(seq2seq.TrainConfig()),
+    "evaluation": {"i_values": evalkit.DEFAULT_I_VALUES,
+                   "j_step": evalkit.DEFAULT_J_STEP,
+                   "alpha": evalkit.DEFAULT_ALPHA},
 }
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "an array", tuple: "an array",
+               dict: "an object"}
+# Range rules of the sections that no settings dataclass checks.
+_RULES = {
+    "dataprep": {"fallback": (dataprep.FALLBACK_POLICIES.__contains__,
+                              "one of " + ", ".join(dataprep.FALLBACK_POLICIES))},
+    "evaluation": {"j_step": dataprep.AT_LEAST_1,
+                   "alpha": (lambda v: 0 < v < 1, "in (0, 1)")}}
+
+
+def _merge(default, value, where: str, key: str = ""):
+    """``value`` over ``default``, whose JSON type it must have (an integer
+    passes for a number); objects merge by key, array items are checked
+    against the default's first item."""
+    want, got = _JSON_TYPES[type(default)], _JSON_TYPES.get(type(value), "null")
+    if (got != want and (want, got) != ("a number", "an integer")
+            or got == "a number" and not math.isfinite(value)):
+        raise ValueError(f"{where}: {key or 'top level'}: expected {want}, "
+                         f"got {json.dumps(value)}")
+    if got == "an array":
+        return tuple(_merge(default[0], v, where, f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    if got != "an object":
+        return value
+    prefix = f"{key}." if key else ""
+    unknown = sorted(value.keys() - default.keys())
+    if unknown:
+        raise ValueError(f"{where}: unknown config key {prefix}{unknown[0]}")
+    return {k: _merge(d, value.get(k, d), where, prefix + k)
+            for k, d in default.items()}
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> dict:
-    """Defaults, overlaid with the config file, overlaid with flag overrides."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """Defaults, overlaid with the config file, overlaid with flag overrides.
+
+    A value of the wrong JSON type or out of range raises ValueError naming
+    ``<path>: section.key``, so a command rejects a bad file before any work.
+    """
+    where, user = path or "default config", {}
     if path is not None:
         with open(path) as f:
             try:
@@ -67,19 +84,18 @@ def load_config(path: str | None, seed_override: int | None = None) -> dict:
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: invalid JSON at line {e.lineno}, "
                                  f"column {e.colno}: {e.msg}") from e
-        for section, values in user.items():
-            if section not in cfg:
-                raise ValueError(f"{path}: unknown config section {section!r}")
-            if isinstance(cfg[section], dict):
-                for key, v in values.items():
-                    if key not in cfg[section]:
-                        raise ValueError(
-                            f"{path}: unknown key {section}.{key!r}")
-                    cfg[section][key] = v
-            else:
-                cfg[section] = values
+    cfg = _merge(DEFAULT_CONFIG, user, where)
     if seed_override is not None:
         cfg["seed"] = seed_override
+    for section, check in (
+            ("route", _route), ("simulator", _sim_config),
+            ("training", _train_config),
+            *((s, lambda c, s=s: check_ranges(SimpleNamespace(**c[s]),
+                                              _RULES[s])) for s in _RULES)):
+        try:
+            check(cfg)
+        except ValueError as e:
+            raise ValueError(f"{where}: {section}.{e}") from e
     return cfg
 
 
@@ -89,41 +105,16 @@ def config_hash(cfg: dict) -> str:
 
 
 def _route(cfg: dict) -> RouteSpec:
-    return RouteSpec(int(cfg["route"]["n_sections"]),
-                     float(cfg["route"]["section_length_m"]))
+    return RouteSpec(**cfg["route"])
 
 
 def _sim_config(cfg: dict) -> simulator.SimConfig:
-    s = cfg["simulator"]
-    return simulator.SimConfig(
-        route=_route(cfg), weeks=int(s["weeks"]),
-        trips_per_day=int(s["trips_per_day"]),
-        first_dispatch_s=float(s["first_dispatch_s"]),
-        headway_mean_s=float(s["headway_mean_s"]),
-        headway_jitter_s=float(s["headway_jitter_s"]),
-        morning_peak_h=float(s["morning_peak_h"]),
-        evening_peak_h=float(s["evening_peak_h"]),
-        peak_amplitude=float(s["peak_amplitude"]),
-        peak_width_h=float(s["peak_width_h"]),
-        weekday_multipliers=tuple(s["weekday_multipliers"]),
-        events_per_day=float(s["events_per_day"]),
-        event_severity_range=tuple(s["event_severity_range"]),
-        event_duration_range_s=tuple(s["event_duration_range_s"]),
-        event_speed_range_spm=tuple(s["event_speed_range_spm"]),
-        event_decay=float(s["event_decay"]),
-        event_factor_cap=float(s["event_factor_cap"]),
-        noise_cv=float(s["noise_cv"]), seed=int(cfg["seed"]))
+    return simulator.SimConfig(route=_route(cfg), seed=cfg["seed"],
+                               **cfg["simulator"])
 
 
 def _train_config(cfg: dict) -> seq2seq.TrainConfig:
-    t = cfg["training"]
-    return seq2seq.TrainConfig(
-        batch_size=int(t["batch_size"]), lr=float(t["lr"]),
-        max_epochs=int(t["max_epochs"]), patience=int(t["patience"]),
-        hidden_enc=int(t["hidden_enc"]),
-        hidden_dec_edu=int(t["hidden_dec_edu"]),
-        hidden_dec_edb=int(t["hidden_dec_edb"]),
-        use_bias=bool(t["use_bias"]), seed=int(cfg["seed"]))
+    return seq2seq.TrainConfig(seed=cfg["seed"], **cfg["training"])
 
 
 def _write_manifest(out_dir: str, command: str, cfg: dict, outputs: list,
@@ -136,8 +127,7 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, outputs: list,
         f.write("\n")
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_simulate(args, cfg: dict) -> int:
     os.makedirs(args.out, exist_ok=True)
     trips, events = simulator.simulate_dataset(_sim_config(cfg))
     trips_path = os.path.join(args.out, "trips.csv")
@@ -149,8 +139,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_prepare(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_prepare(args, cfg: dict) -> int:
     route = _route(cfg)
     dataset = dataprep.load_trips_csv(args.trips, route)
     examples, skips = dataprep.build_examples(
@@ -173,8 +162,7 @@ def _kinds(kind_flag: str) -> list[str]:
     return [seq2seq.KIND_EDU, seq2seq.KIND_EDB] if kind_flag == "both" else [kind_flag]
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_train(args, cfg: dict) -> int:
     route = _route(cfg)
     tcfg = _train_config(cfg)
     examples = dataprep.load_examples_jsonl(args.examples)
@@ -193,6 +181,11 @@ def cmd_train(args) -> int:
     if not any(seq2seq.FIRST_POSITION <= ex.m <= route.n_sections - 1
                for ex in train_ex):
         raise ValueError("no examples fall inside any coverable bank")
+    validation_week = seq2seq.split_week(train_ex)
+    if validation_week is None:
+        print(f"train: held-out week {held_out} leaves one training week, so "
+              "nothing is validated and early stopping is off",
+              file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     loss_rows = []
@@ -224,13 +217,12 @@ def cmd_train(args) -> int:
         w.writerows(loss_rows)
     outputs.append(loss_path)
     _write_manifest(args.out, "train", cfg, outputs, held_out_week=held_out,
-                    validation_week=seq2seq.split_week(train_ex))
+                    validation_week=validation_week)
     print(f"train: wrote {len(outputs) - 1} checkpoints -> {args.out}")
     return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_predict(args, cfg: dict) -> int:
     route = _route(cfg)
     dataset = dataprep.load_trips_csv(args.trips, route)
     if args.trip_id not in dataset.by_id:
@@ -257,8 +249,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_evaluate(args, cfg: dict) -> int:
     route = _route(cfg)
     dataset = dataprep.load_trips_csv(args.trips, route)
     train_trips, test_trips = simulator.split_train_test(dataset.trips)
@@ -289,7 +280,7 @@ def cmd_evaluate(args) -> int:
     methods["hist_mean"] = (lambda ex: evalkit.baseline_hist_mean(hist, ex))
     rows, queries = evalkit.evaluate_grid(
         methods, examples, route.n_sections, i_values=i_values,
-        j_step=int(ecfg["j_step"]), alpha=float(ecfg["alpha"]))
+        j_step=ecfg["j_step"], alpha=ecfg["alpha"])
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
     query_path = os.path.join(args.out, "queries.csv")
@@ -366,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config, args.seed))
     except (ValueError, OSError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

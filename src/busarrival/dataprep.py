@@ -30,6 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 SECONDS_PER_DAY = 86400.0
+# The first position m that examples are built for and models cover.
+FIRST_POSITION = 3
+# A section with no previous bus before T_c: use previous-week inputs (the
+# default) or skip the example.
+FALLBACK_POLICIES = ("previous_week", "skip")
 
 # Column layout of TrainingExample.dec rows.
 DEC_Z_PV, DEC_Z_PW, DEC_TE_PV, DEC_TE_PW = 0, 1, 2, 3
@@ -45,16 +50,31 @@ class PartialTripError(DataError):
     """A GPS trace does not cover the whole route."""
 
 
+# (test, what a value must be) rules for check_ranges.
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+POSITIVE = (lambda v: v > 0, "> 0")
+NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+
+
+def check_ranges(settings, rules: dict) -> None:
+    """Raise ValueError ``"<name>: must be <rule>, got <value>"`` for the first
+    attribute of ``settings`` named in ``rules`` whose value fails its test.
+    Reads with getattr: ``vars(settings)`` would materialize ``__dict__`` and
+    slow later attribute reads (``simulate_dataset`` ~25% on CPython 3.11)."""
+    for name, (test, rule) in rules.items():
+        value = getattr(settings, name)
+        if not test(value):
+            raise ValueError(f"{name}: must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RouteSpec:
     n_sections: int
     section_length_m: float = 800.0
 
     def __post_init__(self):
-        if self.n_sections < 4:
-            raise ValueError("a route needs at least 4 sections")
-        if self.section_length_m <= 0:
-            raise ValueError("section length must be positive")
+        check_ranges(self, {"n_sections": (lambda v: v >= 4, ">= 4"),
+                            "section_length_m": POSITIVE})
 
     @property
     def length_m(self) -> float:
@@ -247,7 +267,7 @@ def closest_prev_week_trip(dataset: TripDataset, day_index: int,
 
 def build_example(dataset: TripDataset, trip: TripRecord, m: int,
                   pw: TripRecord | None, t_c: float | None = None,
-                  fallback: str = "previous_week", brute_force: bool = False
+                  fallback: str = FALLBACK_POLICIES[0], brute_force: bool = False
                   ) -> TrainingExample | str:
     """The example for ``trip`` at position m, or the reason it is skipped.
 
@@ -257,7 +277,7 @@ def build_example(dataset: TripDataset, trip: TripRecord, m: int,
     inputs as of that time while the encoder sequence and targets stay the
     trip's own. ``fallback`` is applied as in :func:`build_examples`.
     """
-    if fallback not in ("previous_week", "skip"):
+    if fallback not in FALLBACK_POLICIES:
         raise ValueError(f"unknown fallback policy {fallback!r}")
     n_s = dataset.route.n_sections
     if not 1 <= m <= n_s - 1:
@@ -293,7 +313,8 @@ def build_example(dataset: TripDataset, trip: TripRecord, m: int,
 
 
 def build_examples(dataset: TripDataset, positions: range | list | None = None,
-                   days: list[int] | None = None, fallback: str = "previous_week",
+                   days: list[int] | None = None,
+                   fallback: str = FALLBACK_POLICIES[0],
                    brute_force: bool = False
                    ) -> tuple[list[TrainingExample], list[SkipRecord]]:
     """Construct one example per (trip, m); skipped combinations are reported.
@@ -304,12 +325,12 @@ def build_examples(dataset: TripDataset, positions: range | list | None = None,
     trip always skips the example (those inputs are mandatory at both the
     encoder and the decoder).
     """
-    if fallback not in ("previous_week", "skip"):
+    if fallback not in FALLBACK_POLICIES:
         raise ValueError(f"unknown fallback policy {fallback!r}")
     if len(dataset) == 0:
         raise DataError("empty dataset")
     if positions is None:
-        positions = range(3, dataset.route.n_sections)
+        positions = range(FIRST_POSITION, dataset.route.n_sections)
     day_set = set(days) if days is not None else None
 
     examples: list[TrainingExample] = []
@@ -468,6 +489,14 @@ def load_trips_csv(path, route: RouteSpec) -> TripDataset:
                 raise DataError(f"{path}: malformed row {lineno}: {row}") from e
             r = rows.setdefault(trip_id, {"day": day, "weekday": weekday,
                                           "entry": {}, "travel": {}})
+            if (r["day"], r["weekday"]) != (day, weekday):
+                raise DataError(
+                    f"{path}:{lineno}: trip {trip_id} has day {day}, weekday "
+                    f"{weekday}; its earlier rows say day {r['day']}, "
+                    f"weekday {r['weekday']}")
+            if sec in r["entry"]:
+                raise DataError(f"{path}:{lineno}: trip {trip_id} repeats "
+                                f"section {sec}")
             r["entry"][sec] = entry
             r["travel"][sec] = travel
     if not rows:

@@ -18,6 +18,8 @@ import numpy as np
 from .dataprep import DEC_Z_PV, TrainingExample, TripRecord
 
 DEFAULT_I_VALUES = (5, 10, 15, 20, 25, 30)
+DEFAULT_J_STEP = 5
+DEFAULT_ALPHA = 0.1
 MIN_Z_TEST_SAMPLES = 30
 
 
@@ -50,13 +52,15 @@ class ZTestResult:
     status: str                  # "ok", "degenerate", "insufficient_samples"
 
 
-def paired_z_test(errors_a, errors_b, alpha: float = 0.1,
+def paired_z_test(errors_a, errors_b, alpha: float = DEFAULT_ALPHA,
                   min_n: int = MIN_Z_TEST_SAMPLES) -> ZTestResult:
     """Two-sided paired Z-test on per-query error differences a - b.
 
     Refuses to decide below ``min_n`` samples. A zero-variance nonzero
     difference is reported significant by convention with z = +/-inf.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha: must be in (0, 1), got {alpha!r}")
     a = np.asarray(errors_a, dtype=np.float64)
     b = np.asarray(errors_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -160,7 +164,8 @@ def baseline_hist_mean(model: HistMeanModel, ex: TrainingExample,
 # ---------------------------------------------------------------------------
 # Grid evaluation
 
-def grid_j_values(i: int, n_sections: int, step: int = 5) -> list[int]:
+def grid_j_values(i: int, n_sections: int, step: int = DEFAULT_J_STEP
+                  ) -> list[int]:
     """Destinations i+step, i+2*step, ... with the route end as the last j."""
     js = [j for j in range(i + step, n_sections, step)]
     js.append(n_sections)
@@ -191,8 +196,9 @@ class QueryRecord:
 
 
 def evaluate_grid(methods: dict, examples: list[TrainingExample],
-                  n_sections: int, i_values=DEFAULT_I_VALUES, j_step: int = 5,
-                  alpha: float = 0.1) -> tuple[list[GridRow], list[QueryRecord]]:
+                  n_sections: int, i_values=DEFAULT_I_VALUES,
+                  j_step: int = DEFAULT_J_STEP, alpha: float = DEFAULT_ALPHA
+                  ) -> tuple[list[GridRow], list[QueryRecord]]:
     """Cumulative-travel-time comparison over the (i, j) grid.
 
     ``methods`` maps a method name to a callable producing per-section

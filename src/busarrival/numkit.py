@@ -57,10 +57,10 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 class AdamState:
     """Optimizer state over a named set of parameter arrays."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)

@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW, DataError,
-                       NormStats, TrainingExample, fit_normalizer)
+from .dataprep import (AT_LEAST_1, DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
+                       FIRST_POSITION, POSITIVE, DataError, NormStats,
+                       TrainingExample, check_ranges, fit_normalizer)
 from .gru import GruParams, gru_backward, gru_forward, init_gru
 from .numkit import adam_step, init_adam, spawn_rng
 
 KIND_EDU = "edu"
 KIND_EDB = "edb"
-FIRST_POSITION = 3          # models start at section 3
 BANK_WIDTH = 5
 DEFAULT_HIDDEN_ENC = 32
 DEFAULT_HIDDEN_DEC = {KIND_EDU: 32, KIND_EDB: 19}
@@ -373,18 +373,22 @@ def mean_loss(model: EdModel, examples: list[TrainingExample]) -> float:
 
 @dataclass
 class TrainConfig:
+    """Training settings; each one's default is the CLI's default."""
+
     batch_size: int = 32
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_epochs: int = 60
-    patience: int = 5
+    lr: float = 3e-3
+    max_epochs: int = 30
+    patience: int = 6
     hidden_enc: int = DEFAULT_HIDDEN_ENC
     hidden_dec_edu: int = DEFAULT_HIDDEN_DEC[KIND_EDU]
     hidden_dec_edb: int = DEFAULT_HIDDEN_DEC[KIND_EDB]
     use_bias: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        check_ranges(self, {"lr": POSITIVE, **dict.fromkeys(
+            ("batch_size", "max_epochs", "patience", "hidden_enc",
+             "hidden_dec_edu", "hidden_dec_edb"), AT_LEAST_1)})
 
     def hidden_dec(self, kind: str) -> int:
         return self.hidden_dec_edu if kind == KIND_EDU else self.hidden_dec_edb
@@ -404,8 +408,7 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     if not train_ex:
         raise ValueError("no training examples")
     params = model.params()
-    state = init_adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                      eps=cfg.eps)
+    state = init_adam(params, lr=cfg.lr)
     by_m: dict[int, list[TrainingExample]] = {}
     for ex in train_ex:
         by_m.setdefault(ex.m, []).append(ex)

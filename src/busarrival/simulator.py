@@ -25,10 +25,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataprep import RouteSpec, TripRecord
+from .dataprep import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, SECONDS_PER_DAY,
+                       RouteSpec, TripRecord, check_ranges)
 from .numkit import spawn_rng
 
 _DISPATCH_STREAM, _EVENT_STREAM, _NOISE_STREAM = 1, 2, 3
+_DECAY = (lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 @dataclass
@@ -43,12 +45,8 @@ class CongestionEvent:
     decay: float = 1.0       # per-section attenuation of (severity - 1)
 
     def __post_init__(self):
-        if self.severity < 1.0:
-            raise ValueError("severity must be >= 1")
-        if self.upstream_speed_spm <= 0:
-            raise ValueError("upstream speed must be positive")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
+        check_ranges(self, {"severity": AT_LEAST_1, "decay": _DECAY,
+                            "upstream_speed_spm": POSITIVE})
 
     def factor(self, section: int, t: float) -> float:
         """Travel-time multiplier for a bus entering ``section`` at time t."""
@@ -65,13 +63,14 @@ class CongestionEvent:
 
 @dataclass
 class SimConfig:
+    """Simulation settings; each one's default is the CLI's default."""
+
     route: RouteSpec = field(default_factory=lambda: RouteSpec(34, 800.0))
     weeks: int = 8
     trips_per_day: int = 40
     first_dispatch_s: float = 6 * 3600.0
     headway_mean_s: float = 1260.0
     headway_jitter_s: float = 240.0
-    base_profile: np.ndarray | None = None   # per-section free-flow seconds
     morning_peak_h: float = 8.5
     evening_peak_h: float = 18.0
     peak_amplitude: float = 0.40
@@ -87,21 +86,26 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.weeks < 1 or self.trips_per_day < 1:
-            raise ValueError("weeks and trips_per_day must be positive")
-        if len(self.weekday_multipliers) != 6:
-            raise ValueError("need exactly 6 weekday multipliers (Mon-Sat)")
-        if self.noise_cv < 0:
-            raise ValueError("noise_cv must be non-negative")
-        if self.event_factor_cap < 1.0:
-            raise ValueError("event factor cap must be >= 1")
+        ordered = (lambda v: len(v) == 2 and 0 < v[0] <= v[1],
+                   "two ordered values > 0")
+        check_ranges(self, {
+            "weeks": AT_LEAST_1, "trips_per_day": AT_LEAST_1,
+            "first_dispatch_s": (lambda v: 0 <= v < SECONDS_PER_DAY,
+                                 "in [0, 86400)"),
+            "headway_mean_s": POSITIVE, "headway_jitter_s": NON_NEGATIVE,
+            "peak_amplitude": NON_NEGATIVE, "peak_width_h": POSITIVE,
+            "weekday_multipliers": (lambda v: len(v) == 6 and min(v) > 0,
+                                    "6 values > 0 (Mon-Sat)"),
+            "events_per_day": NON_NEGATIVE,
+            "event_severity_range": (lambda v: len(v) == 2
+                                     and 1 <= v[0] <= v[1],
+                                     "two ordered values >= 1"),
+            "event_duration_range_s": ordered, "event_speed_range_spm": ordered,
+            "event_decay": _DECAY,
+            "event_factor_cap": AT_LEAST_1, "noise_cv": NON_NEGATIVE})
 
     def resolve_base_profile(self) -> np.ndarray:
-        if self.base_profile is not None:
-            base = np.asarray(self.base_profile, dtype=np.float64)
-            if base.shape != (self.route.n_sections,) or np.any(base <= 0):
-                raise ValueError("base profile must be positive, one value per section")
-            return base
+        """Per-section free-flow travel seconds."""
         n = self.route.n_sections
         s = np.arange(n)
         return 100.0 + 25.0 * np.sin(4.0 * np.pi * s / n)

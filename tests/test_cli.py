@@ -64,6 +64,37 @@ class TestConfig:
         b = cli.config_hash({"b": 2, "a": 1})
         assert a == b
 
+    def test_default_hash_pinned(self):
+        # the defaults come from SimConfig/TrainConfig/evalkit; a changed
+        # default changes every manifest's config_sha256
+        assert cli.config_hash(cli.load_config(None)) == \
+            "df90599ffc9ca819ac3734cbccfcc8c0b520f104ffbff4949b66820c1137dde1"
+
+    @pytest.mark.parametrize("doc, name", [
+        ({"training": {"use_bias": "false"}}, "training.use_bias"),
+        ({"simulator": {"weeks": 2.9}}, "simulator.weeks"),
+        ({"route": 5}, "route"),
+        ({"training": {"batch_size": -1}}, "training.batch_size"),
+        ({"evaluation": {"alpha": 1.5}}, "evaluation.alpha"),
+        ({"seed": "abc"}, "seed"),
+        ([1, 2], "top level"),
+        ({"training": {"batch_size": 0}}, "training.batch_size"),
+        ({"training": {"lr": 0}}, "training.lr"),
+        ({"evaluation": {"j_step": 0}}, "evaluation.j_step"),
+        ({"dataprep": {"fallback": "Skip"}}, "dataprep.fallback"),
+        ({"simulator": {"event_severity_range": [2.8, 1.6]}},
+         "simulator.event_severity_range"),
+    ])
+    def test_bad_value_fails_by_name(self, tmp_path, capsys, doc, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {name}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_row_counts_and_manifest(self, tmp_path, tiny_config):
@@ -221,6 +252,16 @@ class TestTrain:
         # week 2 held out, week 1 alone is left, so nothing is validated on
         assert manifest["held_out_week"] == 2
         assert manifest["validation_week"] is None
+
+    def test_single_training_week_is_reported(self, tmp_path, tiny_config,
+                                               prep_dir, capsys):
+        assert run(["train", "--config", tiny_config, "--examples",
+                    prep_dir / "examples.jsonl", "--out", tmp_path / "ckpt",
+                    "--kind", "edu", "--threads", 1]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if "early stopping is off" in line] \
+            == ["train: held-out week 2 leaves one training week, so nothing "
+                "is validated and early stopping is off"]
 
     def test_loss_curves_format(self, tmp_path, tiny_config, prep_dir):
         out = tmp_path / "ckpt"

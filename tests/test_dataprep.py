@@ -410,6 +410,23 @@ class TestCsvFormats:
         with pytest.raises(DataError, match="row 3"):
             dataprep.load_trips_csv(path, small_route)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:3] + [rows[2]] + rows[3:],
+         "trip 0 repeats section 2"),
+        (lambda rows: rows[:3] + [rows[3].replace("0,0,0,3,", "0,1,1,3,", 1)]
+         + rows[4:], "trip 0 has day 1, weekday 1; its earlier rows say day 0"),
+    ])
+    def test_inconsistent_trip_rows_rejected(self, tmp_path, small_route,
+                                             edit, message):
+        trips = [make_trip(0, 0, 21600.0, [60.0] * 6),
+                 make_trip(1, 0, 22000.0, [60.0] * 6)]
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv(trips, path)
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(rows)))
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: {message}")):
+            dataprep.load_trips_csv(path, small_route)
+
     def test_wrong_header_rejected(self, tmp_path, small_route):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

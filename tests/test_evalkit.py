@@ -223,6 +223,17 @@ class TestGrid:
         assert all(r.sig_vs_edb == "worse" and r.sig_vs_edu == "-"
                    for r in edu_rows)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        examples = [make_example(make_rng(14), 5, 12, trip_id=i)
+                    for i in range(40)]
+        methods = {"edu": lambda ex: ex.targets + 30.0,
+                   "edb": lambda ex: ex.targets + 1.0}
+        with pytest.raises(ValueError, match=r"alpha: must be in \(0, 1\)"):
+            evaluate_grid(methods, examples, 12, i_values=(5,), alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            paired_z_test(np.ones(5), np.zeros(5), alpha=alpha)
+
     def test_empty_cell_marked(self):
         rows, _ = evaluate_grid({"edu": lambda ex: ex.targets}, [], 12,
                                 i_values=(5,))

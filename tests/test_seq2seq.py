@@ -431,6 +431,14 @@ class TestTraining:
         for k, v in model.params().items():
             npt.assert_array_equal(v, before[k])
 
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
+        ("hidden_enc", 0), ("hidden_dec_edb", -1), ("lr", 0.0),
+        ("lr", float("nan"))])
+    def test_config_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: must be"):
+            TrainConfig(**{name: value})
+
     def test_no_examples_raises(self, toy_norm):
         model = zero_model("edu", 3, 7, 8, toy_norm)
         with pytest.raises(ValueError):

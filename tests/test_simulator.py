@@ -190,5 +190,10 @@ def test_config_validation():
         SimConfig(weeks=0)
     with pytest.raises(ValueError):
         SimConfig(weekday_multipliers=(1.0,) * 7)
+    with pytest.raises(ValueError, match="headway_mean_s: must be > 0"):
+        SimConfig(headway_mean_s=0.0)
+    with pytest.raises(ValueError, match="event_speed_range_spm: must be two "
+                                         "ordered values > 0"):
+        SimConfig(event_speed_range_spm=(1.5, 0.3))
     with pytest.raises(ValueError):
         CongestionEvent(1, 0.0, 10.0, severity=0.5, upstream_speed_spm=1.0)
