@@ -3,7 +3,7 @@
 from .dataprep import (NormStats, RouteSpec, TrainingExample, TripDataset,
                        TripRecord, build_example, build_examples,
                        closest_prev_trip_at_section, closest_prev_week_trip,
-                       fit_normalizer, interpolate_trip)
+                       fit_normalizer)
 from .evalkit import (baseline_hist_mean, baseline_persistence, evaluate_grid,
                       fit_hist_mean, mae, mape, paired_z_test)
 from .gru import GruParams, gru_backward, gru_forward, init_gru

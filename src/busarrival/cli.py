@@ -87,6 +87,9 @@ def load_config(path: str | None, seed_override: int | None = None) -> dict:
     cfg = _merge(DEFAULT_CONFIG, user, where)
     if seed_override is not None:
         cfg["seed"] = seed_override
+    if cfg["seed"] < 0:  # numpy's seeding error would name neither flag nor key
+        name = f"{where}: seed" if seed_override is None else "--seed"
+        raise ValueError(f"{name}: must be >= 0, got {cfg['seed']}")
     for section, check in (
             ("route", _route), ("simulator", _sim_config),
             ("training", _train_config),

@@ -1,4 +1,4 @@
-"""Trip storage, GPS-trace interpolation, and training-example construction.
+"""Trip storage and training-example construction.
 
 A route is split into ``n_sections`` uniform sections numbered 1..N_s. A trip
 stores, per section, the clock time it entered the section and the time it
@@ -16,12 +16,15 @@ knowable at the moment a bus finished section ``m`` (query time ``T_c``):
 "Previous bus" is resolved per section: the same-day trip that most recently
 entered that section strictly before ``T_c`` (robust to overtaking and
 bunching). "Previous week" is the same-weekday trip exactly 7 days earlier
-with the closest start time.
+with the closest start time. Both searches use one sort per (day, section)
+(:meth:`TripDataset.day_order`). The builders resolve all requested trips
+at once, one ``searchsorted`` per (day, section), and validate each
+position's block once; ``prepare``, ``predict`` and ``evaluate`` share this
+one resolver.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import warnings
@@ -44,10 +47,6 @@ ENC_Z_CUR, ENC_Z_PW = 0, 1
 
 class DataError(ValueError):
     """Malformed or insufficient input data."""
-
-
-class PartialTripError(DataError):
-    """A GPS trace does not cover the whole route."""
 
 
 # (test, what a value must be) rules for check_ranges.
@@ -75,10 +74,6 @@ class RouteSpec:
     def __post_init__(self):
         check_ranges(self, {"n_sections": (lambda v: v >= 4, ">= 4"),
                             "section_length_m": POSITIVE})
-
-    @property
-    def length_m(self) -> float:
-        return self.n_sections * self.section_length_m
 
 
 @dataclass
@@ -151,23 +146,27 @@ class TrainingExample:
         return self.day_index // 7
 
     def validate(self, n_sections: int) -> None:
-        if self.enc.shape != (self.m, 2):
+        """Raise DataError unless this is a valid example; with ``t_c`` of
+        shape (n,) and a leading axis of n on every array, a block of n."""
+        lead, m, k = np.shape(self.t_c), self.m, n_sections - self.m
+        if self.enc.shape != (*lead, m, 2):
             raise DataError("encoder sequence shape mismatch")
-        k = n_sections - self.m
-        if self.dec.shape != (k, 4) or self.targets.shape != (k,):
+        if self.dec.shape != (*lead, k, 4) or self.targets.shape != (*lead, k):
             raise DataError("decoder sequence / target shape mismatch")
-        if self.prev_trip_ids.shape != (k,) or self.fallback_mask.shape != (k,):
+        if (self.prev_trip_ids.shape != (*lead, k)
+                or self.fallback_mask.shape != (*lead, k)):
             raise DataError("previous-trip ids / fallback mask shape mismatch")
-        # array methods, not np.all/np.any: this runs once per example
+        # array methods, not np.all/np.any: this runs once per loaded example
         for arr in (self.enc, self.dec, self.targets):
             if not np.isfinite(arr).all():
                 raise DataError("non-finite value in training example")
         if (self.enc <= 0).any() or (self.targets <= 0).any():
             raise DataError("travel times must be positive")
-        entries = self.dec[:, [DEC_TE_PV, DEC_TE_PW]]
+        entries = self.dec[..., [DEC_TE_PV, DEC_TE_PW]]
         if (entries < 0).any() or (entries >= SECONDS_PER_DAY).any():
             raise DataError("entry times must lie in [0, 86400)")
-        if (self.dec[~self.fallback_mask, DEC_TE_PV] >= self.t_c).any():
+        if ((self.dec[..., DEC_TE_PV] >= np.asarray(self.t_c)[..., None])
+                & ~self.fallback_mask).any():
             raise DataError("previous-bus entry time not before T_c")
 
 
@@ -180,9 +179,9 @@ class SkipRecord:
 
 
 class TripDataset:
-    """Immutable collection of trips. :meth:`entry_keys` caches one ascending
-    ``(entry time, trip_id)`` list per (day, section): the previous-bus search
-    uses it at its section, the previous-week search at section 1 (the start)."""
+    """Immutable collection of trips, sorted by (day, start time, trip_id)
+    and also held as arrays: ``entry`` and ``travel`` (trips × sections) and
+    ``ids``, row i for ``trips[i]``."""
 
     def __init__(self, trips: list[TripRecord], route: RouteSpec):
         for t in trips:
@@ -194,12 +193,18 @@ class TripDataset:
         self.trips = sorted(trips, key=lambda t: (t.day_index, t.start_time, t.trip_id))
         self.by_day: dict[int, list[TripRecord]] = {}
         self.by_id: dict[int, TripRecord] = {}
-        for t in self.trips:
+        self._first: dict[int, int] = {}        # day -> row of its first trip
+        for i, t in enumerate(self.trips):
             self.by_day.setdefault(t.day_index, []).append(t)
+            self._first.setdefault(t.day_index, i)
             if t.trip_id in self.by_id:
                 raise DataError(f"duplicate trip id {t.trip_id}")
             self.by_id[t.trip_id] = t
-        self._entry_keys: dict[tuple[int, int], list[tuple[float, int]]] = {}
+        shape = (len(self.trips), route.n_sections)
+        self.entry = np.array([t.entry_times for t in self.trips]).reshape(shape)
+        self.travel = np.array([t.travel_times for t in self.trips]).reshape(shape)
+        self.ids = np.array([t.trip_id for t in self.trips], dtype=np.int64)
+        self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.trips)
@@ -207,13 +212,28 @@ class TripDataset:
     def days(self) -> list[int]:
         return sorted(self.by_day)
 
-    def entry_keys(self, day: int, section: int) -> list[tuple[float, int]]:
-        """Ascending (entry time at ``section``, trip_id) of ``day``'s trips."""
-        keys = self._entry_keys.get((day, section))
-        if keys is None:
-            keys = self._entry_keys[day, section] = sorted(
-                (t.entry(section), t.trip_id) for t in self.by_day.get(day, []))
-        return keys
+    def day_order(self, day: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, order)`` for ``day``: ``keys[c]`` holds the day's entry
+        times at section c + 1 in ascending ``(entry time, trip_id)`` order,
+        the one sort and tie rule of both searches, and ``order[c, 1:]`` the
+        rows of those trips, after a -1 in ``order[c, 0]``."""
+        if day not in self._orders:
+            lo = self._first.get(day, 0)
+            day_rows = slice(lo, lo + len(self.by_day.get(day, [])))
+            entry, ids = self.entry[day_rows].T, self.ids[day_rows]
+            rows = np.lexsort((np.broadcast_to(ids, entry.shape), entry))
+            order = np.full((entry.shape[0], len(ids) + 1), -1, dtype=np.int64)
+            order[:, 1:] = lo + rows
+            self._orders[day] = np.take_along_axis(entry, rows, axis=1), order
+        return self._orders[day]
+
+    def prev_rows(self, day: int, col: int, t_c):
+        """Per query time (any shape), the row of the trip of ``day`` that
+        last entered section col + 1 strictly before it, the larger trip id
+        on equal entry, or -1."""
+        keys, order = self.day_order(day)
+        # searchsorted counts the keys below t_c; order[col, 0] is the -1
+        return order[col, np.searchsorted(keys[col], t_c)]
 
 
 def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
@@ -233,10 +253,8 @@ def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
             if e < t_c and (best is None or (e, t.trip_id) > (best.entry(section), best.trip_id)):
                 best = t
         return best
-    keys = dataset.entry_keys(day, section)
-    # (t_c,) sorts before every (t_c, id): i counts the keys with entry < t_c
-    i = bisect.bisect_left(keys, (t_c,))
-    return dataset.by_id[keys[i - 1][1]] if i else None
+    row = dataset.prev_rows(day, section - 1, t_c)
+    return dataset.trips[row] if row >= 0 else None
 
 
 def closest_prev_week_trip(dataset: TripDataset, day_index: int,
@@ -255,21 +273,93 @@ def closest_prev_week_trip(dataset: TripDataset, day_index: int,
             if best_key is None or key < best_key:
                 best, best_key = t, key
         return best
-    starts = dataset.entry_keys(prev_day, 1)
-    i = bisect.bisect_left(starts, (start_time,))
-    # candidates: every trip with the latest start before start_time (equal
-    # starts tie-break on trip id) and the first one at or after it
-    lo = bisect.bisect_left(starts, (starts[i - 1][0],)) if i else 0
-    best = min(starts[lo:i + 1], default=None,
-               key=lambda s: (abs(s[0] - start_time), s[0], s[1]))
-    return dataset.by_id[best[1]] if best else None
+    keys, order = dataset.day_order(prev_day)
+    starts = keys[0]
+    i = int(np.searchsorted(starts, start_time))
+    # candidates: the first of the equal latest starts before start_time (the
+    # smallest trip id among them) and the first start at or after it
+    cands = [int(np.searchsorted(starts, starts[i - 1]))] if i else []
+    cands += [i] if i < len(starts) else []
+    best = min(cands, default=None, key=lambda j: abs(starts[j] - start_time))
+    return None if best is None else dataset.trips[order[0, best + 1]]
+
+
+def _assemble(dataset: TripDataset, trips: list[TripRecord],
+              pws: list[TripRecord | None], positions: list[int],
+              t_c: np.ndarray | None, fallback: str, brute_force: bool
+              ) -> list[list[TrainingExample | str]]:
+    """The decoder-input resolver of both builders: per trip and position,
+    the example at query time ``t_c[trip, position]`` (by default when the
+    trip finished section m) given the previous-week match ``pws[trip]``,
+    or why it is skipped. Per day, one search per section over all of that
+    day's query times (or the brute-force scalar search) finds the previous
+    buses; per position, fresh arrays of the trips it keeps are validated
+    once and split into rows, so no two examples share memory."""
+    n_s, n = dataset.route.n_sections, len(trips)
+    if fallback not in FALLBACK_POLICIES:
+        raise ValueError(f"unknown fallback policy {fallback!r}")
+    for m in positions:
+        if not 1 <= m <= n_s - 1:
+            raise ValueError(f"position m={m} outside [1, {n_s - 1}]")
+    if t_c is None:
+        t_c = np.array([t.entry_times for t in trips]).reshape(n, n_s)[:, positions]
+    # the dataset row of each previous bus, -1 where there is none
+    prev = np.full((n_s, n, len(positions)), -1, dtype=np.int32)
+    if brute_force:
+        row_of = {t.trip_id: r for r, t in enumerate(dataset.trips)}
+        for (i, j), tc in np.ndenumerate(t_c):
+            for col in range(positions[j], n_s):
+                hit = closest_prev_trip_at_section(dataset, trips[i].day_index,
+                                                   col + 1, tc, brute_force=True)
+                prev[col, i, j] = -1 if hit is None else row_of[hit.trip_id]
+    else:
+        trip_day = np.array([t.day_index for t in trips])
+        for day in set(trip_day.tolist()):
+            on_day = trip_day == day
+            for col in range(min(positions, default=n_s), n_s):
+                prev[col, on_day] = dataset.prev_rows(day, col, t_c[on_day])
+    has_pw = np.array([pw is not None for pw in pws])
+    # a trip with no previous-week match stands in for it; its rows are skipped
+    pws = [pw or t for pw, t in zip(pws, trips)]
+    travel = np.array([t.travel_times for t in trips]).reshape(n, n_s)
+    pw_travel = np.array([pw.travel_times for pw in pws]).reshape(n, n_s)
+    pw_entry = np.array([pw.entry_times for pw in pws]).reshape(n, n_s)
+    out = [[("no_previous_bus" if h else "no_previous_week_trip")] * len(positions)
+           for h in has_pw.tolist()]
+    for j, m in enumerate(positions):
+        keep = np.flatnonzero(has_pw & ((prev[m:, :, j] >= 0).all(axis=0)
+                                        if fallback == "skip" else True))
+        rows = prev[m:, keep, j].T                    # (kept trips, K)
+        have = rows >= 0
+        enc = np.empty((len(keep), m, 2))
+        enc[..., ENC_Z_CUR] = travel[keep, m - 1::-1]
+        enc[..., ENC_Z_PW] = pw_travel[keep, m - 1::-1]
+        dec = np.empty((*rows.shape, 4))
+        # previous-week values everywhere, then the previous bus where one exists
+        dec[..., DEC_Z_PV] = dec[..., DEC_Z_PW] = pw_travel[keep, m:]
+        dec[..., DEC_TE_PV] = dec[..., DEC_TE_PW] = pw_entry[keep, m:]
+        prev_ids = np.full(rows.shape, -1, dtype=np.int64)
+        r, c = np.nonzero(have)
+        dec[r, c, DEC_Z_PV] = dataset.travel[rows[r, c], c + m]
+        dec[r, c, DEC_TE_PV] = dataset.entry[rows[r, c], c + m]
+        prev_ids[r, c] = dataset.ids[rows[r, c]]
+        targets, mask, tcs = travel[keep, m:], ~have, t_c[keep, j]
+        # one validation for the block; each example is one of its rows
+        TrainingExample(m, tcs, None, None, enc, dec, targets, prev_ids, None,
+                        mask).validate(n_s)
+        for i, tc, e, d, tg, pid, fm in zip(keep.tolist(), tcs.tolist(), enc, dec,
+                                             targets, prev_ids, mask):
+            out[i][j] = TrainingExample(m, tc, trips[i].day_index, trips[i].trip_id,
+                                        e, d, tg, pid, pws[i].trip_id, fm)
+    return out
 
 
 def build_example(dataset: TripDataset, trip: TripRecord, m: int,
                   pw: TripRecord | None, t_c: float | None = None,
                   fallback: str = FALLBACK_POLICIES[0], brute_force: bool = False
                   ) -> TrainingExample | str:
-    """The example for ``trip`` at position m, or the reason it is skipped.
+    """The example for ``trip`` at position m, or the reason it is skipped:
+    the one-trip, one-position case of :func:`build_examples`.
 
     ``pw`` is the trip's previous-week match (see
     :func:`closest_prev_week_trip`). ``t_c`` defaults to the moment the trip
@@ -277,39 +367,9 @@ def build_example(dataset: TripDataset, trip: TripRecord, m: int,
     inputs as of that time while the encoder sequence and targets stay the
     trip's own. ``fallback`` is applied as in :func:`build_examples`.
     """
-    if fallback not in FALLBACK_POLICIES:
-        raise ValueError(f"unknown fallback policy {fallback!r}")
-    n_s = dataset.route.n_sections
-    if not 1 <= m <= n_s - 1:
-        raise ValueError(f"position m={m} outside [1, {n_s - 1}]")
-    if pw is None:
-        return "no_previous_week_trip"
-    if t_c is None:
-        t_c = trip.entry(m + 1)
-    k = n_s - m
-    enc = np.empty((m, 2))
-    enc[:, ENC_Z_CUR] = trip.travel_times[m - 1::-1]
-    enc[:, ENC_Z_PW] = pw.travel_times[m - 1::-1]
-    dec = np.empty((k, 4))
-    # previous-week values everywhere, then the previous bus where one exists
-    dec[:, DEC_Z_PV] = dec[:, DEC_Z_PW] = pw.travel_times[m:]
-    dec[:, DEC_TE_PV] = dec[:, DEC_TE_PW] = pw.entry_times[m:]
-    prev_ids = np.full(k, -1, dtype=np.int64)
-    for i, sec in enumerate(range(m + 1, n_s + 1)):
-        prev = closest_prev_trip_at_section(dataset, trip.day_index, sec,
-                                            t_c, brute_force=brute_force)
-        if prev is not None:
-            prev_ids[i] = prev.trip_id
-            dec[i, DEC_Z_PV] = prev.travel_times[sec - 1]
-            dec[i, DEC_TE_PV] = prev.entry_times[sec - 1]
-        elif fallback == "skip":
-            return "no_previous_bus"
-    ex = TrainingExample(
-        m=m, t_c=t_c, day_index=trip.day_index, trip_id=trip.trip_id,
-        enc=enc, dec=dec, targets=trip.travel_times[m:].copy(),
-        prev_trip_ids=prev_ids, pw_trip_id=pw.trip_id, fallback_mask=prev_ids < 0)
-    ex.validate(n_s)
-    return ex
+    return _assemble(dataset, [trip], [pw], [m],
+                     None if t_c is None else np.array([[t_c]], dtype=float),
+                     fallback, brute_force)[0][0]
 
 
 def build_examples(dataset: TripDataset, positions: range | list | None = None,
@@ -317,7 +377,8 @@ def build_examples(dataset: TripDataset, positions: range | list | None = None,
                    fallback: str = FALLBACK_POLICIES[0],
                    brute_force: bool = False
                    ) -> tuple[list[TrainingExample], list[SkipRecord]]:
-    """Construct one example per (trip, m); skipped combinations are reported.
+    """Construct one example per (trip, m), in that order, as one block per
+    position m; skipped combinations are reported.
 
     ``fallback`` controls sections with no previous bus before T_c:
     ``"previous_week"`` substitutes the previous-week travel and entry times
@@ -325,23 +386,19 @@ def build_examples(dataset: TripDataset, positions: range | list | None = None,
     trip always skips the example (those inputs are mandatory at both the
     encoder and the decoder).
     """
-    if fallback not in FALLBACK_POLICIES:
-        raise ValueError(f"unknown fallback policy {fallback!r}")
     if len(dataset) == 0:
         raise DataError("empty dataset")
-    if positions is None:
-        positions = range(FIRST_POSITION, dataset.route.n_sections)
-    day_set = set(days) if days is not None else None
-
+    positions = list(range(FIRST_POSITION, dataset.route.n_sections)
+                     if positions is None else positions)
+    day_set = None if days is None else set(days)
+    trips = [t for t in dataset.trips if day_set is None or t.day_index in day_set]
+    pws = [closest_prev_week_trip(dataset, t.day_index, t.start_time, brute_force)
+           for t in trips]
     examples: list[TrainingExample] = []
     skips: list[SkipRecord] = []
-    for trip in dataset.trips:
-        if day_set is not None and trip.day_index not in day_set:
-            continue
-        pw = closest_prev_week_trip(dataset, trip.day_index, trip.start_time,
-                                    brute_force=brute_force)
-        for m in positions:
-            ex = build_example(dataset, trip, m, pw, None, fallback, brute_force)
+    for trip, row in zip(trips, _assemble(dataset, trips, pws, positions, None,
+                                          fallback, brute_force)):
+        for m, ex in zip(positions, row):
             if isinstance(ex, str):
                 skips.append(SkipRecord(trip.day_index, trip.trip_id, m, ex))
             else:
@@ -409,57 +466,10 @@ def fit_normalizer(examples: list[TrainingExample]) -> NormStats:
 
 
 # ---------------------------------------------------------------------------
-# GPS trace interpolation
-
-def interpolate_trip(timestamps, distances, route: RouteSpec, trip_id: int,
-                     day_index: int, tolerance_m: float = 10.0
-                     ) -> tuple[TripRecord, list[int]]:
-    """Turn a (timestamp, distance-along-route) trace into a TripRecord.
-
-    Section boundary crossing times come from linear interpolation between
-    the bracketing samples. Samples that move backwards are dropped; indexes
-    of samples backing up by more than ``tolerance_m`` are returned so the
-    caller can report them.
-    """
-    ts = np.asarray(timestamps, dtype=np.float64)
-    dist = np.asarray(distances, dtype=np.float64)
-    if ts.shape != dist.shape or ts.ndim != 1 or ts.size < 2:
-        raise DataError("trace needs matching 1-D timestamp/distance arrays")
-    keep_t, keep_d, rejected = [], [], []
-    last = -np.inf
-    for i in range(ts.size):
-        if dist[i] > last:
-            keep_t.append(ts[i])
-            keep_d.append(dist[i])
-            last = dist[i]
-        elif dist[i] < last - tolerance_m:
-            rejected.append(i)
-    keep_t = np.asarray(keep_t)
-    keep_d = np.asarray(keep_d)
-    if keep_d.size < 2 or keep_d[0] > 0.0 or keep_d[-1] < route.length_m:
-        raise PartialTripError(
-            f"trip {trip_id}: trace covers [{keep_d[0] if keep_d.size else 'nan'}, "
-            f"{keep_d[-1] if keep_d.size else 'nan'}] m of a "
-            f"{route.length_m:.0f} m route")
-    boundaries = np.arange(route.n_sections + 1) * route.section_length_m
-    crossings = np.interp(boundaries, keep_d, keep_t)
-    entry = crossings[:-1]
-    travel = np.diff(crossings)
-    if not np.all(travel > 0):
-        raise DataError(f"trip {trip_id}: zero travel time across a section")
-    record = TripRecord(trip_id=trip_id, day_index=day_index,
-                        weekday=day_index % 7, entry_times=entry,
-                        travel_times=travel)
-    record.validate()
-    return record, rejected
-
-
-# ---------------------------------------------------------------------------
 # File formats
 
 TRIP_CSV_HEADER = ["trip_id", "day", "weekday", "section", "entry_time_s",
                    "travel_time_s"]
-TRACE_CSV_HEADER = ["trip_id", "timestamp_s", "route_distance_m"]
 SKIP_CSV_HEADER = ["day", "trip_id", "m", "reason"]
 
 
@@ -512,28 +522,6 @@ def load_trips_csv(path, route: RouteSpec) -> TripDataset:
             entry_times=np.array([r["entry"][s] for s in secs]),
             travel_times=np.array([r["travel"][s] for s in secs])))
     return TripDataset(trips, route)
-
-
-def load_trace_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Read GPS traces: trip_id -> (timestamps, route distances), file order.
-
-    Feed each trip's arrays to :func:`interpolate_trip` to get TripRecords.
-    """
-    traces: dict[int, tuple[list, list]] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != TRACE_CSV_HEADER:
-            raise DataError(f"unexpected trace CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                trip_id, ts, dist = int(row[0]), float(row[1]), float(row[2])
-            except (ValueError, IndexError) as e:
-                raise DataError(f"{path}: malformed row {lineno}: {row}") from e
-            t, d = traces.setdefault(trip_id, ([], []))
-            t.append(ts)
-            d.append(dist)
-    return {k: (np.asarray(t), np.asarray(d)) for k, (t, d) in traces.items()}
 
 
 def save_skip_report_csv(skips: list[SkipRecord], path) -> None:

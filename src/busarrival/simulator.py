@@ -30,6 +30,7 @@ from .dataprep import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, SECONDS_PER_DAY,
 from .numkit import spawn_rng
 
 _DISPATCH_STREAM, _EVENT_STREAM, _NOISE_STREAM = 1, 2, 3
+MIN_HEADWAY_S = 60.0
 _DECAY = (lambda v: 0 < v <= 1, "in (0, 1]")
 
 
@@ -103,6 +104,13 @@ class SimConfig:
             "event_duration_range_s": ordered, "event_speed_range_spm": ordered,
             "event_decay": _DECAY,
             "event_factor_cap": AT_LEAST_1, "noise_cv": NON_NEGATIVE})
+        # the latest the last dispatch can be (a headway is >= MIN_HEADWAY_S)
+        last = self.first_dispatch_s + (self.trips_per_day - 1) * max(
+            MIN_HEADWAY_S, self.headway_mean_s + self.headway_jitter_s)
+        if last >= SECONDS_PER_DAY:
+            raise ValueError("first_dispatch_s + (trips_per_day - 1) * "
+                             "(headway_mean_s + headway_jitter_s): must be < "
+                             f"86400 (midnight), got {last!r}")
 
     def resolve_base_profile(self) -> np.ndarray:
         """Per-section free-flow travel seconds."""
@@ -171,7 +179,7 @@ def simulate_dataset(cfg: SimConfig
         event_log.extend((day, ev) for ev in events)
         rng = spawn_rng(cfg.seed, _DISPATCH_STREAM, day)
         headways = np.maximum(
-            60.0, cfg.headway_mean_s + rng.uniform(-cfg.headway_jitter_s,
+            MIN_HEADWAY_S, cfg.headway_mean_s + rng.uniform(-cfg.headway_jitter_s,
                                                    cfg.headway_jitter_s,
                                                    size=cfg.trips_per_day))
         dispatches = cfg.first_dispatch_s + np.concatenate(

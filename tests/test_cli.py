@@ -95,6 +95,24 @@ class TestConfig:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, flags, message", [
+        ({"seed": -1}, [], "{path}: seed: must be >= 0, got -1"),
+        ({}, ["--seed", "-1"], "--seed: must be >= 0, got -1"),
+        ({"simulator": {"trips_per_day": 30, "headway_mean_s": 2400.0}}, [],
+         "{path}: simulator.first_dispatch_s + (trips_per_day - 1) * "
+         "(headway_mean_s + headway_jitter_s): must be < 86400 (midnight), "
+         "got 98160.0"),
+    ], ids=["seed-in-file", "seed-flag", "service-past-midnight"])
+    def test_out_of_range_fails_by_name(self, tmp_path, capsys, doc, flags,
+                                        message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", path, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_row_counts_and_manifest(self, tmp_path, tiny_config):

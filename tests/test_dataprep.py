@@ -7,11 +7,12 @@ import pytest
 
 from busarrival import dataprep
 from busarrival.dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
-                                 DataError, PartialTripError, RouteSpec,
-                                 TripDataset, build_example, build_examples,
+                                 DataError, RouteSpec, SkipRecord,
+                                 TrainingExample, TripDataset,
+                                 build_example, build_examples,
                                  closest_prev_trip_at_section,
                                  closest_prev_week_trip, example_key,
-                                 fit_normalizer, interpolate_trip)
+                                 fit_normalizer)
 from busarrival.numkit import make_rng
 from conftest import make_example, make_trip
 
@@ -28,6 +29,69 @@ def random_day_trips(rng, day, n_trips, n_sections, headway=300.0,
     if bunching:
         return trips
     return trips
+
+
+def tied_day_trips(rng, day, n_trips, n_sections):
+    """Bunched trips; some repeat an earlier trip's start and first sections,
+    so their entry times tie exactly there, and the later one has the larger
+    trip id."""
+    trips = []
+    start = 6 * 3600.0
+    for k in range(n_trips):
+        travel = rng.uniform(40.0, 400.0, size=n_sections)
+        if trips and rng.random() < 0.4:
+            twin = trips[int(rng.integers(len(trips)))]
+            shared = int(rng.integers(1, n_sections))
+            travel[:shared] = twin.travel_times[:shared]
+            trips.append(make_trip(day * 1000 + k, day, twin.start_time, travel))
+        else:
+            start += rng.uniform(30.0, 300.0)
+            trips.append(make_trip(day * 1000 + k, day, start, travel))
+    return trips
+
+
+def reference_example(ds, trip, m, pw, t_c, fallback):
+    """One example from the scalar brute-force searches, one section at a
+    time: the per-example oracle for the block builder."""
+    if pw is None:
+        return "no_previous_week_trip"
+    n_s = ds.route.n_sections
+    dec = np.column_stack([pw.travel_times[m:], pw.travel_times[m:],
+                           pw.entry_times[m:], pw.entry_times[m:]])
+    prev_ids = np.full(n_s - m, -1, dtype=np.int64)
+    for i, sec in enumerate(range(m + 1, n_s + 1)):
+        prev = closest_prev_trip_at_section(ds, trip.day_index, sec, t_c,
+                                            brute_force=True)
+        if prev is not None:
+            prev_ids[i] = prev.trip_id
+            dec[i, DEC_Z_PV], dec[i, DEC_TE_PV] = prev.travel(sec), prev.entry(sec)
+        elif fallback == "skip":
+            return "no_previous_bus"
+    enc = np.column_stack([trip.travel_times[m - 1::-1], pw.travel_times[m - 1::-1]])
+    return TrainingExample(m, t_c, trip.day_index, trip.trip_id, enc, dec,
+                           trip.travel_times[m:].copy(), prev_ids, pw.trip_id,
+                           prev_ids < 0)
+
+
+def reference_examples(ds, fallback):
+    examples, skips = [], []
+    for trip in ds.trips:
+        pw = closest_prev_week_trip(ds, trip.day_index, trip.start_time,
+                                    brute_force=True)
+        for m in range(3, ds.route.n_sections):
+            ex = reference_example(ds, trip, m, pw, trip.entry(m + 1), fallback)
+            if isinstance(ex, str):
+                skips.append(SkipRecord(trip.day_index, trip.trip_id, m, ex))
+            else:
+                examples.append(ex)
+    return examples, skips
+
+
+def tied_dataset(seed, days=(0, 1, 7, 8, 9), n_trips=14):
+    """Day 9 has no day 2 before it, so its trips have no previous week."""
+    rng = make_rng(seed)
+    trips = [t for day in days for t in tied_day_trips(rng, day, n_trips, 8)]
+    return TripDataset(trips, RouteSpec(8, 500.0))
 
 
 class TestTripRecord:
@@ -49,51 +113,6 @@ class TestTripRecord:
             t2.validate()
         with pytest.raises(DataError, match="negative trip id"):
             make_trip(-1, 0, 0.0, [10.0] * 4).validate()
-
-
-class TestInterpolation:
-    def test_constant_speed(self):
-        route = RouteSpec(5, 800.0)
-        v = 8.0  # m/s
-        ts = np.arange(0.0, 600.0, 7.0)
-        dist = ts * v
-        trip, rejected = interpolate_trip(ts, dist, route, trip_id=1, day_index=0)
-        npt.assert_allclose(trip.travel_times, 800.0 / v, atol=1e-9)
-        assert rejected == []
-
-    def test_samples_exactly_at_boundaries(self):
-        route = RouteSpec(4, 100.0)
-        ts = np.array([10.0, 30.0, 70.0, 90.0, 140.0])
-        dist = np.array([0.0, 100.0, 200.0, 300.0, 400.0])
-        trip, _ = interpolate_trip(ts, dist, route, trip_id=1, day_index=0)
-        npt.assert_array_equal(trip.entry_times, ts[:-1])
-        npt.assert_array_equal(trip.travel_times, np.diff(ts))
-
-    def test_two_speed_trace_hand_computed(self):
-        # 3 sections of 100 m; 10 m/s for the first 150 m, then 5 m/s
-        route = RouteSpec(4, 100.0)
-        ts = np.array([0.0, 15.0, 65.0])
-        dist = np.array([0.0, 150.0, 400.0])
-        trip, _ = interpolate_trip(ts, dist, route, trip_id=1, day_index=0)
-        # crossings: 0 m @0s, 100 m @10s, 200 m @25s, 300 m @45s, 400 m @65s
-        npt.assert_allclose(trip.entry_times, [0.0, 10.0, 25.0, 45.0])
-        npt.assert_allclose(trip.travel_times, [10.0, 15.0, 20.0, 20.0])
-
-    def test_partial_trace_rejected(self):
-        route = RouteSpec(4, 100.0)
-        with pytest.raises(PartialTripError):
-            interpolate_trip([0.0, 10.0], [0.0, 250.0], route, 1, 0)
-        with pytest.raises(PartialTripError):
-            interpolate_trip([0.0, 10.0], [50.0, 400.0], route, 1, 0)
-
-    def test_nonmonotone_samples_reported(self):
-        route = RouteSpec(4, 100.0)
-        ts = np.array([0.0, 10.0, 12.0, 20.0, 40.0])
-        dist = np.array([0.0, 120.0, 80.0, 240.0, 400.0])  # 40 m backwards
-        trip, rejected = interpolate_trip(ts, dist, route, 1, 0,
-                                          tolerance_m=10.0)
-        assert rejected == [2]
-        assert trip.n_sections == 4
 
 
 class TestClosestPrevTrip:
@@ -311,13 +330,97 @@ class TestBuildExamples:
             build_examples(ds, positions=[6])
 
 
-class TestComplexity:
-    def test_indexed_query_is_logarithmic(self):
-        class CountingTime(float):
-            """Query time that counts the ordering comparisons made with it.
+class TestBlockBuilder:
+    @pytest.mark.parametrize("fallback", ["previous_week", "skip"])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_matches_per_example_reference(self, seed, fallback):
+        ds = tied_dataset(seed)
+        ref, ref_skips = reference_examples(ds, fallback)
+        # the data exercise the tie rule: a chosen previous bus shares its
+        # entry time at that section with another trip of the day
+        assert any(sum(t.entry(sec) == ds.by_id[pid].entry(sec)
+                       for t in ds.by_day[ex.day_index]) > 1
+                   for ex in ref for sec, pid in zip(
+                       range(ex.m + 1, 9), ex.prev_trip_ids) if pid >= 0)
+        assert {s.reason for s in ref_skips} >= {"no_previous_week_trip"}
+        for brute_force in (False, True):
+            built, skips = build_examples(ds, fallback=fallback,
+                                          brute_force=brute_force)
+            assert [example_key(e) for e in built] == [example_key(e) for e in ref]
+            assert [vars(s) for s in skips] == [vars(s) for s in ref_skips]
 
-            ``==`` is not counted: a tuple comparison also calls it once per
-            probe, before the ordering test."""
+    def test_query_time_override_matches_reference(self):
+        ds = tied_dataset(33)
+        rng = make_rng(34)
+        for _ in range(200):
+            trip = ds.trips[int(rng.integers(len(ds)))]
+            m = int(rng.integers(3, 8))
+            t_c = float(rng.choice([rng.uniform(6 * 3600.0, 8 * 3600.0),
+                                    ds.trips[int(rng.integers(len(ds)))].entry(m + 1)]))
+            pw = closest_prev_week_trip(ds, trip.day_index, trip.start_time)
+            for fallback in ("previous_week", "skip"):
+                got = build_example(ds, trip, m, pw, t_c, fallback=fallback)
+                want = reference_example(ds, trip, m, pw, t_c, fallback)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert example_key(got) == example_key(want)
+
+    def test_jsonl_bytes_match_reference(self, tmp_path):
+        ds = tied_dataset(35)
+        built, _ = build_examples(ds)
+        ref, _ = reference_examples(ds, "previous_week")
+        dataprep.save_examples_jsonl(built, tmp_path / "built.jsonl")
+        dataprep.save_examples_jsonl(ref, tmp_path / "ref.jsonl")
+        assert (tmp_path / "built.jsonl").read_bytes() == \
+            (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_examples_share_no_memory(self):
+        ds = tied_dataset(36, days=(0, 7))
+        examples, _ = build_examples(ds)
+        single = build_example(ds, ds.by_day[7][0], 4, ds.by_day[0][0])
+        trips = [(t.entry_times.copy(), t.travel_times.copy()) for t in ds.trips]
+        keys = [example_key(e) for e in examples]
+
+        def shift(ex, step):
+            for arr in (ex.enc, ex.dec, ex.targets, ex.prev_trip_ids):
+                arr += step
+            ex.fallback_mask ^= True
+
+        for i, ex in enumerate([*examples, single]):
+            shift(ex, 1)
+            now = [example_key(e) for e in examples]
+            assert now[:i] + now[i + 1:] == keys[:i] + keys[i + 1:]
+            assert i == len(examples) or now[i] != keys[i]
+            for t, (entry, travel) in zip(ds.trips, trips):
+                npt.assert_array_equal(t.entry_times, entry)
+                npt.assert_array_equal(t.travel_times, travel)
+            shift(ex, -1)
+        # the dataset's cached day arrays are untouched as well
+        assert [example_key(e) for e in build_examples(ds)[0]] == keys
+
+
+class TestComplexity:
+    """The indexed searches are ``np.searchsorted`` over per-section sorted
+    keys. Counting those calls, and Python-level comparisons with the query
+    time, catches a linear scan: a scan makes no ``searchsorted`` call, and a
+    Python one compares the query time with every key."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        real = np.searchsorted
+
+        def counting(keys, values, *args, **kwargs):
+            calls.append((len(keys), np.size(values)))
+            return real(keys, values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        return calls
+
+    def test_indexed_query_is_logarithmic(self, monkeypatch):
+        class CountingTime(float):
+            """Query time that counts the ordering comparisons made with it."""
             count = 0
 
             def __lt__(self, other):
@@ -328,6 +431,7 @@ class TestComplexity:
                 CountingTime.count += 1
                 return float(self) > other
 
+        calls = self.count_searches(monkeypatch)
         route = RouteSpec(4, 500.0)
         rng = make_rng(9)
         for n in (64, 512, 4096):
@@ -336,10 +440,25 @@ class TestComplexity:
                               for i, s in enumerate(starts)], route)
             queries = rng.uniform(0, 1e5, size=200)
             CountingTime.count = 0
+            calls.clear()
             for q in queries:
                 closest_prev_trip_at_section(ds, 0, 2, CountingTime(q))
-            per_query = CountingTime.count / len(queries)
-            assert 0 < per_query <= np.log2(n) + 2
+            # one binary search over the section's n keys per query
+            assert calls == [(n, 1)] * len(queries)
+            assert CountingTime.count / len(queries) <= np.log2(n) + 2
+
+    def test_block_builder_searches_once_per_section(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        for n_trips in (5, 40):
+            ds = tied_dataset(37, days=(0, 7), n_trips=n_trips)
+            calls.clear()
+            examples, skips = build_examples(ds, days=[7])
+            # previous bus: one search per decoder section (4..8) over all
+            # (trip, m) query times; previous week: at most two per trip
+            block = [size for _, size in calls if size > 1]
+            assert block == [n_trips * 5] * 5
+            assert len(calls) - len(block) <= 2 * n_trips
+            assert len(examples) + len(skips) == n_trips * 5
 
 
 class TestNormalizer:
@@ -461,24 +580,6 @@ class TestCsvFormats:
         assert len(loaded) == 3
         for a, b in zip(examples, loaded):
             assert example_key(a) == example_key(b)
-
-    def test_trace_csv_load_and_interpolate(self, tmp_path):
-        route = RouteSpec(4, 100.0)
-        path = tmp_path / "trace.csv"
-        path.write_text("trip_id,timestamp_s,route_distance_m\n"
-                        "5,0.0,0.0\n5,40.0,400.0\n"
-                        "6,100.0,0.0\n6,120.0,150.0\n6,180.0,400.0\n")
-        traces = dataprep.load_trace_csv(path)
-        assert set(traces) == {5, 6}
-        trip, _ = dataprep.interpolate_trip(*traces[5], route, trip_id=5,
-                                            day_index=0)
-        npt.assert_allclose(trip.travel_times, 10.0)
-
-    def test_trace_csv_bad_header(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError, match="header"):
-            dataprep.load_trace_csv(path)
 
     def test_skip_report(self, tmp_path):
         skips = [dataprep.SkipRecord(0, 1, 3, "no_previous_week_trip")]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -195,5 +197,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="event_speed_range_spm: must be two "
                                          "ordered values > 0"):
         SimConfig(event_speed_range_spm=(1.5, 0.3))
+    # 21600 + 29 * (2400 + 240) s: the last trip would leave after midnight
+    with pytest.raises(ValueError, match=re.escape(
+            "first_dispatch_s + (trips_per_day - 1) * (headway_mean_s + "
+            "headway_jitter_s): must be < 86400 (midnight), got 98160.0")):
+        SimConfig(trips_per_day=30, headway_mean_s=2400.0)
+    SimConfig(trips_per_day=30, headway_mean_s=1990.0)  # 21600 + 29 * 2230 fits
     with pytest.raises(ValueError):
         CongestionEvent(1, 0.0, 10.0, severity=0.5, upstream_speed_spm=1.0)
