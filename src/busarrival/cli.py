@@ -16,7 +16,11 @@ import json
 import math
 import os
 import sys
+import time
+from collections import Counter
 from types import SimpleNamespace
+
+import numpy as np
 
 from . import dataprep, evalkit, seq2seq, simulator
 from .dataprep import RouteSpec, check_ranges
@@ -131,8 +135,8 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, outputs: list,
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    os.makedirs(args.out, exist_ok=True)
     trips, events = simulator.simulate_dataset(_sim_config(cfg))
+    os.makedirs(args.out, exist_ok=True)
     trips_path = os.path.join(args.out, "trips.csv")
     events_path = os.path.join(args.out, "events.csv")
     dataprep.save_trips_csv(trips, trips_path)
@@ -144,16 +148,32 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 def cmd_prepare(args, cfg: dict) -> int:
     route = _route(cfg)
+    ticks = [time.perf_counter()]
     dataset = dataprep.load_trips_csv(args.trips, route)
+    ticks.append(time.perf_counter())
     examples, skips = dataprep.build_examples(
         dataset, fallback=cfg["dataprep"]["fallback"],
         brute_force=args.brute_force)
+    ticks.append(time.perf_counter())
     os.makedirs(args.out, exist_ok=True)
     ex_path = os.path.join(args.out, "examples.jsonl")
     skip_path = os.path.join(args.out, "skipped.csv")
     dataprep.save_examples_jsonl(examples, ex_path)
+    ticks.append(time.perf_counter())
     dataprep.save_skip_report_csv(skips, skip_path)
-    _write_manifest(args.out, "prepare", cfg, [ex_path, skip_path])
+    ticks.append(time.perf_counter())
+    masks = {}
+    for ex in examples:
+        masks.setdefault(ex.m, []).append(ex.fallback_mask)
+    _write_manifest(
+        args.out, "prepare", cfg, [ex_path, skip_path],
+        stage_s=dict(zip(("load_trips", "build_examples", "write_examples",
+                          "write_skips"), np.diff(ticks).tolist())),
+        examples=len(examples),
+        skips_by_reason=dict(Counter(s.reason for s in skips)),
+        # per m, the share of decoder sections with no previous bus
+        fallback_share_by_m={m: float(np.concatenate(v).mean())
+                             for m, v in masks.items()})
     print(f"prepare: {len(examples)} examples, {len(skips)} skipped")
     for m_lo, m_hi in seq2seq.bank_layout(route.n_sections):
         n = sum(1 for ex in examples if m_lo <= ex.m <= m_hi)

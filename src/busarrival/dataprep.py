@@ -26,6 +26,7 @@ one resolver.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -471,6 +472,9 @@ def fit_normalizer(examples: list[TrainingExample]) -> NormStats:
 TRIP_CSV_HEADER = ["trip_id", "day", "weekday", "section", "entry_time_s",
                    "travel_time_s"]
 SKIP_CSV_HEADER = ["day", "trip_id", "m", "reason"]
+# Examples per block of save_examples_jsonl. A block's formatted text is held
+# at once, so this bounds the writer's memory: about 6 MB at 34 sections.
+WRITE_CHUNK = 1024
 
 
 def save_trips_csv(trips: list[TripRecord], path) -> None:
@@ -532,17 +536,61 @@ def save_skip_report_csv(skips: list[SkipRecord], path) -> None:
             w.writerow([s.day_index, s.trip_id, s.m, s.reason])
 
 
+def _json_lists(arrays: list[np.ndarray], width: int | None) -> list[str]:
+    """``json.dumps(a.tolist())`` for each of ``arrays``, all of one dtype
+    and 1-D (``width`` None) or with ``width`` columns, formatting each
+    distinct value of a column once. Values are told apart by their bit
+    patterns, so -0.0 stays apart from 0.0, and one ``json.dumps`` writes a
+    column's distinct values, so JSON's own rules write NaN, Infinity and
+    exponents."""
+    flat = np.concatenate(arrays, axis=None).reshape(-1, width or 1)
+    pieces = np.empty(flat.shape, dtype=object)
+    for c in range(flat.shape[1]):
+        keys, inv = np.unique(flat[:, c].view(f"u{flat.itemsize}"),
+                              return_inverse=True)
+        texts = json.dumps(keys.view(flat.dtype).tolist())[1:-1].split(", ")
+        sep = "], [" if width and c == width - 1 else ", "
+        pieces[:, c] = np.array([t + sep for t in texts], dtype=object)[inv]
+    pieces = pieces.ravel().tolist()
+    # each list's text drops the separator after its last value
+    cut, open_, close = (-4, "[[", "]]") if width else (-2, "[", "]")
+    out, start = [], 0
+    for end in np.cumsum([a.size for a in arrays]).tolist():
+        out.append(open_ + "".join(pieces[start:end])[:cut] + close
+                   if end > start else "[]")
+        start = end
+    return out
+
+
 def save_examples_jsonl(examples: list[TrainingExample], path) -> None:
+    """One JSON object per example and line, the bytes that ``json.dumps``
+    of each example's dict writes, built in blocks of at most
+    ``WRITE_CHUNK`` consecutive examples whose arrays share their dtypes."""
+    dtypes = lambda ex: (ex.enc.dtype, ex.dec.dtype, ex.targets.dtype,
+                         ex.prev_trip_ids.dtype)
     with open(path, "w") as f:
-        for ex in examples:
-            f.write(json.dumps({
-                "m": ex.m, "t_c": ex.t_c, "day": ex.day_index,
-                "trip_id": ex.trip_id, "enc": ex.enc.tolist(),
-                "dec": ex.dec.tolist(), "targets": ex.targets.tolist(),
-                "prev_trip_ids": ex.prev_trip_ids.tolist(),
-                "pw_trip_id": ex.pw_trip_id,
-                "fallback": ex.fallback_mask.astype(int).tolist()}))
-            f.write("\n")
+        for _, run in itertools.groupby(examples, dtypes):
+            run = list(run)
+            for lo in range(0, len(run), WRITE_CHUNK):
+                block = run[lo:lo + WRITE_CHUNK]
+                scalars = json.dumps([
+                    v for ex in block for v in (ex.m, ex.t_c, ex.day_index,
+                                                ex.trip_id, ex.pw_trip_id)])
+                scalars = scalars[1:-1].split(", ")
+                fields = zip(
+                    zip(*[iter(scalars)] * 5),
+                    _json_lists([ex.enc for ex in block], 2),
+                    _json_lists([ex.dec for ex in block], 4),
+                    _json_lists([ex.targets for ex in block], None),
+                    _json_lists([ex.prev_trip_ids for ex in block], None),
+                    _json_lists([ex.fallback_mask.astype(int) for ex in block],
+                                None))
+                f.writelines(
+                    f'{{"m": {m}, "t_c": {tc}, "day": {day}, "trip_id": {tid}, '
+                    f'"enc": {enc}, "dec": {dec}, "targets": {tg}, '
+                    f'"prev_trip_ids": {pid}, "pw_trip_id": {pw}, '
+                    f'"fallback": {fb}}}\n'
+                    for (m, tc, day, tid, pw), enc, dec, tg, pid, fb in fields)
 
 
 def load_examples_jsonl(path) -> list[TrainingExample]:

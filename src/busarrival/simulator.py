@@ -31,6 +31,8 @@ from .numkit import spawn_rng
 
 _DISPATCH_STREAM, _EVENT_STREAM, _NOISE_STREAM = 1, 2, 3
 MIN_HEADWAY_S = 60.0
+# Trip ids are day * TRIP_ID_STRIDE + k, so a day holds at most this many.
+TRIP_ID_STRIDE = 1000
 _DECAY = (lambda v: 0 < v <= 1, "in (0, 1]")
 
 
@@ -90,7 +92,9 @@ class SimConfig:
         ordered = (lambda v: len(v) == 2 and 0 < v[0] <= v[1],
                    "two ordered values > 0")
         check_ranges(self, {
-            "weeks": AT_LEAST_1, "trips_per_day": AT_LEAST_1,
+            "weeks": AT_LEAST_1,
+            "trips_per_day": (lambda v: 1 <= v <= TRIP_ID_STRIDE,
+                              f"in [1, {TRIP_ID_STRIDE}]"),
             "first_dispatch_s": (lambda v: 0 <= v < SECONDS_PER_DAY,
                                  "in [0, 86400)"),
             "headway_mean_s": POSITIVE, "headway_jitter_s": NON_NEGATIVE,
@@ -165,7 +169,10 @@ def _noise(cfg: SimConfig, day: int, trip_k: int) -> np.ndarray:
 
 def simulate_dataset(cfg: SimConfig
                      ) -> tuple[list[TripRecord], list[tuple[int, CongestionEvent]]]:
-    """Generate all trips plus the ground-truth event log, deterministically."""
+    """Generate all trips plus the ground-truth event log, deterministically.
+
+    Raises ValueError naming the first trip that enters a section at or
+    after midnight, and the config keys that move service earlier."""
     base = cfg.resolve_base_profile()
     n_s = cfg.route.n_sections
     trips: list[TripRecord] = []
@@ -199,7 +206,15 @@ def simulate_dataset(cfg: SimConfig
                 entries[s] = e
                 z[s] = z0[s] * _event_factor(events, s + 1, e, cfg.event_factor_cap)
                 e += z[s]
-            trips.append(TripRecord(trip_id=day * 1000 + k, day_index=day,
+            trip_id = day * TRIP_ID_STRIDE + k
+            if entries[-1] >= SECONDS_PER_DAY:
+                sec = int(np.argmax(entries >= SECONDS_PER_DAY))
+                raise ValueError(
+                    f"trip {trip_id} (day {day}) enters section {sec + 1} at "
+                    f"{entries[sec]:.1f} s, past midnight: lower "
+                    "simulator.trips_per_day, simulator.headway_mean_s or "
+                    "simulator.first_dispatch_s")
+            trips.append(TripRecord(trip_id=trip_id, day_index=day,
                                     weekday=weekday, entry_times=entries,
                                     travel_times=z))
     return trips, event_log

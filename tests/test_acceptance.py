@@ -239,7 +239,7 @@ def test_c07_variable_length_contract(toy_norm):
 
 def test_c08_pipeline_determinism(tmp_path):
     """Two full pipeline runs with one master seed produce byte-identical
-    checkpoints and report CSVs."""
+    trips, examples, skip reports, checkpoints and report CSVs."""
     cfg = {"route": {"n_sections": 8, "section_length_m": 500.0},
            "simulator": {"weeks": 3, "trips_per_day": 6, "events_per_day": 3.0},
            "training": {"max_epochs": 3, "hidden_enc": 6,
@@ -263,16 +263,18 @@ def test_c08_pipeline_determinism(tmp_path):
                              "--trips", root / "sim" / "trips.csv",
                              "--out", root / "rep", "--threads", 1)) == 0
         digests = {}
-        for sub in ("ckpt", "rep"):
+        for sub in ("sim", "prep", "ckpt", "rep"):
             for p in sorted((root / sub).glob("*")):
-                if p.suffix in (".json", ".csv") and p.name != "manifest.json":
+                if (p.suffix in (".json", ".csv", ".jsonl")
+                        and p.name != "manifest.json"):
                     digests[f"{sub}/{p.name}"] = hashlib.sha256(
                         p.read_bytes()).hexdigest()
         return digests
 
     d1 = pipeline(tmp_path / "run1")
     d2 = pipeline(tmp_path / "run2")
-    assert d1 == d2 and len(d1) >= 4
+    assert d1 == d2 and len(d1) >= 8
+    assert {"sim/trips.csv", "prep/examples.jsonl", "prep/skipped.csv"} <= d1.keys()
     report("criterion 8 (determinism)",
            f"{len(d1)} artifacts byte-identical across two runs")
 

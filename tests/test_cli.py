@@ -102,7 +102,18 @@ class TestConfig:
          "{path}: simulator.first_dispatch_s + (trips_per_day - 1) * "
          "(headway_mean_s + headway_jitter_s): must be < 86400 (midnight), "
          "got 98160.0"),
-    ], ids=["seed-in-file", "seed-flag", "service-past-midnight"])
+        ({"route": {"n_sections": 8},
+          "simulator": {"trips_per_day": 40, "headway_mean_s": 1650.0,
+                        "headway_jitter_s": 0.0}}, [],
+         "trip 39 (day 0) enters section 6 at 86490.1 s, past midnight: "
+         "lower simulator.trips_per_day, simulator.headway_mean_s or "
+         "simulator.first_dispatch_s"),
+        ({"route": {"n_sections": 4},
+          "simulator": {"weeks": 1, "trips_per_day": 1001,
+                        "headway_mean_s": 60.0, "headway_jitter_s": 0.0}}, [],
+         "{path}: simulator.trips_per_day: must be in [1, 1000], got 1001"),
+    ], ids=["seed-in-file", "seed-flag", "service-past-midnight",
+            "trip-past-midnight", "trip-ids-collide"])
     def test_out_of_range_fails_by_name(self, tmp_path, capsys, doc, flags,
                                         message):
         path = tmp_path / "bad.json"
@@ -159,6 +170,18 @@ class TestPrepare:
         assert len(examples) == 2 * 6 * 5 * 5  # weeks*days*trips*positions
         skips = (out / "skipped.csv").read_text().splitlines()
         assert len(skips) == 1 + 1 * 6 * 5 * 5
+        # the manifest reports counts and stage times (times not checked)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["stage_s"]) == {"load_trips", "build_examples",
+                                            "write_examples", "write_skips"}
+        assert manifest["examples"] == len(examples)
+        assert manifest["skips_by_reason"] == {"no_previous_week_trip": 150}
+        shares = manifest["fallback_share_by_m"]
+        assert sorted(shares, key=int) == ["3", "4", "5", "6", "7"]
+        for m, share in shares.items():
+            masks = [ex.fallback_mask for ex in examples if ex.m == int(m)]
+            assert share == np.concatenate(masks).mean()
+        assert 0 < max(shares.values()) < 1
 
     def test_brute_force_equivalent(self, tmp_path, tiny_config, sim_dir):
         fast, slow = tmp_path / "fast", tmp_path / "slow"

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -398,6 +399,78 @@ class TestBlockBuilder:
             shift(ex, -1)
         # the dataset's cached day arrays are untouched as well
         assert [example_key(e) for e in build_examples(ds)[0]] == keys
+
+
+def reference_save_examples_jsonl(examples, path):
+    """One ``json.dumps`` per example: the oracle for the block writer."""
+    with open(path, "w") as f:
+        for ex in examples:
+            f.write(json.dumps({
+                "m": ex.m, "t_c": ex.t_c, "day": ex.day_index,
+                "trip_id": ex.trip_id, "enc": ex.enc.tolist(),
+                "dec": ex.dec.tolist(), "targets": ex.targets.tolist(),
+                "prev_trip_ids": ex.prev_trip_ids.tolist(),
+                "pw_trip_id": ex.pw_trip_id,
+                "fallback": ex.fallback_mask.astype(int).tolist()}))
+            f.write("\n")
+
+
+class TestJsonlWriter:
+    """save_examples_jsonl formats each distinct value once per block; its
+    bytes must be those of one json.dumps per example."""
+
+    @staticmethod
+    def assert_matches_reference(examples, tmp_path):
+        dataprep.save_examples_jsonl(examples, tmp_path / "new.jsonl")
+        reference_save_examples_jsonl(examples, tmp_path / "ref.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == \
+            (tmp_path / "ref.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("fallback", ["previous_week", "skip"])
+    def test_built_examples(self, tmp_path, fallback):
+        examples, _ = build_examples(tied_dataset(37), fallback=fallback)
+        assert any(ex.fallback_mask.any() for ex in examples) == \
+            (fallback == "previous_week")
+        self.assert_matches_reference(examples, tmp_path)
+
+    def test_across_block_boundaries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataprep, "WRITE_CHUNK", 3)
+        examples, _ = build_examples(tied_dataset(38, days=(0, 7)))
+        assert len(examples) > dataprep.WRITE_CHUNK
+        self.assert_matches_reference(examples, tmp_path)
+
+    def test_special_values_and_dtypes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataprep, "WRITE_CHUNK", 2)
+        rng = make_rng(39)
+        examples = [make_example(rng, m, 8, trip_id=i)
+                    for i, m in enumerate((3, 5, 6, 7))]
+        examples[0].enc[:3, 0] = [-0.0, 0.0, -0.0]
+        examples[0].dec[0] = [np.nan, np.inf, -np.inf, 1e-7]
+        examples[1].targets[:] = [1e16, 5e-324, -5e-324]
+        examples[1].t_c = float("-inf")
+        examples[2].dec[:, 0] = -0.0
+        examples[3].fallback_mask[:] = True
+        # integer arrays, as loading a file of whole numbers gives, write
+        # as integers, also in a block next to float arrays
+        ints = make_example(rng, 4, 8, trip_id=9)
+        ints.enc, ints.dec, ints.targets = (
+            a.astype(np.int64) for a in (ints.enc, ints.dec, ints.targets))
+        examples.insert(1, ints)
+        self.assert_matches_reference(examples, tmp_path)
+        assert '"enc": [[-0.0, ' in (tmp_path / "new.jsonl").read_text()
+
+    def test_no_decoder_sections(self, tmp_path):
+        rng = make_rng(40)
+        examples = [make_example(rng, m, 8, trip_id=i)
+                    for i, m in enumerate((8, 6, 8))]
+        assert examples[0].k == 0 and examples[0].dec.shape == (0, 4)
+        self.assert_matches_reference(examples, tmp_path)
+        first = (tmp_path / "new.jsonl").read_text().splitlines()[0]
+        assert '"dec": [], "targets": [], "prev_trip_ids": [], ' in first
+
+    def test_no_examples_writes_empty_file(self, tmp_path):
+        self.assert_matches_reference([], tmp_path)
+        assert (tmp_path / "new.jsonl").read_bytes() == b""
 
 
 class TestComplexity:
