@@ -606,7 +606,9 @@ def load_examples_jsonl(path) -> list[TrainingExample]:
                 ex = TrainingExample(
                     m=d["m"], t_c=d["t_c"], day_index=d["day"],
                     trip_id=d["trip_id"], enc=np.array(d["enc"]),
-                    dec=np.array(d["dec"]), targets=np.array(d["targets"]),
+                    # K = 0 is written as [], which numpy reads as shape (0,)
+                    dec=np.array(d["dec"]) if d["dec"] != [] else np.empty((0, 4)),
+                    targets=np.array(d["targets"]),
                     prev_trip_ids=np.array(d["prev_trip_ids"], dtype=np.int64),
                     pw_trip_id=d["pw_trip_id"],
                     fallback_mask=np.array(d["fallback"], dtype=bool))

@@ -15,13 +15,16 @@ ctx]``: that step's data, then an optional context shared by every step
 The kernel runs whole chains (Appleyard, Kocisky & Blunsom,
 arXiv:1604.01946). :class:`GruParams` stacks the gates: ``w_stack``
 (3H x D) holds rows [Wz; Wr; W], ``u_stack`` (3H x H) [Uz; Ur; U],
-``b_stack`` [bz; br; b]; the nine named arrays are row views into them,
-so optimizer steps and checkpoints still see six matrices. The input
-projections of all steps are one batched product and ``W_ctx ctx`` is
-computed once per chain. Each step makes one ``u_stack @ h_prev`` product
-forward and one ``u_stack.T @ delta`` back; z, r and h_tilde are computed
-in place in the (T, 3H, B) projection block, which is the cache, and
-``h_prev`` is read from the states array. Weight gradients are single
+``b_stack`` [bz; br; b]; all three are views into one flat vector
+``theta`` and the nine named arrays are row views into them, so
+checkpoints still see six matrices. The input projections of all steps
+are one batched product and ``W_ctx ctx`` is computed once per chain.
+Each step makes one ``u_stack @ h_prev`` product forward and one
+``u_stack.T @ delta`` back; z, r and h_tilde are computed in place in the
+(T, 3H, B) projection block, which is the cache, and ``h_prev`` is read
+from the states array. Backward writes the weight gradients into a
+GruParams laid out as the weights, so a caller can hand it views into its
+own flat gradient vector. Weight gradients are single
 contractions over steps and batch. The only input gradient is the one on
 ``ctx``, ``W_ctx^T sum_t delta_t``: the per-step inputs are data.
 
@@ -40,27 +43,30 @@ import numpy as np
 from .numkit import dsigmoid_from_output, dtanh_from_output, sigmoid, xavier_uniform
 
 
-class GruParams:
-    """GRU weights, gate blocks stacked row-wise as [z; r; candidate]."""
+def gru_size(hidden: int, inp: int, use_bias: bool = False) -> int:
+    """Parameter count of a GRU: three gates of (input + hidden [+ 1]) columns."""
+    return 3 * hidden * (inp + hidden + (1 if use_bias else 0))
 
-    def __init__(self, wz, wr, w, uz, ur, u, bz=None, br=None, b=None):
-        h, d = np.shape(wz)
-        for name, mat, shape in (("wr", wr, (h, d)), ("w", w, (h, d)),
-                                 ("uz", uz, (h, h)), ("ur", ur, (h, h)),
-                                 ("u", u, (h, h))):
-            if np.shape(mat) != shape:
-                raise ValueError(f"{name} has shape {np.shape(mat)}, expected {shape}")
-        biases = (bz, br, b)
-        if any(v is not None for v in biases):
-            for name, v in zip(("bz", "br", "b"), biases):
-                if v is None or np.shape(v) != (h,):
-                    raise ValueError(f"bias {name} must have shape ({h},)")
-        self.w_stack = np.concatenate([wz, wr, w])
-        self.u_stack = np.concatenate([uz, ur, u])
-        self.b_stack = np.concatenate(biases) if bz is not None else None
+
+class GruParams:
+    """GRU weights as views into one flat vector ``theta``, which holds
+    ``w_stack``, ``u_stack`` and ``b_stack`` one after another, gate blocks
+    stacked row-wise as [z; r; candidate]."""
+
+    def __init__(self, theta: np.ndarray, hidden: int, inp: int,
+                 use_bias: bool = False):
+        size = gru_size(hidden, inp, use_bias)
+        if theta.shape != (size,):
+            raise ValueError(f"GRU({hidden}, {inp}, use_bias={use_bias}) has {size} "
+                             f"parameters, not shape {theta.shape}")
+        self.theta = theta
+        n_w, n_u = 3 * hidden * inp, 3 * hidden * hidden
+        self.w_stack = theta[:n_w].reshape(3 * hidden, inp)
+        self.u_stack = theta[n_w:n_w + n_u].reshape(3 * hidden, hidden)
+        self.b_stack = theta[n_w + n_u:] if use_bias else None
         self.wz, self.wr, self.w = np.split(self.w_stack, 3)
         self.uz, self.ur, self.u = np.split(self.u_stack, 3)
-        self.bz, self.br, self.b = (np.split(self.b_stack, 3) if bz is not None
+        self.bz, self.br, self.b = (np.split(self.b_stack, 3) if use_bias
                                     else (None, None, None))
 
     @property
@@ -84,19 +90,18 @@ class GruParams:
         return d
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.as_dict().values())
+        return self.theta.size
 
 
 def init_gru(rng: np.random.Generator, hidden: int, inp: int,
              use_bias: bool = False) -> GruParams:
     """Glorot-uniform GRU parameters, biases zero when enabled."""
-    mk = xavier_uniform
-    biases = ({"bz": np.zeros(hidden), "br": np.zeros(hidden), "b": np.zeros(hidden)}
-              if use_bias else {})
-    return GruParams(
-        wz=mk(rng, hidden, inp), wr=mk(rng, hidden, inp), w=mk(rng, hidden, inp),
-        uz=mk(rng, hidden, hidden), ur=mk(rng, hidden, hidden),
-        u=mk(rng, hidden, hidden), **biases)
+    p = GruParams(np.zeros(gru_size(hidden, inp, use_bias)), hidden, inp, use_bias)
+    for mat in (p.wz, p.wr, p.w):
+        mat[...] = xavier_uniform(rng, hidden, inp)
+    for mat in (p.uz, p.ur, p.u):
+        mat[...] = xavier_uniform(rng, hidden, hidden)
+    return p
 
 
 @dataclass
@@ -168,17 +173,22 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
     return cache.states, cache
 
 
-def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray
+def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray,
+                 out: GruParams | None = None
                  ) -> tuple[GruParams, np.ndarray, np.ndarray | None]:
     """Exact BPTT through a chain run by :func:`gru_forward`.
 
     ``dstates[t]`` is the loss gradient on ``states[t]``. Returns the
-    parameter gradients summed over steps and batch, dL/dh0 and dL/dctx
-    (None for a chain without context).
+    parameter gradients summed over steps and batch, written into ``out``
+    (laid out as ``params``; a new one when None), dL/dh0 and dL/dctx (None
+    for a chain without context).
     """
     if dstates.shape != cache.states.shape:
         raise ValueError(f"dstates shape {dstates.shape} != states shape "
                          f"{cache.states.shape}")
+    if out is None:
+        out = GruParams(np.empty_like(params.theta), params.hidden_size,
+                        params.input_size, params.use_bias)
     n, hid, b = dstates.shape
     z, r, h_tilde, h_prev = cache.z, cache.r, cache.h_tilde, cache.h_prev
     # per gate and step, dL/d(pre-activation) = dL/dh * delta, built in place;
@@ -203,17 +213,16 @@ def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray
         delta[t] *= dh_all[t]
         dh = dh_all[t] * z[t] + u_t @ delta[t].reshape(3 * hid, b)
     delta = delta.reshape(n, 3 * hid, b)
-    g_u = np.tensordot(delta, h_prev, axes=([0, 2], [0, 2]))
+    out.u_stack[...] = np.tensordot(delta, h_prev, axes=([0, 2], [0, 2]))
     np.multiply(dh_all, dcand, out=d_cand)
     d = cache.xs.shape[1]
-    g_w = np.empty_like(params.w_stack)
+    g_w = out.w_stack
     g_w[:, :d] = np.matmul(delta, cache.xs.transpose(0, 2, 1)).sum(axis=0)
     delta_sum = delta.sum(axis=0)
     dctx = None
     if cache.ctx is not None:
         g_w[:, d:] = delta_sum @ cache.ctx.T
         dctx = params.w_stack[:, d:].T @ delta_sum
-    g_b = delta_sum.sum(axis=1)
-    grads = GruParams(*np.split(g_w, 3), *np.split(g_u, 3),
-                      *(np.split(g_b, 3) if params.use_bias else ()))
-    return grads, dh, dctx
+    if params.use_bias:
+        out.b_stack[...] = delta_sum.sum(axis=1)
+    return out, dh, dctx

@@ -7,7 +7,7 @@ so that a single master seed reproduces every downstream draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,55 +55,50 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 @dataclass
 class AdamState:
-    """Optimizer state over a named set of parameter arrays."""
+    """Optimizer state over one flat parameter vector."""
 
     lr: float
     beta1: float
     beta2: float
     eps: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
-def init_adam(params: dict, lr: float = 1e-3, beta1: float = 0.9,
+def init_adam(theta: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros_like(p)
-    return state
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                     m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One bias-corrected Adam update; mutates params and state in place."""
-    if set(params) != set(state.m):
-        raise ValueError("parameter names do not match optimizer state")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update (Kingma & Ba, arXiv:1412.6980) of a
+    flat parameter vector; mutates theta and state in place."""
+    if not theta.shape == grad.shape == state.m.shape:
+        raise ValueError(f"parameter shape {theta.shape}, gradient shape "
+                         f"{grad.shape} and optimizer state shape "
+                         f"{state.m.shape} differ")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name!r} shape {p.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        mhat = m / (1.0 - b1 ** t)
-        vhat = v / (1.0 - b2 ** t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    mhat = m / (1.0 - b1 ** t)
+    vhat = v / (1.0 - b2 ** t)
+    theta -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function at x.
 
     Second-order accurate; the package's independent oracle for every
-    hand-derived backward pass.
+    hand-derived backward pass. A contiguous float64 x is perturbed in
+    place, one coordinate at a time, and restored, so ``f`` may read it
+    through views (a model's ``theta``) instead of its argument.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -123,20 +118,3 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
 
-
-def flatten_params(params: dict) -> tuple[np.ndarray, list]:
-    """Pack a named parameter dict into one flat vector plus a layout spec."""
-    layout = [(name, p.shape) for name, p in params.items()]
-    vec = np.concatenate([p.ravel() for p in params.values()]) if params else np.zeros(0)
-    return vec, layout
-
-
-def write_flat_params(params: dict, vec: np.ndarray, layout: list) -> None:
-    """Scatter a flat vector back into the arrays of a parameter dict."""
-    off = 0
-    for name, shape in layout:
-        n = int(np.prod(shape))
-        params[name][...] = vec[off:off + n].reshape(shape)
-        off += n
-    if off != vec.size:
-        raise ValueError("flat vector length does not match layout")

@@ -25,14 +25,16 @@ decoder's parameter count just under the EDU decoder's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dataprep import (AT_LEAST_1, DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
                        FIRST_POSITION, POSITIVE, DataError, NormStats,
                        TrainingExample, check_ranges, fit_normalizer)
-from .gru import GruParams, gru_backward, gru_forward, init_gru
+from .gru import GruParams, gru_backward, gru_forward, gru_size, init_gru
 from .numkit import adam_step, init_adam, spawn_rng
 
 KIND_EDU = "edu"
@@ -41,6 +43,7 @@ BANK_WIDTH = 5
 DEFAULT_HIDDEN_ENC = 32
 DEFAULT_HIDDEN_DEC = {KIND_EDU: 32, KIND_EDB: 19}
 CHECKPOINT_FORMAT_VERSION = 1
+CHAINS = ("enc", "dec_fwd", "dec_bwd")
 # Examples per forward pass in mean_loss. On a 2-vCPU VM, whole 240-example
 # validation sets made multi-MB GRU caches that left peak RSS 10-15% higher,
 # and varying from run to run, than chunks of 64 (5-8% slower training).
@@ -59,32 +62,35 @@ class NonFiniteGradientError(ValueError):
     """A training batch with a finite loss produced a NaN or infinite gradient."""
 
 
-@dataclass
 class EdModel:
-    kind: str
-    m_lo: int
-    m_hi: int
-    n_sections: int
-    enc: GruParams
-    dec_fwd: GruParams
-    dec_bwd: GruParams | None
-    w_embed: np.ndarray          # (hidden_dec, ctx_len)
-    w_out: np.ndarray            # (dec_state_width,)
-    b_embed: np.ndarray | None = None
-    b_out: np.ndarray | None = None
-    norm: NormStats = field(default_factory=NormStats.identity)
+    """One bank's model. Every parameter lives in the flat float64 vector
+    ``theta``; the GRU chains ``enc``, ``dec_fwd`` and ``dec_bwd`` (EDB
+    only), ``w_embed`` (hidden_dec x ctx_len), ``w_out`` (dec_state_width)
+    and the optional biases ``b_embed`` and ``b_out`` are views into it,
+    laid out in :meth:`params` order by :meth:`views`."""
+
+    def __init__(self, kind: str, m_lo: int, m_hi: int, n_sections: int,
+                 hidden_enc: int, hidden_dec: int, use_bias: bool = False,
+                 norm: NormStats | None = None, theta: np.ndarray | None = None):
+        self.kind, self.m_lo, self.m_hi = kind, m_lo, m_hi
+        self.n_sections = n_sections
+        self.hidden_enc, self.hidden_dec = hidden_enc, hidden_dec
+        self.use_bias = use_bias
+        self.norm = norm if norm is not None else NormStats.identity()
+        self.theta = (np.zeros(sum(n for _, _, n in self._layout()))
+                      if theta is None else theta)
+        self.__dict__.update(vars(self.views(self.theta)))
+        self.validate()
+
+    def __reduce__(self):
+        # pickles as theta plus dimensions, so the views are rebuilt on load
+        return (EdModel, (self.kind, self.m_lo, self.m_hi, self.n_sections,
+                          self.hidden_enc, self.hidden_dec, self.use_bias,
+                          self.norm, self.theta))
 
     @property
     def bank_width(self) -> int:
         return self.m_hi - self.m_lo + 1
-
-    @property
-    def hidden_enc(self) -> int:
-        return self.enc.hidden_size
-
-    @property
-    def hidden_dec(self) -> int:
-        return self.dec_fwd.hidden_size
 
     @property
     def ctx_len(self) -> int:
@@ -94,9 +100,30 @@ class EdModel:
     def dec_state_width(self) -> int:
         return self.hidden_dec * (2 if self.kind == KIND_EDB else 1)
 
-    @property
-    def use_bias(self) -> bool:
-        return self.b_embed is not None
+    def _layout(self) -> list[tuple[str, tuple[int, ...], int]]:
+        """(block, dims, size) of each block of ``theta`` in order: the GRU
+        chains, whose dims are (hidden, input), then the embed and output
+        maps, whose dims are their shapes."""
+        hd, ctx, bias = self.hidden_dec, self.ctx_len, self.use_bias
+        blocks = {"enc": (self.hidden_enc, 2), "dec_fwd": (hd, 4 + ctx),
+                  "dec_bwd": (hd, 4 + ctx) if self.kind == KIND_EDB else None,
+                  "w_embed": (hd, ctx), "b_embed": (hd,) if bias else None,
+                  "w_out": (self.dec_state_width,), "b_out": (1,) if bias else None}
+        return [(name, dims, gru_size(*dims, bias) if name in CHAINS
+                 else math.prod(dims)) for name, dims in blocks.items() if dims]
+
+    def views(self, vec: np.ndarray) -> SimpleNamespace:
+        """Every block of the flat ``vec`` laid out as ``theta``, by attribute
+        name: GruParams for the chains, arrays for the maps, None for a
+        block this model does not have."""
+        out = dict.fromkeys(("dec_bwd", "b_embed", "b_out"))
+        off = 0
+        for name, dims, size in self._layout():
+            part = vec[off:off + size]
+            out[name] = (GruParams(part, *dims, self.use_bias) if name in CHAINS
+                         else part.reshape(dims))
+            off += size
+        return SimpleNamespace(**out)
 
     def validate(self) -> None:
         if self.kind not in (KIND_EDU, KIND_EDB):
@@ -105,31 +132,13 @@ class EdModel:
             raise ValueError("bank range must lie within [3, n_sections-1]")
         if (self.kind == KIND_EDB) != (self.dec_bwd is not None):
             raise ValueError("bidirectional models need dec_bwd, others must not have it")
-        if self.enc.input_size != 2:
-            raise ValueError("encoder input must be (z_current, z_prev_week)")
-        want_in = 4 + self.ctx_len
-        if self.dec_fwd.input_size != want_in:
-            raise ValueError(f"decoder input size {self.dec_fwd.input_size}, "
-                             f"expected {want_in}")
-        if self.dec_bwd is not None and (
-                self.dec_bwd.input_size != want_in
-                or self.dec_bwd.hidden_size != self.hidden_dec):
-            raise ValueError("reverse decoder dims must match forward decoder")
-        if self.w_embed.shape != (self.hidden_dec, self.ctx_len):
-            raise ValueError("embed shape mismatch")
-        if self.w_out.shape != (self.dec_state_width,):
-            raise ValueError("output map shape mismatch")
-        if ((self.b_embed is not None and self.b_embed.shape != (self.hidden_dec,))
-                or (self.b_out is not None and self.b_out.shape != (1,))):
-            raise ValueError("bias shape mismatch")
 
     def params(self) -> dict:
-        """Live parameter arrays, in a fixed order; mutating them updates the model."""
+        """Named views into ``theta``, in its order; writing them updates the model."""
         d = {}
-        d.update(self.enc.as_dict("enc."))
-        d.update(self.dec_fwd.as_dict("dec_fwd."))
-        if self.dec_bwd is not None:
-            d.update(self.dec_bwd.as_dict("dec_bwd."))
+        for chain in CHAINS:
+            if getattr(self, chain) is not None:
+                d.update(getattr(self, chain).as_dict(chain + "."))
         d["embed.w"] = self.w_embed
         if self.b_embed is not None:
             d["embed.b"] = self.b_embed
@@ -138,12 +147,11 @@ class EdModel:
             d["out.b"] = self.b_out
         return d
 
-    def clone_weights(self) -> dict:
-        return {k: v.copy() for k, v in self.params().items()}
-
-    def load_weights(self, weights: dict) -> None:
-        for k, v in self.params().items():
-            v[...] = weights[k]
+    def param_name(self, index: int) -> str:
+        """Name of the :meth:`params` entry that holds ``theta[index]``."""
+        params = self.params()
+        ends = np.cumsum([p.size for p in params.values()])
+        return list(params)[int(np.searchsorted(ends, index, side="right"))]
 
 
 def decoder_param_count(model: EdModel) -> int:
@@ -204,22 +212,16 @@ def new_model(kind: str, m_lo: int, m_hi: int, n_sections: int,
               norm: NormStats | None = None) -> EdModel:
     if hidden_dec is None:
         hidden_dec = DEFAULT_HIDDEN_DEC[kind]
-    ctx_len = hidden_enc + (m_hi - m_lo + 1) + 1
-    dec_in = 4 + ctx_len
-    state_width = hidden_dec * (2 if kind == KIND_EDB else 1)
-    limit = np.sqrt(6.0 / (state_width + 1))
-    model = EdModel(
-        kind=kind, m_lo=m_lo, m_hi=m_hi, n_sections=n_sections,
-        enc=init_gru(rng, hidden_enc, 2, use_bias),
-        dec_fwd=init_gru(rng, hidden_dec, dec_in, use_bias),
-        dec_bwd=init_gru(rng, hidden_dec, dec_in, use_bias) if kind == KIND_EDB else None,
-        w_embed=rng.uniform(-1, 1, (hidden_dec, ctx_len))
-                * np.sqrt(6.0 / (hidden_dec + ctx_len)),
-        w_out=rng.uniform(-limit, limit, state_width),
-        b_embed=np.zeros(hidden_dec) if use_bias else None,
-        b_out=np.zeros(1) if use_bias else None,
-        norm=norm if norm is not None else NormStats.identity())
-    model.validate()
+    model = EdModel(kind, m_lo, m_hi, n_sections, hidden_enc, hidden_dec,
+                    use_bias, norm)
+    for chain in CHAINS:
+        p = getattr(model, chain)
+        if p is not None:
+            p.theta[...] = init_gru(rng, p.hidden_size, p.input_size, use_bias).theta
+    model.w_embed[...] = (rng.uniform(-1, 1, model.w_embed.shape)
+                          * np.sqrt(6.0 / (hidden_dec + model.ctx_len)))
+    limit = np.sqrt(6.0 / (model.dec_state_width + 1))
+    model.w_out[...] = rng.uniform(-limit, limit, model.w_out.shape)
     return model
 
 
@@ -305,8 +307,9 @@ def loss(pred_norm: np.ndarray, targets_norm: np.ndarray) -> float:
 
 
 def _batch_step(model: EdModel, exs: list[TrainingExample]
-                ) -> tuple[float, dict]:
-    """Loss and exact mean-loss gradients for a same-m batch of examples."""
+                ) -> tuple[float, np.ndarray]:
+    """Loss and exact mean-loss gradient, laid out as ``model.theta``, for a
+    same-m batch of examples."""
     y, targets_n, (e_a, enc_cache, h0, states, fwd_cache,
                    bwd_cache) = _forward(model, exs)
     k, b = y.shape
@@ -314,33 +317,32 @@ def _batch_step(model: EdModel, exs: list[TrainingExample]
     batch_loss = float(np.mean(resid ** 2))
     dy = (2.0 / (k * b)) * resid
 
-    grads = dict.fromkeys(model.params())                  # keeps parameter order
-    grads["out.w"] = np.tensordot(states, dy, axes=([0, 2], [0, 1]))
+    grad = np.empty_like(model.theta)     # every element is written below
+    g = model.views(grad)
+    g.w_out[...] = np.tensordot(states, dy, axes=([0, 2], [0, 1]))
     if model.b_out is not None:
-        grads["out.b"] = np.array([dy.sum()])
+        g.b_out[0] = dy.sum()
     dstates = model.w_out[:, None] * dy[:, None, :]        # (K, width, B)
 
     hd = model.hidden_dec
-    g, dh0, de_a = gru_backward(model.dec_fwd, fwd_cache, dstates[:, :hd])
-    grads.update(g.as_dict("dec_fwd."))
+    _, dh0, de_a = gru_backward(model.dec_fwd, fwd_cache, dstates[:, :hd],
+                                out=g.dec_fwd)
     if model.kind == KIND_EDB:
-        g, dh0_bwd, de_a_bwd = gru_backward(model.dec_bwd, bwd_cache,
-                                            dstates[:, hd:])
-        grads.update(g.as_dict("dec_bwd."))
+        _, dh0_bwd, de_a_bwd = gru_backward(model.dec_bwd, bwd_cache,
+                                            dstates[:, hd:], out=g.dec_bwd)
         dh0 = dh0 + dh0_bwd
         de_a = de_a + de_a_bwd
 
     ds0 = dh0 * (1.0 - h0 ** 2)
-    grads["embed.w"] = ds0 @ e_a.T
+    g.w_embed[...] = ds0 @ e_a.T
     if model.b_embed is not None:
-        grads["embed.b"] = ds0.sum(axis=1)
+        g.b_embed[...] = ds0.sum(axis=1)
     de_a += model.w_embed.T @ ds0
 
     denc = np.zeros_like(enc_cache.states)
     denc[-1] = de_a[:model.hidden_enc]
-    g, _, _ = gru_backward(model.enc, enc_cache, denc)
-    grads.update(g.as_dict("enc."))
-    return batch_loss, grads
+    gru_backward(model.enc, enc_cache, denc, out=g.enc)
+    return batch_loss, grad
 
 
 def model_loss(model: EdModel, ex: TrainingExample) -> float:
@@ -349,8 +351,8 @@ def model_loss(model: EdModel, ex: TrainingExample) -> float:
     return loss(y[:, 0], targets_n[:, 0])
 
 
-def model_backward(model: EdModel, ex: TrainingExample) -> tuple[float, dict]:
-    """Exact gradient of one example's loss w.r.t. every model parameter."""
+def model_backward(model: EdModel, ex: TrainingExample) -> tuple[float, np.ndarray]:
+    """Exact gradient of one example's loss w.r.t. ``model.theta``."""
     return _batch_step(model, [ex])
 
 
@@ -403,19 +405,21 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     as matrix-shaped GRU steps; batch order and composition are shuffled
     per epoch from ``rng``. With a validation set, training stops after
     ``patience`` epochs without improvement and the best weights are
-    restored (they are also restored when the epoch budget runs out).
+    restored (they are also restored when the epoch budget runs out). Each
+    history entry holds the epoch's mean training loss, its validation loss
+    (None without a validation set) and ``grad_norm``, the mean over its
+    batches of the gradient's Euclidean norm.
     """
     if not train_ex:
         raise ValueError("no training examples")
-    params = model.params()
-    state = init_adam(params, lr=cfg.lr)
+    state = init_adam(model.theta, lr=cfg.lr)
     by_m: dict[int, list[TrainingExample]] = {}
     for ex in train_ex:
         by_m.setdefault(ex.m, []).append(ex)
     bank = f"{model.kind} bank m={model.m_lo}-{model.m_hi}"
     history: list[dict] = []
     best_val = np.inf
-    best_weights = None
+    best_theta = None
     bad_epochs = 0
     for epoch in range(cfg.max_epochs):
         batches = []
@@ -425,37 +429,39 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
             for lo in range(0, len(exs), cfg.batch_size):
                 batches.append([exs[i] for i in order[lo:lo + cfg.batch_size]])
         rng.shuffle(batches)
-        total, count = 0.0, 0
+        total, count, norm_sum = 0.0, 0, 0.0
         for index, batch in enumerate(batches):
-            batch_loss, grads = _batch_step(model, batch)
+            batch_loss, grad = _batch_step(model, batch)
             if not np.isfinite(batch_loss):
                 raise NonFiniteLossError(
                     f"{bank}: training loss is {batch_loss} at epoch {epoch}, "
                     f"batch {index}")
-            bad = next((name for name, g in grads.items()
-                        if not np.isfinite(g).all()), None)
-            if bad is not None:
+            finite = np.isfinite(grad)
+            if not finite.all():
+                bad = model.param_name(int(np.argmin(finite)))
                 raise NonFiniteGradientError(
                     f"{bank}: gradient of {bad} is not finite at epoch {epoch}, "
                     f"batch {index}")
-            adam_step(params, grads, state)
+            adam_step(model.theta, grad, state)
             total += batch_loss * len(batch)
             count += len(batch)
-        entry = {"epoch": epoch, "train_loss": total / count, "val_loss": None}
+            norm_sum += float(np.linalg.norm(grad))
+        entry = {"epoch": epoch, "train_loss": total / count, "val_loss": None,
+                 "grad_norm": norm_sum / len(batches)}
         if val_ex:
             val_loss = mean_loss(model, val_ex)
             entry["val_loss"] = val_loss
             if val_loss < best_val:
                 best_val = val_loss
-                best_weights = model.clone_weights()
+                best_theta = model.theta.copy()
                 bad_epochs = 0
             else:
                 bad_epochs += 1
         history.append(entry)
         if val_ex and bad_epochs >= cfg.patience:
             break
-    if best_weights is not None:
-        model.load_weights(best_weights)
+    if best_theta is not None:
+        model.theta[...] = best_theta
     return history
 
 
@@ -597,14 +603,6 @@ def _gru_to_json(p: GruParams) -> dict:
     return d
 
 
-def _gru_from_json(d: dict) -> GruParams:
-    arrs = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
-            for k, v in d.items()}
-    return GruParams(wz=arrs["wz"], wr=arrs["wr"], w=arrs["w"],
-                     uz=arrs["uz"], ur=arrs["ur"], u=arrs["u"],
-                     bz=arrs.get("bz"), br=arrs.get("br"), b=arrs.get("b"))
-
-
 def save_model_json(model: EdModel, path) -> None:
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -640,23 +638,27 @@ def load_model_json(path) -> EdModel:
         if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format: "
                              f"{doc.get('format_version')!r}")
+        model = EdModel(doc["kind"], doc["m_lo"], doc["m_hi"], doc["n_sections"],
+                        doc["hidden_enc"], doc["hidden_dec"], doc["use_bias"],
+                        NormStats.from_dict(doc["norm"]))
         w = doc["weights"]
-        emb = w["embed.w"]
-        out = w["out.w"]
-        model = EdModel(
-            kind=doc["kind"], m_lo=doc["m_lo"], m_hi=doc["m_hi"],
-            n_sections=doc["n_sections"],
-            enc=_gru_from_json(w["enc"]),
-            dec_fwd=_gru_from_json(w["dec_fwd"]),
-            dec_bwd=(_gru_from_json(w["dec_bwd"])
-                     if w["dec_bwd"] is not None else None),
-            w_embed=np.array(emb["data"], dtype=np.float64).reshape(emb["shape"]),
-            w_out=np.array(out["data"], dtype=np.float64).reshape(out["shape"]),
-            b_embed=np.array(w["embed.b"]) if w["embed.b"] is not None else None,
-            b_out=np.array(w["out.b"]) if w["out.b"] is not None else None,
-            norm=NormStats.from_dict(doc["norm"]))
-        model.validate()
-        if not all(np.all(np.isfinite(v)) for v in model.params().values()):
+        names = {f"{c}.{k}" for c in CHAINS if w[c] is not None for k in w[c]}
+        names |= {k for k in ("embed.w", "embed.b", "out.w", "out.b") if w[k]}
+        if names != model.params().keys():
+            raise ValueError(f"weights {sorted(names)} do not fit a {model.kind} "
+                             f"model with use_bias={model.use_bias}")
+        for name, view in model.params().items():
+            chain, _, key = name.partition(".")
+            entry = w[chain][key] if chain in CHAINS else w[name]
+            if name in ("embed.b", "out.b"):             # saved as bare lists
+                saved = np.array(entry, dtype=np.float64)
+            else:
+                saved = np.array(entry["data"], np.float64).reshape(entry["shape"])
+            if saved.shape != view.shape:
+                raise ValueError(f"{name} has shape {saved.shape}, "
+                                 f"expected {view.shape}")
+            view[...] = saved
+        if not np.isfinite(model.theta).all():
             raise ValueError("non-finite weights")
         if not model.norm.travel_std > 0:
             raise ValueError("travel_std must be positive")

@@ -654,6 +654,22 @@ class TestCsvFormats:
         for a, b in zip(examples, loaded):
             assert example_key(a) == example_key(b)
 
+    def test_examples_jsonl_roundtrip_without_targets(self, tmp_path):
+        # K = 0 is saved as "dec": [], which must load back as shape (0, 4)
+        ex = make_example(make_rng(14), 8, 8)
+        path = tmp_path / "ex.jsonl"
+        dataprep.save_examples_jsonl([ex], path)
+        [loaded] = dataprep.load_examples_jsonl(path)
+        assert loaded.dec.shape == (0, 4)
+        assert example_key(loaded) == example_key(ex)
+        # a decoder sequence of the wrong shape is still rejected, not reshaped
+        dataprep.save_examples_jsonl([make_example(make_rng(15), 6, 8)], path)
+        doc = json.loads(path.read_text())
+        doc["dec"] = np.reshape(doc["dec"], (4, 2)).tolist()
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(DataError, match="decoder sequence / target shape"):
+            dataprep.load_examples_jsonl(path)
+
     def test_skip_report(self, tmp_path):
         skips = [dataprep.SkipRecord(0, 1, 3, "no_previous_week_trip")]
         path = tmp_path / "skips.csv"

@@ -3,8 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from busarrival.gru import GruParams, gru_backward, gru_forward, init_gru
-from busarrival.numkit import (finite_diff_grad, flatten_params, make_rng,
-                               sigmoid, write_flat_params)
+from busarrival.numkit import finite_diff_grad, make_rng, sigmoid
 
 
 def step(p, h_prev, u):
@@ -145,18 +144,9 @@ class TestBackward:
             u = rng.normal(size=inp)
             h, cache = step(p, h_prev, u)
             g, dh_prev, du = step_backward(p, cache, h)  # loss = ||h||^2/2
-            params = p.as_dict()
-            vec, layout = flatten_params(params)
-
-            def f(v):
-                write_flat_params(params, v, layout)
-                hh, _ = step(p, h_prev, u)
-                return 0.5 * float(np.sum(hh * hh))
-
-            fd = finite_diff_grad(f, vec.copy())
-            write_flat_params(params, vec, layout)
-            analytic, _ = flatten_params(g.as_dict())
-            rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
+            fd = finite_diff_grad(
+                lambda _: 0.5 * float(np.sum(step(p, h_prev, u)[0] ** 2)), p.theta)
+            rel = np.abs(g.theta - fd) / np.maximum(1.0, np.abs(fd))
             assert np.max(rel) < 1e-4
 
             fd_h = finite_diff_grad(
@@ -285,14 +275,14 @@ def test_stacked_gates_are_views():
     p.b[3] = -2.0
     assert p.u_stack[5, 2] == 7.0 and p.b_stack[11] == -2.0
     assert p.w_stack.shape == (12, 3) and p.u_stack.shape == (12, 4)
+    p.theta[...] = np.arange(p.theta.size)
+    assert p.wz[0, 0] == 0 and p.u_stack[0, 0] == 36 and p.b[-1] == p.theta.size - 1
 
 
 def test_param_count_and_validate():
     p = init_gru(make_rng(0), 4, 3)
     assert p.param_count() == 3 * 4 * 3 + 3 * 4 * 4
     with pytest.raises(ValueError):
-        GruParams(wz=np.zeros((4, 3)), wr=np.zeros((4, 3)), w=np.zeros((4, 3)),
-                  uz=np.zeros((4, 4)), ur=np.zeros((3, 4)), u=np.zeros((4, 4)))
+        GruParams(np.zeros(p.param_count() - 1), 4, 3)
     with pytest.raises(ValueError):
-        GruParams(*(np.zeros((4, 3)) for _ in range(3)),
-                  *(np.zeros((4, 4)) for _ in range(3)), bz=np.zeros(4))
+        GruParams(np.zeros(p.param_count()), 4, 3, use_bias=True)

@@ -47,43 +47,42 @@ def test_tanh_is_odd():
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        state = numkit.init_adam(params)
-        numkit.adam_step(params, {"w": np.zeros(3)}, state)
-        npt.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
+        theta = np.array([1.0, -2.0, 3.0])
+        state = numkit.init_adam(theta)
+        numkit.adam_step(theta, np.zeros(3), state)
+        npt.assert_array_equal(theta, [1.0, -2.0, 3.0])
         assert state.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
         for g in (0.5, -3.0, 1e4):
-            params = {"w": np.array([0.0])}
-            state = numkit.init_adam(params, lr=1e-3)
-            numkit.adam_step(params, {"w": np.array([g])}, state)
+            theta = np.array([0.0])
+            state = numkit.init_adam(theta, lr=1e-3)
+            numkit.adam_step(theta, np.array([g]), state)
             expect = -1e-3 * g / (abs(g) + state.eps)
-            npt.assert_allclose(params["w"], [expect], rtol=1e-12)
+            npt.assert_allclose(theta, [expect], rtol=1e-12)
 
     def test_converges_on_quadratic(self):
-        params = {"w": np.array([0.0])}
-        state = numkit.init_adam(params, lr=0.05)
+        theta = np.array([0.0])
+        state = numkit.init_adam(theta, lr=0.05)
         for _ in range(500):
-            grad = {"w": 2.0 * (params["w"] - 3.0)}
-            numkit.adam_step(params, grad, state)
-        assert abs(params["w"][0] - 3.0) < 0.05
+            numkit.adam_step(theta, 2.0 * (theta - 3.0), state)
+        assert abs(theta[0] - 3.0) < 0.05
 
     def test_scale_aware_first_step(self):
         # with eps ~ 0 the first update magnitude is lr for any gradient scale
         for g in (1e-6, 1.0, 1e6):
-            params = {"w": np.array([0.0])}
-            state = numkit.init_adam(params, lr=0.01, eps=1e-300)
-            numkit.adam_step(params, {"w": np.array([g])}, state)
-            npt.assert_allclose(abs(params["w"][0]), 0.01, rtol=1e-9)
+            theta = np.array([0.0])
+            state = numkit.init_adam(theta, lr=0.01, eps=1e-300)
+            numkit.adam_step(theta, np.array([g]), state)
+            npt.assert_allclose(abs(theta[0]), 0.01, rtol=1e-9)
 
     def test_shape_mismatch_raises(self):
-        params = {"w": np.zeros(3)}
-        state = numkit.init_adam(params)
+        theta = np.zeros(3)
+        state = numkit.init_adam(theta)
         with pytest.raises(ValueError):
-            numkit.adam_step(params, {"w": np.zeros(4)}, state)
+            numkit.adam_step(theta, np.zeros(4), state)
         with pytest.raises(ValueError):
-            numkit.adam_step({"x": np.zeros(3)}, {"x": np.zeros(3)}, state)
+            numkit.adam_step(np.zeros(4), np.zeros(4), state)
 
 
 class TestRng:
@@ -133,13 +132,3 @@ def test_xavier_uniform_bounds():
     assert np.all(np.abs(w) <= limit)
     assert np.std(w) > 0
 
-
-def test_flatten_roundtrip():
-    rng = numkit.make_rng(3)
-    params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)}
-    vec, layout = numkit.flatten_params(params)
-    assert vec.size == 10
-    vec2 = vec * 2.0
-    numkit.write_flat_params(params, vec2, layout)
-    npt.assert_array_equal(params["a"].ravel(), vec2[:6])
-    npt.assert_array_equal(params["b"], vec2[6:])

@@ -1,4 +1,6 @@
 import json
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +10,7 @@ import pytest
 from busarrival import seq2seq
 from busarrival.dataprep import DataError, NormStats
 from busarrival.gru import gru_forward
-from busarrival.numkit import (finite_diff_grad, flatten_params, make_rng,
-                               write_flat_params)
+from busarrival.numkit import adam_step, finite_diff_grad, init_adam, make_rng
 from busarrival.seq2seq import (CoverageError, ModelBank, NonFiniteGradientError,
                                 NonFiniteLossError, TrainConfig, bank_layout,
                                 bi_hidden_for_parity, decoder_param_count,
@@ -267,10 +268,9 @@ class TestModelBackward:
         rng = make_rng(11)
         ex = make_example(rng, 4, 10)
         ex.targets[:] = toy_norm.travel_mean  # zero-weight model's prediction
-        l, grads = model_backward(model, ex)
+        l, grad = model_backward(model, ex)
         assert l == 0.0
-        for g in grads.values():
-            npt.assert_array_equal(g, np.zeros_like(g))
+        npt.assert_array_equal(grad, np.zeros_like(model.theta))
 
     @pytest.mark.parametrize("kind,n_s,m,hidden", [("edu", 5, 3, 4),
                                                    ("edb", 6, 3, 3)])
@@ -280,18 +280,9 @@ class TestModelBackward:
         model = new_model(kind, 3, n_s - 1, n_s, rng, hidden_enc=hidden,
                           hidden_dec=hidden, norm=toy_norm)
         ex = make_example(rng, m, n_s)
-        _, grads = model_backward(model, ex)
-        params = model.params()
-        vec, layout = flatten_params(params)
-
-        def f(v):
-            write_flat_params(params, v, layout)
-            return model_loss(model, ex)
-
-        fd = finite_diff_grad(f, vec.copy())
-        write_flat_params(params, vec, layout)
-        analytic, _ = flatten_params(grads)
-        rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
+        _, grad = model_backward(model, ex)
+        fd = finite_diff_grad(lambda _: model_loss(model, ex), model.theta)
+        rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
         assert np.max(rel) < 1e-4
 
     def test_batch_equals_mean_of_examples(self, toy_norm):
@@ -299,13 +290,12 @@ class TestModelBackward:
         model = new_model("edb", 3, 7, 9, rng, hidden_enc=4, hidden_dec=3,
                           norm=toy_norm)
         exs = [make_example(rng, 5, 9, trip_id=i) for i in range(4)]
-        batch_loss, batch_grads = seq2seq._batch_step(model, exs)
+        batch_loss, batch_grad = seq2seq._batch_step(model, exs)
         singles = [model_backward(model, ex) for ex in exs]
         npt.assert_allclose(batch_loss,
                             np.mean([s[0] for s in singles]), atol=1e-12)
-        for k in batch_grads:
-            mean_g = np.mean([s[1][k] for s in singles], axis=0)
-            npt.assert_allclose(batch_grads[k], mean_g, atol=1e-12)
+        npt.assert_allclose(batch_grad, np.mean([s[1] for s in singles], axis=0),
+                            atol=1e-12)
 
     def test_mixed_m_batch_rejected(self, toy_norm):
         model = zero_model("edu", 3, 7, 9, toy_norm)
@@ -313,6 +303,75 @@ class TestModelBackward:
         with pytest.raises(ValueError):
             seq2seq._batch_step(model, [make_example(rng, 4, 9),
                                         make_example(rng, 5, 9)])
+
+
+def reference_adam(params, grads, steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Oracle: Adam with its moments kept per named parameter array."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    for t in range(1, steps + 1):
+        for k, p in params.items():
+            g = grads[t - 1][k]
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v2[k] = b2 * v2[k] + (1.0 - b2) * g * g
+            mhat = m[k] / (1.0 - b1 ** t)
+            vhat = v2[k] / (1.0 - b2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def offsets_in_theta(model):
+    """Element offset of each params() array within ``model.theta``."""
+    base = model.theta.__array_interface__["data"][0]
+    return [(p.__array_interface__["data"][0] - base) // p.itemsize
+            for p in model.params().values()]
+
+
+@pytest.mark.parametrize("kind", ["edu", "edb"])
+@pytest.mark.parametrize("use_bias", [False, True])
+class TestFlatLayout:
+    def model(self, kind, use_bias, norm):
+        return new_model(kind, 3, 7, 10, make_rng(40), hidden_enc=5,
+                         hidden_dec=4, use_bias=use_bias, norm=norm)
+
+    def test_params_are_views_of_theta_in_order(self, kind, use_bias, tmp_path,
+                                                toy_norm):
+        model = self.model(kind, use_bias, toy_norm)
+        save_model_json(model, tmp_path / "m.json")
+        for mo in (model, load_model_json(tmp_path / "m.json"),
+                   pickle.loads(pickle.dumps(model))):
+            params = list(mo.params().values())
+            assert all(p.flags.c_contiguous and np.shares_memory(p, mo.theta)
+                       for p in params)
+            sizes = [p.size for p in params]
+            assert offsets_in_theta(mo) == [0, *np.cumsum(sizes)[:-1]]
+            assert sum(sizes) == mo.theta.size
+            npt.assert_array_equal(mo.theta, model.theta)
+
+    def test_param_name_at_first_and_last_element(self, kind, use_bias, toy_norm):
+        model = self.model(kind, use_bias, toy_norm)
+        params = model.params()
+        for (name, p), off in zip(params.items(), offsets_in_theta(model)):
+            assert model.param_name(off) == name
+            assert model.param_name(off + p.size - 1) == name
+        assert len(params) == {"edu": (14, 22), "edb": (20, 31)}[kind][use_bias]
+
+    def test_flat_adam_matches_per_parameter_reference(self, kind, use_bias,
+                                                       toy_norm):
+        model = self.model(kind, use_bias, toy_norm)
+        ref = {k: v.copy() for k, v in model.params().items()}
+        rng = make_rng(41)
+        flat_grads = [rng.normal(scale=rng.uniform(1e-3, 10.0), size=model.theta.size)
+                      for _ in range(50)]
+        sizes = [p.size for p in ref.values()]
+        grads = [{k: part.reshape(ref[k].shape) for k, part
+                  in zip(ref, np.split(g, np.cumsum(sizes)[:-1]))}
+                 for g in flat_grads]
+        state = init_adam(model.theta, lr=3e-3)
+        for g in flat_grads:
+            adam_step(model.theta, g, state)
+        reference_adam(ref, grads, 50, lr=3e-3)
+        for k, v in model.params().items():
+            assert v.tobytes() == ref[k].tobytes(), k
 
 
 class TestParameterParity:
@@ -390,6 +449,59 @@ class TestTraining:
         vals = [h["val_loss"] for h in history]
         assert mean_loss(model, [val_ex]) == min(vals)
 
+    def test_grad_norm_is_mean_batch_gradient_norm(self, toy_norm):
+        model = new_model("edb", 3, 7, 8, make_rng(33), hidden_enc=4,
+                          hidden_dec=3, norm=toy_norm)
+        rng = make_rng(34)
+        exs = [make_example(rng, 5, 8, trip_id=i) for i in range(3)]
+        want = np.linalg.norm(seq2seq._batch_step(model, exs)[1])
+        history = train_model(model, exs, [], TrainConfig(max_epochs=2),
+                              make_rng(0))           # one batch per epoch
+        assert abs(history[0]["grad_norm"] - want) <= 1e-12 * want
+        assert history[1]["grad_norm"] != history[0]["grad_norm"]
+
+    def test_grad_norm_averages_the_epoch_batches(self, toy_norm, monkeypatch):
+        norms = []
+        batch_step = seq2seq._batch_step
+
+        def recording(model, exs):
+            out = batch_step(model, exs)
+            norms.append(np.linalg.norm(out[1]))
+            return out
+
+        monkeypatch.setattr(seq2seq, "_batch_step", recording)
+        model = new_model("edu", 3, 7, 8, make_rng(33), hidden_enc=4,
+                          hidden_dec=3, norm=toy_norm)
+        rng = make_rng(34)
+        exs = [make_example(rng, m, 8, trip_id=i) for i, m in enumerate((3, 5, 5))]
+        history = train_model(model, exs, [], TrainConfig(batch_size=1, max_epochs=2),
+                              make_rng(0))
+        assert len(norms) == 6 and len(set(norms)) == 6
+        for epoch, entry in enumerate(history):
+            assert entry["grad_norm"] == sum(norms[3 * epoch:3 * epoch + 3]) / 3
+
+    def test_process_pool_matches_serial(self, tmp_path, toy_norm):
+        rng = make_rng(35)
+        exs = [make_example(rng, m, 13, day_index=7 * (i % 3) + 1, trip_id=i)
+               for i, m in enumerate(list(range(3, 13)) * 3)]
+        cfg = TrainConfig(max_epochs=3, hidden_enc=4, hidden_dec_edu=3,
+                          hidden_dec_edb=2, use_bias=True, seed=4)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = train_bank("edb", exs, 13, cfg, pool=pool)
+        serial = train_bank("edb", exs, 13, cfg, pool=None)
+        for result, sub in ((pooled, "pool"), (serial, "serial")):
+            for model in result.bank.models:
+                assert all(np.shares_memory(p, model.theta)
+                           for p in model.params().values())
+            (tmp_path / sub).mkdir()
+            save_bank(result.bank, tmp_path / sub)
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len(names) == 2
+        for name in names:
+            assert ((tmp_path / "pool" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+        assert pooled.histories == serial.histories
+
     def test_skipped_bank_reported(self, toy_norm):
         rng = make_rng(22)
         exs = [make_example(rng, 3, 34, day_index=7, trip_id=i)
@@ -404,21 +516,20 @@ class TestTraining:
         model = new_model("edb", 3, 7, 8, make_rng(30), hidden_enc=4,
                           hidden_dec=3, norm=toy_norm)
         model.w_out[0] = np.nan
-        before = model.clone_weights()
+        before = model.theta.copy()
         rng = make_rng(31)
         exs = [make_example(rng, 4, 8, trip_id=i) for i in range(3)]
         with pytest.raises(NonFiniteLossError,
                            match=r"edb bank m=3-7: .* epoch 0, batch 0"):
             train_model(model, exs, exs, TrainConfig(max_epochs=2), make_rng(0))
-        for k, v in model.params().items():
-            npt.assert_array_equal(v, before[k])
+        npt.assert_array_equal(model.theta, before)
 
     def test_nonfinite_gradient_raises_before_update(self, toy_norm):
         # all-zero states make the prediction exactly 0 whatever w_out is,
         # so the loss stays finite while w_out * dL/dy overflows
         model = zero_model("edu", 3, 7, 8, toy_norm)
         model.w_out[:] = np.finfo(np.float64).max
-        before = model.clone_weights()
+        before = model.theta.copy()
         ex = make_example(make_rng(32), 7, 8)      # K = 1
         ex = replace(ex, targets=np.array([toy_norm.travel_mean
                                            + 3 * toy_norm.travel_std]))
@@ -428,8 +539,7 @@ class TestTraining:
                 match=r"edu bank m=3-7: gradient of enc\.wz is not finite at "
                       r"epoch 0, batch 0"):
             train_model(model, [ex], [], TrainConfig(max_epochs=2), make_rng(0))
-        for k, v in model.params().items():
-            npt.assert_array_equal(v, before[k])
+        npt.assert_array_equal(model.theta, before)
 
     @pytest.mark.parametrize("name, value", [
         ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
@@ -507,6 +617,18 @@ class TestCheckpoints:
             npt.assert_array_equal(predict_example(model, ex),
                                    predict_example(loaded, ex))
 
+    @pytest.mark.parametrize("kind", ["edu", "edb"])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_save_load_save_bytes_identical(self, kind, use_bias, tmp_path,
+                                            toy_norm):
+        model = new_model(kind, 8, 12, 34, make_rng(36), hidden_enc=5,
+                          hidden_dec=3, use_bias=use_bias, norm=toy_norm)
+        model.theta[...] = make_rng(37).normal(size=model.theta.size)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model_json(model, first)
+        save_model_json(load_model_json(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_bank_round_trip(self, tmp_path, toy_norm):
         bank = zero_bank("edu", 10, toy_norm)
         save_bank(bank, tmp_path)
@@ -537,6 +659,10 @@ class TestCheckpoints:
         lambda doc: doc["weights"]["enc"]["u"].update({"shape": [4, 2]}),
         lambda doc: doc["weights"]["embed.w"]["data"].__setitem__(0, float("nan")),
         lambda doc: doc["norm"].update({"travel_std": 0.0}),
+        # blocks the saved kind and use_bias do not have
+        lambda doc: doc["weights"].update({"dec_bwd": doc["weights"]["dec_fwd"]}),
+        lambda doc: doc["weights"]["enc"].update({"bz": [0.0] * 4}),
+        lambda doc: doc["weights"].update({"out.b": [0.0]}),
     ])
     def test_malformed_checkpoint_names_path(self, tmp_path, toy_norm, corrupt):
         model = new_model("edu", 3, 7, 10, make_rng(29), hidden_enc=4,
