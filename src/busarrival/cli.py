@@ -247,9 +247,11 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_predict(args, cfg: dict) -> int:
     route = _route(cfg)
-    dataset = dataprep.load_trips_csv(args.trips, route)
-    if args.trip_id not in dataset.by_id:
+    # the example reads only the trip's own day and the day a week before
+    day = dataprep.trip_day(args.trips, args.trip_id)
+    if day is None:
         raise ValueError(f"unknown trip id {args.trip_id}")
+    dataset = dataprep.load_trips_csv(args.trips, route, days={day, day - 7})
     bank = seq2seq.load_bank(args.checkpoints, args.kind, route.n_sections)
     trip = dataset.by_id[args.trip_id]
     pw = dataprep.closest_prev_week_trip(dataset, trip.day_index,

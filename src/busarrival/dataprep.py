@@ -487,17 +487,41 @@ def save_trips_csv(trips: list[TripRecord], path) -> None:
                             f"{t.entry(sec):.6f}", f"{t.travel(sec):.6f}"])
 
 
-def load_trips_csv(path, route: RouteSpec) -> TripDataset:
+def _trip_rows(f):
+    """(line number, row) of each data row of an open trips CSV, after
+    checking its header."""
+    reader = csv.reader(f)
+    header = next(reader, None)
+    if header != TRIP_CSV_HEADER:
+        raise DataError(f"unexpected trip CSV header: {header}")
+    return enumerate(reader, start=2)
+
+
+def trip_day(path, trip_id: int) -> int | None:
+    """Day of the first row of ``trip_id`` in a trips CSV, None when no row
+    has that id; reads no further than each row's id and day."""
+    with open(path, newline="") as f:
+        for lineno, row in _trip_rows(f):
+            try:
+                if int(row[0]) == trip_id:
+                    return int(row[1])
+            except (ValueError, IndexError) as e:
+                raise DataError(f"{path}: malformed row {lineno}: {row}") from e
+    return None
+
+
+def load_trips_csv(path, route: RouteSpec, days=None) -> TripDataset:
+    """The trips of a trips CSV, or only those of ``days`` when given: rows
+    of other days are read no further than their day, and every check
+    applies to the rows kept."""
     rows: dict[int, dict] = {}
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != TRIP_CSV_HEADER:
-            raise DataError(f"unexpected trip CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _trip_rows(f):
             try:
-                trip_id, day, weekday, sec = (int(row[0]), int(row[1]),
-                                              int(row[2]), int(row[3]))
+                day = int(row[1])
+                if days is not None and day not in days:
+                    continue
+                trip_id, weekday, sec = int(row[0]), int(row[2]), int(row[3])
                 entry, travel = float(row[4]), float(row[5])
             except (ValueError, IndexError) as e:
                 raise DataError(f"{path}: malformed row {lineno}: {row}") from e

@@ -19,14 +19,22 @@ arXiv:1604.01946). :class:`GruParams` stacks the gates: ``w_stack``
 ``theta`` and the nine named arrays are row views into them, so
 checkpoints still see six matrices. The input projections of all steps
 are one batched product and ``W_ctx ctx`` is computed once per chain.
-Each step makes one ``u_stack @ h_prev`` product forward and one
-``u_stack.T @ delta`` back; z, r and h_tilde are computed in place in the
-(T, 3H, B) projection block, which is the cache, and ``h_prev`` is read
-from the states array. Backward writes the weight gradients into a
-GruParams laid out as the weights, so a caller can hand it views into its
-own flat gradient vector. Weight gradients are single
-contractions over steps and batch. The only input gradient is the one on
-``ctx``, ``W_ctx^T sum_t delta_t``: the per-step inputs are data.
+Each step makes only in-place numpy calls into buffers allocated once per
+call: one ``u_stack @ h_prev`` product into a (3H, B) buffer forward and
+one ``u_stack.T @ delta`` into ``dh`` back, with the gate activations
+(``sigmoid(x, out=x)``, ``tanh``) written over their pre-activations. z, r
+and h_tilde live in the (T, 3H, B) projection block, which is the cache,
+and ``h_prev`` is read from the states array. Backward carves its (T, ., B)
+work blocks (the per-gate deltas, dL/dh per step, the derivative factors
+and the transposed copies the ``u_stack`` gradient contracts) out of one
+grow-only flat buffer per thread, reused across calls so that they are not
+re-allocated and re-faulted every call; the states, the cache, dL/dh0,
+dL/dctx and the weight gradients never come from it.
+Backward writes the weight gradients into a GruParams laid out as the
+weights, so a caller can hand it views into its own flat gradient vector.
+Weight gradients are single contractions over steps and batch. The only
+input gradient is the one on ``ctx``, ``W_ctx^T sum_t delta_t``: the
+per-step inputs are data.
 
 Arrays are column batches: ``xs`` is (T, D_x, B), ``h0`` (H, B), ``ctx``
 (C, B) with D_x + C = D, the states (T, H, B), ``states[t]`` being the
@@ -36,11 +44,31 @@ summed over the batch, so scaled upstream gradients give mean-loss ones.
 
 from __future__ import annotations
 
+import itertools
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import dsigmoid_from_output, dtanh_from_output, sigmoid, xavier_uniform
+from .numkit import sigmoid, xavier_uniform
+
+
+# per thread, because threads may run chains at once (train_bank's pool);
+# not per GruParams, which would keep a buffer alive in every trained model
+_scratch = threading.local()
+
+
+def _scratch_blocks(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Contiguous blocks of the given shapes, carved one after another out
+    of this thread's grow-only work buffer; they hold garbage and are
+    overwritten by the thread's next call."""
+    sizes = [math.prod(s) for s in shapes]
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < sum(sizes):
+        buf = _scratch.buf = np.empty(sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [buf[i:i + n].reshape(s) for i, n, s in zip(starts, sizes, shapes)]
 
 
 def gru_size(hidden: int, inp: int, use_bias: bool = False) -> int:
@@ -157,18 +185,24 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
         gates += params.b_stack[:, None]
     hs = np.empty((n + 1, hid, b))
     hs[n if reverse else 0] = h0
+    rec = np.empty((3 * hid, b))
+    rec_z, rec_cand = rec[:hid], rec[2 * hid:]
+    u_stack = params.u_stack
     out = 0 if reverse else 1       # hs[t + out] is the state after step t
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
         h_prev, h, g = hs[t + 1 - out], hs[t + out], gates[t]
-        rec = params.u_stack @ h_prev
+        np.matmul(u_stack, h_prev, out=rec)
         zr = g[:2 * hid]
         zr += rec[:2 * hid]
-        zr[...] = sigmoid(zr)
+        sigmoid(zr, out=zr)
+        rec_cand *= zr[hid:]
         cand = g[2 * hid:]
-        cand += zr[hid:] * rec[2 * hid:]
+        cand += rec_cand
         np.tanh(cand, out=cand)
         np.multiply(zr[:hid], h_prev, out=h)
-        h += (1.0 - zr[:hid]) * cand
+        np.subtract(1.0, zr[:hid], out=rec_z)
+        rec_z *= cand
+        h += rec_z
     cache = GruCache(xs=xs, ctx=ctx, gates=gates, hs=hs, reverse=reverse)
     return cache.states, cache
 
@@ -194,26 +228,40 @@ def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray,
     # per gate and step, dL/d(pre-activation) = dL/dh * delta, built in place;
     # the candidate rows hold the gradient on U h_prev until the loop ends,
     # then the one on the input projection, which lacks the factor r
-    delta = np.empty((n, 3, hid, b))
-    d_z, d_r, d_cand = delta[:, 0], delta[:, 1], delta[:, 2]
-    dcand = 1.0 - z
+    delta, dcand, dh_all, tmp, delta_t = _scratch_blocks(
+        (n, 3 * hid, b), (n, hid, b), (n, hid, b), (n, hid, b), (3 * hid, n, b))
+    gate_delta = delta.reshape(n, 3, hid, b)
+    d_z, d_r, d_cand = gate_delta[:, 0], gate_delta[:, 1], gate_delta[:, 2]
+    np.subtract(1.0, z, out=dcand)
     np.subtract(h_prev, h_tilde, out=d_z)
     d_z *= z
     d_z *= dcand
-    dcand *= dtanh_from_output(h_tilde)
+    np.multiply(h_tilde, h_tilde, out=tmp)      # tanh' = 1 - h_tilde^2
+    np.subtract(1.0, tmp, out=tmp)
+    dcand *= tmp
     np.matmul(params.u, h_prev, out=d_r)
     d_r *= dcand
-    d_r *= dsigmoid_from_output(r)
+    np.subtract(1.0, r, out=tmp)                # sigmoid' = r (1 - r)
+    tmp *= r
+    d_r *= tmp
     np.multiply(dcand, r, out=d_cand)
-    dh_all = np.empty_like(dstates)
     dh = np.zeros((hid, b))
+    zdh = tmp[0]
     u_t = params.u_stack.T
     for t in (range(n) if cache.reverse else range(n - 1, -1, -1)):
-        np.add(dh, dstates[t], out=dh_all[t])
-        delta[t] *= dh_all[t]
-        dh = dh_all[t] * z[t] + u_t @ delta[t].reshape(3 * hid, b)
-    delta = delta.reshape(n, 3 * hid, b)
-    out.u_stack[...] = np.tensordot(delta, h_prev, axes=([0, 2], [0, 2]))
+        dh_t = dh_all[t]
+        np.add(dh, dstates[t], out=dh_t)
+        gate_delta[t] *= dh_t
+        np.multiply(dh_t, z[t], out=zdh)
+        np.matmul(u_t, delta[t], out=dh)
+        dh += zdh
+    # the contraction over steps and batch as one product of (3H, T B) by
+    # (T B, H) copies, which is what np.tensordot does in fresh arrays
+    h_prev_t = tmp.reshape(n, b, hid)
+    np.copyto(delta_t, delta.transpose(1, 0, 2))
+    np.copyto(h_prev_t, h_prev.transpose(0, 2, 1))
+    np.dot(delta_t.reshape(3 * hid, n * b), h_prev_t.reshape(n * b, hid),
+           out=out.u_stack)
     np.multiply(dh_all, dcand, out=d_cand)
     d = cache.xs.shape[1]
     g_w = out.w_stack

@@ -12,25 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def sigmoid(x):
-    """Numerically stable logistic function; saturates instead of overflowing.
+def sigmoid(x, out=None):
+    """Logistic function 1 / (1 + exp(-x)), written into ``out`` when given
+    (``out=x`` computes in place) and into a new array otherwise.
 
-    Branch-free: with e = exp(-|x|) <= 1 it is 1 / (1 + e) for x >= 0 and
-    e / (1 + e) below, the two overflow-free forms, bit for bit.
+    Five in-place ufunc calls and no temporaries. The exponent is capped at
+    709, so exp never overflows: x below -709 gives a tiny positive value,
+    not 0, and large positive x gives 1.
     """
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def dsigmoid_from_output(s):
-    """Derivative of the logistic function expressed via its output s."""
-    return s * (1.0 - s)
-
-
-def dtanh_from_output(t):
-    """Derivative of tanh expressed via its output t."""
-    return 1.0 - t * t
+    if out is None:
+        x = out = np.array(x, dtype=np.float64)
+    np.negative(x, out=out)
+    np.minimum(out, 709.0, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def make_rng(seed: int) -> np.random.Generator:

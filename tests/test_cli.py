@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from busarrival import cli
+from busarrival import cli, dataprep, seq2seq
 from busarrival.dataprep import (RouteSpec, example_key, load_examples_jsonl,
                                  load_trips_csv)
 
@@ -385,6 +385,49 @@ class TestPredict:
         assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4,
                             "--tc", 100) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 4
+
+    @pytest.mark.parametrize("kind", ["edu", "edb"])
+    def test_output_matches_whole_file_load(self, tiny_config, sim_dir,
+                                            ckpt_dir, capsys, kind):
+        # predict keeps only the query trip's day and the day a week before;
+        # its output must be what the example built from every trip gives
+        full = load_trips_csv(sim_dir / "trips.csv", RouteSpec(8, 500.0))
+        bank = seq2seq.load_bank(ckpt_dir, kind, 8)
+        for trip_id, m in ((14001, 4), (7003, 3), (14004, 6)):
+            trip = full.by_id[trip_id]
+            pw = dataprep.closest_prev_week_trip(full, trip.day_index,
+                                                 trip.start_time)
+            for tc in (None, trip.entry(m + 1) - 200.0):
+                ex = dataprep.build_example(full, trip, m, pw, tc,
+                                            "previous_week")
+                r = seq2seq.predict(bank, ex)
+                expect = "section,predicted_travel_s,cumulative_s,arrival_s\n"
+                expect += "".join(
+                    f"{sec},{z:.3f},{c:.3f},{a:.3f}\n" for sec, z, c, a in
+                    zip(r.sections, r.travel_s, r.cumulative_s, r.arrival_s))
+                extra = ["--kind", kind] + ([] if tc is None else ["--tc", repr(tc)])
+                assert self.predict(tiny_config, ckpt_dir, sim_dir, trip_id, m,
+                                    *extra) == 0
+                assert capsys.readouterr().out == expect
+
+    def test_rows_of_other_days_are_not_read(self, tmp_path, tiny_config,
+                                             sim_dir, ckpt_dir, capsys):
+        lines = (sim_dir / "trips.csv").read_text().splitlines(keepends=True)
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 0
+        plain = capsys.readouterr().out
+        # a malformed row on day 1 is not read; one on day 7 is
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for day, code in ((1, 0), (7, 2)):
+            row = next(i for i, line in enumerate(lines)
+                       if line.split(",")[1] == str(day))
+            fields = lines[row].split(",")
+            fields[4] = "not-a-time"
+            (broken / "trips.csv").write_text(
+                "".join(lines[:row] + [",".join(fields)] + lines[row + 1:]))
+            assert self.predict(tiny_config, ckpt_dir, broken, 14001, 4) == code
+            out, err = capsys.readouterr()
+            assert (out == plain) if code == 0 else f"malformed row {row + 1}" in err
 
     def test_malformed_checkpoint_reports_path(self, tiny_config, sim_dir,
                                                ckpt_dir, capsys):

@@ -1,7 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from busarrival import gru
 from busarrival.gru import GruParams, gru_backward, gru_forward, init_gru
 from busarrival.numkit import finite_diff_grad, make_rng, sigmoid
 
@@ -267,6 +271,69 @@ def test_sequence_kernel_matches_per_step_oracle(steps, batch, reverse,
         assert_rel_close(dctx, want_dctx)
     else:
         assert dctx is None
+
+
+@pytest.mark.parametrize("shapes", [((7, 32), (3, 5)), ((4, 6), (4, 6))])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_interleaved_calls_match_fresh_calls(shapes, reverse):
+    # forward A, forward B, backward B, backward A on one GruParams, against
+    # each batch run alone; (T, B) differ in the first case, not the second
+    rng = make_rng(31)
+    hidden, d_x, d_ctx = 5, 3, 4
+    p = init_gru(rng, hidden, d_x + d_ctx, use_bias=True)
+    batches = [(rng.normal(size=(hidden, b)), rng.normal(size=(t, d_x, b)),
+                rng.normal(size=(d_ctx, b)), rng.normal(size=(t, hidden, b)))
+               for t, b in shapes]
+
+    def fresh(h0, xs, ctx, dstates):
+        states, cache = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse)
+        g, dh0, dctx = gru_backward(p, cache, dstates)
+        return [a.copy() for a in (states, g.theta, dh0, dctx)]
+
+    want = [fresh(*batch) for batch in batches]
+    buf = gru._scratch.buf              # at its largest size from here on
+    forwards = [gru_forward(p, h0, xs, ctx=ctx, reverse=reverse)
+                for h0, xs, ctx, _ in batches]
+    backwards = {i: gru_backward(p, forwards[i][1], batches[i][3])
+                 for i in (1, 0)}
+    got = [[forwards[i][0], backwards[i][0].theta, backwards[i][1],
+            backwards[i][2], forwards[i][1].gates, forwards[i][1].hs]
+           for i in (0, 1)]
+    kept = [[a.copy() for a in arrays] for arrays in got]
+    for batch in batches:
+        fresh(*batch)
+    assert gru._scratch.buf is buf
+    for arrays, expect, before in zip(got, want, kept):
+        for a, w in zip(arrays, expect):
+            assert a.tobytes() == w.tobytes()
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(a, buf)
+
+
+def test_threads_keep_their_own_work_buffers():
+    # more threads than cores, switching often: a buffer shared between
+    # threads would mix one chain's deltas into another's gradients
+    rng = make_rng(41)
+    p = init_gru(rng, 6, 5)
+    jobs = [(rng.normal(size=(6, b)), rng.normal(size=(t, 5, b)),
+             rng.normal(size=(t, 6, b))) for t, b in ((9, 8), (4, 3), (12, 5))]
+
+    def run(job):
+        h0, xs, dstates = job
+        _, cache = gru_forward(p, h0, xs)
+        g, dh0, _ = gru_backward(p, cache, dstates)
+        return g.theta.tobytes() + dh0.tobytes()
+
+    want = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(run, jobs * 40, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 40
 
 
 def test_stacked_gates_are_views():

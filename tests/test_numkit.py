@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -38,6 +40,43 @@ class TestSigmoid:
         got = numkit.sigmoid(x)
         assert np.all(got > 0)
         assert np.max(np.abs(got - masked) / masked) <= 1e-15
+
+
+class TestSigmoidContract:
+    def test_in_place_equals_fresh_bitwise(self):
+        x = numkit.make_rng(3).uniform(-800, 800, size=(7, 33))
+        fresh = numkit.sigmoid(x.copy())
+        assert numkit.sigmoid(x, out=x) is x
+        assert x.tobytes() == fresh.tobytes()
+
+    def test_scalar_and_zero_d_inputs(self):
+        # x >= 0 takes the 1 / (1 + exp(-x)) form the branch-free one used
+        assert numkit.sigmoid(0.0) == 0.5
+        assert numkit.sigmoid(np.float64(2.0)) == 1.0 / (1.0 + np.exp(-2.0))
+        assert numkit.sigmoid(np.array(3.0)) == 1.0 / (1.0 + np.exp(-3.0))
+        e = np.exp(-1.5)
+        assert abs(numkit.sigmoid(-1.5) - e / (1.0 + e)) <= 1e-15 * e / (1.0 + e)
+        npt.assert_array_equal(numkit.sigmoid([0.0, 2.0, -1.5]),
+                               numkit.sigmoid(np.array([0.0, 2.0, -1.5])))
+
+    def test_extremes_finite_and_positive_under_error_filter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numkit.sigmoid(np.array([-1e308, 1e308]))
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        assert got[1] == 1.0
+
+    def test_nothing_warns(self):
+        x = np.concatenate([[-np.inf, -1e308, -746.0, -710.0, 0.0, 710.0,
+                             1e308, np.inf], np.linspace(-800, 800, 1001)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            numkit.sigmoid(x)
+            numkit.sigmoid(x.copy(), out=np.empty_like(x))
+            for v in (-1e308, 0.0, 1e308):
+                numkit.sigmoid(v)
+                numkit.sigmoid(np.array(v))
+        assert caught == []
 
 
 def test_tanh_is_odd():

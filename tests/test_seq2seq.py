@@ -1,6 +1,6 @@
 import json
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -480,13 +480,14 @@ class TestTraining:
         for epoch, entry in enumerate(history):
             assert entry["grad_norm"] == sum(norms[3 * epoch:3 * epoch + 3]) / 3
 
-    def test_process_pool_matches_serial(self, tmp_path, toy_norm):
+    @staticmethod
+    def check_pool_matches_serial(tmp_path, pool):
         rng = make_rng(35)
         exs = [make_example(rng, m, 13, day_index=7 * (i % 3) + 1, trip_id=i)
                for i, m in enumerate(list(range(3, 13)) * 3)]
         cfg = TrainConfig(max_epochs=3, hidden_enc=4, hidden_dec_edu=3,
                           hidden_dec_edb=2, use_bias=True, seed=4)
-        with ProcessPoolExecutor(max_workers=2) as pool:
+        with pool:
             pooled = train_bank("edb", exs, 13, cfg, pool=pool)
         serial = train_bank("edb", exs, 13, cfg, pool=None)
         for result, sub in ((pooled, "pool"), (serial, "serial")):
@@ -501,6 +502,14 @@ class TestTraining:
             assert ((tmp_path / "pool" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes())
         assert pooled.histories == serial.histories
+
+    def test_process_pool_matches_serial(self, tmp_path, toy_norm):
+        self.check_pool_matches_serial(tmp_path, ProcessPoolExecutor(max_workers=2))
+
+    def test_thread_pool_matches_serial(self, tmp_path, toy_norm):
+        # two banks train at once in one process, each thread on its own
+        # gru work buffer
+        self.check_pool_matches_serial(tmp_path, ThreadPoolExecutor(max_workers=2))
 
     def test_skipped_bank_reported(self, toy_norm):
         rng = make_rng(22)
