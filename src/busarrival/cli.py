@@ -185,6 +185,18 @@ def _kinds(kind_flag: str) -> list[str]:
     return [seq2seq.KIND_EDU, seq2seq.KIND_EDB] if kind_flag == "both" else [kind_flag]
 
 
+def _run_summary(history: list[dict], patience: int) -> dict:
+    """One bank's training run: epochs run, why training stopped, the best
+    epoch (None without validation) and each epoch's gradient norm."""
+    vals = [h["val_loss"] for h in history]
+    best = None if vals[0] is None else int(np.argmin(vals))
+    # training stops once `patience` epochs have passed without improvement
+    stopped = ("patience" if best is not None and len(vals) - 1 - best >= patience
+               else "max_epochs")
+    return {"epochs": len(history), "stopped": stopped, "best_epoch": best,
+            "grad_norm": [h["grad_norm"] for h in history]}
+
+
 def cmd_train(args, cfg: dict) -> int:
     route = _route(cfg)
     tcfg = _train_config(cfg)
@@ -212,13 +224,22 @@ def cmd_train(args, cfg: dict) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     loss_rows = []
+    runs = {}
     pool = None
     if args.threads > 1:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.threads)
     try:
         for kind in _kinds(args.kind):
+            start = time.perf_counter()
             result = seq2seq.train_bank(kind, train_ex, route.n_sections,
                                         tcfg, pool=pool)
+            wall = time.perf_counter() - start
+            trained = sum(len(h) * result.examples[r]
+                          for r, h in result.histories.items())
+            runs[kind] = {"wall_s": wall, "examples_per_s": trained / wall,
+                          "banks": {f"{lo}-{hi}": _run_summary(h, tcfg.patience)
+                                    for (lo, hi), h in sorted(result.histories.items())
+                                    if h}}
             outputs.extend(seq2seq.save_bank(result.bank, args.out))
             for (m_lo, m_hi), history in sorted(result.histories.items()):
                 for h in history:
@@ -240,7 +261,7 @@ def cmd_train(args, cfg: dict) -> int:
         w.writerows(loss_rows)
     outputs.append(loss_path)
     _write_manifest(args.out, "train", cfg, outputs, held_out_week=held_out,
-                    validation_week=validation_week)
+                    validation_week=validation_week, training=runs)
     print(f"train: wrote {len(outputs) - 1} checkpoints -> {args.out}")
     return 0
 

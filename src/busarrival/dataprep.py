@@ -157,6 +157,11 @@ class TrainingExample:
         if (self.prev_trip_ids.shape != (*lead, k)
                 or self.fallback_mask.shape != (*lead, k)):
             raise DataError("previous-trip ids / fallback mask shape mismatch")
+        t_c = np.asarray(self.t_c)
+        bad = t_c[~((t_c >= 0) & (t_c < SECONDS_PER_DAY))]      # NaN too
+        if bad.size:
+            raise DataError(f"query time T_c must be finite and lie in "
+                            f"[0, 86400), got {bad.flat[0]}")
         # array methods, not np.all/np.any: this runs once per loaded example
         for arr in (self.enc, self.dec, self.targets):
             if not np.isfinite(arr).all():
@@ -166,7 +171,7 @@ class TrainingExample:
         entries = self.dec[..., [DEC_TE_PV, DEC_TE_PW]]
         if (entries < 0).any() or (entries >= SECONDS_PER_DAY).any():
             raise DataError("entry times must lie in [0, 86400)")
-        if ((self.dec[..., DEC_TE_PV] >= np.asarray(self.t_c)[..., None])
+        if ((self.dec[..., DEC_TE_PV] >= t_c[..., None])
                 & ~self.fallback_mask).any():
             raise DataError("previous-bus entry time not before T_c")
 
@@ -448,13 +453,11 @@ def fit_normalizer(examples: list[TrainingExample]) -> NormStats:
     """Pool travel-time and time-of-day statistics over training examples."""
     if len(examples) < 2:
         raise ValueError("need at least 2 examples to fit a normalizer")
-    travel = np.concatenate([np.concatenate([ex.enc.ravel(),
-                                             ex.dec[:, DEC_Z_PV],
-                                             ex.dec[:, DEC_Z_PW],
-                                             ex.targets]) for ex in examples])
-    tod = np.concatenate([np.concatenate([ex.dec[:, DEC_TE_PV],
-                                          ex.dec[:, DEC_TE_PW],
-                                          [ex.t_c]]) for ex in examples])
+    # the pieces in example order, which fixes the bits of the mean and std
+    travel = np.concatenate([piece for ex in examples for piece in (
+        ex.enc.ravel(), ex.dec[:, DEC_Z_PV], ex.dec[:, DEC_Z_PW], ex.targets)])
+    tod = np.concatenate([piece for ex in examples for piece in (
+        ex.dec[:, DEC_TE_PV], ex.dec[:, DEC_TE_PW], [ex.t_c])])
     std = float(np.std(travel))
     if std == 0.0:
         warnings.warn("zero-variance travel times; clamping std to 1")

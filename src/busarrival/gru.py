@@ -16,8 +16,8 @@ The kernel runs whole chains (Appleyard, Kocisky & Blunsom,
 arXiv:1604.01946). :class:`GruParams` stacks the gates: ``w_stack``
 (3H x D) holds rows [Wz; Wr; W], ``u_stack`` (3H x H) [Uz; Ur; U],
 ``b_stack`` [bz; br; b]; all three are views into one flat vector
-``theta`` and the nine named arrays are row views into them, so
-checkpoints still see six matrices. The input projections of all steps
+``theta``, and the nine named arrays, row views into them made when read,
+let checkpoints still see six matrices. The input projections of all steps
 are one batched product and ``W_ctx ctx`` is computed once per chain.
 Each step makes only in-place numpy calls into buffers allocated once per
 call: one ``u_stack @ h_prev`` product into a (3H, B) buffer forward and
@@ -53,6 +53,9 @@ import numpy as np
 
 from .numkit import sigmoid, xavier_uniform
 
+
+# the named gate views of each stack in GruParams.w_stack, u_stack, b_stack
+_GATE_NAMES = (("wz", "wr", "w"), ("uz", "ur", "u"), ("bz", "br", "b"))
 
 # per thread, because threads may run chains at once (train_bank's pool);
 # not per GruParams, which would keep a buffer alive in every trained model
@@ -92,10 +95,13 @@ class GruParams:
         self.w_stack = theta[:n_w].reshape(3 * hidden, inp)
         self.u_stack = theta[n_w:n_w + n_u].reshape(3 * hidden, hidden)
         self.b_stack = theta[n_w + n_u:] if use_bias else None
-        self.wz, self.wr, self.w = np.split(self.w_stack, 3)
-        self.uz, self.ur, self.u = np.split(self.u_stack, 3)
-        self.bz, self.br, self.b = (np.split(self.b_stack, 3) if use_bias
-                                    else (None, None, None))
+
+    def __getattr__(self, name: str):
+        # the named gate views wz, wr, w, uz, ur, u, bz, br and b, made only
+        # when read (None for biases the chain does not have)
+        if name in itertools.chain(*_GATE_NAMES):
+            return self.as_dict().get(name)
+        raise AttributeError(name)
 
     @property
     def hidden_size(self) -> int:
@@ -110,12 +116,11 @@ class GruParams:
         return self.b_stack is not None
 
     def as_dict(self, prefix: str = "") -> dict:
-        d = {prefix + "wz": self.wz, prefix + "wr": self.wr, prefix + "w": self.w,
-             prefix + "uz": self.uz, prefix + "ur": self.ur, prefix + "u": self.u}
-        if self.use_bias:
-            d.update({prefix + "bz": self.bz, prefix + "br": self.br,
-                      prefix + "b": self.b})
-        return d
+        """The named gate views in order wz, wr, w, uz, ur, u[, bz, br, b]."""
+        stacks = (self.w_stack, self.u_stack, self.b_stack)
+        return {prefix + name: view for names, stack in zip(_GATE_NAMES, stacks)
+                if stack is not None
+                for name, view in zip(names, np.split(stack, 3))}
 
     def param_count(self) -> int:
         return self.theta.size
@@ -125,10 +130,9 @@ def init_gru(rng: np.random.Generator, hidden: int, inp: int,
              use_bias: bool = False) -> GruParams:
     """Glorot-uniform GRU parameters, biases zero when enabled."""
     p = GruParams(np.zeros(gru_size(hidden, inp, use_bias)), hidden, inp, use_bias)
-    for mat in (p.wz, p.wr, p.w):
-        mat[...] = xavier_uniform(rng, hidden, inp)
-    for mat in (p.uz, p.ur, p.u):
-        mat[...] = xavier_uniform(rng, hidden, hidden)
+    for stack, cols in ((p.w_stack, inp), (p.u_stack, hidden)):
+        for mat in np.split(stack, 3):
+            mat[...] = xavier_uniform(rng, hidden, cols)
     return p
 
 
@@ -239,7 +243,7 @@ def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray,
     np.multiply(h_tilde, h_tilde, out=tmp)      # tanh' = 1 - h_tilde^2
     np.subtract(1.0, tmp, out=tmp)
     dcand *= tmp
-    np.matmul(params.u, h_prev, out=d_r)
+    np.matmul(params.u_stack[2 * hid:], h_prev, out=d_r)
     d_r *= dcand
     np.subtract(1.0, r, out=tmp)                # sigmoid' = r (1 - r)
     tmp *= r

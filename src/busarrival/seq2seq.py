@@ -16,6 +16,11 @@ through one linear+tanh embed and (b) is appended to every decoder step
 input alongside that section's four exogenous values. A linear map turns
 each decoder state into one normalized travel time.
 
+Examples reach the model as blocks: the normalized inputs and targets of
+examples at one position m, one column per example. Training stacks and
+checks each m's examples once and gathers every minibatch out of a block;
+a single query is a block of one.
+
 Positions m are covered by a bank of models, 5 consecutive positions per
 model starting at m=3 (the last bank absorbs any remainder). Decoder hidden
 sizes default to 32 (EDU) and 19 per direction (EDB), which keeps the EDB
@@ -226,32 +231,63 @@ def new_model(kind: str, m_lo: int, m_hi: int, n_sections: int,
 
 
 # ---------------------------------------------------------------------------
-# Forward and backward passes (batched over examples that share m; B may be 1)
+# Forward and backward passes over blocks (examples that share m, one column
+# each): a minibatch is gathered out of a block, a query is a block of one
 
-def _normalize_batch(model: EdModel, exs: list[TrainingExample]):
+@dataclass
+class Block:
+    """N examples at position m, normalized for a model and stacked column
+    per example: enc (m, 2, N), dec (K, 4, N), t_c (N,), targets (K, N)."""
+
+    m: int
+    enc: np.ndarray
+    dec: np.ndarray
+    t_c: np.ndarray
+    targets: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.t_c.size
+
+    def take(self, cols) -> "Block":
+        """The examples at ``cols``, in that order, in contiguous arrays."""
+        return Block(self.m, *(a.take(cols, axis=-1) for a in
+                               (self.enc, self.dec, self.t_c, self.targets)))
+
+
+def stack_block(model: EdModel, exs: list[TrainingExample]) -> Block:
+    """One block of ``exs``, which must share one m inside the model's bank."""
     m = exs[0].m
     if any(ex.m != m for ex in exs):
-        raise ValueError("a forward batch must share one current position m")
+        raise ValueError("a block must share one current position m")
     if any(ex.enc.shape != (m, 2) or ex.dec.shape != (ex.k, 4) for ex in exs):
         raise ValueError(f"examples need an ({m}, 2) encoder sequence and a "
                          "(K, 4) decoder sequence for K targets")
+    if exs[0].k < 1:
+        raise ValueError("decoder needs at least one step; empty queries "
+                         "should not reach the model")
     if not model.m_lo <= m <= model.m_hi:
         raise CoverageError(f"position m={m} outside model bank "
                             f"[{model.m_lo}, {model.m_hi}]")
     norm = model.norm
-    enc = np.stack([ex.enc for ex in exs], axis=2)        # (m, 2, B)
-    dec = np.stack([ex.dec for ex in exs], axis=2)        # (K, 4, B)
-    enc_n = norm.norm_travel(enc)
+    enc = np.stack([ex.enc for ex in exs], axis=2)        # (m, 2, N)
+    dec = np.stack([ex.dec for ex in exs], axis=2)        # (K, 4, N)
+    if not (np.isfinite(enc).all() and np.isfinite(dec).all()):
+        raise ValueError("unresolved (non-finite) inputs")
     dec_n = np.empty_like(dec)
     dec_n[:, DEC_Z_PV] = norm.norm_travel(dec[:, DEC_Z_PV])
     dec_n[:, DEC_Z_PW] = norm.norm_travel(dec[:, DEC_Z_PW])
     dec_n[:, DEC_TE_PV] = norm.norm_tod(dec[:, DEC_TE_PV])
     dec_n[:, DEC_TE_PW] = norm.norm_tod(dec[:, DEC_TE_PW])
     tc_n = norm.norm_tod(np.array([ex.t_c for ex in exs]))
-    onehot = np.zeros(model.bank_width)
-    onehot[m - model.m_lo] = 1.0
     targets_n = norm.norm_travel(np.stack([ex.targets for ex in exs], axis=1))
-    return enc_n, dec_n, onehot, tc_n, targets_n
+    return Block(m, norm.norm_travel(enc), dec_n, tc_n, targets_n)
+
+
+def stack_blocks(model: EdModel, examples: list[TrainingExample]) -> list[Block]:
+    """One block per position m of ``examples``, in order of first appearance."""
+    return [stack_block(model, [ex for ex in examples if ex.m == m])
+            for m in dict.fromkeys(ex.m for ex in examples)]
 
 
 def _embed(model: EdModel, e_a: np.ndarray) -> np.ndarray:
@@ -261,37 +297,33 @@ def _embed(model: EdModel, e_a: np.ndarray) -> np.ndarray:
     return np.tanh(s)
 
 
-def _forward(model: EdModel, exs: list[TrainingExample]):
-    """Normalized predictions (K, B) and targets for a same-m batch, plus the
-    intermediates :func:`_batch_step` backpropagates through.
+def _forward(model: EdModel, blk: Block):
+    """Normalized predictions (K, N) for a block, plus the intermediates
+    :func:`_batch_step` backpropagates through.
 
     The context ``e_a`` is [final encoder state; one-hot(m); normalized T_c].
     """
-    enc_n, dec_n, onehot, tc_n, targets_n = _normalize_batch(model, exs)
-    k, _, b = dec_n.shape
-    if k < 1:
-        raise ValueError("decoder needs at least one step; empty queries "
-                         "should not reach the model")
     enc_states, enc_cache = gru_forward(
-        model.enc, np.zeros((model.hidden_enc, b)), enc_n)
-    e_a = np.concatenate([enc_states[-1], np.repeat(onehot[:, None], b, axis=1),
-                          tc_n[None, :]], axis=0)
+        model.enc, np.zeros((model.hidden_enc, blk.n)), blk.enc)
+    onehot = np.zeros((model.bank_width, blk.n))
+    onehot[blk.m - model.m_lo] = 1.0
+    e_a = np.concatenate([enc_states[-1], onehot, blk.t_c[None, :]], axis=0)
     h0 = _embed(model, e_a)
-    states, fwd_cache = gru_forward(model.dec_fwd, h0, dec_n, ctx=e_a)
+    states, fwd_cache = gru_forward(model.dec_fwd, h0, blk.dec, ctx=e_a)
     bwd_cache = None
     if model.kind == KIND_EDB:
-        bwd_states, bwd_cache = gru_forward(model.dec_bwd, h0, dec_n, ctx=e_a,
+        bwd_states, bwd_cache = gru_forward(model.dec_bwd, h0, blk.dec, ctx=e_a,
                                             reverse=True)
         states = np.concatenate([states, bwd_states], axis=1)
-    y = model.w_out @ states                               # (K, B)
+    y = model.w_out @ states                               # (K, N)
     if model.b_out is not None:
         y = y + model.b_out[0]
-    return y, targets_n, (e_a, enc_cache, h0, states, fwd_cache, bwd_cache)
+    return y, (e_a, enc_cache, h0, states, fwd_cache, bwd_cache)
 
 
 def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
     """Per-section travel-time predictions (seconds) for one example."""
-    y, _, _ = _forward(model, [ex])
+    y, _ = _forward(model, stack_block(model, [ex]))
     return model.norm.denorm_travel(y[:, 0])
 
 
@@ -306,14 +338,11 @@ def loss(pred_norm: np.ndarray, targets_norm: np.ndarray) -> float:
     return float(np.mean((pred_norm - targets_norm) ** 2))
 
 
-def _batch_step(model: EdModel, exs: list[TrainingExample]
-                ) -> tuple[float, np.ndarray]:
-    """Loss and exact mean-loss gradient, laid out as ``model.theta``, for a
-    same-m batch of examples."""
-    y, targets_n, (e_a, enc_cache, h0, states, fwd_cache,
-                   bwd_cache) = _forward(model, exs)
+def _batch_step(model: EdModel, blk: Block) -> tuple[float, np.ndarray]:
+    """Loss and exact mean-loss gradient of a block, laid out as ``model.theta``."""
+    y, (e_a, enc_cache, h0, states, fwd_cache, bwd_cache) = _forward(model, blk)
     k, b = y.shape
-    resid = y - targets_n
+    resid = y - blk.targets
     batch_loss = float(np.mean(resid ** 2))
     dy = (2.0 / (k * b)) * resid
 
@@ -347,27 +376,27 @@ def _batch_step(model: EdModel, exs: list[TrainingExample]
 
 def model_loss(model: EdModel, ex: TrainingExample) -> float:
     """Training loss of one example (MSE over normalized targets)."""
-    y, targets_n, _ = _forward(model, [ex])
-    return loss(y[:, 0], targets_n[:, 0])
+    blk = stack_block(model, [ex])
+    return loss(_forward(model, blk)[0][:, 0], blk.targets[:, 0])
 
 
 def model_backward(model: EdModel, ex: TrainingExample) -> tuple[float, np.ndarray]:
     """Exact gradient of one example's loss w.r.t. ``model.theta``."""
-    return _batch_step(model, [ex])
+    return _batch_step(model, stack_block(model, [ex]))
 
 
-def mean_loss(model: EdModel, examples: list[TrainingExample]) -> float:
-    if not examples:
+def mean_loss(model: EdModel, blocks: list[Block]) -> float:
+    """Mean example loss over ``blocks``, ``LOSS_CHUNK`` columns per pass."""
+    n = sum(blk.n for blk in blocks)
+    if not n:
         raise ValueError("mean_loss over an empty example set")
-    by_m: dict[int, list[TrainingExample]] = {}
-    for ex in examples:
-        by_m.setdefault(ex.m, []).append(ex)
     total = 0.0
-    for exs in by_m.values():
-        for lo in range(0, len(exs), LOSS_CHUNK):
-            y, targets_n, _ = _forward(model, exs[lo:lo + LOSS_CHUNK])
-            total += float(np.sum(np.mean((y - targets_n) ** 2, axis=0)))
-    return total / len(examples)
+    for blk in blocks:
+        for lo in range(0, blk.n, LOSS_CHUNK):
+            chunk = blk.take(range(lo, min(lo + LOSS_CHUNK, blk.n)))
+            y, _ = _forward(model, chunk)
+            total += float(np.sum(np.mean((y - chunk.targets) ** 2, axis=0)))
+    return total / n
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +430,10 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
                 rng: np.random.Generator) -> list[dict]:
     """Minibatch Adam with early stopping on validation loss.
 
-    Batches are drawn within one current-position group so each batch runs
-    as matrix-shaped GRU steps; batch order and composition are shuffled
-    per epoch from ``rng``. With a validation set, training stops after
+    The examples are stacked and checked once, one block per position m, and
+    each batch gathers its columns out of one block, so it runs as
+    matrix-shaped GRU steps; batch order and composition are shuffled per
+    epoch from ``rng``. With a validation set, training stops after
     ``patience`` epochs without improvement and the best weights are
     restored (they are also restored when the epoch budget runs out). Each
     history entry holds the epoch's mean training loss, its validation loss
@@ -412,10 +442,9 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     """
     if not train_ex:
         raise ValueError("no training examples")
+    blocks = sorted(stack_blocks(model, train_ex), key=lambda blk: blk.m)
+    val_blocks = stack_blocks(model, val_ex)
     state = init_adam(model.theta, lr=cfg.lr)
-    by_m: dict[int, list[TrainingExample]] = {}
-    for ex in train_ex:
-        by_m.setdefault(ex.m, []).append(ex)
     bank = f"{model.kind} bank m={model.m_lo}-{model.m_hi}"
     history: list[dict] = []
     best_val = np.inf
@@ -423,15 +452,14 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     bad_epochs = 0
     for epoch in range(cfg.max_epochs):
         batches = []
-        for m in sorted(by_m):
-            exs = by_m[m]
-            order = rng.permutation(len(exs))
-            for lo in range(0, len(exs), cfg.batch_size):
-                batches.append([exs[i] for i in order[lo:lo + cfg.batch_size]])
+        for blk in blocks:
+            order = rng.permutation(blk.n)
+            batches += [(blk, order[lo:lo + cfg.batch_size])
+                        for lo in range(0, blk.n, cfg.batch_size)]
         rng.shuffle(batches)
-        total, count, norm_sum = 0.0, 0, 0.0
-        for index, batch in enumerate(batches):
-            batch_loss, grad = _batch_step(model, batch)
+        total, norm_sum = 0.0, 0.0
+        for index, (blk, cols) in enumerate(batches):
+            batch_loss, grad = _batch_step(model, blk.take(cols))
             if not np.isfinite(batch_loss):
                 raise NonFiniteLossError(
                     f"{bank}: training loss is {batch_loss} at epoch {epoch}, "
@@ -443,13 +471,12 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
                     f"{bank}: gradient of {bad} is not finite at epoch {epoch}, "
                     f"batch {index}")
             adam_step(model.theta, grad, state)
-            total += batch_loss * len(batch)
-            count += len(batch)
+            total += batch_loss * len(cols)
             norm_sum += float(np.linalg.norm(grad))
-        entry = {"epoch": epoch, "train_loss": total / count, "val_loss": None,
-                 "grad_norm": norm_sum / len(batches)}
-        if val_ex:
-            val_loss = mean_loss(model, val_ex)
+        entry = {"epoch": epoch, "train_loss": total / len(train_ex),
+                 "val_loss": None, "grad_norm": norm_sum / len(batches)}
+        if val_blocks:
+            val_loss = mean_loss(model, val_blocks)
             entry["val_loss"] = val_loss
             if val_loss < best_val:
                 best_val = val_loss
@@ -458,7 +485,7 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
             else:
                 bad_epochs += 1
         history.append(entry)
-        if val_ex and bad_epochs >= cfg.patience:
+        if val_blocks and bad_epochs >= cfg.patience:
             break
     if best_theta is not None:
         model.theta[...] = best_theta
@@ -500,6 +527,7 @@ class BankTrainResult:
     bank: ModelBank
     histories: dict    # (m_lo, m_hi) -> per-epoch history
     skipped: list      # (m_lo, m_hi) ranges with no training examples
+    examples: dict     # (m_lo, m_hi) -> training examples per epoch
 
 
 def split_week(examples: list[TrainingExample]) -> int | None:
@@ -534,21 +562,24 @@ def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
     models: list[EdModel | None] = [None] * len(layout)
     histories = {}
     skipped = []
+    examples = {}
     if pool is None:
         results = [_train_one_bank(kind, n_sections, cfg, *job) for job in jobs]
     else:
         results = list(pool.map(_train_one_bank,
                                 *zip(*[(kind, n_sections, cfg, *job)
                                        for job in jobs])))
-    for idx, model, history, was_skipped in results:
+    for idx, model, history, n_train in results:
         models[idx] = model
         m_range = (model.m_lo, model.m_hi)
         histories[m_range] = history
-        if was_skipped:
+        examples[m_range] = n_train
+        if not n_train:
             skipped.append(m_range)
     bank = ModelBank(kind=kind, n_sections=n_sections, models=models)
     bank.validate()
-    return BankTrainResult(bank=bank, histories=histories, skipped=skipped)
+    return BankTrainResult(bank=bank, histories=histories, skipped=skipped,
+                           examples=examples)
 
 
 def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
@@ -558,13 +589,13 @@ def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
                       hidden_enc=cfg.hidden_enc,
                       hidden_dec=cfg.hidden_dec(kind), use_bias=cfg.use_bias)
     if not exs:
-        return idx, model, [], True
+        return idx, model, [], 0
     # duplicating a lone example leaves the pooled statistics unchanged
     model.norm = fit_normalizer(exs if len(exs) >= 2 else exs * 2)
     train_ex, val_ex = _split_val(exs)
     shuffle_rng = spawn_rng(cfg.seed, 20 + kind_tag, idx)
     history = train_model(model, train_ex, val_ex, cfg, shuffle_rng)
-    return idx, model, history, False
+    return idx, model, history, len(train_ex)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +613,7 @@ class PredictionResult:
 
 def predict(bank: ModelBank, ex: TrainingExample) -> PredictionResult:
     """Route a query to its bank model and predict all remaining sections."""
-    model = bank.model_for(ex.m)
-    for arr in (ex.enc, ex.dec):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("query has unresolved (non-finite) inputs")
-    travel = predict_example(model, ex)
+    travel = predict_example(bank.model_for(ex.m), ex)
     cum = np.cumsum(travel)
     return PredictionResult(
         m=ex.m, t_c=ex.t_c,

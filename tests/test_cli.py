@@ -304,6 +304,51 @@ class TestTrain:
             == ["train: held-out week 2 leaves one training week, so nothing "
                 "is validated and early stopping is off"]
 
+    def test_manifest_reports_each_run(self, tmp_path, tiny_config):
+        # four weeks: week 3 is held out and week 2 validates, so early
+        # stopping is on
+        cfg = json.loads(tiny_config.read_text())
+        cfg["simulator"]["weeks"] = 4
+        cfg["training"].update(max_epochs=30, patience=1)
+        config = tmp_path / "four_weeks.json"
+        config.write_text(json.dumps(cfg))
+        run(["simulate", "--config", config, "--out", tmp_path / "sim"])
+        run(["prepare", "--config", config, "--trips", tmp_path / "sim" / "trips.csv",
+             "--out", tmp_path / "prep"])
+        out = tmp_path / "ckpt"
+        assert run(["train", "--config", config, "--examples",
+                    tmp_path / "prep" / "examples.jsonl", "--out", out,
+                    "--threads", 1]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["held_out_week"], manifest["validation_week"]) == (3, 2)
+        lines = (out / "loss_curves.csv").read_text().splitlines()
+        assert lines[0] == "kind,bank,epoch,train_loss,val_loss"
+        examples = load_examples_jsonl(tmp_path / "prep" / "examples.jsonl")
+        n_train = sum(ex.week < 2 for ex in examples)
+        assert set(manifest["training"]) == {"edu", "edb"}
+        for kind, summary in manifest["training"].items():
+            val = [float(row.split(",")[4]) for row in lines[1:]
+                   if row.startswith(f"{kind},3-7,")]
+            assert list(summary["banks"]) == ["3-7"]
+            bank = summary["banks"]["3-7"]
+            assert bank["epochs"] == len(val) == len(bank["grad_norm"])
+            assert bank["best_epoch"] == int(np.argmin(val))
+            stopped_early = len(val) < 30 or len(val) - 1 - bank["best_epoch"] >= 1
+            assert bank["stopped"] == ("patience" if stopped_early else "max_epochs")
+            assert all(g > 0 for g in bank["grad_norm"])
+            assert summary["wall_s"] > 0
+            assert summary["examples_per_s"] * summary["wall_s"] == \
+                pytest.approx(len(val) * n_train)
+        # this seed stops one kind early and runs the other to the end
+        assert {summary["banks"]["3-7"]["stopped"] for summary
+                in manifest["training"].values()} == {"patience", "max_epochs"}
+
+    def test_manifest_reports_runs_without_validation(self, ckpt_dir):
+        bank = json.loads((ckpt_dir / "manifest.json").read_text())[
+            "training"]["edb"]["banks"]["3-7"]
+        assert (bank["epochs"], bank["stopped"], bank["best_epoch"]) == \
+            (2, "max_epochs", None)
+
     def test_loss_curves_format(self, tmp_path, tiny_config, prep_dir):
         out = tmp_path / "ckpt"
         run(["train", "--config", tiny_config, "--examples",
@@ -362,6 +407,17 @@ class TestPredict:
         return run(["predict", "--config", config, "--checkpoints", ckpt_dir,
                     "--trips", sim_dir / "trips.csv", "--trip-id", trip_id,
                     "--m", m, *extra])
+
+    @pytest.mark.parametrize("tc", ["nan", "inf", "-1", "86400"])
+    def test_query_time_outside_the_day_rejected(self, tiny_config, sim_dir,
+                                                  ckpt_dir, capsys, tc):
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4,
+                            "--tc", tc) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: query time T_c must be finite and lie in [0, 86400), "
+            f"got {float(tc)}"]
 
     def test_tc_at_default_matches_plain_query(self, tiny_config, sim_dir,
                                                ckpt_dir, capsys):

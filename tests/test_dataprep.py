@@ -8,7 +8,7 @@ import pytest
 
 from busarrival import dataprep
 from busarrival.dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
-                                 DataError, RouteSpec, SkipRecord,
+                                 DataError, NormStats, RouteSpec, SkipRecord,
                                  TrainingExample, TripDataset,
                                  build_example, build_examples,
                                  closest_prev_trip_at_section,
@@ -578,6 +578,24 @@ class TestNormalizer:
         with pytest.raises(ValueError):
             fit_normalizer([])
 
+    def test_bitwise_equal_to_per_example_concatenation(self):
+        examples, _ = build_examples(tied_dataset(41))
+        per_example = NormStats(*reference_normalizer_pools(examples))
+        assert fit_normalizer(examples) == per_example
+
+
+def reference_normalizer_pools(examples):
+    """The pooled statistics from one concatenation per example and family:
+    the oracle for fit_normalizer."""
+    travel = np.concatenate([np.concatenate([ex.enc.ravel(), ex.dec[:, DEC_Z_PV],
+                                             ex.dec[:, DEC_Z_PW], ex.targets])
+                             for ex in examples])
+    tod = np.concatenate([np.concatenate([ex.dec[:, DEC_TE_PV],
+                                          ex.dec[:, DEC_TE_PW], [ex.t_c]])
+                          for ex in examples])
+    return (float(np.mean(travel)), float(np.std(travel)),
+            float(np.min(tod)), float(np.max(tod)))
+
 
 class TestCsvFormats:
     def test_trip_roundtrip(self, tmp_path, small_route):
@@ -641,6 +659,33 @@ class TestCsvFormats:
         dataprep.save_examples_jsonl([good, bad], path)
         with pytest.raises(DataError, match=re.escape(f"{path}:2: ")
                            + ".*travel times must be positive"):
+            dataprep.load_examples_jsonl(path)
+
+    @pytest.mark.parametrize("t_c", [float("nan"), float("inf"), -1.0, 86400.0])
+    def test_query_time_outside_the_day_rejected(self, t_c):
+        ex = replace(make_example(make_rng(16), 5, 8), t_c=t_c)
+        with pytest.raises(DataError, match=re.escape(
+                f"T_c must be finite and lie in [0, 86400), got {t_c}")):
+            ex.validate(8)
+        block = TrainingExample(5, np.array([30000.0, t_c]), None, None,
+                                *(np.stack([getattr(ex, f)] * 2) for f in (
+                                    "enc", "dec", "targets", "prev_trip_ids")),
+                                None, np.stack([ex.fallback_mask] * 2))
+        with pytest.raises(DataError, match="T_c must be finite"):
+            block.validate(8)
+
+    def test_nan_query_time_in_jsonl_reports_line(self, tmp_path):
+        rng = make_rng(17)
+        path = tmp_path / "ex.jsonl"
+        dataprep.save_examples_jsonl([make_example(rng, 3, 8),
+                                      make_example(rng, 5, 8)], path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["t_c"] = float("nan")
+        path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
+        assert '"t_c": NaN' in path.read_text()
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: ")
+                           + ".*T_c must be finite"):
             dataprep.load_examples_jsonl(path)
 
     def test_examples_jsonl_roundtrip(self, tmp_path):

@@ -61,7 +61,7 @@ def step(params, h, u):
 
 def context(model, ex):
     """The context e_a the forward pass builds for one example."""
-    _, _, (e_a, *_) = seq2seq._forward(model, [ex])
+    _, (e_a, *_) = seq2seq._forward(model, seq2seq.stack_block(model, [ex]))
     return e_a[:, 0]
 
 
@@ -224,7 +224,9 @@ class TestBatchedForward:
         for p in model.params().values():  # nonzero biases too
             p[...] = rng.uniform(-0.5, 0.5, p.shape)
         exs = [make_example(rng, 6, 10, trip_id=i) for i in range(7)]
-        y, targets_n, _ = seq2seq._forward(model, exs)
+        blk = seq2seq.stack_block(model, exs)
+        y, _ = seq2seq._forward(model, blk)
+        targets_n = blk.targets
         assert y.shape == (4, 7)
         for b, ex in enumerate(exs):
             npt.assert_allclose(toy_norm.denorm_travel(y[:, b]),
@@ -259,7 +261,8 @@ class TestLoss:
         exs = [make_example(rng, m, 10, trip_id=i)
                for i, m in enumerate([4] * 150 + [6] * 3)]
         want = np.mean([model_loss(model, ex) for ex in exs])
-        assert abs(mean_loss(model, exs) - want) <= 1e-12 * want
+        got = mean_loss(model, seq2seq.stack_blocks(model, exs))
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestModelBackward:
@@ -290,7 +293,8 @@ class TestModelBackward:
         model = new_model("edb", 3, 7, 9, rng, hidden_enc=4, hidden_dec=3,
                           norm=toy_norm)
         exs = [make_example(rng, 5, 9, trip_id=i) for i in range(4)]
-        batch_loss, batch_grad = seq2seq._batch_step(model, exs)
+        batch_loss, batch_grad = seq2seq._batch_step(
+            model, seq2seq.stack_block(model, exs))
         singles = [model_backward(model, ex) for ex in exs]
         npt.assert_allclose(batch_loss,
                             np.mean([s[0] for s in singles]), atol=1e-12)
@@ -301,8 +305,8 @@ class TestModelBackward:
         model = zero_model("edu", 3, 7, 9, toy_norm)
         rng = make_rng(14)
         with pytest.raises(ValueError):
-            seq2seq._batch_step(model, [make_example(rng, 4, 9),
-                                        make_example(rng, 5, 9)])
+            seq2seq._batch_step(model, seq2seq.stack_block(
+                model, [make_example(rng, 4, 9), make_example(rng, 5, 9)]))
 
 
 def reference_adam(params, grads, steps, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -447,14 +451,15 @@ class TestTraining:
         history = train_model(model, [train_ex], [val_ex], cfg, make_rng(21))
         assert len(history) < 200
         vals = [h["val_loss"] for h in history]
-        assert mean_loss(model, [val_ex]) == min(vals)
+        assert mean_loss(model, seq2seq.stack_blocks(model, [val_ex])) == min(vals)
 
     def test_grad_norm_is_mean_batch_gradient_norm(self, toy_norm):
         model = new_model("edb", 3, 7, 8, make_rng(33), hidden_enc=4,
                           hidden_dec=3, norm=toy_norm)
         rng = make_rng(34)
         exs = [make_example(rng, 5, 8, trip_id=i) for i in range(3)]
-        want = np.linalg.norm(seq2seq._batch_step(model, exs)[1])
+        want = np.linalg.norm(
+            seq2seq._batch_step(model, seq2seq.stack_block(model, exs))[1])
         history = train_model(model, exs, [], TrainConfig(max_epochs=2),
                               make_rng(0))           # one batch per epoch
         assert abs(history[0]["grad_norm"] - want) <= 1e-12 * want
@@ -464,8 +469,8 @@ class TestTraining:
         norms = []
         batch_step = seq2seq._batch_step
 
-        def recording(model, exs):
-            out = batch_step(model, exs)
+        def recording(model, blk):
+            out = batch_step(model, blk)
             norms.append(np.linalg.norm(out[1]))
             return out
 
@@ -562,6 +567,119 @@ class TestTraining:
         model = zero_model("edu", 3, 7, 8, toy_norm)
         with pytest.raises(ValueError):
             train_model(model, [], [], TrainConfig(), make_rng(0))
+
+
+def reference_mean_loss(model, examples):
+    """Each m group's example list stacked chunk by chunk: the oracle for
+    mean_loss over blocks."""
+    by_m = {}
+    for ex in examples:
+        by_m.setdefault(ex.m, []).append(ex)
+    total = 0.0
+    for exs in by_m.values():
+        for lo in range(0, len(exs), seq2seq.LOSS_CHUNK):
+            blk = seq2seq.stack_block(model, exs[lo:lo + seq2seq.LOSS_CHUNK])
+            y, _ = seq2seq._forward(model, blk)
+            total += float(np.sum(np.mean((y - blk.targets) ** 2, axis=0)))
+    return total / len(examples)
+
+
+def reference_train_model(model, train_ex, val_ex, cfg, rng):
+    """The list-batch loop, which stacks each minibatch's examples on every
+    step and the validation examples on every epoch: the oracle for
+    train_model's gathers out of blocks stacked once."""
+    state = init_adam(model.theta, lr=cfg.lr)
+    by_m = {}
+    for ex in train_ex:
+        by_m.setdefault(ex.m, []).append(ex)
+    history, best_val, best_theta, bad_epochs = [], np.inf, None, 0
+    for epoch in range(cfg.max_epochs):
+        batches = []
+        for m in sorted(by_m):
+            exs = by_m[m]
+            order = rng.permutation(len(exs))
+            for lo in range(0, len(exs), cfg.batch_size):
+                batches.append([exs[i] for i in order[lo:lo + cfg.batch_size]])
+        rng.shuffle(batches)
+        total, count, norm_sum = 0.0, 0, 0.0
+        for batch in batches:
+            batch_loss, grad = seq2seq._batch_step(
+                model, seq2seq.stack_block(model, batch))
+            adam_step(model.theta, grad, state)
+            total += batch_loss * len(batch)
+            count += len(batch)
+            norm_sum += float(np.linalg.norm(grad))
+        entry = {"epoch": epoch, "train_loss": total / count, "val_loss": None,
+                 "grad_norm": norm_sum / len(batches)}
+        if val_ex:
+            entry["val_loss"] = val_loss = reference_mean_loss(model, val_ex)
+            if val_loss < best_val:
+                best_val, best_theta, bad_epochs = val_loss, model.theta.copy(), 0
+            else:
+                bad_epochs += 1
+        history.append(entry)
+        if val_ex and bad_epochs >= cfg.patience:
+            break
+    if best_theta is not None:
+        model.theta[...] = best_theta
+    return history
+
+
+class TestBlockTraining:
+    @pytest.mark.parametrize("kind", ["edu", "edb"])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_matches_list_batch_reference(self, kind, use_bias, validate,
+                                          toy_norm):
+        rng = make_rng(50)
+        # one bank, two positions, interleaved: 23 and 9 training examples
+        # against batches of 5; 70 validation examples at m=4 (a full
+        # LOSS_CHUNK and 6) after 3 at m=6, which comes first
+        train_ms = rng.permutation([4] * 23 + [6] * 9)
+        val_ms = [6, 4, 6, 4, 6] + [4] * 68
+        train_ex = [make_example(rng, m, 8, trip_id=i) for i, m in enumerate(train_ms)]
+        val_ex = [make_example(rng, m, 8, trip_id=100 + i)
+                  for i, m in enumerate(val_ms)] if validate else []
+        assert len(val_ex) in (0, seq2seq.LOSS_CHUNK + 9)
+        cfg = TrainConfig(batch_size=5, max_epochs=6, patience=2, lr=2e-2)
+        model, ref = (new_model(kind, 3, 7, 8, make_rng(51), hidden_enc=4,
+                                hidden_dec=3, use_bias=use_bias, norm=toy_norm)
+                      for _ in range(2))
+        history = train_model(model, train_ex, val_ex, cfg, make_rng(52))
+        want = reference_train_model(ref, train_ex, val_ex, cfg, make_rng(52))
+        assert model.theta.tobytes() == ref.theta.tobytes()
+        assert history == want
+        assert len(history) == 6 or validate
+
+    @pytest.mark.parametrize("where", ["train", "val"])
+    def test_example_outside_bank_raises_before_any_step(self, where, toy_norm,
+                                                         monkeypatch):
+        model = new_model("edu", 3, 7, 10, make_rng(53), hidden_enc=4,
+                          hidden_dec=3, norm=toy_norm)
+        before = model.theta.copy()
+        steps = []
+        monkeypatch.setattr(seq2seq, "adam_step", lambda *a: steps.append(a))
+        rng = make_rng(54)
+        exs = {"train": [make_example(rng, 4, 10, trip_id=i) for i in range(3)],
+               "val": [make_example(rng, 5, 10, trip_id=9)]}
+        exs[where].append(make_example(rng, 8, 10, trip_id=10))
+        with pytest.raises(CoverageError, match=r"m=8 outside model bank \[3, 7\]"):
+            train_model(model, exs["train"], exs["val"], TrainConfig(max_epochs=2),
+                        make_rng(0))
+        assert steps == []
+        npt.assert_array_equal(model.theta, before)
+
+    def test_gathered_block_equals_stacked_examples(self, toy_norm):
+        model = new_model("edb", 3, 7, 8, make_rng(55), norm=toy_norm)
+        rng = make_rng(56)
+        exs = [make_example(rng, 5, 8, trip_id=i) for i in range(9)]
+        cols = np.array([7, 2, 2, 0, 8])
+        got = seq2seq.stack_block(model, exs).take(cols)
+        want = seq2seq.stack_block(model, [exs[i] for i in cols])
+        for name in ("enc", "dec", "t_c", "targets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.flags.c_contiguous and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestPredict:
