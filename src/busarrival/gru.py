@@ -17,7 +17,7 @@ arXiv:1604.01946). :class:`GruParams` stacks the gates: ``w_stack``
 (3H x D) holds rows [Wz; Wr; W], ``u_stack`` (3H x H) [Uz; Ur; U],
 ``b_stack`` [bz; br; b]; all three are views into one flat vector
 ``theta``, and the nine named arrays, row views into them made when read,
-let checkpoints still see six matrices. The input projections of all steps
+name each gate's blocks in ``params()``. The input projections of all steps
 are one batched product and ``W_ctx ctx`` is computed once per chain.
 Each step makes only in-place numpy calls into buffers allocated once per
 call: one ``u_stack @ h_prev`` product into a (3H, B) buffer forward and

@@ -47,8 +47,11 @@ KIND_EDB = "edb"
 BANK_WIDTH = 5
 DEFAULT_HIDDEN_ENC = 32
 DEFAULT_HIDDEN_DEC = {KIND_EDU: 32, KIND_EDB: 19}
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 CHAINS = ("enc", "dec_fwd", "dec_bwd")
+# the constructor arguments that fix the layout of EdModel.theta
+DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec",
+        "use_bias")
 # Examples per forward pass in mean_loss. On a 2-vCPU VM, whole 240-example
 # validation sets made multi-MB GRU caches that left peak RSS 10-15% higher,
 # and varying from run to run, than chunks of 64 (5-8% slower training).
@@ -82,16 +85,21 @@ class EdModel:
         self.hidden_enc, self.hidden_dec = hidden_enc, hidden_dec
         self.use_bias = use_bias
         self.norm = norm if norm is not None else NormStats.identity()
-        self.theta = (np.zeros(sum(n for _, _, n in self._layout()))
-                      if theta is None else theta)
+        size = sum(n for _, _, n in self._layout())
+        self.theta = np.zeros(size) if theta is None else theta
+        if self.theta.dtype != np.float64 or self.theta.shape != (size,):
+            raise ValueError(f"theta must be float64 of shape ({size},), got "
+                             f"{self.theta.dtype} of shape {self.theta.shape}")
         self.__dict__.update(vars(self.views(self.theta)))
         self.validate()
 
     def __reduce__(self):
         # pickles as theta plus dimensions, so the views are rebuilt on load
-        return (EdModel, (self.kind, self.m_lo, self.m_hi, self.n_sections,
-                          self.hidden_enc, self.hidden_dec, self.use_bias,
-                          self.norm, self.theta))
+        return (EdModel, (*self.dims().values(), self.norm, self.theta))
+
+    def dims(self) -> dict:
+        """The :data:`DIMS` constructor arguments, by name."""
+        return {name: getattr(self, name) for name in DIMS}
 
     @property
     def bank_width(self) -> int:
@@ -624,34 +632,10 @@ def predict(bank: ModelBank, ex: TrainingExample) -> PredictionResult:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def _gru_to_json(p: GruParams) -> dict:
-    d = {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-         for k, v in p.as_dict().items()}
-    return d
-
-
 def save_model_json(model: EdModel, path) -> None:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "kind": model.kind,
-        "m_lo": model.m_lo, "m_hi": model.m_hi,
-        "n_sections": model.n_sections,
-        "hidden_enc": model.hidden_enc, "hidden_dec": model.hidden_dec,
-        "use_bias": model.use_bias,
-        "norm": model.norm.to_dict(),
-        "weights": {"enc": _gru_to_json(model.enc),
-                    "dec_fwd": _gru_to_json(model.dec_fwd),
-                    "dec_bwd": (_gru_to_json(model.dec_bwd)
-                                if model.dec_bwd is not None else None),
-                    "embed.w": {"shape": list(model.w_embed.shape),
-                                "data": model.w_embed.ravel().tolist()},
-                    "embed.b": (model.b_embed.tolist()
-                                if model.b_embed is not None else None),
-                    "out.w": {"shape": list(model.w_out.shape),
-                              "data": model.w_out.ravel().tolist()},
-                    "out.b": (model.b_out.tolist()
-                              if model.b_out is not None else None)},
-    }
+    """Write a format-2 checkpoint: the dims, ``norm`` and ``theta``."""
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **model.dims(),
+           "norm": model.norm.to_dict(), "theta": model.theta.tolist()}
     with open(path, "w") as f:
         json.dump(doc, f)
         f.write("\n")
@@ -662,29 +646,14 @@ def load_model_json(path) -> EdModel:
     try:
         with open(path) as f:
             doc = json.load(f)
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format: "
-                             f"{doc.get('format_version')!r}")
-        model = EdModel(doc["kind"], doc["m_lo"], doc["m_hi"], doc["n_sections"],
-                        doc["hidden_enc"], doc["hidden_dec"], doc["use_bias"],
-                        NormStats.from_dict(doc["norm"]))
-        w = doc["weights"]
-        names = {f"{c}.{k}" for c in CHAINS if w[c] is not None for k in w[c]}
-        names |= {k for k in ("embed.w", "embed.b", "out.w", "out.b") if w[k]}
-        if names != model.params().keys():
-            raise ValueError(f"weights {sorted(names)} do not fit a {model.kind} "
-                             f"model with use_bias={model.use_bias}")
-        for name, view in model.params().items():
-            chain, _, key = name.partition(".")
-            entry = w[chain][key] if chain in CHAINS else w[name]
-            if name in ("embed.b", "out.b"):             # saved as bare lists
-                saved = np.array(entry, dtype=np.float64)
-            else:
-                saved = np.array(entry["data"], np.float64).reshape(entry["shape"])
-            if saved.shape != view.shape:
-                raise ValueError(f"{name} has shape {saved.shape}, "
-                                 f"expected {view.shape}")
-            view[...] = saved
+        version = doc.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"format_version {version!r}, but this reads "
+                             f"{CHECKPOINT_FORMAT_VERSION}; retrain the bank "
+                             "with `busarrival train`")
+        model = EdModel(**{name: doc[name] for name in DIMS},
+                        norm=NormStats.from_dict(doc["norm"]),
+                        theta=np.array(doc["theta"], np.float64))
         if not np.isfinite(model.theta).all():
             raise ValueError("non-finite weights")
         if not model.norm.travel_std > 0:

@@ -489,7 +489,7 @@ class TestPredict:
                                                ckpt_dir, capsys):
         path = ckpt_dir / "edb_bank_03_07.json"
         doc = json.loads(path.read_text())
-        del doc["weights"]["out.w"]
+        del doc["theta"]
         path.write_text(json.dumps(doc))
         assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 2
         assert str(path) in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import json
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,14 +13,18 @@ from busarrival import seq2seq
 from busarrival.dataprep import DataError, NormStats
 from busarrival.gru import gru_forward
 from busarrival.numkit import adam_step, finite_diff_grad, init_adam, make_rng
-from busarrival.seq2seq import (CoverageError, ModelBank, NonFiniteGradientError,
-                                NonFiniteLossError, TrainConfig, bank_layout,
+from busarrival.seq2seq import (CoverageError, EdModel, ModelBank,
+                                NonFiniteGradientError, NonFiniteLossError,
+                                TrainConfig, bank_layout,
                                 bi_hidden_for_parity, decoder_param_count,
                                 load_bank, load_model_json, loss, mean_loss,
                                 model_backward, model_loss, new_model, predict,
                                 predict_example, save_bank, save_model_json,
                                 train_bank, train_model)
 from conftest import make_example
+
+# the format-2 checkpoint test_format_2_bytes_are_stable saves
+GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "edb_bank_03_04.json"
 
 
 def zero_model(kind, m_lo, m_hi, n_sections, norm, hidden_enc=4, hidden_dec=3):
@@ -774,22 +780,29 @@ class TestCheckpoints:
         path = tmp_path / "m.json"
         save_model_json(model, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="format"):
-            load_model_json(path)
+        for version in (99, 1):
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="format") as info:
+                load_model_json(path)
+            assert isinstance(info.value, DataError)
+            assert str(path) in str(info.value)
+            assert f"format_version {version}, but this reads 2" in str(info.value)
+            assert "busarrival train" in str(info.value)
 
 
     @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc["weights"].pop("out.w"),
-        lambda doc: doc["weights"].update({"dec_fwd": None}),
-        lambda doc: doc["weights"]["enc"]["u"].update({"shape": [4, 2]}),
-        lambda doc: doc["weights"]["embed.w"]["data"].__setitem__(0, float("nan")),
-        lambda doc: doc["norm"].update({"travel_std": 0.0}),
-        # blocks the saved kind and use_bias do not have
-        lambda doc: doc["weights"].update({"dec_bwd": doc["weights"]["dec_fwd"]}),
-        lambda doc: doc["weights"]["enc"].update({"bz": [0.0] * 4}),
-        lambda doc: doc["weights"].update({"out.b": [0.0]}),
+        lambda doc, model: doc.pop("theta"),
+        lambda doc, model: doc.update({"theta": None}),
+        lambda doc, model: doc["theta"].pop(),
+        lambda doc, model: doc["theta"].__setitem__(0, float("nan")),
+        lambda doc, model: doc["norm"].update({"travel_std": 0.0}),
+        # blocks the saved kind and use_bias do not have: dec_bwd, enc.bz, out.b
+        lambda doc, model: doc["theta"].extend([0.0] * model.dec_fwd.theta.size),
+        lambda doc, model: doc["theta"].extend([0.0] * model.hidden_enc),
+        lambda doc, model: doc["theta"].append(0.0),
+        lambda doc, model: doc.update({"kind": "edb"}),
+        lambda doc, model: doc.update({"hidden_enc": "4"}),
     ])
     def test_malformed_checkpoint_names_path(self, tmp_path, toy_norm, corrupt):
         model = new_model("edu", 3, 7, 10, make_rng(29), hidden_enc=4,
@@ -797,13 +810,39 @@ class TestCheckpoints:
         path = tmp_path / "m.json"
         save_model_json(model, path)
         doc = json.loads(path.read_text())
-        corrupt(doc)
+        corrupt(doc, model)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="m.json: malformed checkpoint"):
             load_model_json(path)
 
+    def test_format_2_bytes_are_stable(self, tmp_path, toy_norm):
+        dims = dict(kind="edb", m_lo=3, m_hi=4, n_sections=5, hidden_enc=1,
+                    hidden_dec=1, use_bias=False)
+        size = EdModel(**dims).theta.size
+        model = EdModel(**dims, norm=toy_norm, theta=np.arange(size) / 8)
+        save_model_json(model, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+        loaded = load_model_json(GOLDEN_CHECKPOINT)
+        assert loaded.dims() == model.dims()
+        assert loaded.norm == model.norm
+        npt.assert_array_equal(loaded.theta, model.theta)
+
 
 class TestModelValidation:
+    @pytest.mark.parametrize("make_theta", [
+        lambda n: np.zeros(n + 5),
+        lambda n: np.zeros(n - 1),
+        lambda n: np.zeros((1, n)),
+        lambda n: np.zeros(n, np.float32),
+    ], ids=["too-long", "too-short", "2-d", "float32"])
+    def test_theta_must_fit_layout(self, toy_norm, make_theta):
+        dims = ("edb", 3, 7, 10, 4, 3)
+        n = EdModel(*dims).theta.size
+        theta = make_theta(n)
+        with pytest.raises(ValueError, match=rf"\({n},\).*"
+                           rf"{re.escape(str(theta.shape))}"):
+            EdModel(*dims, norm=toy_norm, theta=theta)
+
     def test_bank_tiling_checked(self, toy_norm):
         models = [zero_model("edu", 3, 7, 10, toy_norm)]
         bank = ModelBank(kind="edu", n_sections=10, models=models)
