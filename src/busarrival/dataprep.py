@@ -106,8 +106,13 @@ class TripRecord:
     def travel(self, section: int) -> float:
         return float(self.travel_times[section - 1])
 
-    def validate(self) -> None:
+    def validate(self, n_sections: int | None = None) -> None:
+        """Raise DataError unless this is a valid trip, on a route of
+        ``n_sections`` when given."""
         e, z = self.entry_times, self.travel_times
+        if n_sections is not None and len(e) != n_sections:
+            raise DataError(f"trip {self.trip_id} has {len(e)} sections, "
+                            f"route has {n_sections}")
         if len(e) != len(z):
             raise DataError(f"trip {self.trip_id}: entry/travel length mismatch")
         if not np.all(z > 0):
@@ -190,13 +195,24 @@ class TripDataset:
     ``ids``, row i for ``trips[i]``."""
 
     def __init__(self, trips: list[TripRecord], route: RouteSpec):
-        for t in trips:
-            if t.n_sections != route.n_sections:
-                raise DataError(f"trip {t.trip_id} has {t.n_sections} sections, "
-                                f"route has {route.n_sections}")
-            t.validate()
+        n_s = route.n_sections
+        # the trips before the first one of the wrong size stack into arrays,
+        # and TripRecord.validate's checks run over all of them at once
+        n = next((i for i, t in enumerate(trips) if not
+                  len(t.entry_times) == len(t.travel_times) == n_s), len(trips))
+        e = np.array([t.entry_times for t in trips[:n]]).reshape(n, n_s)
+        z = np.array([t.travel_times for t in trips[:n]]).reshape(n, n_s)
+        ids = np.array([t.trip_id for t in trips[:n]], dtype=np.int64)
+        day = np.array([t.day_index for t in trips[:n]])
+        ok = ((z > 0).all(axis=1) & (np.diff(e) > 0).all(axis=1)
+              & np.isclose(e[:, 1:], e[:, :-1] + z[:, :-1], atol=1e-6).all(axis=1)
+              & (np.array([t.weekday for t in trips[:n]]) == day % 7) & (ids >= 0))
+        # the first failing trip in input order raises its own message
+        for i in [*np.flatnonzero(~ok).tolist(), *range(n, len(trips))]:
+            trips[i].validate(n_s)
+        order = np.lexsort((ids, e[:, 0], day))
         self.route = route
-        self.trips = sorted(trips, key=lambda t: (t.day_index, t.start_time, t.trip_id))
+        self.trips = [trips[i] for i in order.tolist()]
         self.by_day: dict[int, list[TripRecord]] = {}
         self.by_id: dict[int, TripRecord] = {}
         self._first: dict[int, int] = {}        # day -> row of its first trip
@@ -206,10 +222,7 @@ class TripDataset:
             if t.trip_id in self.by_id:
                 raise DataError(f"duplicate trip id {t.trip_id}")
             self.by_id[t.trip_id] = t
-        shape = (len(self.trips), route.n_sections)
-        self.entry = np.array([t.entry_times for t in self.trips]).reshape(shape)
-        self.travel = np.array([t.travel_times for t in self.trips]).reshape(shape)
-        self.ids = np.array([t.trip_id for t in self.trips], dtype=np.int64)
+        self.entry, self.travel, self.ids = e[order], z[order], ids[order]
         self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -437,9 +450,6 @@ class NormStats:
     def norm_tod(self, x):
         return (np.asarray(x, dtype=np.float64) - self.tod_min) / (self.tod_max - self.tod_min)
 
-    def denorm_tod(self, x):
-        return np.asarray(x, dtype=np.float64) * (self.tod_max - self.tod_min) + self.tod_min
-
     def to_dict(self) -> dict:
         return {"travel_mean": self.travel_mean, "travel_std": self.travel_std,
                 "tod_min": self.tod_min, "tod_max": self.tod_max}
@@ -474,6 +484,10 @@ def fit_normalizer(examples: list[TrainingExample]) -> NormStats:
 
 TRIP_CSV_HEADER = ["trip_id", "day", "weekday", "section", "entry_time_s",
                    "travel_time_s"]
+# The rows of a trips CSV as np.loadtxt reads them.
+TRIP_DTYPE = np.dtype([("trip_id", np.int64), ("day", np.int64),
+                       ("weekday", np.int64), ("section", np.int64),
+                       ("entry", np.float64), ("travel", np.float64)])
 SKIP_CSV_HEADER = ["day", "trip_id", "m", "reason"]
 # Examples per block of save_examples_jsonl. A block's formatted text is held
 # at once, so this bounds the writer's memory: about 6 MB at 34 sections.
@@ -490,69 +504,122 @@ def save_trips_csv(trips: list[TripRecord], path) -> None:
                             f"{t.entry(sec):.6f}", f"{t.travel(sec):.6f}"])
 
 
-def _trip_rows(f):
-    """(line number, row) of each data row of an open trips CSV, after
-    checking its header."""
-    reader = csv.reader(f)
-    header = next(reader, None)
+def _check_header(f) -> None:
+    line = f.readline()
+    header = next(csv.reader([line]), None) if line else None
     if header != TRIP_CSV_HEADER:
         raise DataError(f"unexpected trip CSV header: {header}")
-    return enumerate(reader, start=2)
+
+
+def _malformed(path, lineno: int, line: str) -> DataError:
+    return DataError(f"{path}: malformed row {lineno}: {next(csv.reader([line]), [])}")
 
 
 def trip_day(path, trip_id: int) -> int | None:
     """Day of the first row of ``trip_id`` in a trips CSV, None when no row
-    has that id; reads no further than each row's id and day."""
-    with open(path, newline="") as f:
-        for lineno, row in _trip_rows(f):
-            try:
-                if int(row[0]) == trip_id:
-                    return int(row[1])
-            except (ValueError, IndexError) as e:
-                raise DataError(f"{path}: malformed row {lineno}: {row}") from e
+    has that id; reads no further than the start of each other row."""
+    prefix = f"{trip_id},"
+    with open(path) as f:
+        _check_header(f)
+        for lineno, line in enumerate(f, start=2):
+            if line.startswith(prefix):
+                try:
+                    return int(line.split(",")[1])
+                except (ValueError, IndexError) as e:
+                    raise _malformed(path, lineno, line) from e
     return None
+
+
+def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of a trips CSV's data ``lines`` on ``days`` (all if None) as
+    TRIP_DTYPE records, by one ``np.loadtxt`` call, and the indices of the
+    lines kept (None for all); ValueError if a line read is malformed."""
+    if "" in lines:                     # np.loadtxt would skip a blank line
+        raise ValueError("blank row")
+    kept, csv_format = None, {"delimiter": ",", "comments": None, "ndmin": 1}
+    if days is not None and lines:
+        kept = np.flatnonzero(np.isin(np.loadtxt(
+            lines, np.int64, usecols=1, **csv_format), list(days)))
+        lines = [lines[i] for i in kept]
+    # np.loadtxt warns when it reads no rows
+    return (np.loadtxt(lines, TRIP_DTYPE, **csv_format) if lines
+            else np.empty(0, TRIP_DTYPE)), kept
+
+
+def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray | None):
+    """``rows`` sorted by trip and section, the start of each trip's run in
+    them and, per trip, the index of its first row. Raises DataError naming
+    ``path:line`` for the first row whose day or weekday differs from its
+    trip's first row, or that repeats a section; ``kept`` maps rows to lines
+    as :func:`_read_rows` does."""
+    # the sort is stable, so of two rows that tie the earlier one comes first
+    order = np.lexsort((rows["section"], rows["trip_id"]))
+    s = rows[order]
+    new_trip = np.ones(rows.size, dtype=bool)
+    new_trip[1:] = s["trip_id"][1:] != s["trip_id"][:-1]
+    starts = np.flatnonzero(new_trip)
+    first = np.minimum.reduceat(order, starts)
+    lead = np.empty_like(order)                     # per row, its trip's first
+    lead[order] = first[np.cumsum(new_trip) - 1]
+    moved = ((rows["day"] != rows["day"][lead])
+             | (rows["weekday"] != rows["weekday"][lead]))
+    repeat = np.zeros(rows.size, dtype=bool)
+    repeat[order[1:]] = ~new_trip[1:] & (s["section"][1:] == s["section"][:-1])
+    if (moved | repeat).any():
+        k = int(np.argmax(moved | repeat))
+        (trip_id, day, weekday, sec, _, _), head = rows[k], rows[lead[k]]
+        where = f"{path}:{2 + (k if kept is None else kept[k])}: trip {trip_id}"
+        if moved[k]:
+            raise DataError(f"{where} has day {day}, weekday {weekday}; its "
+                            f"earlier rows say day {head['day']}, weekday "
+                            f"{head['weekday']}")
+        raise DataError(f"{where} repeats section {sec}")
+    return s, starts, first
 
 
 def load_trips_csv(path, route: RouteSpec, days=None) -> TripDataset:
     """The trips of a trips CSV, or only those of ``days`` when given: rows
     of other days are read no further than their day, and every check
-    applies to the rows kept."""
-    rows: dict[int, dict] = {}
-    with open(path, newline="") as f:
-        for lineno, row in _trip_rows(f):
+    applies to the rows kept. The rows kept are parsed as a whole and
+    checked as arrays; an error names the first line at fault."""
+    with open(path) as f:
+        _check_header(f)
+        lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()                     # after the newline ending the last row
+    try:
+        rows, kept = _read_rows(lines, days)
+    except ValueError as e:
+        # a re-scan, one line at a time, finds the first malformed line
+        for i, line in enumerate(lines):
             try:
-                day = int(row[1])
-                if days is not None and day not in days:
-                    continue
-                trip_id, weekday, sec = int(row[0]), int(row[2]), int(row[3])
-                entry, travel = float(row[4]), float(row[5])
-            except (ValueError, IndexError) as e:
-                raise DataError(f"{path}: malformed row {lineno}: {row}") from e
-            r = rows.setdefault(trip_id, {"day": day, "weekday": weekday,
-                                          "entry": {}, "travel": {}})
-            if (r["day"], r["weekday"]) != (day, weekday):
-                raise DataError(
-                    f"{path}:{lineno}: trip {trip_id} has day {day}, weekday "
-                    f"{weekday}; its earlier rows say day {r['day']}, "
-                    f"weekday {r['weekday']}")
-            if sec in r["entry"]:
-                raise DataError(f"{path}:{lineno}: trip {trip_id} repeats "
-                                f"section {sec}")
-            r["entry"][sec] = entry
-            r["travel"][sec] = travel
-    if not rows:
+                _read_rows([line], days)
+            except ValueError:
+                # a fault in the rows before it comes first
+                _sort_trip_rows(path, *_read_rows(lines[:i], days))
+                raise _malformed(path, i + 2, line) from e
+        raise DataError(f"{path}: {e}") from e
+    if not rows.size:
         raise DataError(f"{path}: no trip rows")
-    trips = []
-    for trip_id, r in rows.items():
-        secs = sorted(r["entry"])
-        if secs != list(range(1, route.n_sections + 1)):
-            raise DataError(f"trip {trip_id}: sections {secs[:3]}... do not "
-                            f"cover 1..{route.n_sections}")
-        trips.append(TripRecord(
-            trip_id=trip_id, day_index=r["day"], weekday=r["weekday"],
-            entry_times=np.array([r["entry"][s] for s in secs]),
-            travel_times=np.array([r["travel"][s] for s in secs])))
-    return TripDataset(trips, route)
+    s, starts, first = _sort_trip_rows(path, rows, kept)
+    n_s = route.n_sections
+    ends = np.r_[starts[1:], rows.size]
+    # distinct sections cover 1..N exactly when N of them run from 1 to N
+    bad = ((ends - starts != n_s) | (s["section"][starts] != 1)
+           | (s["section"][ends - 1] != n_s))
+    if bad.any():
+        t = np.flatnonzero(bad)[np.argmin(first[bad])]
+        secs = s["section"][starts[t]:ends[t]][:3].tolist()
+        raise DataError(f"trip {s['trip_id'][starts[t]]}: sections {secs}... "
+                        f"do not cover 1..{n_s}")
+    heads = s[starts]
+    entry, travel = (np.ascontiguousarray(s[c]).reshape(-1, n_s)
+                     for c in ("entry", "travel"))
+    trips = [TripRecord(*fields) for fields in zip(
+        heads["trip_id"].tolist(), heads["day"].tolist(),
+        heads["weekday"].tolist(), entry, travel)]
+    # in order of first appearance, which names the first bad trip
+    return TripDataset([trips[t] for t in np.argsort(first)], route)
 
 
 def save_skip_report_csv(skips: list[SkipRecord], path) -> None:

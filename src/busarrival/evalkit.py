@@ -127,24 +127,29 @@ def fit_hist_mean(train_trips: list[TripRecord], bin_s: float = 1800.0
                   ) -> HistMeanModel:
     if not train_trips:
         raise ValueError("no training trips")
-    sums: dict = {}
-    counts: dict = {}
+    travel = np.array([t.travel_times for t in train_trips], dtype=np.float64)
+    n_s = travel.shape[1]
+    section = np.tile(np.arange(1, n_s + 1), len(train_trips))
+    weekday = np.repeat([t.weekday for t in train_trips], n_s)
+    time_bin = (np.array([t.entry_times for t in train_trips]).ravel()
+                // bin_s).astype(np.int64)
 
-    def add(key, v):
-        sums[key] = sums.get(key, 0.0) + v
-        counts[key] = counts.get(key, 0) + 1
+    def means(*cols) -> dict:
+        order = np.lexsort(cols[::-1])
+        new_key = np.r_[True, np.any([c[order][1:] != c[order][:-1]
+                                      for c in cols], axis=0)]
+        group = np.empty_like(order)
+        group[order] = np.cumsum(new_key) - 1
+        # bincount adds in input order, as a loop over trips and sections
+        # would, so each mean has that loop's bits
+        sums, counts = np.bincount(group, travel.ravel()), np.bincount(group)
+        keys = zip(*(c[order[new_key]].tolist() for c in cols))
+        return {k: v / n for k, v, n in zip(keys, sums.tolist(), counts.tolist())}
 
-    for trip in train_trips:
-        for sec in range(1, trip.n_sections + 1):
-            z = trip.travel(sec)
-            add((sec, trip.weekday, int(trip.entry(sec) // bin_s)), z)
-            add((sec, trip.weekday), z)
-            add((sec,), z)
-    by_bin = {k: sums[k] / counts[k] for k in sums if len(k) == 3}
-    by_weekday = {k: sums[k] / counts[k] for k in sums if len(k) == 2}
-    by_section = {k[0]: sums[k] / counts[k] for k in sums if len(k) == 1}
-    return HistMeanModel(bin_s=bin_s, by_bin=by_bin, by_weekday=by_weekday,
-                         by_section=by_section)
+    return HistMeanModel(
+        bin_s=bin_s, by_bin=means(section, weekday, time_bin),
+        by_weekday=means(section, weekday),
+        by_section={k[0]: v for k, v in means(section).items()})
 
 
 def baseline_hist_mean(model: HistMeanModel, ex: TrainingExample,

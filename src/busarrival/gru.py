@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import sigmoid, xavier_uniform
+from .numkit import ONE, sigmoid, xavier_uniform
 
 
 # the named gate views of each stack in GruParams.w_stack, u_stack, b_stack
@@ -190,21 +190,22 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
     hs = np.empty((n + 1, hid, b))
     hs[n if reverse else 0] = h0
     rec = np.empty((3 * hid, b))
-    rec_z, rec_cand = rec[:hid], rec[2 * hid:]
+    rec_z, rec_zr, rec_cand = rec[:hid], rec[:2 * hid], rec[2 * hid:]
     u_stack = params.u_stack
     out = 0 if reverse else 1       # hs[t + out] is the state after step t
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
         h_prev, h, g = hs[t + 1 - out], hs[t + out], gates[t]
         np.matmul(u_stack, h_prev, out=rec)
         zr = g[:2 * hid]
-        zr += rec[:2 * hid]
+        zr += rec_zr
         sigmoid(zr, out=zr)
         rec_cand *= zr[hid:]
         cand = g[2 * hid:]
         cand += rec_cand
         np.tanh(cand, out=cand)
-        np.multiply(zr[:hid], h_prev, out=h)
-        np.subtract(1.0, zr[:hid], out=rec_z)
+        z = zr[:hid]
+        np.multiply(z, h_prev, out=h)
+        np.subtract(ONE, z, out=rec_z)
         rec_z *= cand
         h += rec_z
     cache = GruCache(xs=xs, ctx=ctx, gates=gates, hs=hs, reverse=reverse)

@@ -12,6 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Read-only 0-d float64 operands: a ufunc converts a Python float operand on
+# every call, about 0.4 us of a one-column call's 1 us.
+ONE, _EXP_CAP = np.array(1.0), np.array(709.0)
+ONE.flags.writeable = _EXP_CAP.flags.writeable = False
+
+
 def sigmoid(x, out=None):
     """Logistic function 1 / (1 + exp(-x)), written into ``out`` when given
     (``out=x`` computes in place) and into a new array otherwise.
@@ -23,9 +29,9 @@ def sigmoid(x, out=None):
     if out is None:
         x = out = np.array(x, dtype=np.float64)
     np.negative(x, out=out)
-    np.minimum(out, 709.0, out=out)
+    np.minimum(out, _EXP_CAP, out=out)
     np.exp(out, out=out)
-    out += 1.0
+    np.add(out, ONE, out=out)
     return np.reciprocal(out, out=out)
 
 

@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .dataprep import (AT_LEAST_1, DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
-                       FIRST_POSITION, POSITIVE, DataError, NormStats,
-                       TrainingExample, check_ranges, fit_normalizer)
+from .dataprep import (AT_LEAST_1, DEC_Z_PV, DEC_Z_PW, FIRST_POSITION,
+                       POSITIVE, DataError, NormStats, TrainingExample,
+                       check_ranges, fit_normalizer)
 from .gru import GruParams, gru_backward, gru_forward, gru_size, init_gru
 from .numkit import adam_step, init_adam, spawn_rng
 
@@ -56,6 +57,9 @@ DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec",
 # validation sets made multi-MB GRU caches that left peak RSS 10-15% higher,
 # and varying from run to run, than chunks of 64 (5-8% slower training).
 LOSS_CHUNK = 64
+# per column of a decoder block (K, 4, N), whether it holds travel times;
+# the others hold entry times
+_DEC_TRAVEL = np.isin(np.arange(4), (DEC_Z_PV, DEC_Z_PW))[:, None]
 
 
 class CoverageError(ValueError):
@@ -167,37 +171,6 @@ class EdModel:
         return list(params)[int(np.searchsorted(ends, index, side="right"))]
 
 
-def decoder_param_count(model: EdModel) -> int:
-    """Learnable count of the decoder head: GRU chain(s) plus the output map.
-
-    The append embed is part of the context block shared by both variants
-    and is excluded; including it would not change which default sizes pass
-    the parity check.
-    """
-    n = model.dec_fwd.param_count() + model.w_out.size
-    if model.dec_bwd is not None:
-        n += model.dec_bwd.param_count()
-    if model.b_out is not None:
-        n += model.b_out.size
-    return n
-
-
-def bi_hidden_for_parity(hidden_enc: int = DEFAULT_HIDDEN_ENC,
-                         edu_hidden: int = DEFAULT_HIDDEN_DEC[KIND_EDU],
-                         bank_width: int = BANK_WIDTH,
-                         use_bias: bool = False) -> int:
-    """Largest per-direction EDB hidden size whose decoder stays within the
-    EDU decoder's parameter count."""
-    d_in = 4 + hidden_enc + bank_width + 1
-    bias = 3 if use_bias else 0
-    edu_count = 3 * edu_hidden * d_in + 3 * edu_hidden ** 2 + bias * edu_hidden + edu_hidden
-    for h in range(edu_hidden, 0, -1):
-        edb_count = 2 * (3 * h * d_in + 3 * h * h + bias * h) + 2 * h
-        if edb_count <= edu_count:
-            return h
-    return 1
-
-
 def bank_layout(n_sections: int, first_m: int = FIRST_POSITION,
                 width: int = BANK_WIDTH) -> list[tuple[int, int]]:
     """Contiguous position ranges covering m in [first_m, n_sections-1].
@@ -217,6 +190,16 @@ def bank_layout(n_sections: int, first_m: int = FIRST_POSITION,
              for i in range(n_full)]
     banks[-1] = (banks[-1][0], last_m)
     return banks
+
+
+def bank_range(n_sections: int, m: int) -> tuple[int, int]:
+    """The ``(m_lo, m_hi)`` of the bank of :func:`bank_layout` that covers m."""
+    layout = bank_layout(n_sections)
+    for m_lo, m_hi in layout:
+        if m_lo <= m <= m_hi:
+            return m_lo, m_hi
+    raise CoverageError(f"position m={m} is not covered; models span m in "
+                        f"[{FIRST_POSITION}, {n_sections - 1}] over banks {layout}")
 
 
 def new_model(kind: str, m_lo: int, m_hi: int, n_sections: int,
@@ -279,17 +262,15 @@ def stack_block(model: EdModel, exs: list[TrainingExample]) -> Block:
                             f"[{model.m_lo}, {model.m_hi}]")
     norm = model.norm
     enc = np.stack([ex.enc for ex in exs], axis=2)        # (m, 2, N)
-    dec = np.stack([ex.dec for ex in exs], axis=2)        # (K, 4, N)
+    dec = np.stack([ex.dec for ex in exs], axis=2, dtype=np.float64)  # (K, 4, N)
     if not (np.isfinite(enc).all() and np.isfinite(dec).all()):
         raise ValueError("unresolved (non-finite) inputs")
-    dec_n = np.empty_like(dec)
-    dec_n[:, DEC_Z_PV] = norm.norm_travel(dec[:, DEC_Z_PV])
-    dec_n[:, DEC_Z_PW] = norm.norm_travel(dec[:, DEC_Z_PW])
-    dec_n[:, DEC_TE_PV] = norm.norm_tod(dec[:, DEC_TE_PV])
-    dec_n[:, DEC_TE_PW] = norm.norm_tod(dec[:, DEC_TE_PW])
+    # each column's norm_travel or norm_tod, as one subtract and one divide
+    dec -= np.where(_DEC_TRAVEL, norm.travel_mean, norm.tod_min)
+    dec /= np.where(_DEC_TRAVEL, norm.travel_std, norm.tod_max - norm.tod_min)
     tc_n = norm.norm_tod(np.array([ex.t_c for ex in exs]))
     targets_n = norm.norm_travel(np.stack([ex.targets for ex in exs], axis=1))
-    return Block(m, norm.norm_travel(enc), dec_n, tc_n, targets_n)
+    return Block(m, norm.norm_travel(enc), dec, tc_n, targets_n)
 
 
 def stack_blocks(model: EdModel, examples: list[TrainingExample]) -> list[Block]:
@@ -311,11 +292,12 @@ def _forward(model: EdModel, blk: Block):
 
     The context ``e_a`` is [final encoder state; one-hot(m); normalized T_c].
     """
-    enc_states, enc_cache = gru_forward(
-        model.enc, np.zeros((model.hidden_enc, blk.n)), blk.enc)
-    onehot = np.zeros((model.bank_width, blk.n))
-    onehot[blk.m - model.m_lo] = 1.0
-    e_a = np.concatenate([enc_states[-1], onehot, blk.t_c[None, :]], axis=0)
+    he = model.hidden_enc
+    enc_states, enc_cache = gru_forward(model.enc, np.zeros((he, blk.n)), blk.enc)
+    e_a = np.zeros((model.ctx_len, blk.n))
+    e_a[:he] = enc_states[-1]
+    e_a[he + blk.m - model.m_lo] = 1.0
+    e_a[-1] = blk.t_c
     h0 = _embed(model, e_a)
     states, fwd_cache = gru_forward(model.dec_fwd, h0, blk.dec, ctx=e_a)
     bwd_cache = None
@@ -502,7 +484,8 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
 
 @dataclass
 class ModelBank:
-    """Ordered models covering every position m in [3, n_sections-1]."""
+    """Ordered models of one kind, one per bank of :func:`bank_layout`; a
+    bank that only predicts may hold just the models its queries need."""
 
     kind: str
     n_sections: int
@@ -519,14 +502,10 @@ class ModelBank:
             mo.validate()
 
     def model_for(self, m: int) -> EdModel:
-        if not FIRST_POSITION <= m <= self.n_sections - 1:
-            raise CoverageError(
-                f"position m={m} is not covered; models span m in "
-                f"[{FIRST_POSITION}, {self.n_sections - 1}] over banks "
-                f"{[(mo.m_lo, mo.m_hi) for mo in self.models]}")
         for mo in self.models:
             if mo.m_lo <= m <= mo.m_hi:
                 return mo
+        bank_range(self.n_sections, m)      # raises the error naming the banks
         raise CoverageError(f"no bank owns position m={m}")
 
 
@@ -651,6 +630,12 @@ def load_model_json(path) -> EdModel:
             raise ValueError(f"format_version {version!r}, but this reads "
                              f"{CHECKPOINT_FORMAT_VERSION}; retrain the bank "
                              "with `busarrival train`")
+        # numpy would convert strings and booleans; JSON numbers are int or float
+        numbers = {int, float}
+        if not set(map(type, doc["theta"])) <= numbers:
+            raise ValueError("theta entries must be numbers")
+        if not set(map(type, doc["norm"].values())) <= numbers:
+            raise ValueError("norm fields must be numbers")
         model = EdModel(**{name: doc[name] for name in DIMS},
                         norm=NormStats.from_dict(doc["norm"]),
                         theta=np.array(doc["theta"], np.float64))
@@ -669,7 +654,6 @@ def checkpoint_filename(kind: str, m_lo: int, m_hi: int) -> str:
 
 
 def save_bank(bank: ModelBank, out_dir) -> list:
-    import os
     paths = []
     for model in bank.models:
         path = os.path.join(str(out_dir),
@@ -679,15 +663,26 @@ def save_bank(bank: ModelBank, out_dir) -> list:
     return paths
 
 
+def load_bank_model(ckpt_dir, kind: str, m_range: tuple[int, int],
+                    n_sections: int) -> EdModel:
+    """The model of one bank, read from its checkpoint in ``ckpt_dir``,
+    which must hold what its file name says: that kind and bank range, on a
+    route of ``n_sections``."""
+    m_lo, m_hi = m_range
+    path = os.path.join(str(ckpt_dir), checkpoint_filename(kind, m_lo, m_hi))
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"missing checkpoint for {kind} bank {m_lo}-{m_hi}: {path}")
+    model = load_model_json(path)
+    got = (model.kind, model.m_lo, model.m_hi, model.n_sections)
+    if got != (kind, m_lo, m_hi, n_sections):
+        raise DataError(f"{path}: holds the {got[0]} model of bank "
+                        f"{got[1]}-{got[2]} on {got[3]} sections, not the "
+                        f"{kind} model of bank {m_lo}-{m_hi} on {n_sections}")
+    return model
+
+
 def load_bank(ckpt_dir, kind: str, n_sections: int) -> ModelBank:
-    import os
-    models = []
-    for m_lo, m_hi in bank_layout(n_sections):
-        path = os.path.join(str(ckpt_dir), checkpoint_filename(kind, m_lo, m_hi))
-        if not os.path.exists(path):
-            raise FileNotFoundError(
-                f"missing checkpoint for {kind} bank {m_lo}-{m_hi}: {path}")
-        models.append(load_model_json(path))
-    bank = ModelBank(kind=kind, n_sections=n_sections, models=models)
-    bank.validate()
-    return bank
+    return ModelBank(kind=kind, n_sections=n_sections, models=[
+        load_bank_model(ckpt_dir, kind, m_range, n_sections)
+        for m_range in bank_layout(n_sections)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from busarrival.dataprep import NormStats, RouteSpec, TrainingExample, TripRecord
+from busarrival.seq2seq import BANK_WIDTH, DEFAULT_HIDDEN_DEC, DEFAULT_HIDDEN_ENC
 
 
 def make_example(rng, m, n_sections, day_index=8, trip_id=1):
@@ -25,6 +26,41 @@ def make_trip(trip_id, day_index, start_s, travel_times):
     return TripRecord(trip_id=trip_id, day_index=day_index,
                       weekday=day_index % 7, entry_times=entries,
                       travel_times=travel)
+
+
+def denorm_tod(norm, x):
+    """The inverse of ``norm.norm_tod``."""
+    return np.asarray(x, dtype=np.float64) * (norm.tod_max - norm.tod_min) + norm.tod_min
+
+
+def decoder_param_count(model) -> int:
+    """Learnable count of the decoder head: GRU chain(s) plus the output map.
+
+    The append embed is part of the context block shared by both variants
+    and is excluded; including it would not change which default sizes pass
+    the parity check.
+    """
+    n = model.dec_fwd.param_count() + model.w_out.size
+    if model.dec_bwd is not None:
+        n += model.dec_bwd.param_count()
+    if model.b_out is not None:
+        n += model.b_out.size
+    return n
+
+
+def bi_hidden_for_parity(hidden_enc=DEFAULT_HIDDEN_ENC,
+                         edu_hidden=DEFAULT_HIDDEN_DEC["edu"],
+                         bank_width=BANK_WIDTH, use_bias=False) -> int:
+    """Largest per-direction EDB hidden size whose decoder stays within the
+    EDU decoder's parameter count."""
+    d_in = 4 + hidden_enc + bank_width + 1
+    bias = 3 if use_bias else 0
+    edu_count = 3 * edu_hidden * d_in + 3 * edu_hidden ** 2 + bias * edu_hidden + edu_hidden
+    for h in range(edu_hidden, 0, -1):
+        edb_count = 2 * (3 * h * d_in + 3 * h * h + bias * h) + 2 * h
+        if edb_count <= edu_count:
+            return h
+    return 1
 
 
 @pytest.fixture

@@ -23,11 +23,11 @@ from busarrival.evalkit import (baseline_hist_mean, baseline_persistence,
                                 paired_z_test)
 from busarrival.gru import gru_forward, init_gru
 from busarrival.numkit import finite_diff_grad, make_rng
-from busarrival.seq2seq import (TrainConfig, bank_layout, decoder_param_count,
-                                model_backward, model_loss, new_model, predict,
+from busarrival.seq2seq import (TrainConfig, bank_layout, model_backward,
+                                model_loss, new_model, predict,
                                 predict_example, train_bank)
 from busarrival.simulator import SimConfig, simulate_dataset, split_train_test
-from conftest import make_example
+from conftest import decoder_param_count, make_example
 
 
 def report(criterion, detail):

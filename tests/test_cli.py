@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -493,6 +494,57 @@ class TestPredict:
         path.write_text(json.dumps(doc))
         assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_missing_covering_checkpoint_names_bank(self, tiny_config, sim_dir,
+                                                    ckpt_dir, capsys):
+        (ckpt_dir / "edb_bank_03_07.json").unlink()
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 2
+        assert "missing checkpoint for edb bank 3-7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("m_lo", 4, "malformed checkpoint"),
+        ("n_sections", 9, "holds the edb model of bank 3-7 on 9 sections, not "
+                          "the edb model of bank 3-7 on 8"),
+    ], ids=["m_lo", "n_sections"])
+    def test_checkpoint_must_hold_the_bank_its_name_says(
+            self, tiny_config, sim_dir, ckpt_dir, capsys, field, value, message):
+        path = ckpt_dir / "edb_bank_03_07.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["edu", "edb"])
+    def test_reads_only_the_covering_checkpoint(self, tmp_path, capsys, kind):
+        # 13 sections make two banks, 3-7 and 8-12, of seeded untrained models
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "route": {"n_sections": 13, "section_length_m": 500.0},
+            "simulator": {"weeks": 2, "trips_per_day": 4}}))
+        sim, ckpt = tmp_path / "sim", tmp_path / "ckpt"
+        assert run(["simulate", "--config", config, "--out", sim]) == 0
+        capsys.readouterr()
+        ckpt.mkdir()
+        norm = dataprep.NormStats(130.0, 40.0, 0.0, 86400.0)
+        seq2seq.save_bank(seq2seq.ModelBank(kind, 13, [
+            seq2seq.new_model(kind, lo, hi, 13, np.random.default_rng(lo),
+                              hidden_enc=4, hidden_dec=3, norm=norm)
+            for lo, hi in seq2seq.bank_layout(13)]), ckpt)
+        for m, other in ((4, "08_12"), (9, "03_07")):
+            assert self.predict(config, ckpt, sim, 7001, m, "--kind", kind) == 0
+            plain = capsys.readouterr().out
+            assert len(plain.splitlines()) == 1 + 13 - m
+            saved = (ckpt / f"{kind}_bank_{other}.json").read_bytes()
+            (ckpt / f"{kind}_bank_{other}.json").unlink()
+            assert self.predict(config, ckpt, sim, 7001, m, "--kind", kind) == 0
+            assert capsys.readouterr().out == plain
+            (ckpt / f"{kind}_bank_{other}.json").write_bytes(saved)
+        # the other bank's checkpoint under this bank's name
+        shutil.copy(ckpt / f"{kind}_bank_08_12.json", ckpt / f"{kind}_bank_03_07.json")
+        assert self.predict(config, ckpt, sim, 7001, 4, "--kind", kind) == 2
+        assert (f"{kind}_bank_03_07.json: holds the {kind} model of bank 8-12"
+                in capsys.readouterr().err)
 
 
 class TestEvaluate:

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from busarrival.dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
                                  closest_prev_week_trip, example_key,
                                  fit_normalizer)
 from busarrival.numkit import make_rng
-from conftest import make_example, make_trip
+from conftest import denorm_tod, make_example, make_trip
 
 
 def random_day_trips(rng, day, n_trips, n_sections, headway=300.0,
@@ -114,6 +115,65 @@ class TestTripRecord:
             t2.validate()
         with pytest.raises(DataError, match="negative trip id"):
             make_trip(-1, 0, 0.0, [10.0] * 4).validate()
+
+
+def break_trip(trip, check):
+    """``trip`` edited to fail one of TripRecord.validate's six checks."""
+    if check == "length":
+        trip.travel_times = trip.travel_times[:-1]
+    elif check == "travel":
+        trip.travel_times[1] = -1.0
+    elif check == "increasing":
+        trip.entry_times[2] = trip.entry_times[1]
+    elif check == "consistent":
+        trip.entry_times[3] += 5.0
+    elif check == "weekday":
+        trip.weekday = (trip.weekday + 1) % 7
+    else:
+        trip.trip_id = -trip.trip_id
+    return trip
+
+
+class TestTripDataset:
+    @pytest.mark.parametrize("check, message", [
+        ("length", "entry/travel length mismatch"),
+        ("travel", "non-positive travel time"),
+        ("increasing", "entry times not increasing"),
+        ("consistent", "entry times inconsistent with travel times"),
+        ("weekday", "weekday does not match day index"),
+        ("negative-id", "negative trip id"),
+    ])
+    def test_first_bad_trip_in_input_order_is_named(self, small_route, check,
+                                                    message):
+        # trip 5 comes first in the input, trip 3 first in (day, start) order
+        trips = [make_trip(1, 1, 21600.0, [60.0] * 6),
+                 break_trip(make_trip(5, 1, 22000.0, [60.0] * 6), check),
+                 make_trip(2, 0, 23000.0, [60.0] * 6),
+                 break_trip(make_trip(3, 0, 21000.0, [60.0] * 6), check)]
+        first = trips[1].trip_id
+        with pytest.raises(DataError, match=re.escape(f"trip {first}: {message}")):
+            TripDataset(trips, small_route)
+        for trip in (trips[1], trips[3]):
+            with pytest.raises(DataError, match=re.escape(message)):
+                trip.validate()
+
+    def test_wrong_section_count_after_a_bad_trip(self, small_route):
+        trips = [break_trip(make_trip(5, 1, 22000.0, [60.0] * 6), "weekday"),
+                 make_trip(3, 0, 21000.0, [60.0] * 7)]
+        with pytest.raises(DataError, match="trip 5: weekday"):
+            TripDataset(trips, small_route)
+        with pytest.raises(DataError, match="trip 3 has 7 sections, route has 6"):
+            TripDataset(trips[1:], small_route)
+
+    def test_arrays_follow_the_sorted_trips(self, small_route):
+        rng = make_rng(31)
+        trips = [t for day in (8, 0, 7) for t in random_day_trips(rng, day, 4, 6)]
+        ds = TripDataset(trips[::-1], small_route)
+        assert ds.trips == sorted(trips, key=lambda t: (t.day_index, t.start_time,
+                                                        t.trip_id))
+        npt.assert_array_equal(ds.entry, [t.entry_times for t in ds.trips])
+        npt.assert_array_equal(ds.travel, [t.travel_times for t in ds.trips])
+        npt.assert_array_equal(ds.ids, [t.trip_id for t in ds.trips])
 
 
 class TestClosestPrevTrip:
@@ -551,7 +611,7 @@ class TestNormalizer:
         npt.assert_allclose(toy_norm.denorm_travel(toy_norm.norm_travel(x)), x,
                             atol=1e-9)
         t = rng.uniform(0, 86400, size=100)
-        npt.assert_allclose(toy_norm.denorm_tod(toy_norm.norm_tod(t)), t,
+        npt.assert_allclose(denorm_tod(toy_norm, toy_norm.norm_tod(t)), t,
                             atol=1e-9)
 
     def test_matches_two_pass_computation(self):
@@ -635,6 +695,69 @@ class TestCsvFormats:
         rows = path.read_text().splitlines(keepends=True)
         path.write_text("".join(edit(rows)))
         with pytest.raises(DataError, match=re.escape(f"{path}:4: {message}")):
+            dataprep.load_trips_csv(path, small_route)
+
+    def test_shuffled_rows_load_as_sorted(self, tmp_path, small_route):
+        rng = make_rng(32)
+        trips = [t for day in (0, 1, 7) for t in random_day_trips(rng, day, 5, 6)]
+        path, shuffled = tmp_path / "trips.csv", tmp_path / "shuffled.csv"
+        dataprep.save_trips_csv(trips, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        shuffled.write_text(header + "".join(rows[i] for i in
+                                             rng.permutation(len(rows))))
+        for days in (None, {1, 7}):
+            a = dataprep.load_trips_csv(path, small_route, days=days)
+            b = dataprep.load_trips_csv(shuffled, small_route, days=days)
+            for name in ("entry", "travel", "ids"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert ([(t.trip_id, t.day_index, t.weekday) for t in a.trips]
+                    == [(t.trip_id, t.day_index, t.weekday) for t in b.trips])
+
+    def test_days_keep_the_trips_of_a_full_load(self, tmp_path, small_route):
+        rng = make_rng(33)
+        trips = [t for day in (0, 1, 7, 8) for t in random_day_trips(rng, day, 4, 6)]
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv(trips, path)
+        full = dataprep.load_trips_csv(path, small_route)
+        for days in ({8, 1}, {0}, {7, 99}):
+            got = dataprep.load_trips_csv(path, small_route, days=days)
+            want = TripDataset([t for t in full.trips if t.day_index in days],
+                               small_route)
+            for name in ("entry", "travel", "ids"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        with pytest.raises(DataError, match="no trip rows"):
+            dataprep.load_trips_csv(path, small_route, days={99})
+
+    def test_header_only_file_has_no_trip_rows(self, tmp_path, small_route):
+        path = tmp_path / "trips.csv"
+        path.write_text(",".join(dataprep.TRIP_CSV_HEADER) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for days in (None, {0}):
+                with pytest.raises(DataError, match=re.escape(f"{path}: no trip rows")):
+                    dataprep.load_trips_csv(path, small_route, days=days)
+
+    def test_blank_row_is_malformed(self, tmp_path, small_route):
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv([make_trip(0, 0, 21600.0, [60.0] * 6)], path)
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(rows[:3] + ["\n"] + rows[3:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"{path}: malformed row 4: []")):
+                dataprep.load_trips_csv(path, small_route)
+
+    def test_inconsistent_row_before_a_malformed_one_is_named(
+            self, tmp_path, small_route):
+        trips = [make_trip(0, 0, 21600.0, [60.0] * 6)]
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv(trips, path)
+        rows = path.read_text().splitlines(keepends=True)
+        rows[3] = rows[2]                                   # repeats section 2
+        rows[5] = rows[5].replace(",4,", ",four,")
+        path.write_text("".join(rows))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:4: trip 0 repeats section 2")):
             dataprep.load_trips_csv(path, small_route)
 
     def test_wrong_header_rejected(self, tmp_path, small_route):

@@ -178,6 +178,36 @@ class TestBaselines:
         with pytest.raises(ValueError):
             fit_hist_mean([])
 
+    def test_fit_hist_mean_matches_straight_loop(self):
+        trips, events = simulate_dataset(SimConfig(
+            route=RouteSpec(10, 500.0), weeks=2, trips_per_day=8, seed=3))
+        assert events
+        for bin_s in (1800.0, 700.0):
+            got = fit_hist_mean(trips, bin_s=bin_s)
+            want = reference_hist_mean(trips, bin_s)
+            for name in ("by_bin", "by_weekday", "by_section"):
+                got_means, want_means = getattr(got, name), getattr(want, name)
+                assert got_means.keys() == want_means.keys()
+                assert all(np.float64(got_means[k]).tobytes()
+                           == np.float64(v).tobytes() for k, v in want_means.items())
+
+
+def reference_hist_mean(trips, bin_s):
+    """The per-key means by one dict update per trip and section, in order."""
+    sums, counts = {}, {}
+    for trip in trips:
+        for sec in range(1, trip.n_sections + 1):
+            z = trip.travel(sec)
+            for key in ((sec, trip.weekday, int(trip.entry(sec) // bin_s)),
+                        (sec, trip.weekday), (sec,)):
+                sums[key] = sums.get(key, 0.0) + z
+                counts[key] = counts.get(key, 0) + 1
+    means = {k: sums[k] / counts[k] for k in sums}
+    return evalkit.HistMeanModel(
+        bin_s=bin_s, by_bin={k: v for k, v in means.items() if len(k) == 3},
+        by_weekday={k: v for k, v in means.items() if len(k) == 2},
+        by_section={k[0]: v for k, v in means.items() if len(k) == 1})
+
 
 class TestGrid:
     def test_j_values_clamp_to_route_end(self):

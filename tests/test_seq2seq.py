@@ -15,13 +15,12 @@ from busarrival.gru import gru_forward
 from busarrival.numkit import adam_step, finite_diff_grad, init_adam, make_rng
 from busarrival.seq2seq import (CoverageError, EdModel, ModelBank,
                                 NonFiniteGradientError, NonFiniteLossError,
-                                TrainConfig, bank_layout,
-                                bi_hidden_for_parity, decoder_param_count,
-                                load_bank, load_model_json, loss, mean_loss,
+                                TrainConfig, bank_layout, load_bank, load_model_json, loss, mean_loss,
                                 model_backward, model_loss, new_model, predict,
                                 predict_example, save_bank, save_model_json,
                                 train_bank, train_model)
-from conftest import make_example
+from conftest import (bi_hidden_for_parity, decoder_param_count, denorm_tod,
+                      make_example)
 
 # the format-2 checkpoint test_format_2_bytes_are_stable saves
 GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "edb_bank_03_04.json"
@@ -406,7 +405,7 @@ class TestNormalizationContract:
         npt.assert_allclose(norm.denorm_travel(norm.norm_travel(x)), x,
                             atol=1e-9)
         t = make_rng(16).uniform(0, 86400, 64)
-        npt.assert_allclose(norm.denorm_tod(norm.norm_tod(t)), t, atol=1e-9)
+        npt.assert_allclose(denorm_tod(norm, norm.norm_tod(t)), t, atol=1e-9)
 
 
 class TestTraining:
@@ -720,6 +719,20 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(bank, ex)
 
+    def test_integer_inputs_predict_as_floats(self, toy_norm):
+        # integer-valued JSON loads as int64 arrays; normalization must not
+        # round the decoder inputs back to integers
+        model = new_model("edb", 3, 7, 10, make_rng(38), hidden_enc=4,
+                          hidden_dec=3, norm=toy_norm)
+        ex = make_example(make_rng(39), 5, 10)
+        ex = replace(ex, enc=ex.enc.round(), dec=ex.dec.round(),
+                     targets=ex.targets.round())
+        as_ints = replace(ex, enc=ex.enc.astype(np.int64),
+                          dec=ex.dec.astype(np.int64),
+                          targets=ex.targets.astype(np.int64))
+        assert (predict_example(model, as_ints).tobytes()
+                == predict_example(model, ex).tobytes())
+
     def test_variable_length_contract(self, toy_norm):
         n_s = 34
         bank = zero_bank("edu", n_s, toy_norm)
@@ -803,6 +816,12 @@ class TestCheckpoints:
         lambda doc, model: doc["theta"].append(0.0),
         lambda doc, model: doc.update({"kind": "edb"}),
         lambda doc, model: doc.update({"hidden_enc": "4"}),
+        # values numpy would convert: a string and a boolean in theta, and
+        # norm fields that are not numbers
+        lambda doc, model: doc["theta"].__setitem__(0, "0.5"),
+        lambda doc, model: doc["theta"].__setitem__(1, True),
+        lambda doc, model: doc["norm"].update({"travel_mean": "130"}),
+        lambda doc, model: doc["norm"].update({"tod_min": [0]}),
     ])
     def test_malformed_checkpoint_names_path(self, tmp_path, toy_norm, corrupt):
         model = new_model("edu", 3, 7, 10, make_rng(29), hidden_enc=4,
