@@ -222,12 +222,9 @@ def cmd_train(args, cfg: dict) -> int:
               "nothing is validated and early stopping is off",
               file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    loss_rows = []
-    runs = {}
-    pool = None
-    if args.threads > 1:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.threads)
+    outputs, loss_rows, runs = [], [], {}
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=args.threads)
+            if args.threads > 1 else None)
     try:
         for kind in _kinds(args.kind):
             start = time.perf_counter()
@@ -241,12 +238,10 @@ def cmd_train(args, cfg: dict) -> int:
                                     for (lo, hi), h in sorted(result.histories.items())
                                     if h}}
             outputs.extend(seq2seq.save_bank(result.bank, args.out))
-            for (m_lo, m_hi), history in sorted(result.histories.items()):
-                for h in history:
-                    loss_rows.append([kind, f"{m_lo}-{m_hi}", h["epoch"],
-                                      f"{h['train_loss']:.8f}",
-                                      "" if h["val_loss"] is None
-                                      else f"{h['val_loss']:.8f}"])
+            loss_rows += [[kind, f"{m_lo}-{m_hi}", h["epoch"], f"{h['train_loss']:.8f}",
+                           "" if h["val_loss"] is None else f"{h['val_loss']:.8f}"]
+                          for (m_lo, m_hi), history in sorted(result.histories.items())
+                          for h in history]
             for m_range in result.skipped:
                 print(f"train: skipped {kind} bank m={m_range[0]}-{m_range[1]} "
                       "(no examples)", file=sys.stderr)
@@ -254,11 +249,8 @@ def cmd_train(args, cfg: dict) -> int:
         if pool is not None:
             pool.shutdown()
     loss_path = os.path.join(args.out, "loss_curves.csv")
-    with open(loss_path, "w", newline="") as f:
-        import csv as _csv
-        w = _csv.writer(f, lineterminator="\n")
-        w.writerow(["kind", "bank", "epoch", "train_loss", "val_loss"])
-        w.writerows(loss_rows)
+    dataprep.write_csv(loss_path, ["kind", "bank", "epoch", "train_loss",
+                                   "val_loss"], loss_rows)
     outputs.append(loss_path)
     _write_manifest(args.out, "train", cfg, outputs, held_out_week=held_out,
                     validation_week=validation_week, training=runs)
@@ -290,11 +282,10 @@ def cmd_predict(args, cfg: dict) -> int:
               f"{args.tc:.1f}s (previous-bus inputs re-resolved)",
               file=sys.stderr)
     result = seq2seq.predict(bank, ex)
-    writer = sys.stdout
-    print("section,predicted_travel_s,cumulative_s,arrival_s", file=writer)
+    print("section,predicted_travel_s,cumulative_s,arrival_s")
     for sec, z, c, a in zip(result.sections, result.travel_s,
                             result.cumulative_s, result.arrival_s):
-        print(f"{sec},{z:.3f},{c:.3f},{a:.3f}", file=writer)
+        print(f"{sec},{z:.3f},{c:.3f},{a:.3f}")
     return 0
 
 

@@ -29,7 +29,7 @@ import csv
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,26 +106,38 @@ class TripRecord:
     def travel(self, section: int) -> float:
         return float(self.travel_times[section - 1])
 
-    def validate(self, n_sections: int | None = None) -> None:
-        """Raise DataError unless this is a valid trip, on a route of
-        ``n_sections`` when given."""
-        e, z = self.entry_times, self.travel_times
-        if n_sections is not None and len(e) != n_sections:
-            raise DataError(f"trip {self.trip_id} has {len(e)} sections, "
-                            f"route has {n_sections}")
-        if len(e) != len(z):
+    def validate(self) -> None:
+        if len(self.entry_times) != len(self.travel_times):
             raise DataError(f"trip {self.trip_id}: entry/travel length mismatch")
-        if not np.all(z > 0):
-            raise DataError(f"trip {self.trip_id}: non-positive travel time")
-        if not np.all(np.diff(e) > 0):
-            raise DataError(f"trip {self.trip_id}: entry times not increasing")
-        if not np.allclose(e[1:], e[:-1] + z[:-1], atol=1e-6):
-            raise DataError(f"trip {self.trip_id}: entry times inconsistent "
-                            "with travel times")
-        if self.weekday != self.day_index % 7:
-            raise DataError(f"trip {self.trip_id}: weekday does not match day index")
-        if self.trip_id < 0:  # examples mark "no previous bus" with id -1
-            raise DataError(f"trip {self.trip_id}: negative trip id")
+        check_trips(*trip_arrays([self], len(self.entry_times)))
+
+
+def trip_arrays(trips: list[TripRecord], n_sections: int) -> tuple:
+    """``(ids, day, weekday, entry, travel)`` of ``trips`` of ``n_sections``
+    sections, row i for ``trips[i]``, as :func:`check_trips` takes them."""
+    return (*(np.array([getattr(t, name) for t in trips], dtype=np.int64)
+              for name in ("trip_id", "day_index", "weekday")),
+            *(np.array([getattr(t, name) for t in trips]).reshape(len(trips),
+                                                                  n_sections)
+              for name in ("entry_times", "travel_times")))
+
+
+def check_trips(ids, day, weekday, e, z) -> None:
+    """Raise DataError for the first trip, in row order, that is not valid,
+    with the message of the first check it fails. The entry times ``e`` and
+    travel times ``z`` are (trips × sections), the others one per trip."""
+    fails = [(~(z > 0).all(axis=1), "non-positive travel time"),
+             (~(np.diff(e) > 0).all(axis=1), "entry times not increasing"),
+             (~np.isclose(e[:, 1:], e[:, :-1] + z[:, :-1], atol=1e-6).all(axis=1),
+              "entry times inconsistent with travel times"),
+             (weekday != day % 7, "weekday does not match day index"),
+             # examples mark "no previous bus" with id -1
+             (ids < 0, "negative trip id")]
+    bad = np.any([mask for mask, _ in fails], axis=0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        message = next(message for mask, message in fails if mask[row])
+        raise DataError(f"trip {ids[row]}: {message}")
 
 
 @dataclass
@@ -195,24 +207,35 @@ class TripDataset:
     ``ids``, row i for ``trips[i]``."""
 
     def __init__(self, trips: list[TripRecord], route: RouteSpec):
+        """The dataset of ``trips`` in any order; the first bad one raises DataError."""
         n_s = route.n_sections
-        # the trips before the first one of the wrong size stack into arrays,
-        # and TripRecord.validate's checks run over all of them at once
-        n = next((i for i, t in enumerate(trips) if not
-                  len(t.entry_times) == len(t.travel_times) == n_s), len(trips))
-        e = np.array([t.entry_times for t in trips[:n]]).reshape(n, n_s)
-        z = np.array([t.travel_times for t in trips[:n]]).reshape(n, n_s)
-        ids = np.array([t.trip_id for t in trips[:n]], dtype=np.int64)
-        day = np.array([t.day_index for t in trips[:n]])
-        ok = ((z > 0).all(axis=1) & (np.diff(e) > 0).all(axis=1)
-              & np.isclose(e[:, 1:], e[:, :-1] + z[:, :-1], atol=1e-6).all(axis=1)
-              & (np.array([t.weekday for t in trips[:n]]) == day % 7) & (ids >= 0))
-        # the first failing trip in input order raises its own message
-        for i in [*np.flatnonzero(~ok).tolist(), *range(n, len(trips))]:
-            trips[i].validate(n_s)
+        for i, t in enumerate(trips):
+            if not t.n_sections == len(t.travel_times) == n_s:
+                check_trips(*trip_arrays(trips[:i], n_s))  # earlier faults first
+                if t.n_sections != n_s:
+                    raise DataError(f"trip {t.trip_id} has {t.n_sections} "
+                                    f"sections, route has {n_s}")
+                t.validate()
+        self._index(route, trips, *trip_arrays(trips, n_s))
+
+    @classmethod
+    def from_arrays(cls, route, ids, day, weekday, entry, travel) -> TripDataset:
+        """The dataset of the trips in the rows of the arrays
+        :func:`trip_arrays` returns; its TripRecords are views of its rows."""
+        dataset = cls.__new__(cls)
+        dataset._index(route, None, ids, day, weekday, entry, travel)
+        return dataset
+
+    def _index(self, route, trips, ids, day, weekday, e, z) -> None:
+        # the first invalid trip in row order raises its own message
+        check_trips(ids, day, weekday, e, z)
         order = np.lexsort((ids, e[:, 0], day))
         self.route = route
-        self.trips = [trips[i] for i in order.tolist()]
+        self.entry, self.travel, self.ids = e[order], z[order], ids[order]
+        self.trips = ([trips[i] for i in order.tolist()] if trips is not None
+                      else [TripRecord(*fields) for fields in zip(
+                          self.ids.tolist(), day[order].tolist(),
+                          weekday[order].tolist(), self.entry, self.travel)])
         self.by_day: dict[int, list[TripRecord]] = {}
         self.by_id: dict[int, TripRecord] = {}
         self._first: dict[int, int] = {}        # day -> row of its first trip
@@ -222,7 +245,6 @@ class TripDataset:
             if t.trip_id in self.by_id:
                 raise DataError(f"duplicate trip id {t.trip_id}")
             self.by_id[t.trip_id] = t
-        self.entry, self.travel, self.ids = e[order], z[order], ids[order]
         self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -266,12 +288,8 @@ def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
     if not 1 <= section <= dataset.route.n_sections:
         raise ValueError(f"section {section} outside route")
     if brute_force:
-        best = None
-        for t in dataset.by_day.get(day, []):
-            e = t.entry(section)
-            if e < t_c and (best is None or (e, t.trip_id) > (best.entry(section), best.trip_id)):
-                best = t
-        return best
+        before = [t for t in dataset.by_day.get(day, []) if t.entry(section) < t_c]
+        return max(before, default=None, key=lambda t: (t.entry(section), t.trip_id))
     row = dataset.prev_rows(day, section - 1, t_c)
     return dataset.trips[row] if row >= 0 else None
 
@@ -286,12 +304,8 @@ def closest_prev_week_trip(dataset: TripDataset, day_index: int,
     """
     prev_day = day_index - 7
     if brute_force:
-        best, best_key = None, None
-        for t in dataset.by_day.get(prev_day, []):
-            key = (abs(t.start_time - start_time), t.start_time, t.trip_id)
-            if best_key is None or key < best_key:
-                best, best_key = t, key
-        return best
+        return min(dataset.by_day.get(prev_day, []), default=None, key=lambda t: (
+            abs(t.start_time - start_time), t.start_time, t.trip_id))
     keys, order = dataset.day_order(prev_day)
     starts = keys[0]
     i = int(np.searchsorted(starts, start_time))
@@ -320,8 +334,8 @@ def _assemble(dataset: TripDataset, trips: list[TripRecord],
     for m in positions:
         if not 1 <= m <= n_s - 1:
             raise ValueError(f"position m={m} outside [1, {n_s - 1}]")
-    if t_c is None:
-        t_c = np.array([t.entry_times for t in trips]).reshape(n, n_s)[:, positions]
+    _, trip_day, _, entry, travel = trip_arrays(trips, n_s)
+    t_c = entry[:, positions] if t_c is None else t_c
     # the dataset row of each previous bus, -1 where there is none
     prev = np.full((n_s, n, len(positions)), -1, dtype=np.int32)
     if brute_force:
@@ -332,7 +346,6 @@ def _assemble(dataset: TripDataset, trips: list[TripRecord],
                                                    col + 1, tc, brute_force=True)
                 prev[col, i, j] = -1 if hit is None else row_of[hit.trip_id]
     else:
-        trip_day = np.array([t.day_index for t in trips])
         for day in set(trip_day.tolist()):
             on_day = trip_day == day
             for col in range(min(positions, default=n_s), n_s):
@@ -340,9 +353,7 @@ def _assemble(dataset: TripDataset, trips: list[TripRecord],
     has_pw = np.array([pw is not None for pw in pws])
     # a trip with no previous-week match stands in for it; its rows are skipped
     pws = [pw or t for pw, t in zip(pws, trips)]
-    travel = np.array([t.travel_times for t in trips]).reshape(n, n_s)
-    pw_travel = np.array([pw.travel_times for pw in pws]).reshape(n, n_s)
-    pw_entry = np.array([pw.entry_times for pw in pws]).reshape(n, n_s)
+    *_, pw_entry, pw_travel = trip_arrays(pws, n_s)
     out = [[("no_previous_bus" if h else "no_previous_week_trip")] * len(positions)
            for h in has_pw.tolist()]
     for j, m in enumerate(positions):
@@ -413,16 +424,10 @@ def build_examples(dataset: TripDataset, positions: range | list | None = None,
     trips = [t for t in dataset.trips if day_set is None or t.day_index in day_set]
     pws = [closest_prev_week_trip(dataset, t.day_index, t.start_time, brute_force)
            for t in trips]
-    examples: list[TrainingExample] = []
-    skips: list[SkipRecord] = []
-    for trip, row in zip(trips, _assemble(dataset, trips, pws, positions, None,
-                                          fallback, brute_force)):
-        for m, ex in zip(positions, row):
-            if isinstance(ex, str):
-                skips.append(SkipRecord(trip.day_index, trip.trip_id, m, ex))
-            else:
-                examples.append(ex)
-    return examples, skips
+    rows = _assemble(dataset, trips, pws, positions, None, fallback, brute_force)
+    return ([ex for row in rows for ex in row if not isinstance(ex, str)],
+            [SkipRecord(t.day_index, t.trip_id, m, ex) for t, row in zip(trips, rows)
+             for m, ex in zip(positions, row) if isinstance(ex, str)])
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +456,7 @@ class NormStats:
         return (np.asarray(x, dtype=np.float64) - self.tod_min) / (self.tod_max - self.tod_min)
 
     def to_dict(self) -> dict:
-        return {"travel_mean": self.travel_mean, "travel_std": self.travel_std,
-                "tod_min": self.tod_min, "tod_max": self.tod_max}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
@@ -494,14 +498,18 @@ SKIP_CSV_HEADER = ["day", "trip_id", "m", "reason"]
 WRITE_CHUNK = 1024
 
 
-def save_trips_csv(trips: list[TripRecord], path) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """A CSV file of ``header``, then ``rows``, each line ended by "\\n"."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRIP_CSV_HEADER)
-        for t in trips:
-            for sec in range(1, t.n_sections + 1):
-                w.writerow([t.trip_id, t.day_index, t.weekday, sec,
-                            f"{t.entry(sec):.6f}", f"{t.travel(sec):.6f}"])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def save_trips_csv(trips: list[TripRecord], path) -> None:
+    write_csv(path, TRIP_CSV_HEADER, (
+        [t.trip_id, t.day_index, t.weekday, sec, f"{t.entry(sec):.6f}",
+         f"{t.travel(sec):.6f}"] for t in trips for sec in range(1, t.n_sections + 1)))
 
 
 def _check_header(f) -> None:
@@ -537,13 +545,16 @@ def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray | None]:
     if "" in lines:                     # np.loadtxt would skip a blank line
         raise ValueError("blank row")
     kept, csv_format = None, {"delimiter": ",", "comments": None, "ndmin": 1}
-    if days is not None and lines:
-        kept = np.flatnonzero(np.isin(np.loadtxt(
-            lines, np.int64, usecols=1, **csv_format), list(days)))
-        lines = [lines[i] for i in kept]
-    # np.loadtxt warns when it reads no rows
-    return (np.loadtxt(lines, TRIP_DTYPE, **csv_format) if lines
-            else np.empty(0, TRIP_DTYPE)), kept
+    with warnings.catch_warnings():
+        # older numpy reads "7.9" as the integer 7, with only this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        if days is not None and lines:
+            kept = np.flatnonzero(np.isin(np.loadtxt(
+                lines, np.int64, usecols=1, **csv_format), list(days)))
+            lines = [lines[i] for i in kept]
+        # np.loadtxt warns when it reads no rows
+        return (np.loadtxt(lines, TRIP_DTYPE, **csv_format) if lines
+                else np.empty(0, TRIP_DTYPE)), kept
 
 
 def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray | None):
@@ -561,8 +572,7 @@ def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray | None):
     first = np.minimum.reduceat(order, starts)
     lead = np.empty_like(order)                     # per row, its trip's first
     lead[order] = first[np.cumsum(new_trip) - 1]
-    moved = ((rows["day"] != rows["day"][lead])
-             | (rows["weekday"] != rows["weekday"][lead]))
+    moved = rows[["day", "weekday"]] != rows[["day", "weekday"]][lead]
     repeat = np.zeros(rows.size, dtype=bool)
     repeat[order[1:]] = ~new_trip[1:] & (s["section"][1:] == s["section"][:-1])
     if (moved | repeat).any():
@@ -612,22 +622,15 @@ def load_trips_csv(path, route: RouteSpec, days=None) -> TripDataset:
         secs = s["section"][starts[t]:ends[t]][:3].tolist()
         raise DataError(f"trip {s['trip_id'][starts[t]]}: sections {secs}... "
                         f"do not cover 1..{n_s}")
-    heads = s[starts]
-    entry, travel = (np.ascontiguousarray(s[c]).reshape(-1, n_s)
-                     for c in ("entry", "travel"))
-    trips = [TripRecord(*fields) for fields in zip(
-        heads["trip_id"].tolist(), heads["day"].tolist(),
-        heads["weekday"].tolist(), entry, travel)]
-    # in order of first appearance, which names the first bad trip
-    return TripDataset([trips[t] for t in np.argsort(first)], route)
+    # one row per trip, in order of first appearance, to name the first bad one
+    s = s.reshape(-1, n_s)[np.argsort(first)]
+    return TripDataset.from_arrays(route, *(s[c][:, 0] for c in (
+        "trip_id", "day", "weekday")), s["entry"], s["travel"])
 
 
 def save_skip_report_csv(skips: list[SkipRecord], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(SKIP_CSV_HEADER)
-        for s in skips:
-            w.writerow([s.day_index, s.trip_id, s.m, s.reason])
+    write_csv(path, SKIP_CSV_HEADER,
+              ([s.day_index, s.trip_id, s.m, s.reason] for s in skips))
 
 
 def _json_lists(arrays: list[np.ndarray], width: int | None) -> list[str]:

@@ -8,14 +8,13 @@ with the route end clamped to the last section.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .dataprep import DEC_Z_PV, TrainingExample, TripRecord
+from .dataprep import DEC_Z_PV, TrainingExample, TripRecord, write_csv
 
 DEFAULT_I_VALUES = (5, 10, 15, 20, 25, 30)
 DEFAULT_J_STEP = 5
@@ -25,8 +24,7 @@ MIN_Z_TEST_SAMPLES = 30
 
 def mae(predicted, actual) -> float:
     """Mean absolute error in seconds."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
+    predicted, actual = (np.asarray(x, dtype=np.float64) for x in (predicted, actual))
     if predicted.shape != actual.shape or predicted.size == 0:
         raise ValueError("need matching, non-empty prediction/actual arrays")
     return float(np.mean(np.abs(predicted - actual)))
@@ -34,8 +32,7 @@ def mae(predicted, actual) -> float:
 
 def mape(predicted, actual) -> float:
     """Mean absolute percentage error; actual values must be positive."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
+    predicted, actual = (np.asarray(x, dtype=np.float64) for x in (predicted, actual))
     if predicted.shape != actual.shape or predicted.size == 0:
         raise ValueError("need matching, non-empty prediction/actual arrays")
     if np.any(actual <= 0):
@@ -61,30 +58,22 @@ def paired_z_test(errors_a, errors_b, alpha: float = DEFAULT_ALPHA,
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha: must be in (0, 1), got {alpha!r}")
-    a = np.asarray(errors_a, dtype=np.float64)
-    b = np.asarray(errors_b, dtype=np.float64)
+    a, b = (np.asarray(x, dtype=np.float64) for x in (errors_a, errors_b))
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired test needs two equal-length 1-D samples")
     n = a.size
     if n < min_n:
-        return ZTestResult(z=float("nan"), significant=None, direction=None,
-                           n=n, status="insufficient_samples")
+        return ZTestResult(math.nan, None, None, n, "insufficient_samples")
     d = a - b
-    mean_d = float(np.mean(d))
-    sd = float(np.std(d, ddof=1))
+    mean_d, sd = float(np.mean(d)), float(np.std(d, ddof=1))
     if sd == 0.0:
         if mean_d == 0.0:
-            return ZTestResult(z=0.0, significant=False, direction=None,
-                               n=n, status="ok")
-        return ZTestResult(z=math.copysign(math.inf, mean_d), significant=True,
-                           direction="a" if mean_d < 0 else "b",
-                           n=n, status="degenerate")
+            return ZTestResult(0.0, False, None, n, "ok")
+        return ZTestResult(math.copysign(math.inf, mean_d), True,
+                           "a" if mean_d < 0 else "b", n, "degenerate")
     z = mean_d / (sd / math.sqrt(n))
-    crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    significant = abs(z) > crit
-    direction = None
-    if significant:
-        direction = "a" if mean_d < 0 else "b"
+    significant = abs(z) > NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    direction = ("a" if mean_d < 0 else "b") if significant else None
     return ZTestResult(z=z, significant=significant, direction=direction,
                        n=n, status="ok")
 
@@ -117,9 +106,8 @@ class HistMeanModel:
         key = (section, weekday, int(t // self.bin_s))
         if key in self.by_bin:
             return self.by_bin[key]
-        wk = (section, weekday)
-        if wk in self.by_weekday:
-            return self.by_weekday[wk]
+        if key[:2] in self.by_weekday:
+            return self.by_weekday[key[:2]]
         return self.by_section[section]
 
 
@@ -156,12 +144,9 @@ def baseline_hist_mean(model: HistMeanModel, ex: TrainingExample,
                        weekday: int | None = None) -> np.ndarray:
     """Bin-mean predictions, propagating the expected entry time forward."""
     wd = ex.day_index % 7 if weekday is None else weekday
-    k = ex.k
-    pred = np.empty(k)
-    t = ex.t_c
-    for idx in range(k):
-        section = ex.m + 1 + idx
-        pred[idx] = model.section_mean(section, wd, t)
+    pred, t = np.empty(ex.k), ex.t_c
+    for idx in range(ex.k):
+        pred[idx] = model.section_mean(ex.m + 1 + idx, wd, t)
         t += pred[idx]
     return pred
 
@@ -172,9 +157,7 @@ def baseline_hist_mean(model: HistMeanModel, ex: TrainingExample,
 def grid_j_values(i: int, n_sections: int, step: int = DEFAULT_J_STEP
                   ) -> list[int]:
     """Destinations i+step, i+2*step, ... with the route end as the last j."""
-    js = [j for j in range(i + step, n_sections, step)]
-    js.append(n_sections)
-    return js
+    return [*range(i + step, n_sections, step), n_sections]
 
 
 @dataclass
@@ -212,13 +195,10 @@ def evaluate_grid(methods: dict, examples: list[TrainingExample],
     "better"/"worse"/"ns" (not significant), "n<30", or "-" when the
     comparison does not apply.
     """
-    by_i: dict[int, list[TrainingExample]] = {}
-    for ex in examples:
-        by_i.setdefault(ex.m, []).append(ex)
     rows: list[GridRow] = []
     queries: list[QueryRecord] = []
     for i in i_values:
-        exs = by_i.get(i, [])
+        exs = [ex for ex in examples if ex.m == i]
         preds = {name: [fn(ex) for ex in exs] for name, fn in methods.items()}
         for j in grid_j_values(i, n_sections, j_step):
             span = j - i
@@ -227,16 +207,11 @@ def evaluate_grid(methods: dict, examples: list[TrainingExample],
                    for name in methods}
             abs_err = {name: np.abs(cum[name] - truth) for name in methods}
             for name in methods:
-                for ex, p, t in zip(exs, cum[name], truth):
-                    queries.append(QueryRecord(i=i, j=j, method=name,
-                                               day_index=ex.day_index,
-                                               trip_id=ex.trip_id,
-                                               predicted_s=float(p),
-                                               true_s=float(t)))
-                if len(exs) == 0:
-                    rows.append(GridRow(i=i, j=j, method=name, n=0,
-                                        mae_s=float("nan"), mape_pct=float("nan"),
-                                        sig_vs_edu="-", sig_vs_edb="-"))
+                queries += [QueryRecord(i, j, name, ex.day_index, ex.trip_id,
+                                        float(p), float(t))
+                            for ex, p, t in zip(exs, cum[name], truth)]
+                if not exs:
+                    rows.append(GridRow(i, j, name, 0, math.nan, math.nan, "-", "-"))
                     continue
                 rows.append(GridRow(
                     i=i, j=j, method=name, n=len(exs),
@@ -265,18 +240,12 @@ QUERY_CSV_HEADER = ["i", "j", "method", "day", "trip_id", "predicted_s",
 
 
 def save_report_csv(rows: list[GridRow], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(REPORT_CSV_HEADER)
-        for r in rows:
-            w.writerow([r.i, r.j, r.method, r.n, f"{r.mae_s:.6f}",
-                        f"{r.mape_pct:.6f}", r.sig_vs_edu, r.sig_vs_edb])
+    write_csv(path, REPORT_CSV_HEADER, (
+        [r.i, r.j, r.method, r.n, f"{r.mae_s:.6f}", f"{r.mape_pct:.6f}",
+         r.sig_vs_edu, r.sig_vs_edb] for r in rows))
 
 
 def save_query_log_csv(queries: list[QueryRecord], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(QUERY_CSV_HEADER)
-        for q in queries:
-            w.writerow([q.i, q.j, q.method, q.day_index, q.trip_id,
-                        f"{q.predicted_s:.6f}", f"{q.true_s:.6f}"])
+    write_csv(path, QUERY_CSV_HEADER, (
+        [q.i, q.j, q.method, q.day_index, q.trip_id, f"{q.predicted_s:.6f}",
+         f"{q.true_s:.6f}"] for q in queries))

@@ -24,12 +24,10 @@ call: one ``u_stack @ h_prev`` product into a (3H, B) buffer forward and
 one ``u_stack.T @ delta`` into ``dh`` back, with the gate activations
 (``sigmoid(x, out=x)``, ``tanh``) written over their pre-activations. z, r
 and h_tilde live in the (T, 3H, B) projection block, which is the cache,
-and ``h_prev`` is read from the states array. Backward carves its (T, ., B)
-work blocks (the per-gate deltas, dL/dh per step, the derivative factors
-and the transposed copies the ``u_stack`` gradient contracts) out of one
-grow-only flat buffer per thread, reused across calls so that they are not
-re-allocated and re-faulted every call; the states, the cache, dL/dh0,
-dL/dctx and the weight gradients never come from it.
+and ``h_prev`` is read from the states array. Backward's work blocks come
+from one grow-only buffer per thread, reused rather than re-allocated each
+call (:func:`_scratch_blocks`); the states, the cache, dL/dh0, dL/dctx and
+the weight gradients never do.
 Backward writes the weight gradients into a GruParams laid out as the
 weights, so a caller can hand it views into its own flat gradient vector.
 Weight gradients are single contractions over steps and batch. The only

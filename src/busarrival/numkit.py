@@ -106,8 +106,7 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         raise ValueError("step size h must be positive")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = grad.ravel()
+    flat, gflat = x.ravel(), grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h

@@ -53,6 +53,9 @@ CHAINS = ("enc", "dec_fwd", "dec_bwd")
 # the constructor arguments that fix the layout of EdModel.theta
 DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec",
         "use_bias")
+# the params() names of the embed and output maps
+_MAP_NAMES = {"w_embed": "embed.w", "b_embed": "embed.b", "w_out": "out.w",
+              "b_out": "out.b"}
 # Examples per forward pass in mean_loss. On a 2-vCPU VM, whole 240-example
 # validation sets made multi-MB GRU caches that left peak RSS 10-15% higher,
 # and varying from run to run, than chunks of 64 (5-8% slower training).
@@ -153,15 +156,10 @@ class EdModel:
     def params(self) -> dict:
         """Named views into ``theta``, in its order; writing them updates the model."""
         d = {}
-        for chain in CHAINS:
-            if getattr(self, chain) is not None:
-                d.update(getattr(self, chain).as_dict(chain + "."))
-        d["embed.w"] = self.w_embed
-        if self.b_embed is not None:
-            d["embed.b"] = self.b_embed
-        d["out.w"] = self.w_out
-        if self.b_out is not None:
-            d["out.b"] = self.b_out
+        for name, _, _ in self._layout():
+            part = getattr(self, name)
+            d.update(part.as_dict(name + ".") if name in CHAINS
+                     else {_MAP_NAMES[name]: part})
         return d
 
     def param_name(self, index: int) -> str:
@@ -319,8 +317,8 @@ def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
 
 def loss(pred_norm: np.ndarray, targets_norm: np.ndarray) -> float:
     """Mean squared error over normalized components."""
-    pred_norm = np.asarray(pred_norm, dtype=np.float64)
-    targets_norm = np.asarray(targets_norm, dtype=np.float64)
+    pred_norm, targets_norm = (np.asarray(x, dtype=np.float64)
+                               for x in (pred_norm, targets_norm))
     if pred_norm.shape != targets_norm.shape:
         raise ValueError("prediction/target length mismatch")
     if pred_norm.size < 1:
@@ -437,9 +435,7 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     state = init_adam(model.theta, lr=cfg.lr)
     bank = f"{model.kind} bank m={model.m_lo}-{model.m_hi}"
     history: list[dict] = []
-    best_val = np.inf
-    best_theta = None
-    bad_epochs = 0
+    best_val, best_theta, bad_epochs = np.inf, None, 0
     for epoch in range(cfg.max_epochs):
         batches = []
         for blk in blocks:
@@ -469,9 +465,7 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
             val_loss = mean_loss(model, val_blocks)
             entry["val_loss"] = val_loss
             if val_loss < best_val:
-                best_val = val_loss
-                best_theta = model.theta.copy()
-                bad_epochs = 0
+                best_val, best_theta, bad_epochs = val_loss, model.theta.copy(), 0
             else:
                 bad_epochs += 1
         history.append(entry)
@@ -542,31 +536,17 @@ def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
     its own RNG from (seed, kind, bank index).
     """
     layout = bank_layout(n_sections)
-    jobs = []
-    for idx, (m_lo, m_hi) in enumerate(layout):
-        exs = [ex for ex in examples if m_lo <= ex.m <= m_hi]
-        jobs.append((idx, m_lo, m_hi, exs))
-    models: list[EdModel | None] = [None] * len(layout)
-    histories = {}
-    skipped = []
-    examples = {}
-    if pool is None:
-        results = [_train_one_bank(kind, n_sections, cfg, *job) for job in jobs]
-    else:
-        results = list(pool.map(_train_one_bank,
-                                *zip(*[(kind, n_sections, cfg, *job)
-                                       for job in jobs])))
-    for idx, model, history, n_train in results:
-        models[idx] = model
-        m_range = (model.m_lo, model.m_hi)
-        histories[m_range] = history
-        examples[m_range] = n_train
-        if not n_train:
-            skipped.append(m_range)
-    bank = ModelBank(kind=kind, n_sections=n_sections, models=models)
+    jobs = [(kind, n_sections, cfg, idx, m_lo, m_hi,
+             [ex for ex in examples if m_lo <= ex.m <= m_hi])
+            for idx, (m_lo, m_hi) in enumerate(layout)]
+    # both maps return the results in job order
+    models, histories, counts = zip(*(map if pool is None else pool.map)(
+        _train_one_bank, *zip(*jobs)))
+    bank = ModelBank(kind=kind, n_sections=n_sections, models=list(models))
     bank.validate()
-    return BankTrainResult(bank=bank, histories=histories, skipped=skipped,
-                           examples=examples)
+    return BankTrainResult(bank=bank, histories=dict(zip(layout, histories)),
+                           skipped=[r for r, n in zip(layout, counts) if not n],
+                           examples=dict(zip(layout, counts)))
 
 
 def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
@@ -576,13 +556,13 @@ def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
                       hidden_enc=cfg.hidden_enc,
                       hidden_dec=cfg.hidden_dec(kind), use_bias=cfg.use_bias)
     if not exs:
-        return idx, model, [], 0
+        return model, [], 0
     # duplicating a lone example leaves the pooled statistics unchanged
     model.norm = fit_normalizer(exs if len(exs) >= 2 else exs * 2)
     train_ex, val_ex = _split_val(exs)
     shuffle_rng = spawn_rng(cfg.seed, 20 + kind_tag, idx)
     history = train_model(model, train_ex, val_ex, cfg, shuffle_rng)
-    return idx, model, history, len(train_ex)
+    return model, history, len(train_ex)
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +611,10 @@ def load_model_json(path) -> EdModel:
                              f"{CHECKPOINT_FORMAT_VERSION}; retrain the bank "
                              "with `busarrival train`")
         # numpy would convert strings and booleans; JSON numbers are int or float
-        numbers = {int, float}
-        if not set(map(type, doc["theta"])) <= numbers:
-            raise ValueError("theta entries must be numbers")
-        if not set(map(type, doc["norm"].values())) <= numbers:
-            raise ValueError("norm fields must be numbers")
+        for what, values in (("theta entries", doc["theta"]),
+                             ("norm fields", doc["norm"].values())):
+            if not set(map(type, values)) <= {int, float}:
+                raise ValueError(f"{what} must be numbers")
         model = EdModel(**{name: doc[name] for name in DIMS},
                         norm=NormStats.from_dict(doc["norm"]),
                         theta=np.array(doc["theta"], np.float64))
@@ -654,12 +633,10 @@ def checkpoint_filename(kind: str, m_lo: int, m_hi: int) -> str:
 
 
 def save_bank(bank: ModelBank, out_dir) -> list:
-    paths = []
-    for model in bank.models:
-        path = os.path.join(str(out_dir),
-                            checkpoint_filename(model.kind, model.m_lo, model.m_hi))
+    paths = [os.path.join(str(out_dir), checkpoint_filename(mo.kind, mo.m_lo, mo.m_hi))
+             for mo in bank.models]
+    for model, path in zip(bank.models, paths):
         save_model_json(model, path)
-        paths.append(path)
     return paths
 
 

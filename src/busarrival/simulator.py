@@ -19,14 +19,13 @@ Service runs Monday through Saturday; Sundays carry no trips.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataprep import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, SECONDS_PER_DAY,
-                       RouteSpec, TripRecord, check_ranges)
+                       RouteSpec, TripRecord, check_ranges, write_csv)
 from .numkit import spawn_rng
 
 _DISPATCH_STREAM, _EVENT_STREAM, _NOISE_STREAM = 1, 2, 3
@@ -56,10 +55,7 @@ class CongestionEvent:
         if not self.onset_s <= t <= self.onset_s + self.duration_s:
             return 1.0
         back = self.origin_section - section
-        if back < 0:
-            return 1.0
-        reach = self.upstream_speed_spm * (t - self.onset_s) / 60.0
-        if back > reach:
+        if not 0 <= back <= self.upstream_speed_spm * (t - self.onset_s) / 60.0:
             return 1.0
         return 1.0 + (self.severity - 1.0) * self.decay ** back
 
@@ -136,18 +132,15 @@ def _day_events(cfg: SimConfig, day: int) -> list[CongestionEvent]:
         return []
     rng = spawn_rng(cfg.seed, _EVENT_STREAM, day)
     n = int(rng.poisson(cfg.events_per_day))
-    events = []
     service_span = (cfg.first_dispatch_s,
                     cfg.first_dispatch_s + cfg.trips_per_day * cfg.headway_mean_s)
-    for _ in range(n):
-        events.append(CongestionEvent(
-            origin_section=int(rng.integers(2, cfg.route.n_sections + 1)),
-            onset_s=float(rng.uniform(*service_span)),
-            duration_s=float(rng.uniform(*cfg.event_duration_range_s)),
-            severity=float(rng.uniform(*cfg.event_severity_range)),
-            upstream_speed_spm=float(rng.uniform(*cfg.event_speed_range_spm)),
-            decay=cfg.event_decay))
-    return events
+    return [CongestionEvent(
+        origin_section=int(rng.integers(2, cfg.route.n_sections + 1)),
+        onset_s=float(rng.uniform(*service_span)),
+        duration_s=float(rng.uniform(*cfg.event_duration_range_s)),
+        severity=float(rng.uniform(*cfg.event_severity_range)),
+        upstream_speed_spm=float(rng.uniform(*cfg.event_speed_range_spm)),
+        decay=cfg.event_decay) for _ in range(n)]
 
 
 def _event_factor(events: list[CongestionEvent], section: int, t: float,
@@ -185,10 +178,9 @@ def simulate_dataset(cfg: SimConfig
         events = _day_events(cfg, day)
         event_log.extend((day, ev) for ev in events)
         rng = spawn_rng(cfg.seed, _DISPATCH_STREAM, day)
-        headways = np.maximum(
-            MIN_HEADWAY_S, cfg.headway_mean_s + rng.uniform(-cfg.headway_jitter_s,
-                                                   cfg.headway_jitter_s,
-                                                   size=cfg.trips_per_day))
+        jitter = rng.uniform(-cfg.headway_jitter_s, cfg.headway_jitter_s,
+                             size=cfg.trips_per_day)
+        headways = np.maximum(MIN_HEADWAY_S, cfg.headway_mean_s + jitter)
         dispatches = cfg.first_dispatch_s + np.concatenate(
             [[0.0], np.cumsum(headways[:-1])])
         for k in range(cfg.trips_per_day):
@@ -199,8 +191,7 @@ def simulate_dataset(cfg: SimConfig
             for s in range(n_s):
                 z0[s] = base[s] * peak_multiplier(cfg, e) * wd_mult * noise[s]
                 e += z0[s]
-            entries = np.empty(n_s)
-            z = np.empty(n_s)
+            entries, z = np.empty(n_s), np.empty(n_s)
             e = dispatches[k]
             for s in range(n_s):
                 entries[s] = e
@@ -231,10 +222,8 @@ def split_train_test(trips: list[TripRecord]
     weeks = sorted({t.day_index // 7 for t in trips})
     if len(weeks) < 2:
         raise ValueError("need at least 2 weeks of data to split")
-    test_week = weeks[-1]
-    train = [t for t in trips if t.day_index // 7 != test_week]
-    test = [t for t in trips if t.day_index // 7 == test_week]
-    return train, test
+    return ([t for t in trips if t.day_index // 7 != weeks[-1]],
+            [t for t in trips if t.day_index // 7 == weeks[-1]])
 
 
 EVENTS_CSV_HEADER = ["day", "origin_section", "onset_s", "duration_s",
@@ -242,10 +231,7 @@ EVENTS_CSV_HEADER = ["day", "origin_section", "onset_s", "duration_s",
 
 
 def save_events_csv(event_log: list[tuple[int, CongestionEvent]], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(EVENTS_CSV_HEADER)
-        for day, ev in event_log:
-            w.writerow([day, ev.origin_section, f"{ev.onset_s:.3f}",
-                        f"{ev.duration_s:.3f}", f"{ev.severity:.6f}",
-                        f"{ev.upstream_speed_spm:.6f}"])
+    write_csv(path, EVENTS_CSV_HEADER, (
+        [day, ev.origin_section, f"{ev.onset_s:.3f}", f"{ev.duration_s:.3f}",
+         f"{ev.severity:.6f}", f"{ev.upstream_speed_spm:.6f}"]
+        for day, ev in event_log))

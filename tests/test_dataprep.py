@@ -153,6 +153,10 @@ class TestTripDataset:
         first = trips[1].trip_id
         with pytest.raises(DataError, match=re.escape(f"trip {first}: {message}")):
             TripDataset(trips, small_route)
+        if check != "length":                   # arrays hold one length
+            with pytest.raises(DataError, match=re.escape(f"trip {first}: {message}")):
+                TripDataset.from_arrays(small_route,
+                                        *dataprep.trip_arrays(trips, 6))
         for trip in (trips[1], trips[3]):
             with pytest.raises(DataError, match=re.escape(message)):
                 trip.validate()
@@ -164,6 +168,32 @@ class TestTripDataset:
             TripDataset(trips, small_route)
         with pytest.raises(DataError, match="trip 3 has 7 sections, route has 6"):
             TripDataset(trips[1:], small_route)
+
+    def test_from_arrays_matches_the_trip_list(self, small_route):
+        rng = make_rng(34)
+        trips = [t for day in (8, 0, 7) for t in random_day_trips(rng, day, 4, 6)]
+        want = TripDataset(trips, small_route)
+        got = TripDataset.from_arrays(small_route, *dataprep.trip_arrays(trips, 6))
+        for name in ("entry", "travel", "ids"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        fields = lambda t: (t.trip_id, t.day_index, t.weekday)
+        assert [fields(t) for t in got.trips] == [fields(t) for t in want.trips]
+        assert {type(v) for t in got.trips for v in fields(t)} == {int}
+        assert got.by_day.keys() == want.by_day.keys()
+        assert got.by_id.keys() == want.by_id.keys()
+        # the trips are views of the dataset's rows
+        for i, t in enumerate(got.trips):
+            assert np.shares_memory(t.entry_times, got.entry[i])
+            assert np.shares_memory(t.travel_times, got.travel[i])
+
+    def test_duplicate_trip_id_rejected(self, small_route):
+        trips = [make_trip(1, 0, 21600.0, [60.0] * 6),
+                 make_trip(2, 0, 22000.0, [60.0] * 6),
+                 make_trip(1, 7, 21000.0, [60.0] * 6)]
+        with pytest.raises(DataError, match="duplicate trip id 1"):
+            TripDataset(trips, small_route)
+        with pytest.raises(DataError, match="duplicate trip id 1"):
+            TripDataset.from_arrays(small_route, *dataprep.trip_arrays(trips, 6))
 
     def test_arrays_follow_the_sorted_trips(self, small_route):
         rng = make_rng(31)
@@ -759,6 +789,21 @@ class TestCsvFormats:
         with pytest.raises(DataError, match=re.escape(
                 f"{path}:4: trip 0 repeats section 2")):
             dataprep.load_trips_csv(path, small_route)
+
+    @pytest.mark.parametrize("days", [None, {0}])
+    @pytest.mark.parametrize("column", ["trip_id", "day", "section"])
+    def test_decimal_in_an_integer_column_is_malformed(self, tmp_path, small_route,
+                                                       column, days):
+        # numpy versions that only warn on "7.9" for an integer read it as 7
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv([make_trip(0, 0, 21600.0, [60.0] * 6)], path)
+        rows = path.read_text().splitlines(keepends=True)
+        fields = rows[3].split(",")
+        fields[dataprep.TRIP_CSV_HEADER.index(column)] += ".9"
+        rows[3] = ",".join(fields)
+        path.write_text("".join(rows))
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed row 4: [")):
+            dataprep.load_trips_csv(path, small_route, days=days)
 
     def test_wrong_header_rejected(self, tmp_path, small_route):
         path = tmp_path / "bad.csv"
