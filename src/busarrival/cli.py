@@ -185,16 +185,17 @@ def _kinds(kind_flag: str) -> list[str]:
     return [seq2seq.KIND_EDU, seq2seq.KIND_EDB] if kind_flag == "both" else [kind_flag]
 
 
-def _run_summary(history: list[dict], patience: int) -> dict:
+def _run_summary(history: list[dict], patience: int, wall_s: float) -> dict:
     """One bank's training run: epochs run, why training stopped, the best
-    epoch (None without validation) and each epoch's gradient norm."""
+    epoch (None without validation), each epoch's gradient norm and the
+    bank's wall seconds."""
     vals = [h["val_loss"] for h in history]
     best = None if vals[0] is None else int(np.argmin(vals))
     # training stops once `patience` epochs have passed without improvement
     stopped = ("patience" if best is not None and len(vals) - 1 - best >= patience
                else "max_epochs")
     return {"epochs": len(history), "stopped": stopped, "best_epoch": best,
-            "grad_norm": [h["grad_norm"] for h in history]}
+            "grad_norm": [h["grad_norm"] for h in history], "wall_s": wall_s}
 
 
 def cmd_train(args, cfg: dict) -> int:
@@ -234,7 +235,8 @@ def cmd_train(args, cfg: dict) -> int:
             trained = sum(len(h) * result.examples[r]
                           for r, h in result.histories.items())
             runs[kind] = {"wall_s": wall, "examples_per_s": trained / wall,
-                          "banks": {f"{lo}-{hi}": _run_summary(h, tcfg.patience)
+                          "banks": {f"{lo}-{hi}": _run_summary(h, tcfg.patience,
+                                                               result.wall_s[lo, hi])
                                     for (lo, hi), h in sorted(result.histories.items())
                                     if h}}
             outputs.extend(seq2seq.save_bank(result.bank, args.out))
@@ -262,10 +264,12 @@ def cmd_predict(args, cfg: dict) -> int:
     route = _route(cfg)
     m_range = seq2seq.bank_range(route.n_sections, args.m)
     # the example reads only the trip's own day and the day a week before
-    day = dataprep.trip_day(args.trips, args.trip_id)
+    lines = dataprep.read_trip_lines(args.trips)
+    day = dataprep.trip_day(args.trips, lines, args.trip_id)
     if day is None:
         raise ValueError(f"unknown trip id {args.trip_id}")
-    dataset = dataprep.load_trips_csv(args.trips, route, days={day, day - 7})
+    dataset = dataprep.load_trips_csv(args.trips, route, days={day, day - 7},
+                                      lines=lines)
     # one query needs only the checkpoint of the bank that covers m
     bank = seq2seq.ModelBank(args.kind, route.n_sections, [seq2seq.load_bank_model(
         args.checkpoints, args.kind, m_range, route.n_sections)])

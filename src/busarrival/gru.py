@@ -26,8 +26,9 @@ one ``u_stack.T @ delta`` into ``dh`` back, with the gate activations
 and h_tilde live in the (T, 3H, B) projection block, which is the cache,
 and ``h_prev`` is read from the states array. Backward's work blocks come
 from one grow-only buffer per thread, reused rather than re-allocated each
-call (:func:`_scratch_blocks`); the states, the cache, dL/dh0, dL/dctx and
-the weight gradients never do.
+call (:func:`_scratch_blocks`), and so does the projection block of a
+forward-only call (``keep_cache=False``), which keeps no cache; the states,
+a kept cache, dL/dh0, dL/dctx and the weight gradients never do.
 Backward writes the weight gradients into a GruParams laid out as the
 weights, so a caller can hand it views into its own flat gradient vector.
 Weight gradients are single contractions over steps and batch. The only
@@ -167,9 +168,11 @@ class GruCache:
 
 
 def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
-                ctx: np.ndarray | None = None, reverse: bool = False
-                ) -> tuple[np.ndarray, GruCache]:
-    """Run one chain from ``h0``; returns the states (T, H, B) and the cache."""
+                ctx: np.ndarray | None = None, reverse: bool = False,
+                keep_cache: bool = True) -> tuple[np.ndarray, GruCache | None]:
+    """Run one chain from ``h0``; returns the states (T, H, B) and the cache,
+    or None with ``keep_cache=False``, which runs the gates in this thread's
+    work buffer for a pass that is not backpropagated."""
     if xs.ndim != 3 or h0.ndim != 2:
         raise ValueError("inputs must be (T, D, B) and the state (H, B)")
     n, d, b = xs.shape
@@ -180,7 +183,8 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
         raise ValueError(f"state size {h0.shape[0]} != expected {hid}")
     if h0.shape[1] != b or (ctx is not None and ctx.shape[1:] != (b,)):
         raise ValueError("inputs, context and state must have matching batch shape")
-    gates = np.matmul(params.w_stack[:, :d], xs)
+    gates = np.matmul(params.w_stack[:, :d], xs, out=None if keep_cache else
+                      _scratch_blocks((n, 3 * hid, b))[0])
     if ctx is not None:
         gates += params.w_stack[:, d:] @ ctx
     if params.use_bias:
@@ -206,8 +210,8 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
         np.subtract(ONE, z, out=rec_z)
         rec_z *= cand
         h += rec_z
-    cache = GruCache(xs=xs, ctx=ctx, gates=gates, hs=hs, reverse=reverse)
-    return cache.states, cache
+    return hs[out:n + out], (GruCache(xs=xs, ctx=ctx, gates=gates, hs=hs,
+                                      reverse=reverse) if keep_cache else None)
 
 
 def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray,

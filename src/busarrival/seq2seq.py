@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -56,10 +57,6 @@ DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec",
 # the params() names of the embed and output maps
 _MAP_NAMES = {"w_embed": "embed.w", "b_embed": "embed.b", "w_out": "out.w",
               "b_out": "out.b"}
-# Examples per forward pass in mean_loss. On a 2-vCPU VM, whole 240-example
-# validation sets made multi-MB GRU caches that left peak RSS 10-15% higher,
-# and varying from run to run, than chunks of 64 (5-8% slower training).
-LOSS_CHUNK = 64
 # per column of a decoder block (K, 4, N), whether it holds travel times;
 # the others hold entry times
 _DEC_TRAVEL = np.isin(np.arange(4), (DEC_Z_PV, DEC_Z_PW))[:, None]
@@ -284,24 +281,27 @@ def _embed(model: EdModel, e_a: np.ndarray) -> np.ndarray:
     return np.tanh(s)
 
 
-def _forward(model: EdModel, blk: Block):
+def _forward(model: EdModel, blk: Block, keep_cache: bool = True):
     """Normalized predictions (K, N) for a block, plus the intermediates
-    :func:`_batch_step` backpropagates through.
+    :func:`_batch_step` backpropagates through (their GRU caches None with
+    ``keep_cache=False``, see :func:`gru_forward`).
 
     The context ``e_a`` is [final encoder state; one-hot(m); normalized T_c].
     """
     he = model.hidden_enc
-    enc_states, enc_cache = gru_forward(model.enc, np.zeros((he, blk.n)), blk.enc)
+    enc_states, enc_cache = gru_forward(model.enc, np.zeros((he, blk.n)), blk.enc,
+                                        keep_cache=keep_cache)
     e_a = np.zeros((model.ctx_len, blk.n))
     e_a[:he] = enc_states[-1]
     e_a[he + blk.m - model.m_lo] = 1.0
     e_a[-1] = blk.t_c
     h0 = _embed(model, e_a)
-    states, fwd_cache = gru_forward(model.dec_fwd, h0, blk.dec, ctx=e_a)
+    states, fwd_cache = gru_forward(model.dec_fwd, h0, blk.dec, ctx=e_a,
+                                    keep_cache=keep_cache)
     bwd_cache = None
     if model.kind == KIND_EDB:
         bwd_states, bwd_cache = gru_forward(model.dec_bwd, h0, blk.dec, ctx=e_a,
-                                            reverse=True)
+                                            reverse=True, keep_cache=keep_cache)
         states = np.concatenate([states, bwd_states], axis=1)
     y = model.w_out @ states                               # (K, N)
     if model.b_out is not None:
@@ -311,7 +311,7 @@ def _forward(model: EdModel, blk: Block):
 
 def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
     """Per-section travel-time predictions (seconds) for one example."""
-    y, _ = _forward(model, stack_block(model, [ex]))
+    y, _ = _forward(model, stack_block(model, [ex]), keep_cache=False)
     return model.norm.denorm_travel(y[:, 0])
 
 
@@ -365,7 +365,7 @@ def _batch_step(model: EdModel, blk: Block) -> tuple[float, np.ndarray]:
 def model_loss(model: EdModel, ex: TrainingExample) -> float:
     """Training loss of one example (MSE over normalized targets)."""
     blk = stack_block(model, [ex])
-    return loss(_forward(model, blk)[0][:, 0], blk.targets[:, 0])
+    return loss(_forward(model, blk, keep_cache=False)[0][:, 0], blk.targets[:, 0])
 
 
 def model_backward(model: EdModel, ex: TrainingExample) -> tuple[float, np.ndarray]:
@@ -374,16 +374,14 @@ def model_backward(model: EdModel, ex: TrainingExample) -> tuple[float, np.ndarr
 
 
 def mean_loss(model: EdModel, blocks: list[Block]) -> float:
-    """Mean example loss over ``blocks``, ``LOSS_CHUNK`` columns per pass."""
+    """Mean example loss over ``blocks``, one forward-only pass per block."""
     n = sum(blk.n for blk in blocks)
     if not n:
         raise ValueError("mean_loss over an empty example set")
     total = 0.0
     for blk in blocks:
-        for lo in range(0, blk.n, LOSS_CHUNK):
-            chunk = blk.take(range(lo, min(lo + LOSS_CHUNK, blk.n)))
-            y, _ = _forward(model, chunk)
-            total += float(np.sum(np.mean((y - chunk.targets) ** 2, axis=0)))
+        y, _ = _forward(model, blk, keep_cache=False)
+        total += float(np.sum(np.mean((y - blk.targets) ** 2, axis=0)))
     return total / n
 
 
@@ -509,6 +507,7 @@ class BankTrainResult:
     histories: dict    # (m_lo, m_hi) -> per-epoch history
     skipped: list      # (m_lo, m_hi) ranges with no training examples
     examples: dict     # (m_lo, m_hi) -> training examples per epoch
+    wall_s: dict       # (m_lo, m_hi) -> wall seconds of its training
 
 
 def split_week(examples: list[TrainingExample]) -> int | None:
@@ -540,29 +539,31 @@ def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
              [ex for ex in examples if m_lo <= ex.m <= m_hi])
             for idx, (m_lo, m_hi) in enumerate(layout)]
     # both maps return the results in job order
-    models, histories, counts = zip(*(map if pool is None else pool.map)(
+    models, histories, counts, walls = zip(*(map if pool is None else pool.map)(
         _train_one_bank, *zip(*jobs)))
     bank = ModelBank(kind=kind, n_sections=n_sections, models=list(models))
     bank.validate()
     return BankTrainResult(bank=bank, histories=dict(zip(layout, histories)),
                            skipped=[r for r, n in zip(layout, counts) if not n],
-                           examples=dict(zip(layout, counts)))
+                           examples=dict(zip(layout, counts)),
+                           wall_s=dict(zip(layout, walls)))
 
 
 def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
+    start = time.perf_counter()
     kind_tag = 0 if kind == KIND_EDU else 1
     init_rng = spawn_rng(cfg.seed, 10 + kind_tag, idx)
     model = new_model(kind, m_lo, m_hi, n_sections, init_rng,
                       hidden_enc=cfg.hidden_enc,
                       hidden_dec=cfg.hidden_dec(kind), use_bias=cfg.use_bias)
     if not exs:
-        return model, [], 0
+        return model, [], 0, time.perf_counter() - start
     # duplicating a lone example leaves the pooled statistics unchanged
     model.norm = fit_normalizer(exs if len(exs) >= 2 else exs * 2)
     train_ex, val_ex = _split_val(exs)
     shuffle_rng = spawn_rng(cfg.seed, 20 + kind_tag, idx)
     history = train_model(model, train_ex, val_ex, cfg, shuffle_rng)
-    return model, history, len(train_ex)
+    return model, history, len(train_ex), time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------

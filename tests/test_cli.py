@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import shutil
@@ -337,6 +338,7 @@ class TestTrain:
             stopped_early = len(val) < 30 or len(val) - 1 - bank["best_epoch"] >= 1
             assert bank["stopped"] == ("patience" if stopped_early else "max_epochs")
             assert all(g > 0 for g in bank["grad_norm"])
+            assert all(b["wall_s"] > 0 for b in summary["banks"].values())
             assert summary["wall_s"] > 0
             assert summary["examples_per_s"] * summary["wall_s"] == \
                 pytest.approx(len(val) * n_train)
@@ -485,6 +487,19 @@ class TestPredict:
             assert self.predict(tiny_config, ckpt_dir, broken, 14001, 4) == code
             out, err = capsys.readouterr()
             assert (out == plain) if code == 0 else f"malformed row {row + 1}" in err
+
+    def test_trips_file_is_opened_once(self, tiny_config, sim_dir, ckpt_dir,
+                                      monkeypatch):
+        trips, opened, real_open = str(sim_dir / "trips.csv"), [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == trips:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 0
+        assert len(opened) == 1
 
     def test_malformed_checkpoint_reports_path(self, tiny_config, sim_dir,
                                                ckpt_dir, capsys):

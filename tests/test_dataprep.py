@@ -829,6 +829,48 @@ class TestCsvFormats:
                            + ".*travel times must be positive"):
             dataprep.load_examples_jsonl(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("prev_trip_ids", -0.3, "ValueError: prev_trip_ids must be integers"),
+        ("fallback", 0.5, "ValueError: fallback entries must be 0 or 1"),
+        ("fallback", 2, "ValueError: fallback entries must be 0 or 1"),
+        ("m", 3.0, "ValueError: m must be an integer, got 3.0"),
+        ("trip_id", 7000.5, "ValueError: trip_id must be an integer, got 7000.5"),
+        ("trip_id", "7000", "ValueError: trip_id must be an integer, got '7000'"),
+        ("day", 7.5, "ValueError: day must be an integer, got 7.5"),
+        ("pw_trip_id", "x", "ValueError: pw_trip_id must be an integer, got 'x'"),
+        ("enc", "all true", "ValueError: enc holds a boolean"),
+        ("dec", True, "ValueError: dec holds a boolean"),
+        ("fallback", True, "ValueError: fallback holds a boolean"),
+        ("prev_trip_ids", False, "ValueError: prev_trip_ids holds a boolean"),
+        ("targets", "7.5", "ValueError: targets must hold numbers"),
+        ("prev_trip_ids", 2 ** 63, "OverflowError: "),
+    ], ids=["prev_trip_id_decimal", "fallback_half", "fallback_two", "m_float",
+            "trip_id_decimal", "trip_id_string", "day_decimal",
+            "pw_trip_id_string", "enc_all_true", "dec_one_true",
+            "fallback_true", "prev_trip_id_false", "targets_string",
+            "prev_trip_id_past_int64"])
+    def test_wrongly_typed_jsonl_field_reports_line(self, tmp_path, field,
+                                                    value, message):
+        # one field of a written line edited; a list field's first entry
+        rng = make_rng(18)
+        path = tmp_path / "ex.jsonl"
+        dataprep.save_examples_jsonl([make_example(rng, 3, 8, trip_id=7000),
+                                      make_example(rng, 5, 8)], path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        if value == "all true":
+            doc[field] = np.full(np.shape(doc[field]), True).tolist()
+        elif isinstance(doc[field], list):
+            # the first number of a list, or of the first row of a 2-D one
+            row = doc[field][0] if field in ("enc", "dec") else doc[field]
+            row[0] = value
+        else:
+            doc[field] = value
+        path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:2: malformed example: {message}")):
+            dataprep.load_examples_jsonl(path)
+
     @pytest.mark.parametrize("t_c", [float("nan"), float("inf"), -1.0, 86400.0])
     def test_query_time_outside_the_day_rejected(self, t_c):
         ex = replace(make_example(make_rng(16), 5, 8), t_c=t_c)

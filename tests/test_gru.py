@@ -273,11 +273,40 @@ def test_sequence_kernel_matches_per_step_oracle(steps, batch, reverse,
         assert dctx is None
 
 
-@pytest.mark.parametrize("shapes", [((7, 32), (3, 5)), ((4, 6), (4, 6))])
+@pytest.mark.parametrize("steps", [1, 7, 31])
+@pytest.mark.parametrize("batch", [1, 32, 240])
 @pytest.mark.parametrize("reverse", [False, True])
-def test_interleaved_calls_match_fresh_calls(shapes, reverse):
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("with_ctx", [False, True])
+def test_forward_only_states_match_training_states(steps, batch, reverse,
+                                                   use_bias, with_ctx):
+    rng = make_rng(100 * steps + batch)
+    hidden, d_x, d_ctx = 5, 3, 4 if with_ctx else 0
+    p = init_gru(rng, hidden, d_x + d_ctx, use_bias)
+    for v in p.as_dict().values():
+        v += rng.normal(scale=0.3, size=v.shape)
+    h0 = rng.normal(size=(hidden, batch))
+    xs = rng.normal(size=(steps, d_x, batch))
+    ctx = rng.normal(size=(d_ctx, batch)) if with_ctx else None
+    want, _ = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse)
+    got, cache = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse,
+                             keep_cache=False)
+    assert cache is None
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, gru._scratch.buf)
+
+
+@pytest.mark.parametrize("shapes, forward_only", [
+    pytest.param(shapes, forward_only,
+                 id=f"shapes{i}" + ("-forward_only" if forward_only else ""))
+    for forward_only in (False, True)
+    for i, shapes in enumerate((((7, 32), (3, 5)), ((4, 6), (4, 6))))])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_interleaved_calls_match_fresh_calls(shapes, reverse, forward_only):
     # forward A, forward B, backward B, backward A on one GruParams, against
-    # each batch run alone; (T, B) differ in the first case, not the second
+    # each batch run alone; (T, B) differ in the first case, not the second.
+    # With forward_only, forward-only calls of A and B run between the
+    # forwards and the backwards, in the work buffer backward uses.
     rng = make_rng(31)
     hidden, d_x, d_ctx = 5, 3, 4
     p = init_gru(rng, hidden, d_x + d_ctx, use_bias=True)
@@ -294,11 +323,16 @@ def test_interleaved_calls_match_fresh_calls(shapes, reverse):
     buf = gru._scratch.buf              # at its largest size from here on
     forwards = [gru_forward(p, h0, xs, ctx=ctx, reverse=reverse)
                 for h0, xs, ctx, _ in batches]
+    only = [gru_forward(p, h0, xs, ctx=ctx, reverse=reverse, keep_cache=False)
+            for h0, xs, ctx, _ in batches] if forward_only else []
     backwards = {i: gru_backward(p, forwards[i][1], batches[i][3])
                  for i in (1, 0)}
+    for (states, cache), expect in zip(only, want):
+        assert cache is None
+        assert states.tobytes() == expect[0].tobytes()
     got = [[forwards[i][0], backwards[i][0].theta, backwards[i][1],
             backwards[i][2], forwards[i][1].gates, forwards[i][1].hs]
-           for i in (0, 1)]
+           + ([only[i][0]] if forward_only else []) for i in (0, 1)]
     kept = [[a.copy() for a in arrays] for arrays in got]
     for batch in batches:
         fresh(*batch)

@@ -259,7 +259,7 @@ class TestLoss:
             loss(np.zeros(3), np.zeros(4))
 
     def test_mean_loss_is_mean_of_example_losses(self, toy_norm):
-        # more examples per m than one forward pass takes, and two m groups
+        # two m groups, one of 150 columns: one forward-only pass per block
         rng = make_rng(12)
         model = new_model("edb", 3, 7, 10, rng, hidden_enc=4, hidden_dec=3,
                           norm=toy_norm)
@@ -575,17 +575,16 @@ class TestTraining:
 
 
 def reference_mean_loss(model, examples):
-    """Each m group's example list stacked chunk by chunk: the oracle for
-    mean_loss over blocks."""
+    """Each m group's example list stacked and run in one pass: the oracle
+    for mean_loss over blocks."""
     by_m = {}
     for ex in examples:
         by_m.setdefault(ex.m, []).append(ex)
     total = 0.0
     for exs in by_m.values():
-        for lo in range(0, len(exs), seq2seq.LOSS_CHUNK):
-            blk = seq2seq.stack_block(model, exs[lo:lo + seq2seq.LOSS_CHUNK])
-            y, _ = seq2seq._forward(model, blk)
-            total += float(np.sum(np.mean((y - blk.targets) ** 2, axis=0)))
+        blk = seq2seq.stack_block(model, exs)
+        y, _ = seq2seq._forward(model, blk)
+        total += float(np.sum(np.mean((y - blk.targets) ** 2, axis=0)))
     return total / len(examples)
 
 
@@ -638,14 +637,14 @@ class TestBlockTraining:
                                           toy_norm):
         rng = make_rng(50)
         # one bank, two positions, interleaved: 23 and 9 training examples
-        # against batches of 5; 70 validation examples at m=4 (a full
-        # LOSS_CHUNK and 6) after 3 at m=6, which comes first
+        # against batches of 5; 70 validation examples at m=4 after 3 at
+        # m=6, which comes first
         train_ms = rng.permutation([4] * 23 + [6] * 9)
         val_ms = [6, 4, 6, 4, 6] + [4] * 68
         train_ex = [make_example(rng, m, 8, trip_id=i) for i, m in enumerate(train_ms)]
         val_ex = [make_example(rng, m, 8, trip_id=100 + i)
                   for i, m in enumerate(val_ms)] if validate else []
-        assert len(val_ex) in (0, seq2seq.LOSS_CHUNK + 9)
+        assert len(val_ex) in (0, 73)
         cfg = TrainConfig(batch_size=5, max_epochs=6, patience=2, lr=2e-2)
         model, ref = (new_model(kind, 3, 7, 8, make_rng(51), hidden_enc=4,
                                 hidden_dec=3, use_bias=use_bias, norm=toy_norm)
