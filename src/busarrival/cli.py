@@ -263,13 +263,7 @@ def cmd_train(args, cfg: dict) -> int:
 def cmd_predict(args, cfg: dict) -> int:
     route = _route(cfg)
     m_range = seq2seq.bank_range(route.n_sections, args.m)
-    # the example reads only the trip's own day and the day a week before
-    lines = dataprep.read_trip_lines(args.trips)
-    day = dataprep.trip_day(args.trips, lines, args.trip_id)
-    if day is None:
-        raise ValueError(f"unknown trip id {args.trip_id}")
-    dataset = dataprep.load_trips_csv(args.trips, route, days={day, day - 7},
-                                      lines=lines)
+    dataset = dataprep.load_trips_csv(args.trips, route, for_trip=args.trip_id)
     # one query needs only the checkpoint of the bank that covers m
     bank = seq2seq.ModelBank(args.kind, route.n_sections, [seq2seq.load_bank_model(
         args.checkpoints, args.kind, m_range, route.n_sections)])

@@ -512,39 +512,22 @@ def save_trips_csv(trips: list[TripRecord], path) -> None:
          f"{t.travel(sec):.6f}"] for t in trips for sec in range(1, t.n_sections + 1)))
 
 
-def _check_header(f) -> None:
-    line = f.readline()
-    header = next(csv.reader([line]), None) if line else None
-    if header != TRIP_CSV_HEADER:
-        raise DataError(f"unexpected trip CSV header: {header}")
-
-
 def _malformed(path, lineno: int, line: str) -> DataError:
     return DataError(f"{path}: malformed row {lineno}: {next(csv.reader([line]), [])}")
 
 
-def read_trip_lines(path) -> list[str]:
-    """The data lines of a trips CSV, after its header is checked."""
-    with open(path) as f:
-        _check_header(f)
-        lines = f.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()                     # after the newline ending the last row
-    return lines
-
-
-def trip_day(path, lines: list[str], trip_id: int) -> int | None:
-    """Day of the first row of ``trip_id`` in the data ``lines`` of the trips
-    CSV at ``path``, None when no row has that id; reads no further than the
-    start of each other row."""
+def _example_days(path, lines: list[str], trip_id: int) -> set[int]:
+    """The day of ``trip_id``'s first row in a trips CSV's data ``lines`` and
+    the day a week before; reads other lines no further than their start."""
     prefix = f"{trip_id},"
     for lineno, line in enumerate(lines, start=2):
         if line.startswith(prefix):
             try:
-                return int(line.split(",")[1])
+                day = int(line.split(",")[1])
             except (ValueError, IndexError) as e:
                 raise _malformed(path, lineno, line) from e
-    return None
+            return {day, day - 7}
+    raise ValueError(f"unknown trip id {trip_id}")
 
 
 def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray | None]:
@@ -597,14 +580,21 @@ def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray | None):
 
 
 def load_trips_csv(path, route: RouteSpec, days=None,
-                   lines: list[str] | None = None) -> TripDataset:
-    """The trips of a trips CSV, or only those of ``days`` when given: rows
-    of other days are read no further than their day, and every check
-    applies to the rows kept. The rows kept are parsed as a whole and
-    checked as arrays; an error names the first line at fault. ``lines``
-    are the file's data lines when already read (:func:`read_trip_lines`)."""
-    if lines is None:
-        lines = read_trip_lines(path)
+                   for_trip: int | None = None) -> TripDataset:
+    """The trips of a trips CSV, or only those of ``days`` when given, or of
+    the two days an example of trip ``for_trip`` reads, its own and the day
+    a week before: rows of other days are read no further than their day,
+    and every check applies to the rows kept. The rows kept are parsed as a
+    whole and checked as arrays; an error names the first line at fault."""
+    with open(path) as f:
+        header, *lines = f.read().split("\n")
+    header = next(csv.reader([header]), None) if header else None
+    if header != TRIP_CSV_HEADER:
+        raise DataError(f"unexpected trip CSV header: {header}")
+    if lines[-1:] == [""]:
+        lines.pop()                     # after the newline ending the last row
+    if for_trip is not None:
+        days = _example_days(path, lines, for_trip)
     try:
         rows, kept = _read_rows(lines, days)
     except ValueError as e:
@@ -703,43 +693,37 @@ def _has_bool(value) -> bool:
 
 
 def _parse_example(line: str) -> TrainingExample:
-    """The example of one JSON line; ValueError naming the first field whose
-    values have the wrong JSON type (TypeError for a line that is no object)."""
+    """The example of one JSON line; ValueError names the first field not of
+    its JSON type (a boolean is neither an integer nor a number)."""
     d = json.loads(line)
-    for name in ("m", "day", "trip_id", "pw_trip_id"):
-        if type(d[name]) is not int:            # bool is a subclass of int
-            raise ValueError(f"{name} must be an integer, got {d[name]!r}")
-    if type(d["t_c"]) not in (int, float):
-        raise ValueError(f"t_c must be a number, got {d['t_c']!r}")
-    # numpy reads true and false in a list of numbers as 1 and 0; no key
-    # holds a "u", so a line without one and without "false" has no boolean
-    if "u" in line or "false" in line:
-        for name in ("enc", "dec", "targets", "prev_trip_ids", "fallback"):
-            if _has_bool(d[name]):
-                raise ValueError(f"{name} holds a boolean")
-    enc, dec, targets = (np.array(d[name]) for name in ("enc", "dec", "targets"))
-    for name, values in (("enc", enc), ("dec", dec), ("targets", targets)):
-        if values.dtype.kind not in "if":       # [] (K = 0) reads as float
-            raise ValueError(f"{name} must hold numbers")
-    pids, fallback = d["prev_trip_ids"], d["fallback"]
-    if not set(map(type, pids)) <= {int}:
-        raise ValueError("prev_trip_ids must be integers")
-    if not (set(map(type, fallback)) <= {int} and set(fallback) <= {0, 1}):
+    for name in ("m", "t_c", "day", "trip_id", "pw_trip_id"):
+        what = "number" if name == "t_c" else "integer"
+        if type(d[name]) not in ((int, float) if what == "number" else (int,)):
+            raise ValueError(f"{name} must be a JSON {what}, got {d[name]!r}")
+    # numpy reads true and false among numbers as 1 and 0; as no key holds
+    # a "u", a line without one and without "false" holds no boolean
+    maybe_bool, arrays = "u" in line or "false" in line, {}
+    for name, kinds in (("enc", "if"), ("dec", "if"), ("targets", "if"),
+                        ("prev_trip_ids", "i"), ("fallback", "i")):
+        arrays[name] = values = np.array(d[name])
+        what = "integers" if kinds == "i" else "numbers"
+        # [] (K = 0) reads as a float array of shape (0,)
+        if (values.size and values.dtype.kind not in kinds
+                or maybe_bool and _has_bool(d[name])):
+            raise ValueError(f"{name} must hold {what}")
+    if not set(d["fallback"]) <= {0, 1}:
         raise ValueError("fallback entries must be 0 or 1")
     return TrainingExample(
         m=d["m"], t_c=d["t_c"], day_index=d["day"], trip_id=d["trip_id"],
-        # K = 0 is written as [], which numpy reads as shape (0,)
-        enc=enc, dec=dec if d["dec"] != [] else np.empty((0, 4)),
-        targets=targets, prev_trip_ids=np.array(pids, dtype=np.int64),
-        pw_trip_id=d["pw_trip_id"], fallback_mask=np.array(fallback, dtype=bool))
+        enc=arrays["enc"], targets=arrays["targets"],
+        dec=arrays["dec"] if d["dec"] != [] else np.empty((0, 4)),
+        prev_trip_ids=arrays["prev_trip_ids"].astype(np.int64),
+        pw_trip_id=d["pw_trip_id"], fallback_mask=arrays["fallback"].astype(bool))
 
 
 def load_examples_jsonl(path) -> list[TrainingExample]:
     """Examples from JSON lines, each validated against its own m + K
-    sections; a malformed or invalid line raises DataError naming path:line.
-    ``m``, ``day``, ``trip_id`` and ``pw_trip_id`` are JSON integers and
-    ``t_c`` a number; ``enc``, ``dec`` and ``targets`` hold numbers,
-    ``prev_trip_ids`` integers and ``fallback`` 0 or 1."""
+    sections; a malformed or invalid line raises DataError naming path:line."""
     examples = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -748,9 +732,8 @@ def load_examples_jsonl(path) -> list[TrainingExample]:
             try:
                 ex = _parse_example(line)
                 ex.validate(ex.m + ex.k)
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                # TypeError: valid JSON that is not an object, e.g. [1, 2];
-                # OverflowError: a trip id outside int64
+            except (KeyError, TypeError, ValueError) as e:
+                # TypeError: valid JSON that is not an object, e.g. [1, 2]
                 raise DataError(f"{path}:{lineno}: malformed example: "
                                 f"{type(e).__name__}: {e}") from e
             examples.append(ex)

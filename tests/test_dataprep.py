@@ -830,20 +830,20 @@ class TestCsvFormats:
             dataprep.load_examples_jsonl(path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("prev_trip_ids", -0.3, "ValueError: prev_trip_ids must be integers"),
-        ("fallback", 0.5, "ValueError: fallback entries must be 0 or 1"),
+        ("prev_trip_ids", -0.3, "ValueError: prev_trip_ids must hold integers"),
+        ("fallback", 0.5, "ValueError: fallback must hold integers"),
         ("fallback", 2, "ValueError: fallback entries must be 0 or 1"),
-        ("m", 3.0, "ValueError: m must be an integer, got 3.0"),
-        ("trip_id", 7000.5, "ValueError: trip_id must be an integer, got 7000.5"),
-        ("trip_id", "7000", "ValueError: trip_id must be an integer, got '7000'"),
-        ("day", 7.5, "ValueError: day must be an integer, got 7.5"),
-        ("pw_trip_id", "x", "ValueError: pw_trip_id must be an integer, got 'x'"),
-        ("enc", "all true", "ValueError: enc holds a boolean"),
-        ("dec", True, "ValueError: dec holds a boolean"),
-        ("fallback", True, "ValueError: fallback holds a boolean"),
-        ("prev_trip_ids", False, "ValueError: prev_trip_ids holds a boolean"),
+        ("m", 3.0, "ValueError: m must be a JSON integer, got 3.0"),
+        ("trip_id", 7000.5, "ValueError: trip_id must be a JSON integer, got 7000.5"),
+        ("trip_id", "7000", "ValueError: trip_id must be a JSON integer, got '7000'"),
+        ("day", 7.5, "ValueError: day must be a JSON integer, got 7.5"),
+        ("pw_trip_id", "x", "ValueError: pw_trip_id must be a JSON integer, got 'x'"),
+        ("enc", "all true", "ValueError: enc must hold numbers"),
+        ("dec", True, "ValueError: dec must hold numbers"),
+        ("fallback", True, "ValueError: fallback must hold integers"),
+        ("prev_trip_ids", False, "ValueError: prev_trip_ids must hold integers"),
         ("targets", "7.5", "ValueError: targets must hold numbers"),
-        ("prev_trip_ids", 2 ** 63, "OverflowError: "),
+        ("prev_trip_ids", 2 ** 63, "ValueError: prev_trip_ids must hold integers"),
     ], ids=["prev_trip_id_decimal", "fallback_half", "fallback_two", "m_float",
             "trip_id_decimal", "trip_id_string", "day_decimal",
             "pw_trip_id_string", "enc_all_true", "dec_one_true",
