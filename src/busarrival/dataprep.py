@@ -700,9 +700,9 @@ def _parse_example(line: str) -> TrainingExample:
         what = "number" if name == "t_c" else "integer"
         if type(d[name]) not in ((int, float) if what == "number" else (int,)):
             raise ValueError(f"{name} must be a JSON {what}, got {d[name]!r}")
-    # numpy reads true and false among numbers as 1 and 0; as no key holds
-    # a "u", a line without one and without "false" holds no boolean
-    maybe_bool, arrays = "u" in line or "false" in line, {}
+    # numpy reads true and false among numbers as 1 and 0; no key holds a "u"
+    # and only "fallback" an "f", so a line of no "u" and one "f" holds neither
+    maybe_bool, arrays = "u" in line or line.find("f", line.find("f") + 1) >= 0, {}
     for name, kinds in (("enc", "if"), ("dec", "if"), ("targets", "if"),
                         ("prev_trip_ids", "i"), ("fallback", "i")):
         arrays[name] = values = np.array(d[name])

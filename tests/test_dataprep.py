@@ -840,13 +840,14 @@ class TestCsvFormats:
         ("pw_trip_id", "x", "ValueError: pw_trip_id must be a JSON integer, got 'x'"),
         ("enc", "all true", "ValueError: enc must hold numbers"),
         ("dec", True, "ValueError: dec must hold numbers"),
+        ("dec", False, "ValueError: dec must hold numbers"),
         ("fallback", True, "ValueError: fallback must hold integers"),
         ("prev_trip_ids", False, "ValueError: prev_trip_ids must hold integers"),
         ("targets", "7.5", "ValueError: targets must hold numbers"),
         ("prev_trip_ids", 2 ** 63, "ValueError: prev_trip_ids must hold integers"),
     ], ids=["prev_trip_id_decimal", "fallback_half", "fallback_two", "m_float",
             "trip_id_decimal", "trip_id_string", "day_decimal",
-            "pw_trip_id_string", "enc_all_true", "dec_one_true",
+            "pw_trip_id_string", "enc_all_true", "dec_one_true", "dec_one_false",
             "fallback_true", "prev_trip_id_false", "targets_string",
             "prev_trip_id_past_int64"])
     def test_wrongly_typed_jsonl_field_reports_line(self, tmp_path, field,
@@ -854,7 +855,7 @@ class TestCsvFormats:
         # one field of a written line edited; a list field's first entry
         rng = make_rng(18)
         path = tmp_path / "ex.jsonl"
-        dataprep.save_examples_jsonl([make_example(rng, 3, 8, trip_id=7000),
+        dataprep.save_examples_jsonl([make_example(rng, 3, 8),
                                       make_example(rng, 5, 8)], path)
         lines = path.read_text().splitlines()
         doc = json.loads(lines[1])
