@@ -697,28 +697,27 @@ def _parse_example(line: str) -> TrainingExample:
     its JSON type (a boolean is neither an integer nor a number)."""
     d = json.loads(line)
     for name in ("m", "t_c", "day", "trip_id", "pw_trip_id"):
-        what = "number" if name == "t_c" else "integer"
-        if type(d[name]) not in ((int, float) if what == "number" else (int,)):
+        if type(d[name]) is not int and (name != "t_c" or type(d[name]) is not float):
+            what = "number" if name == "t_c" else "integer"
             raise ValueError(f"{name} must be a JSON {what}, got {d[name]!r}")
-    # numpy reads true and false among numbers as 1 and 0; no key holds a "u"
-    # and only "fallback" an "f", so a line of no "u" and one "f" holds neither
-    maybe_bool, arrays = "u" in line or line.find("f", line.find("f") + 1) >= 0, {}
-    for name, kinds in (("enc", "if"), ("dec", "if"), ("targets", "if"),
-                        ("prev_trip_ids", "i"), ("fallback", "i")):
-        arrays[name] = values = np.array(d[name])
-        what = "integers" if kinds == "i" else "numbers"
-        # [] (K = 0) reads as a float array of shape (0,)
-        if (values.size and values.dtype.kind not in kinds
-                or maybe_bool and _has_bool(d[name])):
-            raise ValueError(f"{name} must hold {what}")
+    for name in ("prev_trip_ids", "fallback"):
+        if not set(map(type, d[name])) <= {int}:
+            raise ValueError(f"{name} must hold integers")
     if not set(d["fallback"]) <= {0, 1}:
         raise ValueError("fallback entries must be 0 or 1")
+    # numpy reads true and false among numbers as 1 and 0; no key holds a "u"
+    # and only "fallback" an "f", so a line of no "u" and one "f" holds neither
+    maybe_bool = "u" in line or line.find("f", line.find("f") + 1) >= 0
+    enc, dec, targets = (np.array(d[name]) for name in ("enc", "dec", "targets"))
+    for name, values in (("enc", enc), ("dec", dec), ("targets", targets)):
+        if values.dtype.kind not in "if" or maybe_bool and _has_bool(d[name]):
+            raise ValueError(f"{name} must hold numbers")
     return TrainingExample(
         m=d["m"], t_c=d["t_c"], day_index=d["day"], trip_id=d["trip_id"],
-        enc=arrays["enc"], targets=arrays["targets"],
-        dec=arrays["dec"] if d["dec"] != [] else np.empty((0, 4)),
-        prev_trip_ids=arrays["prev_trip_ids"].astype(np.int64),
-        pw_trip_id=d["pw_trip_id"], fallback_mask=arrays["fallback"].astype(bool))
+        # K = 0 is written as [], which numpy reads as shape (0,)
+        enc=enc, dec=dec if d["dec"] != [] else np.empty((0, 4)), targets=targets,
+        prev_trip_ids=np.array(d["prev_trip_ids"], dtype=np.int64),
+        pw_trip_id=d["pw_trip_id"], fallback_mask=np.array(d["fallback"], dtype=bool))
 
 
 def load_examples_jsonl(path) -> list[TrainingExample]:
@@ -732,8 +731,8 @@ def load_examples_jsonl(path) -> list[TrainingExample]:
             try:
                 ex = _parse_example(line)
                 ex.validate(ex.m + ex.k)
-            except (KeyError, TypeError, ValueError) as e:
-                # TypeError: valid JSON that is not an object, e.g. [1, 2]
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                # TypeError: JSON that is no object; OverflowError: past int64
                 raise DataError(f"{path}:{lineno}: malformed example: "
                                 f"{type(e).__name__}: {e}") from e
             examples.append(ex)

@@ -844,7 +844,7 @@ class TestCsvFormats:
         ("fallback", True, "ValueError: fallback must hold integers"),
         ("prev_trip_ids", False, "ValueError: prev_trip_ids must hold integers"),
         ("targets", "7.5", "ValueError: targets must hold numbers"),
-        ("prev_trip_ids", 2 ** 63, "ValueError: prev_trip_ids must hold integers"),
+        ("prev_trip_ids", 2 ** 63, "OverflowError: "),
     ], ids=["prev_trip_id_decimal", "fallback_half", "fallback_two", "m_float",
             "trip_id_decimal", "trip_id_string", "day_decimal",
             "pw_trip_id_string", "enc_all_true", "dec_one_true", "dec_one_false",
