@@ -229,7 +229,7 @@ class Block:
     enc: np.ndarray
     dec: np.ndarray
     t_c: np.ndarray
-    targets: np.ndarray
+    targets: np.ndarray | None      # None when stacked with targets=False
 
     @property
     def n(self) -> int:
@@ -241,8 +241,10 @@ class Block:
                                (self.enc, self.dec, self.t_c, self.targets)))
 
 
-def stack_block(model: EdModel, exs: list[TrainingExample]) -> Block:
-    """One block of ``exs``, which must share one m inside the model's bank."""
+def stack_block(model: EdModel, exs: list[TrainingExample],
+                targets: bool = True) -> Block:
+    """One block of ``exs``, which must share one m inside the model's bank;
+    with ``targets=False`` its targets are None, for a pass that reads none."""
     m = exs[0].m
     if any(ex.m != m for ex in exs):
         raise ValueError("a block must share one current position m")
@@ -256,15 +258,18 @@ def stack_block(model: EdModel, exs: list[TrainingExample]) -> Block:
         raise CoverageError(f"position m={m} outside model bank "
                             f"[{model.m_lo}, {model.m_hi}]")
     norm = model.norm
-    enc = np.stack([ex.enc for ex in exs], axis=2)        # (m, 2, N)
-    dec = np.stack([ex.dec for ex in exs], axis=2, dtype=np.float64)  # (K, 4, N)
+    # what np.stack(..., axis=-1) makes, without its Python-level set-up
+    enc = np.concatenate([ex.enc[..., None] for ex in exs], axis=2)   # (m, 2, N)
+    dec = np.concatenate([ex.dec[..., None] for ex in exs], axis=2,
+                         dtype=np.float64)                            # (K, 4, N)
     if not (np.isfinite(enc).all() and np.isfinite(dec).all()):
         raise ValueError("unresolved (non-finite) inputs")
     # each column's norm_travel or norm_tod, as one subtract and one divide
     dec -= np.where(_DEC_TRAVEL, norm.travel_mean, norm.tod_min)
     dec /= np.where(_DEC_TRAVEL, norm.travel_std, norm.tod_max - norm.tod_min)
     tc_n = norm.norm_tod(np.array([ex.t_c for ex in exs]))
-    targets_n = norm.norm_travel(np.stack([ex.targets for ex in exs], axis=1))
+    targets_n = norm.norm_travel(np.concatenate(
+        [ex.targets[:, None] for ex in exs], axis=1)) if targets else None
     return Block(m, norm.norm_travel(enc), dec, tc_n, targets_n)
 
 
@@ -272,13 +277,6 @@ def stack_blocks(model: EdModel, examples: list[TrainingExample]) -> list[Block]
     """One block per position m of ``examples``, in order of first appearance."""
     return [stack_block(model, [ex for ex in examples if ex.m == m])
             for m in dict.fromkeys(ex.m for ex in examples)]
-
-
-def _embed(model: EdModel, e_a: np.ndarray) -> np.ndarray:
-    s = model.w_embed @ e_a
-    if model.b_embed is not None:
-        s = s + model.b_embed[:, None]
-    return np.tanh(s)
 
 
 def _forward(model: EdModel, blk: Block, keep_cache: bool = True):
@@ -295,7 +293,10 @@ def _forward(model: EdModel, blk: Block, keep_cache: bool = True):
     e_a[:he] = enc_states[-1]
     e_a[he + blk.m - model.m_lo] = 1.0
     e_a[-1] = blk.t_c
-    h0 = _embed(model, e_a)
+    h0 = model.w_embed @ e_a
+    if model.b_embed is not None:
+        h0 += model.b_embed[:, None]
+    np.tanh(h0, out=h0)
     states, fwd_cache = gru_forward(model.dec_fwd, h0, blk.dec, ctx=e_a,
                                     keep_cache=keep_cache)
     bwd_cache = None
@@ -311,7 +312,8 @@ def _forward(model: EdModel, blk: Block, keep_cache: bool = True):
 
 def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
     """Per-section travel-time predictions (seconds) for one example."""
-    y, _ = _forward(model, stack_block(model, [ex]), keep_cache=False)
+    y, _ = _forward(model, stack_block(model, [ex], targets=False),
+                    keep_cache=False)
     return model.norm.denorm_travel(y[:, 0])
 
 
@@ -581,8 +583,12 @@ class PredictionResult:
 
 def predict(bank: ModelBank, ex: TrainingExample) -> PredictionResult:
     """Route a query to its bank model and predict all remaining sections."""
+    if ex.k != bank.n_sections - ex.m:
+        raise ValueError(f"query at m={ex.m} has K={ex.k} decoder steps, but "
+                         f"a route of {bank.n_sections} sections leaves "
+                         f"{bank.n_sections - ex.m}")
     travel = predict_example(bank.model_for(ex.m), ex)
-    cum = np.cumsum(travel)
+    cum = np.add.accumulate(travel)     # np.cumsum, without its wrapper
     return PredictionResult(
         m=ex.m, t_c=ex.t_c,
         sections=np.arange(ex.m + 1, bank.n_sections + 1),
@@ -597,7 +603,7 @@ def save_model_json(model: EdModel, path) -> None:
     doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **model.dims(),
            "norm": model.norm.to_dict(), "theta": model.theta.tolist()}
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))    # the C encoder; json.dump runs the Python one
         f.write("\n")
 
 

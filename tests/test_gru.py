@@ -7,7 +7,7 @@ import pytest
 
 from busarrival import gru
 from busarrival.gru import GruParams, gru_backward, gru_forward, init_gru
-from busarrival.numkit import finite_diff_grad, make_rng, sigmoid
+from busarrival.numkit import ONE, finite_diff_grad, make_rng, sigmoid
 
 
 def step(p, h_prev, u):
@@ -294,6 +294,120 @@ def test_forward_only_states_match_training_states(steps, batch, reverse,
     assert cache is None
     assert got.tobytes() == want.tobytes()
     assert not np.shares_memory(got, gru._scratch.buf)
+
+
+def indexed_chain(p, h0, xs, ctx, reverse, dstates):
+    """The kernel as it ran with per-step indexing and ``np.matmul(out=)``
+    products, in fresh arrays: the states in input order with h0 where the
+    chain starts (T+1, H, B), the gate block, the weight gradients, dL/dh0
+    and dL/dctx. Every numpy call is the kernel's, in its order."""
+    n, d, b = xs.shape
+    hid = p.hidden_size
+    gates = np.matmul(p.w_stack[:, :d], xs)
+    if ctx is not None:
+        gates += p.w_stack[:, d:] @ ctx
+    if p.use_bias:
+        gates += p.b_stack[:, None]
+    hs = np.empty((n + 1, hid, b))
+    hs[n if reverse else 0] = h0
+    rec = np.empty((3 * hid, b))
+    out = 0 if reverse else 1
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        h_prev, h, g = hs[t + 1 - out], hs[t + out], gates[t]
+        np.matmul(p.u_stack, h_prev, out=rec)
+        zr = g[:2 * hid]
+        zr += rec[:2 * hid]
+        sigmoid(zr, out=zr)
+        rec[2 * hid:] *= zr[hid:]
+        cand = g[2 * hid:]
+        cand += rec[2 * hid:]
+        np.tanh(cand, out=cand)
+        z = zr[:hid]
+        np.multiply(z, h_prev, out=h)
+        np.subtract(ONE, z, out=rec[:hid])
+        rec[:hid] *= cand
+        h += rec[:hid]
+
+    z, r, h_tilde = gates[:, :hid], gates[:, hid:2 * hid], gates[:, 2 * hid:]
+    h_prev = hs[1:] if reverse else hs[:-1]
+    delta = np.empty((n, 3 * hid, b))
+    dcand, dh_all, tmp = (np.empty((n, hid, b)) for _ in range(3))
+    gate_delta = delta.reshape(n, 3, hid, b)
+    d_z, d_r, d_cand = gate_delta[:, 0], gate_delta[:, 1], gate_delta[:, 2]
+    np.subtract(1.0, z, out=dcand)
+    np.subtract(h_prev, h_tilde, out=d_z)
+    d_z *= z
+    d_z *= dcand
+    np.multiply(h_tilde, h_tilde, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    dcand *= tmp
+    np.matmul(p.u_stack[2 * hid:], h_prev, out=d_r)
+    d_r *= dcand
+    np.subtract(1.0, r, out=tmp)
+    tmp *= r
+    d_r *= tmp
+    np.multiply(dcand, r, out=d_cand)
+    dh = np.zeros((hid, b))
+    zdh = tmp[0]
+    for t in (range(n) if reverse else range(n - 1, -1, -1)):
+        dh_t = dh_all[t]
+        np.add(dh, dstates[t], out=dh_t)
+        gate_delta[t] *= dh_t
+        np.multiply(dh_t, z[t], out=zdh)
+        np.matmul(p.u_stack.T, delta[t], out=dh)
+        dh += zdh
+    g = GruParams(np.empty_like(p.theta), hid, p.input_size, p.use_bias)
+    np.dot(np.ascontiguousarray(delta.transpose(1, 0, 2)).reshape(3 * hid, n * b),
+           np.ascontiguousarray(h_prev.transpose(0, 2, 1)).reshape(n * b, hid),
+           out=g.u_stack)
+    np.multiply(dh_all, dcand, out=d_cand)
+    g.w_stack[:, :d] = np.matmul(delta, xs.transpose(0, 2, 1)).sum(axis=0)
+    delta_sum = delta.sum(axis=0)
+    dctx = None
+    if ctx is not None:
+        g.w_stack[:, d:] = delta_sum @ ctx.T
+        dctx = p.w_stack[:, d:].T @ delta_sum
+    if p.use_bias:
+        g.b_stack[...] = delta_sum.sum(axis=1)
+    return hs, gates, g, dh, dctx
+
+
+@pytest.mark.parametrize("steps", [1, 7, 31])
+@pytest.mark.parametrize("batch", [1, 2, 7, 32, 240])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("with_ctx", [False, True])
+@pytest.mark.parametrize("keep_cache", [True, False])
+def test_step_loops_match_indexed_loops(steps, batch, reverse, use_bias,
+                                        with_ctx, keep_cache):
+    # bitwise: the kernel's step loops against the per-step indexed form,
+    # at the EDB decoder's sizes (H = 19, four inputs, a 39-row context)
+    rng = make_rng(1000 * steps + batch)
+    hidden, d_x, d_ctx = 19, 4, 39 if with_ctx else 0
+    p = init_gru(rng, hidden, d_x + d_ctx, use_bias)
+    p.theta += rng.normal(scale=0.3, size=p.theta.size)
+    h0 = rng.normal(size=(hidden, batch))
+    xs = rng.normal(size=(steps, d_x, batch))
+    ctx = rng.normal(size=(d_ctx, batch)) if with_ctx else None
+    dstates = rng.normal(size=(steps, hidden, batch))
+    hs, gates, want_g, want_dh0, want_dctx = indexed_chain(
+        p, h0, xs, ctx, reverse, dstates)
+
+    states, cache = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse,
+                                keep_cache=keep_cache)
+    npt.assert_array_equal(states, hs[:-1] if reverse else hs[1:])
+    if not keep_cache:
+        assert cache is None
+        return
+    npt.assert_array_equal(cache.hs, hs)
+    npt.assert_array_equal(cache.gates, gates)
+    g, dh0, dctx = gru_backward(p, cache, dstates)
+    npt.assert_array_equal(g.theta, want_g.theta)
+    npt.assert_array_equal(dh0, want_dh0)
+    if with_ctx:
+        npt.assert_array_equal(dctx, want_dctx)
+    else:
+        assert dctx is None
 
 
 @pytest.mark.parametrize("shapes, forward_only", [

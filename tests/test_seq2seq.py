@@ -732,6 +732,16 @@ class TestPredict:
         assert (predict_example(model, as_ints).tobytes()
                 == predict_example(model, ex).tobytes())
 
+    @pytest.mark.parametrize("k_route", [14, 9])
+    def test_decoder_length_must_fit_route(self, toy_norm, k_route):
+        # an example built for another route length: the model would run
+        # its K steps and return K travel times beside 6 section numbers
+        bank = zero_bank("edb", 10, toy_norm)
+        ex = make_example(make_rng(28), 4, k_route)
+        with pytest.raises(ValueError, match=rf"m=4 has K={k_route - 4} .* "
+                           r"route of 10 sections leaves 6"):
+            predict(bank, ex)
+
     def test_variable_length_contract(self, toy_norm):
         n_s = 34
         bank = zero_bank("edu", n_s, toy_norm)
@@ -844,6 +854,21 @@ class TestCheckpoints:
         assert loaded.dims() == model.dims()
         assert loaded.norm == model.norm
         npt.assert_array_equal(loaded.theta, model.theta)
+
+    def test_full_size_checkpoint_matches_json_dump(self, tmp_path):
+        # the writer's C-encoded text is what json.dump streams, byte for byte
+        model = new_model("edb", 28, 33, 34, make_rng(12),
+                          norm=NormStats(131.7, 41.3, 20160.5, 79320.25))
+        model.theta *= np.pi
+        path = tmp_path / "m.json"
+        save_model_json(model, path)
+        doc = {"format_version": seq2seq.CHECKPOINT_FORMAT_VERSION,
+               **model.dims(), "norm": model.norm.to_dict(),
+               "theta": model.theta.tolist()}
+        with open(tmp_path / "dump.json", "w") as f:
+            json.dump(doc, f)
+            f.write("\n")
+        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
 
 class TestModelValidation:
