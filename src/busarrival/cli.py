@@ -395,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads: must be >= 1, got {args.threads}")
         return args.func(args, load_config(args.config, args.seed))
     except (ValueError, OSError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

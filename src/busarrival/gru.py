@@ -21,15 +21,16 @@ name each gate's blocks in ``params()``. The input projections of all steps
 are one batched product and ``W_ctx ctx`` is computed once per chain.
 Each step makes only in-place numpy calls into buffers allocated once per
 call (``np.dot(u_stack, h_prev, out)`` forward, ``np.dot(u_stack.T, delta,
-out)`` back, the gate activations written over their pre-activations), on
-views from one ``zip`` over arrays sliced once per chain: a one-column
-step costs what its numpy calls cost. z, r and h_tilde live in the (T, 3H,
-B) projection block, which is the cache, and ``h_prev`` in the states
-array. Backward's work blocks come from one grow-only buffer per thread,
-reused rather than re-allocated each call (:func:`_scratch_blocks`), and
-so does the projection block of a forward-only call (``keep_cache=False``),
-which keeps no cache; the states, a kept cache, dL/dh0, dL/dctx and the
-weight gradients never do.
+out)`` back, the gate activations written over their pre-activations), and
+a forward step's ``h_prev`` is the state view the step before wrote (h0's
+row first): a one-column step costs what its numpy calls cost. z, r and
+h_tilde live in the (T, 3H, B) projection block, which is the cache.
+Backward's work blocks come from one grow-only buffer per thread, reused
+rather than re-allocated each call (:func:`_scratch_blocks`), and so do the
+projection block and ``rec`` of a forward-only call (``keep_cache=False``),
+which keeps no cache and reuses its per-step views, made once per (T, H, B,
+direction) and kept per thread until the buffer regrows. The states, a kept
+cache, dL/dh0, dL/dctx and the weight gradients never come from it.
 Backward writes the weight gradients into a GruParams laid out as the
 weights, so a caller can hand it views into its own flat gradient vector.
 Weight gradients are single contractions over steps and batch. The only
@@ -70,6 +71,7 @@ def _scratch_blocks(*shapes: tuple[int, ...]) -> list[np.ndarray]:
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.size < sum(sizes):
         buf = _scratch.buf = np.empty(sum(sizes))
+        _scratch.chains = {}    # views into the old buffer go with it
     starts = itertools.accumulate(sizes, initial=0)
     return [buf[i:i + n].reshape(s) for i, n, s in zip(starts, sizes, shapes)]
 
@@ -171,38 +173,49 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
         raise ValueError(f"state size {h0.shape[0]} != expected {hid}")
     if h0.shape[1] != b or (ctx is not None and ctx.shape[1:] != (b,)):
         raise ValueError("inputs, context and state must have matching batch shape")
-    gates = np.matmul(w_stack[:, :d], xs, out=None if keep_cache else
-                      _scratch_blocks((n, 3 * hid, b))[0])
+    if keep_cache:
+        gates, rec = np.matmul(w_stack[:, :d], xs), np.empty((3 * hid, b))
+        z, r, h_tilde = gates[:, :hid], gates[:, hid:2 * hid], gates[:, 2 * hid:]
+        steps = (gates[:, :2 * hid], z, r, h_tilde)     # zipped in run order
+        step_views = zip(*[a[::-1] for a in steps] if reverse else steps)
+        rec_z, rec_zr, rec_cand = rec[:hid], rec[:2 * hid], rec[2 * hid:]
+    else:   # the work blocks and step views of a shape, carved once per buffer
+        key = (n, hid, b, reverse)
+        if key not in getattr(_scratch, "chains", ()):
+            gates, rec = _scratch_blocks((n, 3 * hid, b), (3 * hid, b))
+            steps = [(g[:2 * hid], *np.split(g, 3))
+                     for g in (gates[::-1] if reverse else gates)]
+            _scratch.chains[key] = (gates, rec, steps, rec[:hid], rec[:2 * hid],
+                                    rec[2 * hid:])
+        gates, rec, step_views, rec_z, rec_zr, rec_cand = _scratch.chains[key]
+        np.matmul(w_stack[:, :d], xs, out=gates)
     if ctx is not None:
         gates += w_stack[:, d:] @ ctx
     if params.use_bias:
         gates += params.b_stack[:, None]
     hs = np.empty((n + 1, hid, b))
-    hs[n if reverse else 0] = h0
-    h_prev, states = (hs[1:], hs[:-1]) if reverse else (hs[:-1], hs[1:])
-    z, r, h_tilde = gates[:, :hid], gates[:, hid:2 * hid], gates[:, 2 * hid:]
-    steps = (h_prev, states, gates[:, :2 * hid], z, r, h_tilde)
-    if reverse:                 # in the order the chain runs its steps
-        steps = [a[::-1] for a in steps]
-    rec = np.empty((3 * hid, b))
-    rec_z, rec_zr, rec_cand = rec[:hid], rec[:2 * hid], rec[2 * hid:]
+    h_prev = hs[n if reverse else 0]        # then the state the last step wrote
+    h_prev[...] = h0
+    states = hs[:-1] if reverse else hs[1:]
     # local names and a positional out, even for a += b: the lookup and the
     # keyword cost up to a fifth of a one-column call
-    add, dot, multiply, subtract, tanh = (np.add, np.dot, np.multiply,
-                                          np.subtract, np.tanh)
-    for h_prev_t, h, zr, z_t, r_t, cand in zip(*steps):
-        dot(u_stack, h_prev_t, rec)
+    add, dot, multiply, subtract, tanh, sig = (np.add, np.dot, np.multiply,
+                                               np.subtract, np.tanh, sigmoid)
+    for h, (zr, z_t, r_t, cand) in zip(states[::-1] if reverse else states, step_views):
+        dot(u_stack, h_prev, rec)
         add(zr, rec_zr, zr)
-        sigmoid(zr, out=zr)
+        sig(zr, zr)
         multiply(rec_cand, r_t, rec_cand)
         add(cand, rec_cand, cand)
         tanh(cand, cand)
-        multiply(z_t, h_prev_t, h)
+        multiply(z_t, h_prev, h)
         subtract(ONE, z_t, rec_z)
         multiply(rec_z, cand, rec_z)
         add(h, rec_z, h)
-    return states, (GruCache(xs, ctx, gates, hs, reverse, states, h_prev, z, r,
-                             h_tilde) if keep_cache else None)
+        h_prev = h
+    return states, (GruCache(xs, ctx, gates, hs, reverse, states,
+                             hs[1:] if reverse else hs[:-1], z, r, h_tilde)
+                    if keep_cache else None)
 
 
 def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray,

@@ -16,23 +16,25 @@ import numpy as np
 # every call, about 0.4 us of a one-column call's 1 us.
 ONE, _EXP_CAP = np.array(1.0), np.array(709.0)
 ONE.flags.writeable = _EXP_CAP.flags.writeable = False
+_neg, _min, _exp, _add, _recip = np.negative, np.minimum, np.exp, np.add, np.reciprocal
 
 
 def sigmoid(x, out=None):
     """Logistic function 1 / (1 + exp(-x)), written into ``out`` when given
     (``out=x`` computes in place) and into a new array otherwise.
 
-    Five in-place ufunc calls and no temporaries. The exponent is capped at
-    709, so exp never overflows: x below -709 gives a tiny positive value,
-    not 0, and large positive x gives 1.
+    Five in-place ufunc calls by module-level names, out positional but for
+    ``np.minimum``'s (numpy deprecates a third argument there), and no
+    temporaries. The exponent is capped at 709, so exp never overflows: x
+    below -709 gives a tiny positive value, not 0, and large positive x gives 1.
     """
     if out is None:
         x = out = np.array(x, dtype=np.float64)
-    np.negative(x, out=out)
-    np.minimum(out, _EXP_CAP, out=out)
-    np.exp(out, out=out)
-    np.add(out, ONE, out=out)
-    return np.reciprocal(out, out=out)
+    _neg(x, out)
+    _min(out, _EXP_CAP, out=out)
+    _exp(out, out)
+    _add(out, ONE, out)
+    return _recip(out, out)
 
 
 def make_rng(seed: int) -> np.random.Generator:

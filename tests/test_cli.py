@@ -153,6 +153,22 @@ class TestSimulate:
         assert digest(d1 / "trips.csv") != digest(d2 / "trips.csv")
 
 
+def assert_threads_rejected(capsys, argv, out, threads):
+    capsys.readouterr()
+    assert run([*argv, "--threads", threads, "--out", out]) == 2
+    printed, err = capsys.readouterr()
+    assert err == f"error: --threads: must be >= 1, got {threads}\n"
+    assert printed == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_simulate_rejects_threads_below_one(tmp_path, tiny_config, capsys,
+                                            threads):
+    assert_threads_rejected(capsys, ["simulate", "--config", tiny_config],
+                            tmp_path / "sim", threads)
+
+
 @pytest.fixture
 def sim_dir(tmp_path, tiny_config):
     out = tmp_path / "sim"
@@ -244,6 +260,13 @@ class TestTrain:
         names = sorted(p.name for p in out.glob("*.json")
                        if p.name != "manifest.json")
         assert names == ["edb_bank_03_07.json"]
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, tmp_path, tiny_config, prep_dir,
+                                        capsys, threads):
+        assert_threads_rejected(
+            capsys, ["train", "--config", tiny_config, "--examples",
+                     prep_dir / "examples.jsonl"], tmp_path / "ckpt", threads)
 
     def test_checkpoints_deterministic(self, tmp_path, tiny_config, prep_dir):
         d1, d2 = tmp_path / "c1", tmp_path / "c2"

@@ -468,10 +468,14 @@ def test_threads_keep_their_own_work_buffers():
              rng.normal(size=(t, 6, b))) for t, b in ((9, 8), (4, 3), (12, 5))]
 
     def run(job):
+        # forward-only calls in both directions between a training call's
+        # forward and backward, on the thread's cached step views
         h0, xs, dstates = job
         _, cache = gru_forward(p, h0, xs)
+        only = [gru_forward(p, h0, xs, reverse=reverse, keep_cache=False)[0]
+                for reverse in (False, True)]
         g, dh0, _ = gru_backward(p, cache, dstates)
-        return g.theta.tobytes() + dh0.tobytes()
+        return b"".join(a.tobytes() for a in (g.theta, dh0, *only))
 
     want = [run(job) for job in jobs]
     interval = sys.getswitchinterval()
@@ -482,6 +486,51 @@ def test_threads_keep_their_own_work_buffers():
     finally:
         sys.setswitchinterval(interval)
     assert got == want * 40
+
+
+def cached_arrays(entry):
+    if isinstance(entry, np.ndarray):
+        yield entry
+    else:
+        for item in entry:
+            yield from cached_arrays(item)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_forward_only_views_follow_the_regrown_buffer(reverse):
+    # B = 1, then 240, which regrows the work buffer, then 1 twice: a thread
+    # of its own starts with no buffer. Views cached before the regrow point
+    # into the old buffer and must be dropped with it; the last call reuses
+    # the views the one before made.
+    rng = make_rng(53)
+    hidden, d_x, d_ctx, steps = 5, 3, 4, 7
+    p = init_gru(rng, hidden, d_x + d_ctx, use_bias=True)
+    chains = [(rng.normal(size=(hidden, b)), rng.normal(size=(steps, d_x, b)),
+               rng.normal(size=(d_ctx, b))) for b in (1, 240, 1, 1)]
+
+    def run():
+        got, entries = [], []
+        for h0, xs, ctx in chains:
+            want, _ = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse)
+            states, cache = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse,
+                                        keep_cache=False)
+            assert cache is None
+            got.append((states.tobytes(), want.tobytes()))
+            entries.append(gru._scratch.chains[steps, hidden, xs.shape[2],
+                                                 reverse])
+        buf = gru._scratch.buf
+        shared = [np.shares_memory(a, buf)
+                  for entry in gru._scratch.chains.values()
+                  for a in cached_arrays(entry)]
+        return got, entries, sorted(gru._scratch.chains), shared
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        got, entries, keys, shared = pool.submit(run).result(timeout=60)
+    for states, want in got:
+        assert states == want
+    assert entries[3] is entries[2] and entries[2] is not entries[0]
+    assert keys == [(steps, hidden, 1, reverse), (steps, hidden, 240, reverse)]
+    assert shared and all(shared)
 
 
 def test_stacked_gates_are_views():

@@ -49,3 +49,24 @@ def test_traced_batch_step_attributes_each_chain(toy_norm):
         assert counts[f"gru.gru_backward.{chain}.calls"] == 1
     assert counts["numkit.sigmoid.calls"] > 0
     assert seq2seq.gru_forward is gru.gru_forward
+
+
+def test_traced_forward_only_predict_counts_each_step(toy_norm):
+    # one EDB query runs m encoder steps and K steps in each decoder
+    # direction, one sigmoid call each; a kernel that bound sigmoid where the
+    # tracer cannot patch it would read 0 here and in the per-layer metric
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    m, n_sections = 4, 8
+    rng = np.random.default_rng(2)
+    with tracer.installed():
+        model = seq2seq.new_model("edb", 3, 7, n_sections, rng, hidden_enc=3,
+                                  hidden_dec=2, norm=toy_norm)
+        bank = seq2seq.ModelBank("edb", n_sections, [model])
+        first = tracer.begin()
+        seq2seq.predict(bank, make_example(rng, m, n_sections))
+    counts = tracer.summary(first)
+    assert counts["numkit.sigmoid.calls"] == m + 2 * (n_sections - m)
+    for chain in tracing.CHAINS:
+        assert counts[f"gru.gru_forward.{chain}.calls"] == 1
+        assert f"gru.gru_backward.{chain}.calls" not in counts
