@@ -49,12 +49,11 @@ class ZTestResult:
     status: str                  # "ok", "degenerate", "insufficient_samples"
 
 
-def paired_z_test(errors_a, errors_b, alpha: float = DEFAULT_ALPHA,
-                  min_n: int = MIN_Z_TEST_SAMPLES) -> ZTestResult:
+def paired_z_test(errors_a, errors_b, alpha: float = DEFAULT_ALPHA) -> ZTestResult:
     """Two-sided paired Z-test on per-query error differences a - b.
 
-    Refuses to decide below ``min_n`` samples. A zero-variance nonzero
-    difference is reported significant by convention with z = +/-inf.
+    Refuses to decide below ``MIN_Z_TEST_SAMPLES`` samples. A zero-variance
+    nonzero difference is reported significant by convention with z = +/-inf.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha: must be in (0, 1), got {alpha!r}")
@@ -62,7 +61,7 @@ def paired_z_test(errors_a, errors_b, alpha: float = DEFAULT_ALPHA,
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired test needs two equal-length 1-D samples")
     n = a.size
-    if n < min_n:
+    if n < MIN_Z_TEST_SAMPLES:
         return ZTestResult(math.nan, None, None, n, "insufficient_samples")
     d = a - b
     mean_d, sd = float(np.mean(d)), float(np.std(d, ddof=1))

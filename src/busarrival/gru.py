@@ -2,23 +2,23 @@
 
 State update per step, from ``h_prev`` (``h0`` before the first step):
 
-    z = sigmoid(Wz u + Uz h_prev + bz)
-    r = sigmoid(Wr u + Ur h_prev + br)
-    h_tilde = tanh(W u + r * (U h_prev) + b)
+    z = sigmoid(Wz u + Uz h_prev)
+    r = sigmoid(Wr u + Ur h_prev)
+    h_tilde = tanh(W u + r * (U h_prev))
     h = z * h_prev + (1 - z) * h_tilde
 
-Biases are optional and off by default. A step's input is ``u = [xs[t];
-ctx]``: that step's data, then an optional context shared by every step
-(the decoders append e_a to each section's inputs). A chain consumes
-``xs`` first to last, or last to first with ``reverse=True``.
+A step's input is ``u = [xs[t]; ctx]``: that step's data, then an optional
+context shared by every step (the decoders append e_a to each section's
+inputs). A chain consumes ``xs`` first to last, or last to first with
+``reverse=True``.
 
 The kernel runs whole chains (Appleyard, Kocisky & Blunsom,
 arXiv:1604.01946). :class:`GruParams` stacks the gates: ``w_stack``
-(3H x D) holds rows [Wz; Wr; W], ``u_stack`` (3H x H) [Uz; Ur; U],
-``b_stack`` [bz; br; b]; all three are views into one flat vector
-``theta``, and the nine named arrays, row views into them made when read,
-name each gate's blocks in ``params()``. The input projections of all steps
-are one batched product and ``W_ctx ctx`` is computed once per chain.
+(3H x D) holds rows [Wz; Wr; W] and ``u_stack`` (3H x H) [Uz; Ur; U];
+both are views into one flat vector ``theta``, and the six named arrays,
+row views into them made when read, name each gate's blocks in
+``params()``. The input projections of all steps are one batched product
+and ``W_ctx ctx`` is computed once per chain.
 Each step makes only in-place numpy calls into buffers allocated once per
 call (``np.dot(u_stack, h_prev, out)`` forward, ``np.dot(u_stack.T, delta,
 out)`` back, the gate activations written over their pre-activations), and
@@ -55,8 +55,8 @@ import numpy as np
 from .numkit import ONE, sigmoid, xavier_uniform
 
 
-# the named gate views of each stack in GruParams.w_stack, u_stack, b_stack
-_GATE_NAMES = (("wz", "wr", "w"), ("uz", "ur", "u"), ("bz", "br", "b"))
+# the named gate views of each stack in GruParams.w_stack and u_stack
+_GATE_NAMES = (("wz", "wr", "w"), ("uz", "ur", "u"))
 
 # per thread, because threads may run chains at once (train_bank's pool);
 # not per GruParams, which would keep a buffer alive in every trained model
@@ -76,33 +76,30 @@ def _scratch_blocks(*shapes: tuple[int, ...]) -> list[np.ndarray]:
     return [buf[i:i + n].reshape(s) for i, n, s in zip(starts, sizes, shapes)]
 
 
-def gru_size(hidden: int, inp: int, use_bias: bool = False) -> int:
-    """Parameter count of a GRU: three gates of (input + hidden [+ 1]) columns."""
-    return 3 * hidden * (inp + hidden + (1 if use_bias else 0))
+def gru_size(hidden: int, inp: int) -> int:
+    """Parameter count of a GRU: three gates of (input + hidden) columns."""
+    return 3 * hidden * (inp + hidden)
 
 
 class GruParams:
     """GRU weights as views into one flat vector ``theta``, which holds
-    ``w_stack``, ``u_stack`` and ``b_stack`` one after another, gate blocks
-    stacked row-wise as [z; r; candidate]."""
+    ``w_stack`` and ``u_stack`` one after the other, gate blocks stacked
+    row-wise as [z; r; candidate]."""
 
-    def __init__(self, theta: np.ndarray, hidden: int, inp: int,
-                 use_bias: bool = False):
-        size = gru_size(hidden, inp, use_bias)
+    def __init__(self, theta: np.ndarray, hidden: int, inp: int):
+        size = gru_size(hidden, inp)
         if theta.shape != (size,):
-            raise ValueError(f"GRU({hidden}, {inp}, use_bias={use_bias}) has {size} "
-                             f"parameters, not shape {theta.shape}")
+            raise ValueError(f"GRU({hidden}, {inp}) has {size} parameters, "
+                             f"not shape {theta.shape}")
         self.theta = theta
-        n_w, n_u = 3 * hidden * inp, 3 * hidden * hidden
+        n_w = 3 * hidden * inp
         self.w_stack = theta[:n_w].reshape(3 * hidden, inp)
-        self.u_stack = theta[n_w:n_w + n_u].reshape(3 * hidden, hidden)
-        self.b_stack = theta[n_w + n_u:] if use_bias else None
+        self.u_stack = theta[n_w:].reshape(3 * hidden, hidden)
 
     def __getattr__(self, name: str):
-        # the named gate views wz, wr, w, uz, ur, u, bz, br and b, made only
-        # when read (None for biases the chain does not have)
+        # the named gate views wz, wr, w, uz, ur and u, made only when read
         if name in itertools.chain(*_GATE_NAMES):
-            return self.as_dict().get(name)
+            return self.as_dict()[name]
         raise AttributeError(name)
 
     @property
@@ -113,25 +110,19 @@ class GruParams:
     def input_size(self) -> int:
         return self.w_stack.shape[1]
 
-    @property
-    def use_bias(self) -> bool:
-        return self.b_stack is not None
-
     def as_dict(self, prefix: str = "") -> dict:
-        """The named gate views in order wz, wr, w, uz, ur, u[, bz, br, b]."""
-        stacks = (self.w_stack, self.u_stack, self.b_stack)
+        """The named gate views in order wz, wr, w, uz, ur, u."""
+        stacks = (self.w_stack, self.u_stack)
         return {prefix + name: view for names, stack in zip(_GATE_NAMES, stacks)
-                if stack is not None
                 for name, view in zip(names, np.split(stack, 3))}
 
     def param_count(self) -> int:
         return self.theta.size
 
 
-def init_gru(rng: np.random.Generator, hidden: int, inp: int,
-             use_bias: bool = False) -> GruParams:
-    """Glorot-uniform GRU parameters, biases zero when enabled."""
-    p = GruParams(np.zeros(gru_size(hidden, inp, use_bias)), hidden, inp, use_bias)
+def init_gru(rng: np.random.Generator, hidden: int, inp: int) -> GruParams:
+    """Glorot-uniform GRU parameters."""
+    p = GruParams(np.zeros(gru_size(hidden, inp)), hidden, inp)
     for stack, cols in ((p.w_stack, inp), (p.u_stack, hidden)):
         for mat in np.split(stack, 3):
             mat[...] = xavier_uniform(rng, hidden, cols)
@@ -191,8 +182,6 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
         np.matmul(w_stack[:, :d], xs, out=gates)
     if ctx is not None:
         gates += w_stack[:, d:] @ ctx
-    if params.use_bias:
-        gates += params.b_stack[:, None]
     hs = np.empty((n + 1, hid, b))
     h_prev = hs[n if reverse else 0]        # then the state the last step wrote
     h_prev[...] = h0
@@ -233,7 +222,7 @@ def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray,
                          f"{cache.states.shape}")
     if out is None:
         out = GruParams(np.empty_like(params.theta), params.hidden_size,
-                        params.input_size, params.use_bias)
+                        params.input_size)
     n, hid, b = dstates.shape
     z, r, h_tilde, h_prev = cache.z, cache.r, cache.h_tilde, cache.h_prev
     # per gate and step, dL/d(pre-activation) = dL/dh * delta, built in place;
@@ -280,11 +269,9 @@ def gru_backward(params: GruParams, cache: GruCache, dstates: np.ndarray,
     d = cache.xs.shape[1]
     g_w = out.w_stack
     g_w[:, :d] = np.matmul(delta, cache.xs.transpose(0, 2, 1)).sum(axis=0)
-    delta_sum = delta.sum(axis=0)
     dctx = None
     if cache.ctx is not None:
+        delta_sum = delta.sum(axis=0)
         g_w[:, d:] = delta_sum @ cache.ctx.T
         dctx = params.w_stack[:, d:].T @ delta_sum
-    if params.use_bias:
-        out.b_stack[...] = delta_sum.sum(axis=1)
     return out, dh, dctx

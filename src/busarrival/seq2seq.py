@@ -52,11 +52,9 @@ DEFAULT_HIDDEN_DEC = {KIND_EDU: 32, KIND_EDB: 19}
 CHECKPOINT_FORMAT_VERSION = 2
 CHAINS = ("enc", "dec_fwd", "dec_bwd")
 # the constructor arguments that fix the layout of EdModel.theta
-DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec",
-        "use_bias")
+DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec")
 # the params() names of the embed and output maps
-_MAP_NAMES = {"w_embed": "embed.w", "b_embed": "embed.b", "w_out": "out.w",
-              "b_out": "out.b"}
+_MAP_NAMES = {"w_embed": "embed.w", "w_out": "out.w"}
 # per column of a decoder block (K, 4, N), whether it holds travel times;
 # the others hold entry times
 _DEC_TRAVEL = np.isin(np.arange(4), (DEC_Z_PV, DEC_Z_PW))[:, None]
@@ -77,17 +75,16 @@ class NonFiniteGradientError(ValueError):
 class EdModel:
     """One bank's model. Every parameter lives in the flat float64 vector
     ``theta``; the GRU chains ``enc``, ``dec_fwd`` and ``dec_bwd`` (EDB
-    only), ``w_embed`` (hidden_dec x ctx_len), ``w_out`` (dec_state_width)
-    and the optional biases ``b_embed`` and ``b_out`` are views into it,
-    laid out in :meth:`params` order by :meth:`views`."""
+    only), ``w_embed`` (hidden_dec x ctx_len) and ``w_out``
+    (dec_state_width) are views into it, laid out in :meth:`params` order
+    by :meth:`views`."""
 
     def __init__(self, kind: str, m_lo: int, m_hi: int, n_sections: int,
-                 hidden_enc: int, hidden_dec: int, use_bias: bool = False,
+                 hidden_enc: int, hidden_dec: int,
                  norm: NormStats | None = None, theta: np.ndarray | None = None):
         self.kind, self.m_lo, self.m_hi = kind, m_lo, m_hi
         self.n_sections = n_sections
         self.hidden_enc, self.hidden_dec = hidden_enc, hidden_dec
-        self.use_bias = use_bias
         self.norm = norm if norm is not None else NormStats.identity()
         size = sum(n for _, _, n in self._layout())
         self.theta = np.zeros(size) if theta is None else theta
@@ -121,23 +118,22 @@ class EdModel:
         """(block, dims, size) of each block of ``theta`` in order: the GRU
         chains, whose dims are (hidden, input), then the embed and output
         maps, whose dims are their shapes."""
-        hd, ctx, bias = self.hidden_dec, self.ctx_len, self.use_bias
+        hd, ctx = self.hidden_dec, self.ctx_len
         blocks = {"enc": (self.hidden_enc, 2), "dec_fwd": (hd, 4 + ctx),
                   "dec_bwd": (hd, 4 + ctx) if self.kind == KIND_EDB else None,
-                  "w_embed": (hd, ctx), "b_embed": (hd,) if bias else None,
-                  "w_out": (self.dec_state_width,), "b_out": (1,) if bias else None}
-        return [(name, dims, gru_size(*dims, bias) if name in CHAINS
+                  "w_embed": (hd, ctx), "w_out": (self.dec_state_width,)}
+        return [(name, dims, gru_size(*dims) if name in CHAINS
                  else math.prod(dims)) for name, dims in blocks.items() if dims]
 
     def views(self, vec: np.ndarray) -> SimpleNamespace:
         """Every block of the flat ``vec`` laid out as ``theta``, by attribute
-        name: GruParams for the chains, arrays for the maps, None for a
-        block this model does not have."""
-        out = dict.fromkeys(("dec_bwd", "b_embed", "b_out"))
+        name: GruParams for the chains, arrays for the maps, None for
+        ``dec_bwd`` when this model does not have it."""
+        out = {"dec_bwd": None}
         off = 0
         for name, dims, size in self._layout():
             part = vec[off:off + size]
-            out[name] = (GruParams(part, *dims, self.use_bias) if name in CHAINS
+            out[name] = (GruParams(part, *dims) if name in CHAINS
                          else part.reshape(dims))
             off += size
         return SimpleNamespace(**out)
@@ -166,15 +162,14 @@ class EdModel:
         return list(params)[int(np.searchsorted(ends, index, side="right"))]
 
 
-def bank_layout(n_sections: int, first_m: int = FIRST_POSITION,
-                width: int = BANK_WIDTH) -> list[tuple[int, int]]:
-    """Contiguous position ranges covering m in [first_m, n_sections-1].
+def bank_layout(n_sections: int) -> list[tuple[int, int]]:
+    """Contiguous position ranges covering m in [3, n_sections-1].
 
-    Full ``width``-wide banks; a remainder widens the last bank (28-33 for a
-    34-section route). Routes with fewer than ``width`` coverable positions
-    get a single short bank.
+    Full ``BANK_WIDTH``-wide banks; a remainder widens the last bank (28-33
+    for a 34-section route). Routes with fewer than ``BANK_WIDTH`` coverable
+    positions get a single short bank.
     """
-    last_m = n_sections - 1
+    first_m, width, last_m = FIRST_POSITION, BANK_WIDTH, n_sections - 1
     span = last_m - first_m + 1
     if span < 1:
         raise ValueError("route too short for any covered position")
@@ -199,16 +194,14 @@ def bank_range(n_sections: int, m: int) -> tuple[int, int]:
 
 def new_model(kind: str, m_lo: int, m_hi: int, n_sections: int,
               rng: np.random.Generator, hidden_enc: int = DEFAULT_HIDDEN_ENC,
-              hidden_dec: int | None = None, use_bias: bool = False,
-              norm: NormStats | None = None) -> EdModel:
+              hidden_dec: int | None = None, norm: NormStats | None = None) -> EdModel:
     if hidden_dec is None:
         hidden_dec = DEFAULT_HIDDEN_DEC[kind]
-    model = EdModel(kind, m_lo, m_hi, n_sections, hidden_enc, hidden_dec,
-                    use_bias, norm)
+    model = EdModel(kind, m_lo, m_hi, n_sections, hidden_enc, hidden_dec, norm)
     for chain in CHAINS:
         p = getattr(model, chain)
         if p is not None:
-            p.theta[...] = init_gru(rng, p.hidden_size, p.input_size, use_bias).theta
+            p.theta[...] = init_gru(rng, p.hidden_size, p.input_size).theta
     model.w_embed[...] = (rng.uniform(-1, 1, model.w_embed.shape)
                           * np.sqrt(6.0 / (hidden_dec + model.ctx_len)))
     limit = np.sqrt(6.0 / (model.dec_state_width + 1))
@@ -294,8 +287,6 @@ def _forward(model: EdModel, blk: Block, keep_cache: bool = True):
     e_a[he + blk.m - model.m_lo] = 1.0
     e_a[-1] = blk.t_c
     h0 = model.w_embed @ e_a
-    if model.b_embed is not None:
-        h0 += model.b_embed[:, None]
     np.tanh(h0, out=h0)
     states, fwd_cache = gru_forward(model.dec_fwd, h0, blk.dec, ctx=e_a,
                                     keep_cache=keep_cache)
@@ -305,8 +296,6 @@ def _forward(model: EdModel, blk: Block, keep_cache: bool = True):
                                             reverse=True, keep_cache=keep_cache)
         states = np.concatenate([states, bwd_states], axis=1)
     y = model.w_out @ states                               # (K, N)
-    if model.b_out is not None:
-        y = y + model.b_out[0]
     return y, (e_a, enc_cache, h0, states, fwd_cache, bwd_cache)
 
 
@@ -339,8 +328,6 @@ def _batch_step(model: EdModel, blk: Block) -> tuple[float, np.ndarray]:
     grad = np.empty_like(model.theta)     # every element is written below
     g = model.views(grad)
     g.w_out[...] = np.tensordot(states, dy, axes=([0, 2], [0, 1]))
-    if model.b_out is not None:
-        g.b_out[0] = dy.sum()
     dstates = model.w_out[:, None] * dy[:, None, :]        # (K, width, B)
 
     hd = model.hidden_dec
@@ -354,8 +341,6 @@ def _batch_step(model: EdModel, blk: Block) -> tuple[float, np.ndarray]:
 
     ds0 = dh0 * (1.0 - h0 ** 2)
     g.w_embed[...] = ds0 @ e_a.T
-    if model.b_embed is not None:
-        g.b_embed[...] = ds0.sum(axis=1)
     de_a += model.w_embed.T @ ds0
 
     denc = np.zeros_like(enc_cache.states)
@@ -401,7 +386,6 @@ class TrainConfig:
     hidden_enc: int = DEFAULT_HIDDEN_ENC
     hidden_dec_edu: int = DEFAULT_HIDDEN_DEC[KIND_EDU]
     hidden_dec_edb: int = DEFAULT_HIDDEN_DEC[KIND_EDB]
-    use_bias: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -556,8 +540,7 @@ def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
     kind_tag = 0 if kind == KIND_EDU else 1
     init_rng = spawn_rng(cfg.seed, 10 + kind_tag, idx)
     model = new_model(kind, m_lo, m_hi, n_sections, init_rng,
-                      hidden_enc=cfg.hidden_enc,
-                      hidden_dec=cfg.hidden_dec(kind), use_bias=cfg.use_bias)
+                      hidden_enc=cfg.hidden_enc, hidden_dec=cfg.hidden_dec(kind))
     if not exs:
         return model, [], 0, time.perf_counter() - start
     # duplicating a lone example leaves the pooled statistics unchanged
@@ -599,8 +582,9 @@ def predict(bank: ModelBank, ex: TrainingExample) -> PredictionResult:
 # Checkpoints
 
 def save_model_json(model: EdModel, path) -> None:
-    """Write a format-2 checkpoint: the dims, ``norm`` and ``theta``."""
-    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **model.dims(),
+    """Write a format-2 checkpoint: the dims, ``use_bias`` (always false),
+    ``norm`` and ``theta``."""
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **model.dims(), "use_bias": False,
            "norm": model.norm.to_dict(), "theta": model.theta.tolist()}
     with open(path, "w") as f:
         f.write(json.dumps(doc))    # the C encoder; json.dump runs the Python one
@@ -617,6 +601,13 @@ def load_model_json(path) -> EdModel:
             raise ValueError(f"format_version {version!r}, but this reads "
                              f"{CHECKPOINT_FORMAT_VERSION}; retrain the bank "
                              "with `busarrival train`")
+        # a dim of another JSON type (true, 5.0) would load or fail unnamed
+        for name in DIMS:
+            want, what = (str, "string") if name == "kind" else (int, "integer")
+            if type(doc[name]) is not want:
+                raise ValueError(f"{name} must be a JSON {what}, got {doc[name]!r}")
+        if doc["use_bias"] is not False:
+            raise ValueError(f"use_bias must be false, got {doc['use_bias']!r}")
         # numpy would convert strings and booleans; JSON numbers are int or float
         for what, values in (("theta entries", doc["theta"]),
                              ("norm fields", doc["norm"].values())):

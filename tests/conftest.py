@@ -43,21 +43,18 @@ def decoder_param_count(model) -> int:
     n = model.dec_fwd.param_count() + model.w_out.size
     if model.dec_bwd is not None:
         n += model.dec_bwd.param_count()
-    if model.b_out is not None:
-        n += model.b_out.size
     return n
 
 
 def bi_hidden_for_parity(hidden_enc=DEFAULT_HIDDEN_ENC,
                          edu_hidden=DEFAULT_HIDDEN_DEC["edu"],
-                         bank_width=BANK_WIDTH, use_bias=False) -> int:
+                         bank_width=BANK_WIDTH) -> int:
     """Largest per-direction EDB hidden size whose decoder stays within the
     EDU decoder's parameter count."""
     d_in = 4 + hidden_enc + bank_width + 1
-    bias = 3 if use_bias else 0
-    edu_count = 3 * edu_hidden * d_in + 3 * edu_hidden ** 2 + bias * edu_hidden + edu_hidden
+    edu_count = 3 * edu_hidden * d_in + 3 * edu_hidden ** 2 + edu_hidden
     for h in range(edu_hidden, 0, -1):
-        edb_count = 2 * (3 * h * d_in + 3 * h * h + bias * h) + 2 * h
+        edb_count = 2 * (3 * h * d_in + 3 * h * h) + 2 * h
         if edb_count <= edu_count:
             return h
     return 1

@@ -49,7 +49,7 @@ def test_c01_gradient_exactness_toy_models(toy_norm):
             hidden_dec = int(rng.integers(2, 9 if kind == "edu" else 7))
             model = new_model(kind, 3, n_s - 1, n_s, rng,
                               hidden_enc=hidden_enc, hidden_dec=hidden_dec,
-                              use_bias=bool(seed % 2), norm=toy_norm)
+                              norm=toy_norm)
             ex = make_example(rng, m, n_s)
             _, grad = model_backward(model, ex)
             fd = finite_diff_grad(lambda _: model_loss(model, ex), model.theta)

@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             cli.load_config(str(path))
 
+    def test_removed_use_bias_key_rejected(self, tmp_path, capsys):
+        # models have no biases, so the key is gone, even set to false
+        path = tmp_path / "old.json"
+        path.write_text('{"training": {"use_bias": false}}')
+        out = tmp_path / "ckpt"
+        assert run(["train", "--config", path, "--examples",
+                    tmp_path / "examples.jsonl", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown config key training.use_bias\n")
+        assert not out.exists()
+
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"seed": }')
@@ -70,10 +81,10 @@ class TestConfig:
         # the defaults come from SimConfig/TrainConfig/evalkit; a changed
         # default changes every manifest's config_sha256
         assert cli.config_hash(cli.load_config(None)) == \
-            "df90599ffc9ca819ac3734cbccfcc8c0b520f104ffbff4949b66820c1137dde1"
+            "6fc605751bfd6bd9c35526a71ccd83a9c73a7824da307dc11eec725a93eadbb9"
 
     @pytest.mark.parametrize("doc, name", [
-        ({"training": {"use_bias": "false"}}, "training.use_bias"),
+        ({"training": {"lr": True}}, "training.lr"),
         ({"simulator": {"weeks": 2.9}}, "simulator.weeks"),
         ({"route": 5}, "route"),
         ({"training": {"batch_size": -1}}, "training.batch_size"),

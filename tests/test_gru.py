@@ -28,8 +28,15 @@ def gate(cache, name):
     return getattr(cache, name)[0, :, 0]
 
 
-def zero_gru(hidden, inp, use_bias=False):
-    p = init_gru(make_rng(0), hidden, inp, use_bias)
+def with_ones_row(xs):
+    """``xs`` (T, D_x, B) with a constant row of ones appended to each
+    step's input: the weight column that reads it is a gate bias, so the
+    affine cases of the tests below check what a bias would compute."""
+    return np.concatenate([xs, np.ones((xs.shape[0], 1, xs.shape[2]))], axis=1)
+
+
+def zero_gru(hidden, inp):
+    p = init_gru(make_rng(0), hidden, inp)
     for v in p.as_dict().values():
         v[...] = 0.0
     return p
@@ -138,14 +145,17 @@ class TestBackward:
 
     @pytest.mark.parametrize("hidden", [1, 4, 8])
     @pytest.mark.parametrize("inp", [1, 5])
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_gradients_match_finite_differences(self, hidden, inp, use_bias):
-        # >= 24 seeded configurations in total across the parametrization
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_gradients_match_finite_differences(self, hidden, inp, affine):
+        # >= 24 seeded configurations in total across the parametrization;
+        # an affine step's input ends in a constant 1 (see with_ones_row)
         for seed in range(4):
             rng = make_rng(1000 * hidden + 10 * inp + seed)
-            p = init_gru(rng, hidden, inp, use_bias)
+            p = init_gru(rng, hidden, inp + affine)
             h_prev = rng.normal(size=hidden)
             u = rng.normal(size=inp)
+            if affine:
+                u = np.append(u, 1.0)
             h, cache = step(p, h_prev, u)
             g, dh_prev, du = step_backward(p, cache, h)  # loss = ||h||^2/2
             fd = finite_diff_grad(
@@ -196,21 +206,16 @@ def reference_chain(p, h0, xs, ctx, reverse, dstates):
     """Oracle: a per-step unroll of the six-matrix equations in the gru
     module docstring, with per-step BPTT. Returns the states (T, H, B), the
     parameter gradients by name, dL/dh0 and dL/dctx."""
-    def pre(wx, uh, h, u, bias):
-        a = wx @ u + uh @ h
-        return a if bias is None else a + bias[:, None]
-
     n = len(xs)
     order = list(range(n - 1, -1, -1) if reverse else range(n))
     states, steps = [None] * n, {}
     h = h0
     for t in order:
         u = xs[t] if ctx is None else np.concatenate([xs[t], ctx])
-        z = 1.0 / (1.0 + np.exp(-pre(p.wz, p.uz, h, u, p.bz)))
-        r = 1.0 / (1.0 + np.exp(-pre(p.wr, p.ur, h, u, p.br)))
+        z = 1.0 / (1.0 + np.exp(-(p.wz @ u + p.uz @ h)))
+        r = 1.0 / (1.0 + np.exp(-(p.wr @ u + p.ur @ h)))
         uh = p.u @ h
-        a = p.w @ u + r * uh
-        h_tilde = np.tanh(a if p.b is None else a + p.b[:, None])
+        h_tilde = np.tanh(p.w @ u + r * uh)
         steps[t] = (u, h, z, r, uh, h_tilde)
         h = z * h + (1.0 - z) * h_tilde
         states[t] = h
@@ -227,8 +232,6 @@ def reference_chain(p, h0, xs, ctx, reverse, dstates):
                                ("", da_h, da_h * r)):
             grads["w" + name] += da @ u.T
             grads["u" + name] += back @ h_prev.T
-            if p.use_bias:
-                grads["b" + name] += da.sum(axis=1)
         du = du + p.wz.T @ da_z + p.wr.T @ da_r + p.w.T @ da_h
         dh = (dh * z + p.uz.T @ da_z + p.ur.T @ da_r + p.u.T @ (da_h * r))
     dctx = None if ctx is None else du[xs.shape[1]:]
@@ -243,17 +246,19 @@ def assert_rel_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("steps", [1, 7, 31])
 @pytest.mark.parametrize("batch", [1, 32])
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("affine", [False, True])
 @pytest.mark.parametrize("with_ctx", [False, True])
 def test_sequence_kernel_matches_per_step_oracle(steps, batch, reverse,
-                                                 use_bias, with_ctx):
+                                                 affine, with_ctx):
     rng = make_rng(100 * steps + batch)
     hidden, d_x, d_ctx = 5, 3, 4 if with_ctx else 0
-    p = init_gru(rng, hidden, d_x + d_ctx, use_bias)
-    for v in p.as_dict().values():      # nonzero biases exercise their path
+    p = init_gru(rng, hidden, d_x + affine + d_ctx)
+    for v in p.as_dict().values():
         v += rng.normal(scale=0.3, size=v.shape)
     h0 = rng.normal(size=(hidden, batch))
     xs = rng.normal(size=(steps, d_x, batch))
+    if affine:
+        xs = with_ones_row(xs)
     ctx = rng.normal(size=(d_ctx, batch)) if with_ctx else None
     dstates = rng.normal(size=(steps, hidden, batch))
 
@@ -276,17 +281,19 @@ def test_sequence_kernel_matches_per_step_oracle(steps, batch, reverse,
 @pytest.mark.parametrize("steps", [1, 7, 31])
 @pytest.mark.parametrize("batch", [1, 32, 240])
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("affine", [False, True])
 @pytest.mark.parametrize("with_ctx", [False, True])
 def test_forward_only_states_match_training_states(steps, batch, reverse,
-                                                   use_bias, with_ctx):
+                                                   affine, with_ctx):
     rng = make_rng(100 * steps + batch)
     hidden, d_x, d_ctx = 5, 3, 4 if with_ctx else 0
-    p = init_gru(rng, hidden, d_x + d_ctx, use_bias)
+    p = init_gru(rng, hidden, d_x + affine + d_ctx)
     for v in p.as_dict().values():
         v += rng.normal(scale=0.3, size=v.shape)
     h0 = rng.normal(size=(hidden, batch))
     xs = rng.normal(size=(steps, d_x, batch))
+    if affine:
+        xs = with_ones_row(xs)
     ctx = rng.normal(size=(d_ctx, batch)) if with_ctx else None
     want, _ = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse)
     got, cache = gru_forward(p, h0, xs, ctx=ctx, reverse=reverse,
@@ -306,8 +313,6 @@ def indexed_chain(p, h0, xs, ctx, reverse, dstates):
     gates = np.matmul(p.w_stack[:, :d], xs)
     if ctx is not None:
         gates += p.w_stack[:, d:] @ ctx
-    if p.use_bias:
-        gates += p.b_stack[:, None]
     hs = np.empty((n + 1, hid, b))
     hs[n if reverse else 0] = h0
     rec = np.empty((3 * hid, b))
@@ -356,38 +361,38 @@ def indexed_chain(p, h0, xs, ctx, reverse, dstates):
         np.multiply(dh_t, z[t], out=zdh)
         np.matmul(p.u_stack.T, delta[t], out=dh)
         dh += zdh
-    g = GruParams(np.empty_like(p.theta), hid, p.input_size, p.use_bias)
+    g = GruParams(np.empty_like(p.theta), hid, p.input_size)
     np.dot(np.ascontiguousarray(delta.transpose(1, 0, 2)).reshape(3 * hid, n * b),
            np.ascontiguousarray(h_prev.transpose(0, 2, 1)).reshape(n * b, hid),
            out=g.u_stack)
     np.multiply(dh_all, dcand, out=d_cand)
     g.w_stack[:, :d] = np.matmul(delta, xs.transpose(0, 2, 1)).sum(axis=0)
-    delta_sum = delta.sum(axis=0)
     dctx = None
     if ctx is not None:
+        delta_sum = delta.sum(axis=0)
         g.w_stack[:, d:] = delta_sum @ ctx.T
         dctx = p.w_stack[:, d:].T @ delta_sum
-    if p.use_bias:
-        g.b_stack[...] = delta_sum.sum(axis=1)
     return hs, gates, g, dh, dctx
 
 
 @pytest.mark.parametrize("steps", [1, 7, 31])
 @pytest.mark.parametrize("batch", [1, 2, 7, 32, 240])
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("affine", [False, True])
 @pytest.mark.parametrize("with_ctx", [False, True])
 @pytest.mark.parametrize("keep_cache", [True, False])
-def test_step_loops_match_indexed_loops(steps, batch, reverse, use_bias,
+def test_step_loops_match_indexed_loops(steps, batch, reverse, affine,
                                         with_ctx, keep_cache):
     # bitwise: the kernel's step loops against the per-step indexed form,
     # at the EDB decoder's sizes (H = 19, four inputs, a 39-row context)
     rng = make_rng(1000 * steps + batch)
     hidden, d_x, d_ctx = 19, 4, 39 if with_ctx else 0
-    p = init_gru(rng, hidden, d_x + d_ctx, use_bias)
+    p = init_gru(rng, hidden, d_x + affine + d_ctx)
     p.theta += rng.normal(scale=0.3, size=p.theta.size)
     h0 = rng.normal(size=(hidden, batch))
     xs = rng.normal(size=(steps, d_x, batch))
+    if affine:
+        xs = with_ones_row(xs)
     ctx = rng.normal(size=(d_ctx, batch)) if with_ctx else None
     dstates = rng.normal(size=(steps, hidden, batch))
     hs, gates, want_g, want_dh0, want_dctx = indexed_chain(
@@ -423,7 +428,7 @@ def test_interleaved_calls_match_fresh_calls(shapes, reverse, forward_only):
     # forwards and the backwards, in the work buffer backward uses.
     rng = make_rng(31)
     hidden, d_x, d_ctx = 5, 3, 4
-    p = init_gru(rng, hidden, d_x + d_ctx, use_bias=True)
+    p = init_gru(rng, hidden, d_x + d_ctx)
     batches = [(rng.normal(size=(hidden, b)), rng.normal(size=(t, d_x, b)),
                 rng.normal(size=(d_ctx, b)), rng.normal(size=(t, hidden, b)))
                for t, b in shapes]
@@ -504,7 +509,7 @@ def test_forward_only_views_follow_the_regrown_buffer(reverse):
     # the views the one before made.
     rng = make_rng(53)
     hidden, d_x, d_ctx, steps = 5, 3, 4, 7
-    p = init_gru(rng, hidden, d_x + d_ctx, use_bias=True)
+    p = init_gru(rng, hidden, d_x + d_ctx)
     chains = [(rng.normal(size=(hidden, b)), rng.normal(size=(steps, d_x, b)),
                rng.normal(size=(d_ctx, b))) for b in (1, 240, 1, 1)]
 
@@ -534,13 +539,12 @@ def test_forward_only_views_follow_the_regrown_buffer(reverse):
 
 
 def test_stacked_gates_are_views():
-    p = init_gru(make_rng(3), 4, 3, use_bias=True)
+    p = init_gru(make_rng(3), 4, 3)
     p.ur[1, 2] = 7.0
-    p.b[3] = -2.0
-    assert p.u_stack[5, 2] == 7.0 and p.b_stack[11] == -2.0
+    assert p.u_stack[5, 2] == 7.0
     assert p.w_stack.shape == (12, 3) and p.u_stack.shape == (12, 4)
     p.theta[...] = np.arange(p.theta.size)
-    assert p.wz[0, 0] == 0 and p.u_stack[0, 0] == 36 and p.b[-1] == p.theta.size - 1
+    assert p.wz[0, 0] == 0 and p.u_stack[0, 0] == 36 and p.u[-1, -1] == p.theta.size - 1
 
 
 def test_param_count_and_validate():
@@ -549,4 +553,4 @@ def test_param_count_and_validate():
     with pytest.raises(ValueError):
         GruParams(np.zeros(p.param_count() - 1), 4, 3)
     with pytest.raises(ValueError):
-        GruParams(np.zeros(p.param_count()), 4, 3, use_bias=True)
+        GruParams(np.zeros(p.param_count()), 3, 4)

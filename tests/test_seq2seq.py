@@ -221,12 +221,12 @@ class TestDecodeBi:
 
 class TestBatchedForward:
     @pytest.mark.parametrize("kind", ["edu", "edb"])
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_batch_equals_per_example(self, kind, use_bias, toy_norm):
+    @pytest.mark.parametrize("wide_bank", [False, True])
+    def test_batch_equals_per_example(self, kind, wide_bank, toy_norm):
         rng = make_rng(31)
-        model = new_model(kind, 3, 7, 10, rng, hidden_enc=5, hidden_dec=4,
-                          use_bias=use_bias, norm=toy_norm)
-        for p in model.params().values():  # nonzero biases too
+        model = new_model(kind, 3, 9 if wide_bank else 7, 10, rng, hidden_enc=5,
+                          hidden_dec=4, norm=toy_norm)
+        for p in model.params().values():
             p[...] = rng.uniform(-0.5, 0.5, p.shape)
         exs = [make_example(rng, 6, 10, trip_id=i) for i in range(7)]
         blk = seq2seq.stack_block(model, exs)
@@ -336,15 +336,17 @@ def offsets_in_theta(model):
 
 
 @pytest.mark.parametrize("kind", ["edu", "edb"])
-@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("wide_bank", [False, True])
 class TestFlatLayout:
-    def model(self, kind, use_bias, norm):
-        return new_model(kind, 3, 7, 10, make_rng(40), hidden_enc=5,
-                         hidden_dec=4, use_bias=use_bias, norm=norm)
+    # a wide bank is bank_layout(10)'s one bank, 3-9, wider than BANK_WIDTH
+    # as the last bank of a route is when the positions do not divide evenly
+    def model(self, kind, wide_bank, norm):
+        return new_model(kind, 3, 9 if wide_bank else 7, 10, make_rng(40),
+                         hidden_enc=5, hidden_dec=4, norm=norm)
 
-    def test_params_are_views_of_theta_in_order(self, kind, use_bias, tmp_path,
+    def test_params_are_views_of_theta_in_order(self, kind, wide_bank, tmp_path,
                                                 toy_norm):
-        model = self.model(kind, use_bias, toy_norm)
+        model = self.model(kind, wide_bank, toy_norm)
         save_model_json(model, tmp_path / "m.json")
         for mo in (model, load_model_json(tmp_path / "m.json"),
                    pickle.loads(pickle.dumps(model))):
@@ -356,17 +358,17 @@ class TestFlatLayout:
             assert sum(sizes) == mo.theta.size
             npt.assert_array_equal(mo.theta, model.theta)
 
-    def test_param_name_at_first_and_last_element(self, kind, use_bias, toy_norm):
-        model = self.model(kind, use_bias, toy_norm)
+    def test_param_name_at_first_and_last_element(self, kind, wide_bank, toy_norm):
+        model = self.model(kind, wide_bank, toy_norm)
         params = model.params()
         for (name, p), off in zip(params.items(), offsets_in_theta(model)):
             assert model.param_name(off) == name
             assert model.param_name(off + p.size - 1) == name
-        assert len(params) == {"edu": (14, 22), "edb": (20, 31)}[kind][use_bias]
+        assert len(params) == {"edu": 14, "edb": 20}[kind]
 
-    def test_flat_adam_matches_per_parameter_reference(self, kind, use_bias,
+    def test_flat_adam_matches_per_parameter_reference(self, kind, wide_bank,
                                                        toy_norm):
-        model = self.model(kind, use_bias, toy_norm)
+        model = self.model(kind, wide_bank, toy_norm)
         ref = {k: v.copy() for k, v in model.params().items()}
         rng = make_rng(41)
         flat_grads = [rng.normal(scale=rng.uniform(1e-3, 10.0), size=model.theta.size)
@@ -496,7 +498,7 @@ class TestTraining:
         exs = [make_example(rng, m, 13, day_index=7 * (i % 3) + 1, trip_id=i)
                for i, m in enumerate(list(range(3, 13)) * 3)]
         cfg = TrainConfig(max_epochs=3, hidden_enc=4, hidden_dec_edu=3,
-                          hidden_dec_edb=2, use_bias=True, seed=4)
+                          hidden_dec_edb=2, seed=4)
         with pool:
             pooled = train_bank("edb", exs, 13, cfg, pool=pool)
         serial = train_bank("edb", exs, 13, cfg, pool=None)
@@ -631,23 +633,26 @@ def reference_train_model(model, train_ex, val_ex, cfg, rng):
 
 class TestBlockTraining:
     @pytest.mark.parametrize("kind", ["edu", "edb"])
-    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("wide_bank", [False, True])
     @pytest.mark.parametrize("validate", [False, True])
-    def test_matches_list_batch_reference(self, kind, use_bias, validate,
+    def test_matches_list_batch_reference(self, kind, wide_bank, validate,
                                           toy_norm):
         rng = make_rng(50)
         # one bank, two positions, interleaved: 23 and 9 training examples
         # against batches of 5; 70 validation examples at m=4 after 3 at
-        # m=6, which comes first
+        # m=6, which comes first. The bank is the route's one bank: 3-7 on
+        # 8 sections, or 3-8, wider than BANK_WIDTH, on 9
+        n_s = 9 if wide_bank else 8
         train_ms = rng.permutation([4] * 23 + [6] * 9)
         val_ms = [6, 4, 6, 4, 6] + [4] * 68
-        train_ex = [make_example(rng, m, 8, trip_id=i) for i, m in enumerate(train_ms)]
-        val_ex = [make_example(rng, m, 8, trip_id=100 + i)
+        train_ex = [make_example(rng, m, n_s, trip_id=i)
+                    for i, m in enumerate(train_ms)]
+        val_ex = [make_example(rng, m, n_s, trip_id=100 + i)
                   for i, m in enumerate(val_ms)] if validate else []
         assert len(val_ex) in (0, 73)
         cfg = TrainConfig(batch_size=5, max_epochs=6, patience=2, lr=2e-2)
-        model, ref = (new_model(kind, 3, 7, 8, make_rng(51), hidden_enc=4,
-                                hidden_dec=3, use_bias=use_bias, norm=toy_norm)
+        model, ref = (new_model(kind, 3, n_s - 1, n_s, make_rng(51), hidden_enc=4,
+                                hidden_dec=3, norm=toy_norm)
                       for _ in range(2))
         history = train_model(model, train_ex, val_ex, cfg, make_rng(52))
         want = reference_train_model(ref, train_ex, val_ex, cfg, make_rng(52))
@@ -773,11 +778,13 @@ class TestCheckpoints:
                                    predict_example(loaded, ex))
 
     @pytest.mark.parametrize("kind", ["edu", "edb"])
-    @pytest.mark.parametrize("use_bias", [False, True])
-    def test_save_load_save_bytes_identical(self, kind, use_bias, tmp_path,
+    @pytest.mark.parametrize("wide_bank", [False, True])
+    def test_save_load_save_bytes_identical(self, kind, wide_bank, tmp_path,
                                             toy_norm):
-        model = new_model(kind, 8, 12, 34, make_rng(36), hidden_enc=5,
-                          hidden_dec=3, use_bias=use_bias, norm=toy_norm)
+        # the wide bank is a 34-section route's last, 28-33
+        m_lo, m_hi = (28, 33) if wide_bank else (8, 12)
+        model = new_model(kind, m_lo, m_hi, 34, make_rng(36), hidden_enc=5,
+                          hidden_dec=3, norm=toy_norm)
         model.theta[...] = make_rng(37).normal(size=model.theta.size)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_model_json(model, first)
@@ -819,7 +826,8 @@ class TestCheckpoints:
         lambda doc, model: doc["theta"].pop(),
         lambda doc, model: doc["theta"].__setitem__(0, float("nan")),
         lambda doc, model: doc["norm"].update({"travel_std": 0.0}),
-        # blocks the saved kind and use_bias do not have: dec_bwd, enc.bz, out.b
+        # theta longer than the dims lay out: by a dec_bwd block, which edu
+        # models do not have, by hidden_enc entries, or by one
         lambda doc, model: doc["theta"].extend([0.0] * model.dec_fwd.theta.size),
         lambda doc, model: doc["theta"].extend([0.0] * model.hidden_enc),
         lambda doc, model: doc["theta"].append(0.0),
@@ -843,9 +851,45 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="m.json: malformed checkpoint"):
             load_model_json(path)
 
+    @staticmethod
+    def load_edited(tmp_path, toy_norm, edit):
+        """Load a saved checkpoint after ``edit`` changed its document."""
+        path = tmp_path / "m.json"
+        save_model_json(new_model("edu", 3, 7, 10, make_rng(29), hidden_enc=4,
+                                  hidden_dec=3, norm=toy_norm), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return load_model_json(path)
+
+    @pytest.mark.parametrize("name", seq2seq.DIMS)
+    @pytest.mark.parametrize("as_bool", [False, True])
+    def test_dim_of_another_json_type_is_named(self, tmp_path, toy_norm, name,
+                                               as_bool):
+        # kind is a JSON string and the others JSON integers: a boolean is
+        # neither, nor is a float such as 5.0, nor a number for kind
+        def edit(doc):
+            doc[name] = True if as_bool else (
+                1.0 if name == "kind" else float(doc[name]))
+
+        want = "string" if name == "kind" else "integer"
+        with pytest.raises(DataError, match=f"malformed checkpoint: ValueError: "
+                                            f"{name} must be a JSON {want}"):
+            self.load_edited(tmp_path, toy_norm, edit)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update({"use_bias": True}), "use_bias must be false, got True"),
+        (lambda doc: doc.update({"use_bias": 0}), "use_bias must be false, got 0"),
+        (lambda doc: doc.pop("use_bias"), "KeyError: 'use_bias'"),
+    ], ids=["true", "zero", "missing"])
+    def test_use_bias_other_than_false_is_refused(self, tmp_path, toy_norm, edit,
+                                                  message):
+        with pytest.raises(DataError, match=message):
+            self.load_edited(tmp_path, toy_norm, edit)
+
     def test_format_2_bytes_are_stable(self, tmp_path, toy_norm):
         dims = dict(kind="edb", m_lo=3, m_hi=4, n_sections=5, hidden_enc=1,
-                    hidden_dec=1, use_bias=False)
+                    hidden_dec=1)
         size = EdModel(**dims).theta.size
         model = EdModel(**dims, norm=toy_norm, theta=np.arange(size) / 8)
         save_model_json(model, tmp_path / "m.json")
@@ -863,7 +907,7 @@ class TestCheckpoints:
         path = tmp_path / "m.json"
         save_model_json(model, path)
         doc = {"format_version": seq2seq.CHECKPOINT_FORMAT_VERSION,
-               **model.dims(), "norm": model.norm.to_dict(),
+               **model.dims(), "use_bias": False, "norm": model.norm.to_dict(),
                "theta": model.theta.tolist()}
         with open(tmp_path / "dump.json", "w") as f:
             json.dump(doc, f)
