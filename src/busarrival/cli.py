@@ -134,41 +134,46 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, outputs: list,
         f.write("\n")
 
 
+def _timed(stage_s: dict, stage: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its wall seconds recorded as ``stage_s[stage]``."""
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    stage_s[stage] = time.perf_counter() - start
+    return out
+
+
 def cmd_simulate(args, cfg: dict) -> int:
-    trips, events = simulator.simulate_dataset(_sim_config(cfg))
+    stage_s = {}
+    trips, events = _timed(stage_s, "simulate", simulator.simulate_dataset,
+                           _sim_config(cfg))
     os.makedirs(args.out, exist_ok=True)
     trips_path = os.path.join(args.out, "trips.csv")
     events_path = os.path.join(args.out, "events.csv")
-    dataprep.save_trips_csv(trips, trips_path)
-    simulator.save_events_csv(events, events_path)
-    _write_manifest(args.out, "simulate", cfg, [trips_path, events_path])
+    _timed(stage_s, "write_trips", dataprep.save_trips_csv, trips, trips_path)
+    _timed(stage_s, "write_events", simulator.save_events_csv, events, events_path)
+    _write_manifest(args.out, "simulate", cfg, [trips_path, events_path], stage_s=stage_s)
     print(f"simulate: {len(trips)} trips, {len(events)} events -> {args.out}")
     return 0
 
 
 def cmd_prepare(args, cfg: dict) -> int:
     route = _route(cfg)
-    ticks = [time.perf_counter()]
-    dataset = dataprep.load_trips_csv(args.trips, route)
-    ticks.append(time.perf_counter())
-    examples, skips = dataprep.build_examples(
-        dataset, fallback=cfg["dataprep"]["fallback"],
-        brute_force=args.brute_force)
-    ticks.append(time.perf_counter())
+    stage_s = {}
+    dataset = _timed(stage_s, "load_trips", dataprep.load_trips_csv, args.trips, route)
+    examples, skips = _timed(stage_s, "build_examples", dataprep.build_examples,
+                             dataset, fallback=cfg["dataprep"]["fallback"],
+                             brute_force=args.brute_force)
     os.makedirs(args.out, exist_ok=True)
     ex_path = os.path.join(args.out, "examples.jsonl")
     skip_path = os.path.join(args.out, "skipped.csv")
-    dataprep.save_examples_jsonl(examples, ex_path)
-    ticks.append(time.perf_counter())
-    dataprep.save_skip_report_csv(skips, skip_path)
-    ticks.append(time.perf_counter())
+    _timed(stage_s, "write_examples", dataprep.save_examples_jsonl, examples, ex_path)
+    _timed(stage_s, "write_skips", dataprep.save_skip_report_csv, skips, skip_path)
     masks = {}
     for ex in examples:
         masks.setdefault(ex.m, []).append(ex.fallback_mask)
     _write_manifest(
         args.out, "prepare", cfg, [ex_path, skip_path],
-        stage_s=dict(zip(("load_trips", "build_examples", "write_examples",
-                          "write_skips"), np.diff(ticks).tolist())),
+        stage_s=stage_s,
         examples=len(examples),
         skips_by_reason=dict(Counter(s.reason for s in skips)),
         # per m, the share of decoder sections with no previous bus

@@ -508,8 +508,9 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def save_trips_csv(trips: list[TripRecord], path) -> None:
     write_csv(path, TRIP_CSV_HEADER, (
-        [t.trip_id, t.day_index, t.weekday, sec, f"{t.entry(sec):.6f}",
-         f"{t.travel(sec):.6f}"] for t in trips for sec in range(1, t.n_sections + 1)))
+        [t.trip_id, t.day_index, t.weekday, sec, f"{e:.6f}", f"{z:.6f}"]
+        for t in trips for sec, e, z in zip(
+            itertools.count(1), t.entry_times.tolist(), t.travel_times.tolist())))
 
 
 def _malformed(path, lineno: int, line: str) -> DataError:

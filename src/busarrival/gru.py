@@ -29,8 +29,9 @@ Backward's work blocks come from one grow-only buffer per thread, reused
 rather than re-allocated each call (:func:`_scratch_blocks`), and so do the
 projection block and ``rec`` of a forward-only call (``keep_cache=False``),
 which keeps no cache and reuses its per-step views, made once per (T, H, B,
-direction) and kept per thread until the buffer regrows. The states, a kept
-cache, dL/dh0, dL/dctx and the weight gradients never come from it.
+direction) and kept per thread, for up to ``MAX_CHAIN_VIEWS`` shapes, until
+the buffer regrows. The states, a kept cache, dL/dh0, dL/dctx and the weight
+gradients never come from it.
 Backward writes the weight gradients into a GruParams laid out as the
 weights, so a caller can hand it views into its own flat gradient vector.
 Weight gradients are single contractions over steps and batch. The only
@@ -61,6 +62,8 @@ _GATE_NAMES = (("wz", "wr", "w"), ("uz", "ur", "u"))
 # per thread, because threads may run chains at once (train_bank's pool);
 # not per GruParams, which would keep a buffer alive in every trained model
 _scratch = threading.local()
+# forward-only shapes whose step views a thread keeps; a serve run uses ~24
+MAX_CHAIN_VIEWS = 64
 
 
 def _scratch_blocks(*shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -174,6 +177,8 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
         key = (n, hid, b, reverse)
         if key not in getattr(_scratch, "chains", ()):
             gates, rec = _scratch_blocks((n, 3 * hid, b), (3 * hid, b))
+            if len(_scratch.chains) >= MAX_CHAIN_VIEWS:
+                _scratch.chains.clear()
             steps = [(g[:2 * hid], *np.split(g, 3))
                      for g in (gates[::-1] if reverse else gates)]
             _scratch.chains[key] = (gates, rec, steps, rec[:hid], rec[:2 * hid],

@@ -53,6 +53,7 @@ CHECKPOINT_FORMAT_VERSION = 2
 CHAINS = ("enc", "dec_fwd", "dec_bwd")
 # the constructor arguments that fix the layout of EdModel.theta
 DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec")
+_HIDDEN_SIZES = dict.fromkeys(DIMS[-2:], AT_LEAST_1)
 # the params() names of the embed and output maps
 _MAP_NAMES = {"w_embed": "embed.w", "w_out": "out.w"}
 # per column of a decoder block (K, 4, N), whether it holds travel times;
@@ -85,6 +86,7 @@ class EdModel:
         self.kind, self.m_lo, self.m_hi = kind, m_lo, m_hi
         self.n_sections = n_sections
         self.hidden_enc, self.hidden_dec = hidden_enc, hidden_dec
+        check_ranges(self, _HIDDEN_SIZES)   # before theta is sized from them
         self.norm = norm if norm is not None else NormStats.identity()
         size = sum(n for _, _, n in self._layout())
         self.theta = np.zeros(size) if theta is None else theta
@@ -139,6 +141,7 @@ class EdModel:
         return SimpleNamespace(**out)
 
     def validate(self) -> None:
+        check_ranges(self, _HIDDEN_SIZES)
         if self.kind not in (KIND_EDU, KIND_EDB):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not FIRST_POSITION <= self.m_lo <= self.m_hi <= self.n_sections - 1:

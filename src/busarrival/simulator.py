@@ -11,6 +11,11 @@ using its own entry times; event factors are then applied on top at the
 perturbed entry times. Sections whose traversal never intersects an event
 footprint therefore match the no-event run bit for bit.
 
+All trips of all service days run in lockstep, one pass per section over
+(day, trip) lanes, each day's events laid out as (slot, day) arrays. Arrays
+only add, subtract, multiply, divide, compare and take minima; exp and pow
+are libm's scalar calls per lane, as numpy's SIMD loops may round otherwise.
+
 Congestion events start at an origin section and spread to lower-numbered
 sections over time, which is what makes a previous bus's travel times over
 downstream sections informative about the current bus's upcoming sections.
@@ -50,14 +55,26 @@ class CongestionEvent:
         check_ranges(self, {"severity": AT_LEAST_1, "decay": _DECAY,
                             "upstream_speed_spm": POSITIVE})
 
-    def factor(self, section: int, t: float) -> float:
-        """Travel-time multiplier for a bus entering ``section`` at time t."""
-        if not self.onset_s <= t <= self.onset_s + self.duration_s:
-            return 1.0
+    def lift(self, section: int) -> float:
+        """``severity - 1``, times ``decay`` per section upstream of the origin."""
         back = self.origin_section - section
-        if not 0 <= back <= self.upstream_speed_spm * (t - self.onset_s) / 60.0:
-            return 1.0
-        return 1.0 + (self.severity - 1.0) * self.decay ** back
+        return (self.severity - 1.0) * self.decay ** back if back >= 0 else 0.0
+
+    def factor(self, section: int, t: float) -> float:
+        """Travel-time multiplier for a bus entering ``section`` at time t
+        (or at each time of an array t)."""
+        return _front_factor(t, self.origin_section - section, self.onset_s,
+                             self.duration_s, self.upstream_speed_spm,
+                             self.lift(section))[()]
+
+
+def _front_factor(t, back, onset, duration, speed, lift):
+    """``1 + lift`` if a front, set off at ``onset`` at ``speed`` sections a
+    minute for ``duration``, covers at time ``t`` the section ``back`` sections
+    upstream of its origin, else 1.0; scalars and arrays alike (+ - * / only)."""
+    hit = ((onset <= t) & (t <= onset + duration) & (0 <= back)
+           & (back <= speed * (t - onset) / 60.0))
+    return np.where(hit, 1.0 + lift, 1.0)
 
 
 @dataclass
@@ -114,17 +131,18 @@ class SimConfig:
 
     def resolve_base_profile(self) -> np.ndarray:
         """Per-section free-flow travel seconds."""
-        n = self.route.n_sections
-        s = np.arange(n)
-        return 100.0 + 25.0 * np.sin(4.0 * np.pi * s / n)
+        s = np.arange(self.route.n_sections)
+        return 100.0 + 25.0 * np.sin(4.0 * np.pi * s / len(s))
 
 
-def peak_multiplier(cfg: SimConfig, t_s: float) -> float:
-    """Time-of-day multiplier: flat base with morning and evening bumps."""
-    h = t_s / 3600.0
-    bm = math.exp(-0.5 * ((h - cfg.morning_peak_h) / cfg.peak_width_h) ** 2)
-    be = math.exp(-0.5 * ((h - cfg.evening_peak_h) / cfg.peak_width_h) ** 2)
-    return 1.0 + cfg.peak_amplitude * (bm + be)
+def peak_multiplier(cfg: SimConfig, t_s):
+    """Time-of-day multiplier, flat with morning and evening bumps, at t_s or
+    at each time of an array t_s."""
+    h = np.asarray(t_s) / 3600.0
+    qs = zip(((h - cfg.morning_peak_h) / cfg.peak_width_h).ravel().tolist(),
+             ((h - cfg.evening_peak_h) / cfg.peak_width_h).ravel().tolist())
+    bumps = [math.exp(-0.5 * m ** 2) + math.exp(-0.5 * e ** 2) for m, e in qs]
+    return 1.0 + cfg.peak_amplitude * np.reshape(bumps, h.shape)
 
 
 def _day_events(cfg: SimConfig, day: int) -> list[CongestionEvent]:
@@ -143,21 +161,27 @@ def _day_events(cfg: SimConfig, day: int) -> list[CongestionEvent]:
         decay=cfg.event_decay) for _ in range(n)]
 
 
-def _event_factor(events: list[CongestionEvent], section: int, t: float,
-                  cap: float) -> float:
-    f = 1.0
-    for ev in events:
-        f *= ev.factor(section, t)
-    return min(f, cap)
+def _event_slots(per_day: list[list[CongestionEvent]], n_sections: int):
+    """(4 + sections, slot, day, 1): origin, onset, duration, speed and lifts
+    of each day's j-th event in log order in slot j, else of one that never hits."""
+    n, never = max(map(len, per_day)), CongestionEvent(0, np.inf, 0.0, 1.0, 1.0)
+    rows = [[[ev.origin_section, ev.onset_s, ev.duration_s, ev.upstream_speed_spm,
+              *map(ev.lift, range(1, n_sections + 1))]
+             for ev in evs + [never] * (n - len(evs))] for evs in per_day]
+    return np.reshape(rows, (len(per_day), n, 4 + n_sections)).T[..., None]
 
 
-def _noise(cfg: SimConfig, day: int, trip_k: int) -> np.ndarray:
-    rng = spawn_rng(cfg.seed, _NOISE_STREAM, day, trip_k)
-    if cfg.noise_cv == 0.0:
-        return np.ones(cfg.route.n_sections)
-    sigma = np.sqrt(np.log1p(cfg.noise_cv ** 2))
-    return rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma,
-                         size=cfg.route.n_sections)
+def _day_lanes(cfg: SimConfig, day: int) -> tuple[np.ndarray, np.ndarray]:
+    """A day's dispatch times and (trip, section) unit-mean lognormal noise."""
+    rng = spawn_rng(cfg.seed, _DISPATCH_STREAM, day)
+    jitter = rng.uniform(-cfg.headway_jitter_s, cfg.headway_jitter_s,
+                         size=cfg.trips_per_day)
+    headways = np.maximum(MIN_HEADWAY_S, cfg.headway_mean_s + jitter)
+    sigma = np.sqrt(np.log1p(cfg.noise_cv ** 2))    # a sigma of 0 draws 1.0 exactly
+    return (cfg.first_dispatch_s + np.concatenate([[0.0], np.cumsum(headways[:-1])]),
+            np.array([spawn_rng(cfg.seed, _NOISE_STREAM, day, k).lognormal(
+                mean=-0.5 * sigma * sigma, sigma=sigma, size=cfg.route.n_sections)
+                for k in range(cfg.trips_per_day)]))
 
 
 def simulate_dataset(cfg: SimConfig
@@ -167,48 +191,34 @@ def simulate_dataset(cfg: SimConfig
     Raises ValueError naming the first trip that enters a section at or
     after midnight, and the config keys that move service earlier."""
     base = cfg.resolve_base_profile()
-    n_s = cfg.route.n_sections
-    trips: list[TripRecord] = []
-    event_log: list[tuple[int, CongestionEvent]] = []
-    for day in range(cfg.weeks * 7):
-        weekday = day % 7
-        if weekday == 6:  # no Sunday service
-            continue
-        wd_mult = cfg.weekday_multipliers[weekday]
-        events = _day_events(cfg, day)
-        event_log.extend((day, ev) for ev in events)
-        rng = spawn_rng(cfg.seed, _DISPATCH_STREAM, day)
-        jitter = rng.uniform(-cfg.headway_jitter_s, cfg.headway_jitter_s,
-                             size=cfg.trips_per_day)
-        headways = np.maximum(MIN_HEADWAY_S, cfg.headway_mean_s + jitter)
-        dispatches = cfg.first_dispatch_s + np.concatenate(
-            [[0.0], np.cumsum(headways[:-1])])
-        for k in range(cfg.trips_per_day):
-            noise = _noise(cfg, day, k)
-            # event-free trajectory, also fixes the peak-factor timings
-            z0 = np.empty(n_s)
-            e = dispatches[k]
-            for s in range(n_s):
-                z0[s] = base[s] * peak_multiplier(cfg, e) * wd_mult * noise[s]
-                e += z0[s]
-            entries, z = np.empty(n_s), np.empty(n_s)
-            e = dispatches[k]
-            for s in range(n_s):
-                entries[s] = e
-                z[s] = z0[s] * _event_factor(events, s + 1, e, cfg.event_factor_cap)
-                e += z[s]
-            trip_id = day * TRIP_ID_STRIDE + k
-            if entries[-1] >= SECONDS_PER_DAY:
-                sec = int(np.argmax(entries >= SECONDS_PER_DAY))
-                raise ValueError(
-                    f"trip {trip_id} (day {day}) enters section {sec + 1} at "
-                    f"{entries[sec]:.1f} s, past midnight: lower "
-                    "simulator.trips_per_day, simulator.headway_mean_s or "
-                    "simulator.first_dispatch_s")
-            trips.append(TripRecord(trip_id=trip_id, day_index=day,
-                                    weekday=weekday, entry_times=entries,
-                                    travel_times=z))
-    return trips, event_log
+    days = [day for day in range(cfg.weeks * 7) if day % 7 != 6]  # no Sundays
+    per_day = [_day_events(cfg, day) for day in days]
+    event_log = [(day, ev) for day, evs in zip(days, per_day) for ev in evs]
+    origin, onset, duration, speed, *lifts = _event_slots(per_day, len(base))
+    # lanes are (day, trip); a day's own settings are (day, 1) columns
+    wd_mult = np.array([[cfg.weekday_multipliers[day % 7]] for day in days])
+    e0, noise = map(np.array, zip(*(_day_lanes(cfg, day) for day in days)))
+    e = e0.copy()
+    entries, z = np.empty((2, len(base)) + e.shape)
+    for s, lift in enumerate(lifts):
+        # the event-free trajectory, which also fixes the peak-factor timings
+        z0 = base[s] * peak_multiplier(cfg, e0) * wd_mult * noise[..., s]
+        e0 += z0
+        entries[s] = e
+        f = np.ones(e.shape)
+        for factor in _front_factor(e, origin - (s + 1), onset, duration, speed, lift):
+            f *= factor     # slot by slot: each day's events in log order
+        np.multiply(z0, np.minimum(f, cfg.event_factor_cap), out=z[s])
+        e += z[s]
+    entries, z = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (entries, z))
+    for i, k, sec in np.argwhere(entries >= SECONDS_PER_DAY)[:1]:
+        raise ValueError(
+            f"trip {days[i] * TRIP_ID_STRIDE + k} (day {days[i]}) enters "
+            f"section {sec + 1} at {entries[i, k, sec]:.1f} s, past midnight: "
+            "lower simulator.trips_per_day, simulator.headway_mean_s or "
+            "simulator.first_dispatch_s")
+    return [TripRecord(day * TRIP_ID_STRIDE + k, day, day % 7, entries[i, k], z[i, k])
+            for i, day in enumerate(days) for k in range(cfg.trips_per_day)], event_log
 
 
 def no_event_config(cfg: SimConfig) -> SimConfig:

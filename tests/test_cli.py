@@ -149,6 +149,9 @@ class TestSimulate:
         assert manifest["seed"] == 0
         assert len(manifest["config_sha256"]) == 64
         assert "events.csv" in manifest["outputs"]
+        assert sorted(manifest["stage_s"]) == ["simulate", "write_events",
+                                               "write_trips"]
+        assert all(v >= 0 for v in manifest["stage_s"].values())
 
     def test_same_seed_identical_digests(self, tmp_path, tiny_config):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -554,3 +554,28 @@ def test_param_count_and_validate():
         GruParams(np.zeros(p.param_count() - 1), 4, 3)
     with pytest.raises(ValueError):
         GruParams(np.zeros(p.param_count()), 3, 4)
+
+
+def test_forward_only_view_cache_is_bounded():
+    # more widths than the cap, widest first so the work buffer never
+    # regrows: the cache is emptied when full, and states stay bitwise those
+    # of the training path
+    rng = make_rng(59)
+    hidden, d_x, steps = 3, 2, 4
+    p = init_gru(rng, hidden, d_x)
+    widths = range(gru.MAX_CHAIN_VIEWS + 9, 0, -1)
+
+    def run():
+        sizes, same = [], []
+        for b in widths:
+            h0, xs = rng.normal(size=(hidden, b)), rng.normal(size=(steps, d_x, b))
+            want, _ = gru_forward(p, h0, xs)
+            got, _ = gru_forward(p, h0, xs, keep_cache=False)
+            same.append(got.tobytes() == want.tobytes())
+            sizes.append(len(gru._scratch.chains))
+        return sizes, same
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        sizes, same = pool.submit(run).result(timeout=60)
+    assert all(same)
+    assert sizes == [*range(1, gru.MAX_CHAIN_VIEWS + 1), *range(1, 10)]

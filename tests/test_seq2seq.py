@@ -887,6 +887,26 @@ class TestCheckpoints:
         with pytest.raises(DataError, match=message):
             self.load_edited(tmp_path, toy_norm, edit)
 
+    @pytest.mark.parametrize("name", ["hidden_enc", "hidden_dec"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_hidden_size_below_one_is_named(self, tmp_path, toy_norm, name, size):
+        # theta is resized to the edited dims' layout wherever that has a
+        # size, so only the hidden-size check can refuse the checkpoint
+        def edit(doc):
+            doc[name] = size
+            dims = object.__new__(EdModel)
+            dims.__dict__.update({k: doc[k] for k in seq2seq.DIMS})
+            n = sum(n for *_, n in dims._layout())
+            if n >= 0:
+                doc["theta"] = [0.1] * n
+
+        with pytest.raises(DataError, match=f"malformed checkpoint: ValueError: "
+                                            f"{name}: must be >= 1, got {size}$"):
+            self.load_edited(tmp_path, toy_norm, edit)
+        with pytest.raises(ValueError, match=f"{name}: must be >= 1"):
+            EdModel(**{**dict(kind="edu", m_lo=3, m_hi=7, n_sections=10,
+                              hidden_enc=4, hidden_dec=3), name: size})
+
     def test_format_2_bytes_are_stable(self, tmp_path, toy_norm):
         dims = dict(kind="edb", m_lo=3, m_hi=4, n_sections=5, hidden_enc=1,
                     hidden_dec=1)

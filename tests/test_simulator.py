@@ -1,10 +1,13 @@
+import math
 import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from busarrival.dataprep import RouteSpec, TripDataset
+from busarrival import simulator
+from busarrival.dataprep import SECONDS_PER_DAY, RouteSpec, TripDataset
+from busarrival.numkit import spawn_rng
 from busarrival.simulator import (CongestionEvent, SimConfig, no_event_config,
                                   peak_multiplier, save_events_csv,
                                   simulate_dataset, split_train_test)
@@ -17,6 +20,147 @@ def quiet_config(**kw):
                     events_per_day=0.0, noise_cv=0.0, seed=3)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def reference_factor(ev, section, t):
+    """The multiplier of one event, as a per-trip loop computes it."""
+    if not ev.onset_s <= t <= ev.onset_s + ev.duration_s:
+        return 1.0
+    back = ev.origin_section - section
+    if not 0 <= back <= ev.upstream_speed_spm * (t - ev.onset_s) / 60.0:
+        return 1.0
+    return 1.0 + (ev.severity - 1.0) * ev.decay ** back
+
+
+def reference_peak(cfg, t_s):
+    h = t_s / 3600.0
+    bm = math.exp(-0.5 * ((h - cfg.morning_peak_h) / cfg.peak_width_h) ** 2)
+    be = math.exp(-0.5 * ((h - cfg.evening_peak_h) / cfg.peak_width_h) ** 2)
+    return 1.0 + cfg.peak_amplitude * (bm + be)
+
+
+def reference_simulate(cfg):
+    """Straight-line transcription of the simulator as one trip, then one
+    section, at a time: the oracle the lockstep simulator must match bit for
+    bit. Event draws come from the simulator's own per-day generator."""
+    base = cfg.resolve_base_profile()
+    n_s = cfg.route.n_sections
+    trips, event_log = [], []
+    for day in range(cfg.weeks * 7):
+        weekday = day % 7
+        if weekday == 6:
+            continue
+        wd_mult = cfg.weekday_multipliers[weekday]
+        events = simulator._day_events(cfg, day)
+        event_log.extend((day, ev) for ev in events)
+        rng = spawn_rng(cfg.seed, simulator._DISPATCH_STREAM, day)
+        jitter = rng.uniform(-cfg.headway_jitter_s, cfg.headway_jitter_s,
+                             size=cfg.trips_per_day)
+        headways = np.maximum(simulator.MIN_HEADWAY_S, cfg.headway_mean_s + jitter)
+        dispatches = cfg.first_dispatch_s + np.concatenate(
+            [[0.0], np.cumsum(headways[:-1])])
+        for k in range(cfg.trips_per_day):
+            rng = spawn_rng(cfg.seed, simulator._NOISE_STREAM, day, k)
+            if cfg.noise_cv == 0.0:
+                noise = np.ones(n_s)
+            else:
+                sigma = np.sqrt(np.log1p(cfg.noise_cv ** 2))
+                noise = rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma,
+                                      size=n_s)
+            z0 = np.empty(n_s)
+            e = dispatches[k]
+            for s in range(n_s):
+                z0[s] = base[s] * reference_peak(cfg, e) * wd_mult * noise[s]
+                e += z0[s]
+            entries, z = np.empty(n_s), np.empty(n_s)
+            e = dispatches[k]
+            for s in range(n_s):
+                entries[s] = e
+                f = 1.0
+                for ev in events:
+                    f *= reference_factor(ev, s + 1, e)
+                z[s] = z0[s] * min(f, cfg.event_factor_cap)
+                e += z[s]
+            trip_id = day * simulator.TRIP_ID_STRIDE + k
+            if entries[-1] >= SECONDS_PER_DAY:
+                sec = int(np.argmax(entries >= SECONDS_PER_DAY))
+                raise ValueError(
+                    f"trip {trip_id} (day {day}) enters section {sec + 1} at "
+                    f"{entries[sec]:.1f} s, past midnight: lower "
+                    "simulator.trips_per_day, simulator.headway_mean_s or "
+                    "simulator.first_dispatch_s")
+            trips.append((trip_id, day, weekday, entries, z))
+    return trips, event_log
+
+
+FULL_ROUTE = dict(route=RouteSpec(34, 800.0), weeks=3, trips_per_day=40, seed=3)
+
+
+class TestLockstepMatchesPerTripLoop:
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(**FULL_ROUTE),
+        no_event_config(SimConfig(**FULL_ROUTE)),
+        SimConfig(**FULL_ROUTE, noise_cv=0.0),
+        SimConfig(**FULL_ROUTE, peak_amplitude=0.0),
+        SimConfig(**{**FULL_ROUTE, "trips_per_day": 1}),
+        # fast fronts and many events: products of several lifts, and caps
+        SimConfig(route=RouteSpec(12, 800.0), weeks=2, trips_per_day=9, seed=6,
+                  events_per_day=12.0, event_speed_range_spm=(5.0, 50.0)),
+    ], ids=["3-weeks-34-sections", "no-events", "no-noise", "no-peaks",
+            "one-trip-a-day", "crowded-events"])
+    def test_trips_and_event_log_are_bitwise_equal(self, cfg):
+        want, want_log = reference_simulate(cfg)
+        trips, log = simulate_dataset(cfg)
+        assert [(t.trip_id, t.day_index, t.weekday) for t in trips] == [
+            w[:3] for w in want]
+        for t, (*_, entries, z) in zip(trips, want):
+            assert np.array_equal(t.entry_times, entries)
+            assert np.array_equal(t.travel_times, z)
+        assert log == want_log
+
+    def test_a_day_without_events(self):
+        cfg = SimConfig(route=RouteSpec(20, 800.0), weeks=2, trips_per_day=20,
+                        events_per_day=0.5, seed=4)
+        trips, log = simulate_dataset(cfg)
+        event_days = {day for day, _ in log}
+        assert event_days and len(event_days) < len({t.day_index for t in trips})
+        want, want_log = reference_simulate(cfg)
+        assert log == want_log
+        for t, (*_, entries, z) in zip(trips, want, strict=True):
+            assert np.array_equal(t.entry_times, entries)
+            assert np.array_equal(t.travel_times, z)
+
+    def test_past_midnight_gives_the_same_error(self):
+        # dispatches fit before midnight, but the trips run past it
+        cfg = SimConfig(weeks=1, trips_per_day=3, headway_mean_s=600.0,
+                        first_dispatch_s=84000.0, seed=2)
+        with pytest.raises(ValueError) as want:
+            reference_simulate(cfg)
+        with pytest.raises(ValueError) as got:
+            simulate_dataset(cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("trip 0 (day 0) enters section ")
+
+    def test_factor_on_an_array_of_times_equals_scalar_calls(self):
+        ev = CongestionEvent(origin_section=9, onset_s=1000.0, duration_s=2400.0,
+                             severity=2.3, upstream_speed_spm=0.7, decay=0.93)
+        times = np.linspace(900.0, 3600.0, 271)
+        for section in range(1, 12):
+            got = ev.factor(section, times)
+            assert got.shape == times.shape
+            scalar = [ev.factor(section, t) for t in times.tolist()]
+            assert np.array_equal(got, scalar)
+            assert scalar == [reference_factor(ev, section, t)
+                              for t in times.tolist()]
+            assert 1.0 < got.max() if section <= 9 else got.max() == 1.0
+
+    def test_peak_multiplier_on_an_array_equals_scalar_calls(self):
+        cfg = SimConfig()
+        times = np.linspace(5 * 3600.0, 23 * 3600.0, 997).reshape(997, 1)
+        got = peak_multiplier(cfg, times)
+        assert got.shape == times.shape
+        assert np.array_equal(got[:, 0], [reference_peak(cfg, t)
+                                          for t in times[:, 0].tolist()])
 
 
 class TestDeterminismAndShape:
