@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from collections import Counter
+from resource import RUSAGE_CHILDREN, RUSAGE_SELF, getrusage
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,7 +129,8 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, outputs: list,
                     **fields) -> None:
     manifest = {"command": command, "seed": cfg["seed"],
                 "config_sha256": config_hash(cfg),
-                "outputs": sorted(os.path.basename(p) for p in outputs), **fields}
+                "outputs": sorted(os.path.basename(p) for p in outputs),
+                "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024, **fields}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -206,7 +208,9 @@ def _run_summary(history: list[dict], patience: int, wall_s: float) -> dict:
 def cmd_train(args, cfg: dict) -> int:
     route = _route(cfg)
     tcfg = _train_config(cfg)
-    examples = dataprep.load_examples_jsonl(args.examples)
+    stage_s = {}
+    examples = _timed(stage_s, "load_examples", dataprep.load_examples_jsonl,
+                      args.examples)
     if not examples:
         raise ValueError(f"{args.examples}: no training examples")
     for ex in examples:
@@ -260,7 +264,8 @@ def cmd_train(args, cfg: dict) -> int:
                                    "val_loss"], loss_rows)
     outputs.append(loss_path)
     _write_manifest(args.out, "train", cfg, outputs, held_out_week=held_out,
-                    validation_week=validation_week, training=runs)
+                    validation_week=validation_week, training=runs, stage_s=stage_s,
+                    peak_rss_children_mb=getrusage(RUSAGE_CHILDREN).ru_maxrss / 1024)
     print(f"train: wrote {len(outputs) - 1} checkpoints -> {args.out}")
     return 0
 

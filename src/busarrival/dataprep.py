@@ -179,7 +179,6 @@ class TrainingExample:
         if bad.size:
             raise DataError(f"query time T_c must be finite and lie in "
                             f"[0, 86400), got {bad.flat[0]}")
-        # array methods, not np.all/np.any: this runs once per loaded example
         for arr in (self.enc, self.dec, self.targets):
             if not np.isfinite(arr).all():
                 raise DataError("non-finite value in training example")
@@ -496,6 +495,9 @@ SKIP_CSV_HEADER = ["day", "trip_id", "m", "reason"]
 # Examples per block of save_examples_jsonl. A block's formatted text is held
 # at once, so this bounds the writer's memory: about 6 MB at 34 sections.
 WRITE_CHUNK = 1024
+# Lines per chunk of load_examples_jsonl. A chunk's lines and stacked copies are
+# held at once: at 34 sections, 1,024 lines peaked 2 MB higher than 256.
+READ_CHUNK = 256
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -507,10 +509,13 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def save_trips_csv(trips: list[TripRecord], path) -> None:
-    write_csv(path, TRIP_CSV_HEADER, (
-        [t.trip_id, t.day_index, t.weekday, sec, f"{e:.6f}", f"{z:.6f}"]
-        for t in trips for sec, e, z in zip(
-            itertools.count(1), t.entry_times.tolist(), t.travel_times.tolist())))
+    """write_csv's bytes, one string per trip: no field (a number) is quoted."""
+    with open(path, "w", newline="") as f:
+        f.write(",".join(TRIP_CSV_HEADER) + "\n")
+        for t in trips:
+            head = "%d,%d,%d," % (t.trip_id, t.day_index, t.weekday)
+            f.write("".join("%s%d,%.6f,%.6f\n" % (head, sec, e, z) for sec, e, z in zip(
+                itertools.count(1), t.entry_times.tolist(), t.travel_times.tolist())))
 
 
 def _malformed(path, lineno: int, line: str) -> DataError:
@@ -721,22 +726,37 @@ def _parse_example(line: str) -> TrainingExample:
         pw_trip_id=d["pw_trip_id"], fallback_mask=np.array(d["fallback"], dtype=bool))
 
 
+def _parse_block(lines: list[str]) -> list[TrainingExample]:
+    """The examples of JSON ``lines``, validated as one block per (m, K)."""
+    examples, groups = [_parse_example(line) for line in lines], {}
+    for ex in examples:
+        groups.setdefault((ex.m, ex.k), []).append(ex)
+    for (m, k), group in groups.items():
+        TrainingExample(m, np.array([ex.t_c for ex in group]), None, None, *(
+            np.stack([getattr(ex, name) for ex in group]) for name in (
+                "enc", "dec", "targets", "prev_trip_ids")), None,
+            np.stack([ex.fallback_mask for ex in group])).validate(m + k)
+    return examples
+
+
 def load_examples_jsonl(path) -> list[TrainingExample]:
-    """Examples from JSON lines, each validated against its own m + K
-    sections; a malformed or invalid line raises DataError naming path:line."""
-    examples = []
+    """Examples from JSON lines, in file order, checked in chunks of
+    ``READ_CHUNK`` non-blank lines, as one block per (m, K); a chunk that fails
+    is read again line by line, so DataError names the first faulty path:line."""
+    # TypeError: JSON that is no object; OverflowError: past int64
+    examples, faults = [], (KeyError, TypeError, ValueError, OverflowError)
     with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+        lines = ((n, line) for n, line in enumerate(f, start=1) if line.strip())
+        while chunk := list(itertools.islice(lines, READ_CHUNK)):
             try:
-                ex = _parse_example(line)
-                ex.validate(ex.m + ex.k)
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                # TypeError: JSON that is no object; OverflowError: past int64
-                raise DataError(f"{path}:{lineno}: malformed example: "
-                                f"{type(e).__name__}: {e}") from e
-            examples.append(ex)
+                examples += _parse_block([line for _, line in chunk])
+            except faults:
+                for lineno, line in chunk:
+                    try:
+                        examples += _parse_block([line])
+                    except faults as e:
+                        raise DataError(f"{path}:{lineno}: malformed example: "
+                                        f"{type(e).__name__}: {e}") from e
     return examples
 
 

@@ -383,6 +383,22 @@ class TestTrain:
         assert {summary["banks"]["3-7"]["stopped"] for summary
                 in manifest["training"].values()} == {"patience", "max_epochs"}
 
+    def test_manifest_reports_load_time_and_memory(self, ckpt_dir):
+        manifest = json.loads((ckpt_dir / "manifest.json").read_text())
+        assert list(manifest["stage_s"]) == ["load_examples"]
+        assert manifest["stage_s"]["load_examples"] > 0
+        assert manifest["peak_rss_mb"] > 0
+        assert manifest["peak_rss_children_mb"] >= 0
+
+    def test_manifest_reports_the_pool_workers_memory(self, tmp_path, tiny_config,
+                                                       prep_dir):
+        out = tmp_path / "ckpt"
+        assert run(["train", "--config", tiny_config, "--examples",
+                    prep_dir / "examples.jsonl", "--out", out, "--kind", "edu",
+                    "--threads", 2]) == 0
+        assert json.loads((out / "manifest.json").read_text())[
+            "peak_rss_children_mb"] > 0
+
     def test_manifest_reports_runs_without_validation(self, ckpt_dir):
         bank = json.loads((ckpt_dir / "manifest.json").read_text())[
             "training"]["edb"]["banks"]["3-7"]
@@ -597,6 +613,17 @@ class TestPredict:
         assert self.predict(config, ckpt, sim, 7001, 4, "--kind", kind) == 2
         assert (f"{kind}_bank_03_07.json: holds the {kind} model of bank 8-12"
                 in capsys.readouterr().err)
+
+
+def test_every_manifest_reports_peak_rss(tmp_path, tiny_config, sim_dir,
+                                         prep_dir, ckpt_dir):
+    out = tmp_path / "rep"
+    assert run(["evaluate", "--config", tiny_config, "--checkpoints", ckpt_dir,
+                "--trips", sim_dir / "trips.csv", "--out", out, "--kind", "edu",
+                "--threads", 1]) == 0
+    for directory in (sim_dir, prep_dir, ckpt_dir, out):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["peak_rss_mb"] > 0
 
 
 class TestEvaluate:

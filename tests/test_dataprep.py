@@ -491,18 +491,20 @@ class TestBlockBuilder:
         assert [example_key(e) for e in build_examples(ds)[0]] == keys
 
 
+def reference_example_line(ex):
+    return json.dumps({
+        "m": ex.m, "t_c": ex.t_c, "day": ex.day_index,
+        "trip_id": ex.trip_id, "enc": ex.enc.tolist(),
+        "dec": ex.dec.tolist(), "targets": ex.targets.tolist(),
+        "prev_trip_ids": ex.prev_trip_ids.tolist(),
+        "pw_trip_id": ex.pw_trip_id,
+        "fallback": ex.fallback_mask.astype(int).tolist()}) + "\n"
+
+
 def reference_save_examples_jsonl(examples, path):
     """One ``json.dumps`` per example: the oracle for the block writer."""
     with open(path, "w") as f:
-        for ex in examples:
-            f.write(json.dumps({
-                "m": ex.m, "t_c": ex.t_c, "day": ex.day_index,
-                "trip_id": ex.trip_id, "enc": ex.enc.tolist(),
-                "dec": ex.dec.tolist(), "targets": ex.targets.tolist(),
-                "prev_trip_ids": ex.prev_trip_ids.tolist(),
-                "pw_trip_id": ex.pw_trip_id,
-                "fallback": ex.fallback_mask.astype(int).tolist()}))
-            f.write("\n")
+        f.writelines(map(reference_example_line, examples))
 
 
 class TestJsonlWriter:
@@ -561,6 +563,206 @@ class TestJsonlWriter:
     def test_no_examples_writes_empty_file(self, tmp_path):
         self.assert_matches_reference([], tmp_path)
         assert (tmp_path / "new.jsonl").read_bytes() == b""
+
+
+# One field of a written example line set to a value of the wrong JSON type,
+# and the message that names it.
+WRONGLY_TYPED = [
+    ("prev_trip_ids", -0.3, "ValueError: prev_trip_ids must hold integers"),
+    ("fallback", 0.5, "ValueError: fallback must hold integers"),
+    ("fallback", 2, "ValueError: fallback entries must be 0 or 1"),
+    ("m", 3.0, "ValueError: m must be a JSON integer, got 3.0"),
+    ("trip_id", 7000.5, "ValueError: trip_id must be a JSON integer, got 7000.5"),
+    ("trip_id", "7000", "ValueError: trip_id must be a JSON integer, got '7000'"),
+    ("day", 7.5, "ValueError: day must be a JSON integer, got 7.5"),
+    ("pw_trip_id", "x", "ValueError: pw_trip_id must be a JSON integer, got 'x'"),
+    ("enc", "all true", "ValueError: enc must hold numbers"),
+    ("dec", True, "ValueError: dec must hold numbers"),
+    ("dec", False, "ValueError: dec must hold numbers"),
+    ("fallback", True, "ValueError: fallback must hold integers"),
+    ("prev_trip_ids", False, "ValueError: prev_trip_ids must hold integers"),
+    ("targets", "7.5", "ValueError: targets must hold numbers"),
+    ("prev_trip_ids", 2 ** 63, "OverflowError: "),
+]
+WRONGLY_TYPED_IDS = [
+    "prev_trip_id_decimal", "fallback_half", "fallback_two", "m_float",
+    "trip_id_decimal", "trip_id_string", "day_decimal", "pw_trip_id_string",
+    "enc_all_true", "dec_one_true", "dec_one_false", "fallback_true",
+    "prev_trip_id_false", "targets_string", "prev_trip_id_past_int64"]
+
+
+def reference_load_examples_jsonl(path):
+    """Each line parsed and validated on its own, in file order: the oracle
+    for the block loader."""
+    examples = []
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                ex = dataprep._parse_example(line)
+                ex.validate(ex.m + ex.k)
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise DataError(f"{path}:{lineno}: malformed example: "
+                                f"{type(e).__name__}: {e}") from e
+            examples.append(ex)
+    return examples
+
+
+def assert_same_examples(got, want):
+    """Equal fields of equal types, arrays of equal dtype, shape and bits."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name, value in vars(b).items():
+            other = getattr(a, name)
+            assert type(other) is type(value), name
+            if isinstance(value, np.ndarray):
+                assert (other.dtype, other.shape) == (value.dtype, value.shape), name
+                assert other.tobytes() == value.tobytes(), name
+            else:
+                assert other == value, name
+
+
+def example_lines(rng, n):
+    """``n`` JSON lines of valid examples of 8 sections, m from 3 to 7."""
+    return [reference_example_line(make_example(rng, int(rng.integers(3, 8)), 8,
+                                                trip_id=i)) for i in range(n)]
+
+
+def mixed_lines(rng, n):
+    """``n`` example lines of 6 and 8 sections at every m, K = 0 included,
+    some with previous buses and fallbacks, some with integers for numbers,
+    and blank lines among them."""
+    lines = []
+    for i in range(n):
+        n_s = (6, 8)[i % 2]
+        ex = make_example(rng, int(rng.integers(1, n_s + 1)), n_s,
+                          day_index=int(rng.integers(7, 21)), trip_id=i)
+        ex.prev_trip_ids[:] = rng.integers(-1, 3, ex.k)
+        ex.fallback_mask = ex.prev_trip_ids < 0
+        doc = json.loads(reference_example_line(ex))
+        if i % 5 == 0:       # JSON integers: int64 arrays and an int T_c
+            doc.update(t_c=int(doc["t_c"]), enc=np.trunc(ex.enc).astype(int).tolist(),
+                       targets=np.trunc(ex.targets).astype(int).tolist())
+        lines.append(json.dumps(doc) + "\n")
+        if i % 37 == 0:
+            lines.append(("\n", "  \n", "\t\n")[i % 3])
+    return lines
+
+
+class TestBlockLoader:
+    """load_examples_jsonl validates each chunk as one block per (m, K); it
+    must give the per-line reference loader's examples and errors."""
+
+    @staticmethod
+    def assert_loads_as_reference(path):
+        loaded = dataprep.load_examples_jsonl(path)
+        assert_same_examples(loaded, reference_load_examples_jsonl(path))
+        return loaded
+
+    def test_built_examples(self, tmp_path):
+        examples, _ = build_examples(tied_dataset(39, days=(0, 1, 2, 7, 8, 9, 14)))
+        assert len(examples) > dataprep.READ_CHUNK
+        path = tmp_path / "ex.jsonl"
+        dataprep.save_examples_jsonl(examples, path)
+        loaded = self.assert_loads_as_reference(path)
+        assert [example_key(e) for e in loaded] == [example_key(e) for e in examples]
+
+    @pytest.mark.parametrize("read_chunk", [None, 1, 10 ** 6])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_mixed_lines(self, tmp_path, monkeypatch, read_chunk, shuffle):
+        rng = make_rng(40)
+        lines = mixed_lines(rng, 700)
+        assert len(lines) > 2 * dataprep.READ_CHUNK
+        if shuffle:
+            lines = [lines[i] for i in rng.permutation(len(lines))]
+        if read_chunk is not None:
+            monkeypatch.setattr(dataprep, "READ_CHUNK", read_chunk)
+        path = tmp_path / "ex.jsonl"
+        path.write_text("".join(lines))
+        loaded = self.assert_loads_as_reference(path)
+        assert len(loaded) == 700
+        assert {ex.k for ex in loaded} == set(range(8))
+        assert {ex.enc.dtype.kind for ex in loaded} == {"i", "f"}
+        assert {type(ex.t_c) for ex in loaded} == {int, float}
+        assert any(ex.fallback_mask.any() for ex in loaded)
+
+    @staticmethod
+    def assert_names_line(path, bad_index, message):
+        with pytest.raises(DataError) as want:
+            reference_load_examples_jsonl(path)
+        with pytest.raises(DataError) as got:
+            dataprep.load_examples_jsonl(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            f"{path}:{bad_index + 1}: malformed example: {message}")
+
+    @pytest.mark.parametrize("field, value, message", WRONGLY_TYPED,
+                             ids=WRONGLY_TYPED_IDS)
+    def test_wrongly_typed_field_past_the_first_chunk(self, tmp_path, field,
+                                                      value, message):
+        lines = example_lines(make_rng(41), dataprep.READ_CHUNK + 40)
+        bad = dataprep.READ_CHUNK + 17
+        doc = json.loads(lines[bad])
+        if value == "all true":
+            doc[field] = np.full(np.shape(doc[field]), True).tolist()
+        elif isinstance(doc[field], list):
+            row = doc[field][0] if field in ("enc", "dec") else doc[field]
+            row[0] = value
+        else:
+            doc[field] = value
+        lines[bad] = json.dumps(doc) + "\n"
+        path = tmp_path / "ex.jsonl"
+        path.write_text("".join(lines))
+        self.assert_names_line(path, bad, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(t_c=float("nan")),
+         "DataError: query time T_c must be finite and lie in [0, 86400), got nan"),
+        (lambda d: d.update(dec=np.reshape(d["dec"], (-1, 2)).tolist()),
+         "DataError: decoder sequence / target shape mismatch"),
+        (lambda d: d.update(enc=d["enc"][1:]),
+         "DataError: encoder sequence shape mismatch"),
+        (lambda d: d.update(prev_trip_ids=d["prev_trip_ids"][1:]),
+         "DataError: previous-trip ids / fallback mask shape mismatch"),
+        (lambda d: d["targets"].__setitem__(0, -d["targets"][0]),
+         "DataError: travel times must be positive"),
+        (lambda d: d["dec"][0].__setitem__(DEC_TE_PV, d["t_c"]),
+         "DataError: previous-bus entry time not before T_c"),
+        (lambda d: d.pop("enc"), "KeyError: 'enc'"),
+    ], ids=["nan_t_c", "dec_shape", "enc_shape", "ids_shape", "negative_target",
+            "prev_bus_at_t_c", "missing_key"])
+    def test_invalid_line_past_the_first_chunk(self, tmp_path, edit, message):
+        lines = example_lines(make_rng(42), dataprep.READ_CHUNK + 40)
+        bad = dataprep.READ_CHUNK + 5
+        doc = json.loads(lines[bad])
+        edit(doc)
+        lines[bad] = json.dumps(doc) + "\n"
+        path = tmp_path / "ex.jsonl"
+        path.write_text("".join(lines))
+        self.assert_names_line(path, bad, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]\n", "TypeError: "), ("{\n", "JSONDecodeError: ")])
+    def test_line_that_is_no_example_past_the_first_chunk(self, tmp_path, text,
+                                                          message):
+        lines = example_lines(make_rng(43), dataprep.READ_CHUNK + 40)
+        bad = dataprep.READ_CHUNK + 30
+        lines[bad] = text
+        path = tmp_path / "ex.jsonl"
+        path.write_text("".join(lines))
+        self.assert_names_line(path, bad, message)
+
+    def test_first_of_two_bad_lines_in_different_chunks_is_named(self, tmp_path):
+        lines = example_lines(make_rng(44), 3 * dataprep.READ_CHUNK)
+        first, second = dataprep.READ_CHUNK + 9, 2 * dataprep.READ_CHUNK + 3
+        for i, field in ((first, "targets"), (second, "enc")):
+            doc = json.loads(lines[i])
+            doc[field] = [-1.0] * len(doc[field])
+            lines[i] = json.dumps(doc) + "\n"
+        path = tmp_path / "ex.jsonl"
+        path.write_text("".join(lines))
+        self.assert_names_line(path, first, "DataError: ")
 
 
 class TestComplexity:
@@ -702,6 +904,22 @@ class TestCsvFormats:
             npt.assert_allclose(got.entry_times, t.entry_times, atol=1e-6)
             npt.assert_allclose(got.travel_times, t.travel_times, atol=1e-6)
 
+    def test_trip_csv_bytes_match_write_csv(self, tmp_path):
+        # the rows as csv.writer writes them, and values that round at the
+        # sixth decimal, carry into the integer part or print -0.000000
+        rng = make_rng(45)
+        trips = [t for day in (0, 1, 7) for t in random_day_trips(rng, day, 4, 6)]
+        trips.append(make_trip(10 ** 12, 20, 86399.9999995,
+                               [0.0000005, 1e-9, 2.5e-7, 123456.1234565, 7.0, 1.0]))
+        trips[-1].travel_times[-1] = -0.0
+        dataprep.save_trips_csv(trips, tmp_path / "new.csv")
+        dataprep.write_csv(tmp_path / "ref.csv", dataprep.TRIP_CSV_HEADER, (
+            [t.trip_id, t.day_index, t.weekday, sec, f"{e:.6f}", f"{z:.6f}"]
+            for t in trips for sec, e, z in zip(
+                range(1, 7), t.entry_times.tolist(), t.travel_times.tolist())))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0.000000\n" in (tmp_path / "new.csv").read_bytes()
+
     def test_malformed_row_reports_line(self, tmp_path, small_route):
         path = tmp_path / "bad.csv"
         path.write_text("trip_id,day,weekday,section,entry_time_s,travel_time_s\n"
@@ -829,27 +1047,8 @@ class TestCsvFormats:
                            + ".*travel times must be positive"):
             dataprep.load_examples_jsonl(path)
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("prev_trip_ids", -0.3, "ValueError: prev_trip_ids must hold integers"),
-        ("fallback", 0.5, "ValueError: fallback must hold integers"),
-        ("fallback", 2, "ValueError: fallback entries must be 0 or 1"),
-        ("m", 3.0, "ValueError: m must be a JSON integer, got 3.0"),
-        ("trip_id", 7000.5, "ValueError: trip_id must be a JSON integer, got 7000.5"),
-        ("trip_id", "7000", "ValueError: trip_id must be a JSON integer, got '7000'"),
-        ("day", 7.5, "ValueError: day must be a JSON integer, got 7.5"),
-        ("pw_trip_id", "x", "ValueError: pw_trip_id must be a JSON integer, got 'x'"),
-        ("enc", "all true", "ValueError: enc must hold numbers"),
-        ("dec", True, "ValueError: dec must hold numbers"),
-        ("dec", False, "ValueError: dec must hold numbers"),
-        ("fallback", True, "ValueError: fallback must hold integers"),
-        ("prev_trip_ids", False, "ValueError: prev_trip_ids must hold integers"),
-        ("targets", "7.5", "ValueError: targets must hold numbers"),
-        ("prev_trip_ids", 2 ** 63, "OverflowError: "),
-    ], ids=["prev_trip_id_decimal", "fallback_half", "fallback_two", "m_float",
-            "trip_id_decimal", "trip_id_string", "day_decimal",
-            "pw_trip_id_string", "enc_all_true", "dec_one_true", "dec_one_false",
-            "fallback_true", "prev_trip_id_false", "targets_string",
-            "prev_trip_id_past_int64"])
+    @pytest.mark.parametrize("field, value, message", WRONGLY_TYPED,
+                             ids=WRONGLY_TYPED_IDS)
     def test_wrongly_typed_jsonl_field_reports_line(self, tmp_path, field,
                                                     value, message):
         # one field of a written line edited; a list field's first entry
