@@ -7,11 +7,12 @@ times over downstream sections correlate with the current bus's travel time
 upstream.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from busarrival.dataprep import RouteSpec
-from busarrival.simulator import (SimConfig, no_event_config, peak_multiplier,
-                                  simulate_dataset)
+from busarrival.simulator import SimConfig, peak_multiplier, simulate_dataset
 
 cfg = SimConfig(route=RouteSpec(20, 800.0), weeks=3, trips_per_day=25, seed=7)
 trips, events = simulate_dataset(cfg)
@@ -51,12 +52,13 @@ def lagged_correlation(trip_list, lag=3):
     for day_trips in by_day.values():
         day_trips.sort(key=lambda t: t.start_time)
         for prev, cur in zip(day_trips, day_trips[1:]):
-            for sec in range(1, cur.n_sections - lag):
+            for sec in range(1, len(cur.entry_times) - lag):
                 xs.append(prev.travel(sec + lag))
                 ys.append(cur.travel(sec))
     return float(np.corrcoef(xs, ys)[0, 1])
 
-quiet, _ = simulate_dataset(no_event_config(cfg))
+# the same seed and streams with no events
+quiet, _ = simulate_dataset(replace(cfg, events_per_day=0.0))
 print("\ncorr(previous bus downstream, current bus upstream):")
 print(f"  with events:    {lagged_correlation(trips):+.3f}")
 print(f"  without events: {lagged_correlation(quiet):+.3f}")

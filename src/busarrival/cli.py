@@ -49,7 +49,11 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
 _RULES = {
     "dataprep": {"fallback": (dataprep.FALLBACK_POLICIES.__contains__,
                               "one of " + ", ".join(dataprep.FALLBACK_POLICIES))},
-    "evaluation": {"j_step": dataprep.AT_LEAST_1,
+    "evaluation": {"i_values": (lambda v: v and len(set(v)) == len(v)
+                                and min(v) >= dataprep.FIRST_POSITION,
+                                "one or more distinct positions >= "
+                                f"{dataprep.FIRST_POSITION}"),
+                   "j_step": dataprep.AT_LEAST_1,
                    "alpha": (lambda v: 0 < v < 1, "in (0, 1)")}}
 
 
@@ -221,12 +225,12 @@ def cmd_train(args, cfg: dict) -> int:
     if args.overfit:
         examples = examples[:1]
         tcfg.max_epochs = max(tcfg.max_epochs, 800)
-    held_out = seq2seq.split_week(examples)
+    held_out = seq2seq.split_week(ex.week for ex in examples)
     train_ex = [ex for ex in examples if ex.week != held_out]
     if not any(seq2seq.FIRST_POSITION <= ex.m <= route.n_sections - 1
                for ex in train_ex):
         raise ValueError("no examples fall inside any coverable bank")
-    validation_week = seq2seq.split_week(train_ex)
+    validation_week = seq2seq.split_week(ex.week for ex in train_ex)
     if validation_week is None:
         print(f"train: held-out week {held_out} leaves one training week, so "
               "nothing is validated and early stopping is off",
@@ -253,9 +257,10 @@ def cmd_train(args, cfg: dict) -> int:
                            "" if h["val_loss"] is None else f"{h['val_loss']:.8f}"]
                           for (m_lo, m_hi), history in sorted(result.histories.items())
                           for h in history]
-            for m_range in result.skipped:
-                print(f"train: skipped {kind} bank m={m_range[0]}-{m_range[1]} "
-                      "(no examples)", file=sys.stderr)
+            for (m_lo, m_hi), n in result.examples.items():
+                if not n:
+                    print(f"train: skipped {kind} bank m={m_lo}-{m_hi} "
+                          "(no examples)", file=sys.stderr)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -299,6 +304,11 @@ def cmd_predict(args, cfg: dict) -> int:
 
 def cmd_evaluate(args, cfg: dict) -> int:
     route = _route(cfg)
+    ecfg = cfg["evaluation"]
+    i_values = [i for i in ecfg["i_values"] if i <= route.n_sections - 1]
+    if not i_values:
+        raise ValueError(f"{args.config or 'default config'}: evaluation.i_values: must "
+                         f"hold a position < {route.n_sections}, got {list(ecfg['i_values'])}")
     dataset = dataprep.load_trips_csv(args.trips, route)
     train_trips, test_trips = simulator.split_train_test(dataset.trips)
     test_week = test_trips[0].day_index // 7
@@ -313,8 +323,6 @@ def cmd_evaluate(args, cfg: dict) -> int:
         raise dataprep.DataError(
             f"{manifest_path}: training held out week {held_out}, not week "
             f"{test_week}, the week evaluate scores")
-    ecfg = cfg["evaluation"]
-    i_values = [i for i in ecfg["i_values"] if i <= route.n_sections - 1]
     test_days = sorted({t.day_index for t in test_trips})
     examples, _ = dataprep.build_examples(
         dataset, positions=i_values, days=test_days,

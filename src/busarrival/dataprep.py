@@ -96,20 +96,11 @@ class TripRecord:
     def start_time(self) -> float:
         return float(self.entry_times[0])
 
-    @property
-    def n_sections(self) -> int:
-        return len(self.entry_times)
-
     def entry(self, section: int) -> float:
         return float(self.entry_times[section - 1])
 
     def travel(self, section: int) -> float:
         return float(self.travel_times[section - 1])
-
-    def validate(self) -> None:
-        if len(self.entry_times) != len(self.travel_times):
-            raise DataError(f"trip {self.trip_id}: entry/travel length mismatch")
-        check_trips(*trip_arrays([self], len(self.entry_times)))
 
 
 def trip_arrays(trips: list[TripRecord], n_sections: int) -> tuple:
@@ -209,32 +200,31 @@ class TripDataset:
         """The dataset of ``trips`` in any order; the first bad one raises DataError."""
         n_s = route.n_sections
         for i, t in enumerate(trips):
-            if not t.n_sections == len(t.travel_times) == n_s:
+            n = len(t.entry_times)
+            if not n == len(t.travel_times) == n_s:
                 check_trips(*trip_arrays(trips[:i], n_s))  # earlier faults first
-                if t.n_sections != n_s:
-                    raise DataError(f"trip {t.trip_id} has {t.n_sections} "
-                                    f"sections, route has {n_s}")
-                t.validate()
-        self._index(route, trips, *trip_arrays(trips, n_s))
+                if n != n_s:
+                    raise DataError(f"trip {t.trip_id} has {n} sections, route has {n_s}")
+                raise DataError(f"trip {t.trip_id}: entry/travel length mismatch")
+        self._index(route, *trip_arrays(trips, n_s))
 
     @classmethod
     def from_arrays(cls, route, ids, day, weekday, entry, travel) -> TripDataset:
         """The dataset of the trips in the rows of the arrays
         :func:`trip_arrays` returns; its TripRecords are views of its rows."""
         dataset = cls.__new__(cls)
-        dataset._index(route, None, ids, day, weekday, entry, travel)
+        dataset._index(route, ids, day, weekday, entry, travel)
         return dataset
 
-    def _index(self, route, trips, ids, day, weekday, e, z) -> None:
+    def _index(self, route, ids, day, weekday, e, z) -> None:
         # the first invalid trip in row order raises its own message
         check_trips(ids, day, weekday, e, z)
         order = np.lexsort((ids, e[:, 0], day))
         self.route = route
         self.entry, self.travel, self.ids = e[order], z[order], ids[order]
-        self.trips = ([trips[i] for i in order.tolist()] if trips is not None
-                      else [TripRecord(*fields) for fields in zip(
-                          self.ids.tolist(), day[order].tolist(),
-                          weekday[order].tolist(), self.entry, self.travel)])
+        self.trips = [TripRecord(*fields) for fields in zip(
+            self.ids.tolist(), day[order].tolist(), weekday[order].tolist(),
+            self.entry, self.travel)]
         self.by_day: dict[int, list[TripRecord]] = {}
         self.by_id: dict[int, TripRecord] = {}
         self._first: dict[int, int] = {}        # day -> row of its first trip
@@ -275,6 +265,16 @@ class TripDataset:
         # searchsorted counts the keys below t_c; order[col, 0] is the -1
         return order[col, np.searchsorted(keys[col], t_c)]
 
+    def scan_prev_rows(self, day: int, col: int, t_c) -> np.ndarray:
+        """:meth:`prev_rows` by the reference search, a scan without the index:
+        the day's largest (entry time, trip id) before each query time."""
+        lo = self._first.get(day, 0)
+        keys = [(t.entry(col + 1), t.trip_id, lo + i)
+                for i, t in enumerate(self.by_day.get(day, []))]
+        found = [max((key for key in keys if key[0] < tc), default=(0, 0, -1))[2]
+                 for tc in np.ravel(t_c).tolist()]
+        return np.array(found, dtype=np.int64).reshape(np.shape(t_c))
+
 
 def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
                                  t_c: float, brute_force: bool = False
@@ -286,10 +286,8 @@ def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
     """
     if not 1 <= section <= dataset.route.n_sections:
         raise ValueError(f"section {section} outside route")
-    if brute_force:
-        before = [t for t in dataset.by_day.get(day, []) if t.entry(section) < t_c]
-        return max(before, default=None, key=lambda t: (t.entry(section), t.trip_id))
-    row = dataset.prev_rows(day, section - 1, t_c)
+    search = dataset.scan_prev_rows if brute_force else dataset.prev_rows
+    row = search(day, section - 1, t_c)
     return dataset.trips[row] if row >= 0 else None
 
 
@@ -324,9 +322,9 @@ def _assemble(dataset: TripDataset, trips: list[TripRecord],
     the example at query time ``t_c[trip, position]`` (by default when the
     trip finished section m) given the previous-week match ``pws[trip]``,
     or why it is skipped. Per day, one search per section over all of that
-    day's query times (or the brute-force scalar search) finds the previous
-    buses; per position, fresh arrays of the trips it keeps are validated
-    once and split into rows, so no two examples share memory."""
+    day's query times (the index, or with ``brute_force`` the scan) finds the
+    previous buses; per position, fresh arrays of the trips it keeps are
+    validated once and split into rows, so no two examples share memory."""
     n_s, n = dataset.route.n_sections, len(trips)
     if fallback not in FALLBACK_POLICIES:
         raise ValueError(f"unknown fallback policy {fallback!r}")
@@ -337,18 +335,11 @@ def _assemble(dataset: TripDataset, trips: list[TripRecord],
     t_c = entry[:, positions] if t_c is None else t_c
     # the dataset row of each previous bus, -1 where there is none
     prev = np.full((n_s, n, len(positions)), -1, dtype=np.int32)
-    if brute_force:
-        row_of = {t.trip_id: r for r, t in enumerate(dataset.trips)}
-        for (i, j), tc in np.ndenumerate(t_c):
-            for col in range(positions[j], n_s):
-                hit = closest_prev_trip_at_section(dataset, trips[i].day_index,
-                                                   col + 1, tc, brute_force=True)
-                prev[col, i, j] = -1 if hit is None else row_of[hit.trip_id]
-    else:
-        for day in set(trip_day.tolist()):
-            on_day = trip_day == day
-            for col in range(min(positions, default=n_s), n_s):
-                prev[col, on_day] = dataset.prev_rows(day, col, t_c[on_day])
+    search = dataset.scan_prev_rows if brute_force else dataset.prev_rows
+    for day in set(trip_day.tolist()):
+        on_day = trip_day == day
+        for col in range(min(positions, default=n_s), n_s):
+            prev[col, on_day] = search(day, col, t_c[on_day])
     has_pw = np.array([pw is not None for pw in pws])
     # a trip with no previous-week match stands in for it; its rows are skipped
     pws = [pw or t for pw, t in zip(pws, trips)]
@@ -385,8 +376,7 @@ def _assemble(dataset: TripDataset, trips: list[TripRecord],
 
 def build_example(dataset: TripDataset, trip: TripRecord, m: int,
                   pw: TripRecord | None, t_c: float | None = None,
-                  fallback: str = FALLBACK_POLICIES[0], brute_force: bool = False
-                  ) -> TrainingExample | str:
+                  fallback: str = FALLBACK_POLICIES[0]) -> TrainingExample | str:
     """The example for ``trip`` at position m, or the reason it is skipped:
     the one-trip, one-position case of :func:`build_examples`.
 
@@ -398,7 +388,7 @@ def build_example(dataset: TripDataset, trip: TripRecord, m: int,
     """
     return _assemble(dataset, [trip], [pw], [m],
                      None if t_c is None else np.array([[t_c]], dtype=float),
-                     fallback, brute_force)[0][0]
+                     fallback, brute_force=False)[0][0]
 
 
 def build_examples(dataset: TripDataset, positions: range | list | None = None,

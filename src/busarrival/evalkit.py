@@ -139,13 +139,11 @@ def fit_hist_mean(train_trips: list[TripRecord], bin_s: float = 1800.0
         by_section={k[0]: v for k, v in means(section).items()})
 
 
-def baseline_hist_mean(model: HistMeanModel, ex: TrainingExample,
-                       weekday: int | None = None) -> np.ndarray:
+def baseline_hist_mean(model: HistMeanModel, ex: TrainingExample) -> np.ndarray:
     """Bin-mean predictions, propagating the expected entry time forward."""
-    wd = ex.day_index % 7 if weekday is None else weekday
     pred, t = np.empty(ex.k), ex.t_c
     for idx in range(ex.k):
-        pred[idx] = model.section_mean(ex.m + 1 + idx, wd, t)
+        pred[idx] = model.section_mean(ex.m + 1 + idx, ex.day_index % 7, t)
         t += pred[idx]
     return pred
 

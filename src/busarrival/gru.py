@@ -119,9 +119,6 @@ class GruParams:
         return {prefix + name: view for names, stack in zip(_GATE_NAMES, stacks)
                 for name, view in zip(names, np.split(stack, 3))}
 
-    def param_count(self) -> int:
-        return self.theta.size
-
 
 def init_gru(rng: np.random.Generator, hidden: int, inp: int) -> GruParams:
     """Glorot-uniform GRU parameters."""

@@ -309,17 +309,6 @@ def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
     return model.norm.denorm_travel(y[:, 0])
 
 
-def loss(pred_norm: np.ndarray, targets_norm: np.ndarray) -> float:
-    """Mean squared error over normalized components."""
-    pred_norm, targets_norm = (np.asarray(x, dtype=np.float64)
-                               for x in (pred_norm, targets_norm))
-    if pred_norm.shape != targets_norm.shape:
-        raise ValueError("prediction/target length mismatch")
-    if pred_norm.size < 1:
-        raise ValueError("loss needs at least one component")
-    return float(np.mean((pred_norm - targets_norm) ** 2))
-
-
 def _batch_step(model: EdModel, blk: Block) -> tuple[float, np.ndarray]:
     """Loss and exact mean-loss gradient of a block, laid out as ``model.theta``."""
     y, (e_a, enc_cache, h0, states, fwd_cache, bwd_cache) = _forward(model, blk)
@@ -354,8 +343,7 @@ def _batch_step(model: EdModel, blk: Block) -> tuple[float, np.ndarray]:
 
 def model_loss(model: EdModel, ex: TrainingExample) -> float:
     """Training loss of one example (MSE over normalized targets)."""
-    blk = stack_block(model, [ex])
-    return loss(_forward(model, blk, keep_cache=False)[0][:, 0], blk.targets[:, 0])
+    return mean_loss(model, [stack_block(model, [ex])])
 
 
 def model_backward(model: EdModel, ex: TrainingExample) -> tuple[float, np.ndarray]:
@@ -494,23 +482,15 @@ class ModelBank:
 class BankTrainResult:
     bank: ModelBank
     histories: dict    # (m_lo, m_hi) -> per-epoch history
-    skipped: list      # (m_lo, m_hi) ranges with no training examples
-    examples: dict     # (m_lo, m_hi) -> training examples per epoch
+    examples: dict     # (m_lo, m_hi) -> training examples per epoch, 0 if skipped
     wall_s: dict       # (m_lo, m_hi) -> wall seconds of its training
 
 
-def split_week(examples: list[TrainingExample]) -> int | None:
-    """The week a split sets aside: the newest week of ``examples``, or None
-    when they cover a single week."""
-    weeks = {ex.week for ex in examples}
+def split_week(weeks) -> int | None:
+    """The week a split sets aside: the newest of the examples' ``weeks``,
+    or None when they cover a single week."""
+    weeks = set(weeks)
     return max(weeks) if len(weeks) > 1 else None
-
-
-def _split_val(examples: list[TrainingExample]
-               ) -> tuple[list[TrainingExample], list[TrainingExample]]:
-    val_week = split_week(examples)
-    return ([ex for ex in examples if ex.week != val_week],
-            [ex for ex in examples if ex.week == val_week])
 
 
 def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
@@ -518,7 +498,7 @@ def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
     """Train one model per bank on its own examples.
 
     The last training week serves as the validation split. Banks without
-    examples are reported as skipped and keep their initial weights. When
+    examples keep their initial weights and count 0 examples. When
     ``pool`` (a concurrent.futures executor) is given, banks train in
     parallel; results are identical either way because every bank derives
     its own RNG from (seed, kind, bank index).
@@ -533,7 +513,6 @@ def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
     bank = ModelBank(kind=kind, n_sections=n_sections, models=list(models))
     bank.validate()
     return BankTrainResult(bank=bank, histories=dict(zip(layout, histories)),
-                           skipped=[r for r, n in zip(layout, counts) if not n],
                            examples=dict(zip(layout, counts)),
                            wall_s=dict(zip(layout, walls)))
 
@@ -548,7 +527,10 @@ def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
         return model, [], 0, time.perf_counter() - start
     # duplicating a lone example leaves the pooled statistics unchanged
     model.norm = fit_normalizer(exs if len(exs) >= 2 else exs * 2)
-    train_ex, val_ex = _split_val(exs)
+    weeks = [ex.week for ex in exs]
+    val_week = split_week(weeks)
+    train_ex = [ex for ex, week in zip(exs, weeks) if week != val_week]
+    val_ex = [ex for ex, week in zip(exs, weeks) if week == val_week]
     shuffle_rng = spawn_rng(cfg.seed, 20 + kind_tag, idx)
     history = train_model(model, train_ex, val_ex, cfg, shuffle_rng)
     return model, history, len(train_ex), time.perf_counter() - start

@@ -25,7 +25,7 @@ Service runs Monday through Saturday; Sundays carry no trips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,11 +219,6 @@ def simulate_dataset(cfg: SimConfig
             "simulator.first_dispatch_s")
     return [TripRecord(day * TRIP_ID_STRIDE + k, day, day % 7, entries[i, k], z[i, k])
             for i, day in enumerate(days) for k in range(cfg.trips_per_day)], event_log
-
-
-def no_event_config(cfg: SimConfig) -> SimConfig:
-    """Counterfactual twin of a config: same seed and streams, no events."""
-    return replace(cfg, events_per_day=0.0)
 
 
 def split_train_test(trips: list[TripRecord]

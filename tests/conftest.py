@@ -40,9 +40,9 @@ def decoder_param_count(model) -> int:
     and is excluded; including it would not change which default sizes pass
     the parity check.
     """
-    n = model.dec_fwd.param_count() + model.w_out.size
+    n = model.dec_fwd.theta.size + model.w_out.size
     if model.dec_bwd is not None:
-        n += model.dec_bwd.param_count()
+        n += model.dec_bwd.theta.size
     return n
 
 

@@ -125,8 +125,18 @@ class TestConfig:
           "simulator": {"weeks": 1, "trips_per_day": 1001,
                         "headway_mean_s": 60.0, "headway_jitter_s": 0.0}}, [],
          "{path}: simulator.trips_per_day: must be in [1, 1000], got 1001"),
+        ({"evaluation": {"i_values": [2, 5]}}, [],
+         "{path}: evaluation.i_values: must be one or more distinct positions "
+         ">= 3, got (2, 5)"),
+        ({"evaluation": {"i_values": [5, 5]}}, [],
+         "{path}: evaluation.i_values: must be one or more distinct positions "
+         ">= 3, got (5, 5)"),
+        ({"evaluation": {"i_values": []}}, [],
+         "{path}: evaluation.i_values: must be one or more distinct positions "
+         ">= 3, got ()"),
     ], ids=["seed-in-file", "seed-flag", "service-past-midnight",
-            "trip-past-midnight", "trip-ids-collide"])
+            "trip-past-midnight", "trip-ids-collide", "i-values-below-3",
+            "i-values-repeated", "i-values-empty"])
     def test_out_of_range_fails_by_name(self, tmp_path, capsys, doc, flags,
                                         message):
         path = tmp_path / "bad.json"
@@ -646,6 +656,23 @@ class TestEvaluate:
         assert len(qs) == n
         errs = [abs(float(q[5]) - float(q[6])) for q in qs]
         assert abs(float(row[4]) - sum(errs) / len(errs)) < 1e-5
+
+    def test_i_values_past_the_route_fail_by_name(self, tmp_path, capsys,
+                                                   tiny_config, ckpt_dir):
+        # positions past the route's last one are dropped; none left is an error
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({**json.loads(tiny_config.read_text()),
+                                   "evaluation": {"i_values": [8, 12]}}))
+        out = tmp_path / "rep"
+        capsys.readouterr()
+        # the check comes before any work: the trips file is never opened
+        assert run(["evaluate", "--config", cfg, "--checkpoints", ckpt_dir,
+                    "--trips", tmp_path / "no_trips.csv", "--out", out,
+                    "--threads", 1]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: evaluation.i_values: must hold a position < 8, "
+            "got [8, 12]\n")
+        assert not out.exists()
 
     def test_manifest_records_test_week(self, tmp_path, tiny_config, sim_dir,
                                         ckpt_dir):

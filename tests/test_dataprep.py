@@ -97,28 +97,29 @@ def tied_dataset(seed, days=(0, 1, 7, 8, 9), n_trips=14):
 
 
 class TestTripRecord:
-    def test_chain_consistency(self):
+    def test_chain_consistency(self, small_route):
         t = make_trip(1, 0, 21600.0, [100.0, 120.0, 90.0, 80.0, 70.0, 60.0])
-        t.validate()
+        TripDataset([t], small_route)
         rebuilt = t.entry_times[0] + np.concatenate(
             [[0.0], np.cumsum(t.travel_times[:-1])])
         npt.assert_allclose(rebuilt, t.entry_times, atol=1e-6)
 
     def test_validation_rejects_bad_trips(self):
+        route = RouteSpec(4, 500.0)
         t = make_trip(1, 0, 0.0, [10.0, 10.0, 10.0, 10.0])
         t.travel_times[2] = -1.0
         with pytest.raises(DataError):
-            t.validate()
+            TripDataset([t], route)
         t2 = make_trip(2, 0, 0.0, [10.0] * 4)
         t2.entry_times[1] = 999.0
         with pytest.raises(DataError):
-            t2.validate()
+            TripDataset([t2], route)
         with pytest.raises(DataError, match="negative trip id"):
-            make_trip(-1, 0, 0.0, [10.0] * 4).validate()
+            TripDataset([make_trip(-1, 0, 0.0, [10.0] * 4)], route)
 
 
 def break_trip(trip, check):
-    """``trip`` edited to fail one of TripRecord.validate's six checks."""
+    """``trip`` edited to fail one of the six checks TripDataset makes of a trip."""
     if check == "length":
         trip.travel_times = trip.travel_times[:-1]
     elif check == "travel":
@@ -158,8 +159,9 @@ class TestTripDataset:
                 TripDataset.from_arrays(small_route,
                                         *dataprep.trip_arrays(trips, 6))
         for trip in (trips[1], trips[3]):
-            with pytest.raises(DataError, match=re.escape(message)):
-                trip.validate()
+            with pytest.raises(DataError,
+                               match=re.escape(f"trip {trip.trip_id}: {message}")):
+                TripDataset([trip], small_route)
 
     def test_wrong_section_count_after_a_bad_trip(self, small_route):
         trips = [break_trip(make_trip(5, 1, 22000.0, [60.0] * 6), "weekday"),
@@ -199,8 +201,10 @@ class TestTripDataset:
         rng = make_rng(31)
         trips = [t for day in (8, 0, 7) for t in random_day_trips(rng, day, 4, 6)]
         ds = TripDataset(trips[::-1], small_route)
-        assert ds.trips == sorted(trips, key=lambda t: (t.day_index, t.start_time,
-                                                        t.trip_id))
+        fields = lambda t: (t.trip_id, t.day_index, t.weekday,
+                            t.entry_times.tobytes(), t.travel_times.tobytes())
+        assert [fields(t) for t in ds.trips] == [fields(t) for t in sorted(
+            trips, key=lambda t: (t.day_index, t.start_time, t.trip_id))]
         npt.assert_array_equal(ds.entry, [t.entry_times for t in ds.trips])
         npt.assert_array_equal(ds.travel, [t.travel_times for t in ds.trips])
         npt.assert_array_equal(ds.ids, [t.trip_id for t in ds.trips])
@@ -292,6 +296,43 @@ class TestClosestPrevWeek:
             fast = closest_prev_week_trip(ds, day, start)
             slow = closest_prev_week_trip(ds, day, start, brute_force=True)
             assert fast.trip_id == slow.trip_id
+
+
+class TestReferenceScan:
+    def test_brute_force_never_reads_the_index(self, monkeypatch):
+        ds = tied_dataset(37)
+
+        def day_order(self, day):
+            raise AssertionError("the index was read")
+
+        monkeypatch.setattr(TripDataset, "day_order", day_order)
+        examples, _ = build_examples(ds, brute_force=True)
+        assert examples
+        trip = ds.by_day[8][-1]
+        assert closest_prev_trip_at_section(ds, 8, 5, trip.entry(6),
+                                            brute_force=True) is not None
+        assert closest_prev_week_trip(ds, 8, trip.start_time,
+                                      brute_force=True) is not None
+        # the patch is in force: the indexed searches do read it
+        with pytest.raises(AssertionError, match="the index was read"):
+            build_examples(ds)
+
+    def test_scan_equals_prev_rows(self):
+        ds = tied_dataset(38)
+        rng = make_rng(39)
+        found = missing = 0
+        for day in (*ds.days(), 3):             # day 3 has no trips
+            for col in range(ds.route.n_sections):
+                # every entry time at the section, which the strictly-before
+                # rule excludes, and times between, before and after them
+                entries = [t.entry(col + 1) for t in ds.by_day.get(day, [])]
+                t_c = np.array([*entries, *rng.uniform(6 * 3600.0, 10 * 3600.0, 20),
+                                0.0, 86399.0]).reshape(-1, 1)
+                got = ds.scan_prev_rows(day, col, t_c)
+                assert got.shape == t_c.shape
+                npt.assert_array_equal(got, ds.prev_rows(day, col, t_c))
+                found, missing = found + (got >= 0).sum(), missing + (got < 0).sum()
+        assert found and missing
 
 
 class TestBuildExamples:

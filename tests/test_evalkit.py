@@ -162,9 +162,9 @@ class TestBaselines:
         # into the later bin as predictions accumulate
         t1 = make_trip(1, 0, 21600.0, [1000.0] * 6)
         model = fit_hist_mean([t1], bin_s=1800.0)
-        ex = make_example(make_rng(9), 3, 6)
+        ex = make_example(make_rng(9), 3, 6, day_index=7)    # a Monday, as t1
         ex.t_c = 21600.0
-        pred = baseline_hist_mean(model, ex, weekday=0)
+        pred = baseline_hist_mean(model, ex)
         assert pred.shape == (3,)
         npt.assert_allclose(pred, 1000.0)
 
@@ -196,7 +196,7 @@ def reference_hist_mean(trips, bin_s):
     """The per-key means by one dict update per trip and section, in order."""
     sums, counts = {}, {}
     for trip in trips:
-        for sec in range(1, trip.n_sections + 1):
+        for sec in range(1, len(trip.entry_times) + 1):
             z = trip.travel(sec)
             for key in ((sec, trip.weekday, int(trip.entry(sec) // bin_s)),
                         (sec, trip.weekday), (sec,)):

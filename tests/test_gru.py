@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from busarrival import gru
-from busarrival.gru import GruParams, gru_backward, gru_forward, init_gru
+from busarrival.gru import GruParams, gru_backward, gru_forward, gru_size, init_gru
 from busarrival.numkit import ONE, finite_diff_grad, make_rng, sigmoid
 
 
@@ -549,11 +549,11 @@ def test_stacked_gates_are_views():
 
 def test_param_count_and_validate():
     p = init_gru(make_rng(0), 4, 3)
-    assert p.param_count() == 3 * 4 * 3 + 3 * 4 * 4
+    assert gru_size(4, 3) == p.theta.size == 3 * 4 * 3 + 3 * 4 * 4
     with pytest.raises(ValueError):
-        GruParams(np.zeros(p.param_count() - 1), 4, 3)
+        GruParams(np.zeros(p.theta.size - 1), 4, 3)
     with pytest.raises(ValueError):
-        GruParams(np.zeros(p.param_count()), 3, 4)
+        GruParams(np.zeros(p.theta.size), 3, 4)
 
 
 def test_forward_only_view_cache_is_bounded():

@@ -15,7 +15,7 @@ from busarrival.gru import gru_forward
 from busarrival.numkit import adam_step, finite_diff_grad, init_adam, make_rng
 from busarrival.seq2seq import (CoverageError, EdModel, ModelBank,
                                 NonFiniteGradientError, NonFiniteLossError,
-                                TrainConfig, bank_layout, load_bank, load_model_json, loss, mean_loss,
+                                TrainConfig, bank_layout, load_bank, load_model_json, mean_loss,
                                 model_backward, model_loss, new_model, predict,
                                 predict_example, save_bank, save_model_json,
                                 train_bank, train_model)
@@ -245,18 +245,26 @@ def _with_dec(ex, dec):
 
 
 class TestLoss:
-    def test_exact_cases(self):
-        assert loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-        assert loss(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == 1.0
+    def test_exact_cases(self, toy_norm):
+        # a zero-weight model predicts the travel mean, 0 once normalized
+        model = zero_model("edu", 3, 7, 8, toy_norm)
+        ex = make_example(make_rng(10), 4, 8)
+        ex.targets[:] = toy_norm.travel_mean
+        assert model_loss(model, ex) == 0.0
+        ex.targets[:] = toy_norm.travel_mean + toy_norm.travel_std * np.array(
+            [1.0, -1.0, -1.0, 1.0])
+        assert model_loss(model, ex) == 1.0
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, toy_norm):
         rng = make_rng(10)
-        p, t = rng.normal(size=5), rng.normal(size=5)
-        assert abs(loss(p, t) - sum((a - b) ** 2 for a, b in zip(p, t)) / 5) < 1e-15
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            loss(np.zeros(3), np.zeros(4))
+        model = new_model("edb", 3, 7, 9, rng, hidden_enc=4, hidden_dec=3,
+                          norm=toy_norm)
+        ex = make_example(rng, 5, 9)
+        blk = seq2seq.stack_block(model, [ex])
+        y, _ = seq2seq._forward(model, blk, keep_cache=False)
+        p, t = y[:, 0], blk.targets[:, 0]
+        assert abs(model_loss(model, ex)
+                   - sum((a - b) ** 2 for a, b in zip(p, t)) / 4) < 1e-15
 
     def test_mean_loss_is_mean_of_example_losses(self, toy_norm):
         # two m groups, one of 150 columns: one forward-only pass per block
@@ -421,15 +429,22 @@ class TestTraining:
             model = result.bank.model_for(4)
             assert model_loss(model, ex) < 1e-3
 
-    def test_split_week_sets_aside_the_newest_of_several_weeks(self):
+    def test_split_week_sets_aside_the_newest_of_several_weeks(self, monkeypatch):
         rng = make_rng(19)
         exs = [make_example(rng, 4, 8, day_index=d) for d in (8, 15, 16, 9)]
-        assert seq2seq.split_week(exs) == 2
-        assert seq2seq.split_week(exs[:1]) is None
-        train, val = seq2seq._split_val(exs)
+        assert seq2seq.split_week(ex.week for ex in exs) == 2
+        assert seq2seq.split_week([exs[0].week]) is None
+        # the training and validation examples each bank trains on
+        splits = []
+        monkeypatch.setattr(seq2seq, "train_model", lambda model, train, val, cfg,
+                            rng: splits.append((train, val)) or [])
+        cfg = TrainConfig(max_epochs=1, hidden_enc=4, hidden_dec_edu=3)
+        train_bank("edu", exs, 8, cfg)
+        train_bank("edu", exs[:1], 8, cfg)
+        (train, val), lone = splits
         assert [ex.day_index for ex in train] == [8, 9]
         assert [ex.day_index for ex in val] == [15, 16]
-        assert seq2seq._split_val(exs[:1]) == (exs[:1], [])
+        assert lone == (exs[:1], [])
 
     def test_training_is_deterministic(self, toy_norm):
         rng = make_rng(18)
@@ -530,7 +545,7 @@ class TestTraining:
         cfg = TrainConfig(max_epochs=1, hidden_enc=4, hidden_dec_edu=3,
                           hidden_dec_edb=2)
         result = train_bank("edu", exs, 34, cfg)
-        assert (8, 12) in result.skipped and (3, 7) not in result.skipped
+        assert result.examples[(8, 12)] == 0 and result.examples[(3, 7)] != 0
         assert len(result.bank.models) == 6
 
     def test_nonfinite_loss_raises_before_update(self, toy_norm):

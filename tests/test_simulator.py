@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,9 +9,9 @@ import pytest
 from busarrival import simulator
 from busarrival.dataprep import SECONDS_PER_DAY, RouteSpec, TripDataset
 from busarrival.numkit import spawn_rng
-from busarrival.simulator import (CongestionEvent, SimConfig, no_event_config,
-                                  peak_multiplier, save_events_csv,
-                                  simulate_dataset, split_train_test)
+from busarrival.simulator import (CongestionEvent, SimConfig, peak_multiplier,
+                                  save_events_csv, simulate_dataset,
+                                  split_train_test)
 
 
 def quiet_config(**kw):
@@ -99,7 +100,7 @@ FULL_ROUTE = dict(route=RouteSpec(34, 800.0), weeks=3, trips_per_day=40, seed=3)
 class TestLockstepMatchesPerTripLoop:
     @pytest.mark.parametrize("cfg", [
         SimConfig(**FULL_ROUTE),
-        no_event_config(SimConfig(**FULL_ROUTE)),
+        SimConfig(**FULL_ROUTE, events_per_day=0.0),
         SimConfig(**FULL_ROUTE, noise_cv=0.0),
         SimConfig(**FULL_ROUTE, peak_amplitude=0.0),
         SimConfig(**{**FULL_ROUTE, "trips_per_day": 1}),
@@ -228,7 +229,7 @@ class TestFactors:
         cfg = quiet_config(weeks=1, trips_per_day=3, noise_cv=0.05,
                            peak_amplitude=0.3, events_per_day=1.5, seed=5)
         with_events, log = simulate_dataset(cfg)
-        without, _ = simulate_dataset(no_event_config(cfg))
+        without, _ = simulate_dataset(replace(cfg, events_per_day=0.0))
         assert log, "seed must produce at least one event"
         by_day = {}
         for day, ev in log:
@@ -238,7 +239,7 @@ class TestFactors:
             events = by_day.get(te.day_index, [])
             touched = np.array([
                 any(ev.factor(sec, te.entry(sec)) != 1.0 for ev in events)
-                for sec in range(1, te.n_sections + 1)])
+                for sec in range(1, len(te.entry_times) + 1)])
             touched_total += touched.sum()
             npt.assert_array_equal(te.travel_times[~touched],
                                    tn.travel_times[~touched])
@@ -274,7 +275,7 @@ class TestUpstreamCorrelation:
         cfg = SimConfig(route=RouteSpec(20, 800.0), weeks=3, trips_per_day=20,
                         events_per_day=6.0, noise_cv=0.08, seed=4)
         with_events, _ = simulate_dataset(cfg)
-        without, _ = simulate_dataset(no_event_config(cfg))
+        without, _ = simulate_dataset(replace(cfg, events_per_day=0.0))
 
         def corr(trips):
             by_day = {}
@@ -284,7 +285,7 @@ class TestUpstreamCorrelation:
             for day_trips in by_day.values():
                 day_trips.sort(key=lambda t: t.start_time)
                 for prev, cur in zip(day_trips, day_trips[1:]):
-                    for sec in range(1, cur.n_sections - 3):
+                    for sec in range(1, len(cur.entry_times) - 3):
                         xs.append(prev.travel(sec + 3))  # downstream, earlier bus
                         ys.append(cur.travel(sec))       # upstream, current bus
             return float(np.corrcoef(xs, ys)[0, 1])
