@@ -222,15 +222,12 @@ def cmd_train(args, cfg: dict) -> int:
             raise dataprep.DataError(
                 f"{args.examples}: the example of trip {ex.trip_id} at m={ex.m} "
                 f"spans {ex.m + ex.k} sections, the route has {route.n_sections}")
-    if args.overfit:
-        examples = examples[:1]
-        tcfg.max_epochs = max(tcfg.max_epochs, 800)
-    held_out = seq2seq.split_week(ex.week for ex in examples)
+    held_out = dataprep.split_week(ex.week for ex in examples)
     train_ex = [ex for ex in examples if ex.week != held_out]
     if not any(seq2seq.FIRST_POSITION <= ex.m <= route.n_sections - 1
                for ex in train_ex):
         raise ValueError("no examples fall inside any coverable bank")
-    validation_week = seq2seq.split_week(ex.week for ex in train_ex)
+    validation_week = dataprep.split_week(ex.week for ex in train_ex)
     if validation_week is None:
         print(f"train: held-out week {held_out} leaves one training week, so "
               "nothing is validated and early stopping is off",
@@ -385,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--examples", required=True, help="examples JSONL")
     p.add_argument("--kind", choices=["edu", "edb", "both"], default="both")
-    p.add_argument("--overfit", action="store_true",
-                   help="fit the first example only (sanity mode)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict remaining sections for a trip")

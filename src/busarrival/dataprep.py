@@ -128,7 +128,9 @@ def check_trips(ids, day, weekday, e, z) -> None:
     if bad.any():
         row = int(np.argmax(bad))
         message = next(message for mask, message in fails if mask[row])
-        raise DataError(f"trip {ids[row]}: {message}")
+        error = DataError(f"trip {ids[row]}: {message}")
+        error.row = row         # a file reader names the line the row came from
+        raise error
 
 
 @dataclass
@@ -181,6 +183,13 @@ class TrainingExample:
         if ((self.dec[..., DEC_TE_PV] >= t_c[..., None])
                 & ~self.fallback_mask).any():
             raise DataError("previous-bus entry time not before T_c")
+
+
+def split_week(weeks) -> int | None:
+    """The week a split sets aside: the newest of ``weeks`` (examples' or
+    trips' calendar weeks), or None when they hold a single week."""
+    weeks = set(weeks)
+    return max(weeks) if len(weeks) > 1 else None
 
 
 @dataclass
@@ -523,16 +532,17 @@ def _example_days(path, lines: list[str], trip_id: int) -> set[int]:
             except (ValueError, IndexError) as e:
                 raise _malformed(path, lineno, line) from e
             return {day, day - 7}
-    raise ValueError(f"unknown trip id {trip_id}")
+    raise DataError(f"{path}: no trip {trip_id}")
 
 
-def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray | None]:
+def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a trips CSV's data ``lines`` on ``days`` (all if None) as
     TRIP_DTYPE records, by one ``np.loadtxt`` call, and the indices of the
-    lines kept (None for all); ValueError if a line read is malformed."""
+    lines kept; ValueError if a line read is malformed."""
     if "" in lines:                     # np.loadtxt would skip a blank line
         raise ValueError("blank row")
-    kept, csv_format = None, {"delimiter": ",", "comments": None, "ndmin": 1}
+    kept = np.arange(len(lines))
+    csv_format = {"delimiter": ",", "comments": None, "ndmin": 1}
     with warnings.catch_warnings():
         # older numpy reads "7.9" as the integer 7, with only this warning
         warnings.simplefilter("error", DeprecationWarning)
@@ -545,7 +555,7 @@ def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray | None]:
                 else np.empty(0, TRIP_DTYPE)), kept
 
 
-def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray | None):
+def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray):
     """``rows`` sorted by trip and section, the start of each trip's run in
     them and, per trip, the index of its first row. Raises DataError naming
     ``path:line`` for the first row whose day or weekday differs from its
@@ -566,7 +576,7 @@ def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray | None):
     if (moved | repeat).any():
         k = int(np.argmax(moved | repeat))
         (trip_id, day, weekday, sec, _, _), head = rows[k], rows[lead[k]]
-        where = f"{path}:{2 + (k if kept is None else kept[k])}: trip {trip_id}"
+        where = f"{path}:{2 + kept[k]}: trip {trip_id}"
         if moved[k]:
             raise DataError(f"{where} has day {day}, weekday {weekday}; its "
                             f"earlier rows say day {head['day']}, weekday "
@@ -586,7 +596,7 @@ def load_trips_csv(path, route: RouteSpec, days=None,
         header, *lines = f.read().split("\n")
     header = next(csv.reader([header]), None) if header else None
     if header != TRIP_CSV_HEADER:
-        raise DataError(f"unexpected trip CSV header: {header}")
+        raise DataError(f"{path}: unexpected trip CSV header: {header}")
     if lines[-1:] == [""]:
         lines.pop()                     # after the newline ending the last row
     if for_trip is not None:
@@ -614,12 +624,15 @@ def load_trips_csv(path, route: RouteSpec, days=None,
     if bad.any():
         t = np.flatnonzero(bad)[np.argmin(first[bad])]
         secs = s["section"][starts[t]:ends[t]][:3].tolist()
-        raise DataError(f"trip {s['trip_id'][starts[t]]}: sections {secs}... "
-                        f"do not cover 1..{n_s}")
+        raise DataError(f"{path}:{2 + kept[first[t]]}: trip {s['trip_id'][starts[t]]}: "
+                        f"sections {secs}... do not cover 1..{n_s}")
     # one row per trip, in order of first appearance, to name the first bad one
     s = s.reshape(-1, n_s)[np.argsort(first)]
-    return TripDataset.from_arrays(route, *(s[c][:, 0] for c in (
-        "trip_id", "day", "weekday")), s["entry"], s["travel"])
+    try:
+        return TripDataset.from_arrays(route, *(s[c][:, 0] for c in (
+            "trip_id", "day", "weekday")), s["entry"], s["travel"])
+    except DataError as e:      # check_trips names the trip by its first line
+        raise DataError(f"{path}:{2 + kept[np.sort(first)[e.row]]}: {e}") from e
 
 
 def save_skip_report_csv(skips: list[SkipRecord], path) -> None:

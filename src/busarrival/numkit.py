@@ -57,23 +57,22 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+# Adam's decay rates and epsilon: Kingma & Ba's defaults (arXiv:1412.6980).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Optimizer state over one flat parameter vector."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     m: np.ndarray
     v: np.ndarray
     step: int = 0
 
 
-def init_adam(theta: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                     m=np.zeros_like(theta), v=np.zeros_like(theta))
+def init_adam(theta: np.ndarray, lr: float = 1e-3) -> AdamState:
+    return AdamState(lr=lr, m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -85,15 +84,14 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
                          f"{state.m.shape} differ")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
     m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * grad * grad
-    mhat = m / (1.0 - b1 ** t)
-    vhat = v / (1.0 - b2 ** t)
-    theta -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    theta -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

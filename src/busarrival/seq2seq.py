@@ -40,7 +40,7 @@ import numpy as np
 
 from .dataprep import (AT_LEAST_1, DEC_Z_PV, DEC_Z_PW, FIRST_POSITION,
                        POSITIVE, DataError, NormStats, TrainingExample,
-                       check_ranges, fit_normalizer)
+                       check_ranges, fit_normalizer, split_week)
 from .gru import GruParams, gru_backward, gru_forward, gru_size, init_gru
 from .numkit import adam_step, init_adam, spawn_rng
 
@@ -86,7 +86,12 @@ class EdModel:
         self.kind, self.m_lo, self.m_hi = kind, m_lo, m_hi
         self.n_sections = n_sections
         self.hidden_enc, self.hidden_dec = hidden_enc, hidden_dec
-        check_ranges(self, _HIDDEN_SIZES)   # before theta is sized from them
+        # the dims are checked before theta is sized from them
+        check_ranges(self, _HIDDEN_SIZES)
+        if kind not in (KIND_EDU, KIND_EDB):
+            raise ValueError(f"unknown model kind {kind!r}")
+        if not FIRST_POSITION <= m_lo <= m_hi <= n_sections - 1:
+            raise ValueError("bank range must lie within [3, n_sections-1]")
         self.norm = norm if norm is not None else NormStats.identity()
         size = sum(n for _, _, n in self._layout())
         self.theta = np.zeros(size) if theta is None else theta
@@ -94,7 +99,6 @@ class EdModel:
             raise ValueError(f"theta must be float64 of shape ({size},), got "
                              f"{self.theta.dtype} of shape {self.theta.shape}")
         self.__dict__.update(vars(self.views(self.theta)))
-        self.validate()
 
     def __reduce__(self):
         # pickles as theta plus dimensions, so the views are rebuilt on load
@@ -139,15 +143,6 @@ class EdModel:
                          else part.reshape(dims))
             off += size
         return SimpleNamespace(**out)
-
-    def validate(self) -> None:
-        check_ranges(self, _HIDDEN_SIZES)
-        if self.kind not in (KIND_EDU, KIND_EDB):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if not FIRST_POSITION <= self.m_lo <= self.m_hi <= self.n_sections - 1:
-            raise ValueError("bank range must lie within [3, n_sections-1]")
-        if (self.kind == KIND_EDB) != (self.dec_bwd is not None):
-            raise ValueError("bidirectional models need dec_bwd, others must not have it")
 
     def params(self) -> dict:
         """Named views into ``theta``, in its order; writing them updates the model."""
@@ -460,16 +455,6 @@ class ModelBank:
     n_sections: int
     models: list[EdModel]
 
-    def validate(self) -> None:
-        expect = bank_layout(self.n_sections)
-        got = [(mo.m_lo, mo.m_hi) for mo in self.models]
-        if got != expect:
-            raise ValueError(f"bank ranges {got} do not tile {expect}")
-        for mo in self.models:
-            if mo.kind != self.kind:
-                raise ValueError("mixed model kinds in one bank")
-            mo.validate()
-
     def model_for(self, m: int) -> EdModel:
         for mo in self.models:
             if mo.m_lo <= m <= mo.m_hi:
@@ -484,13 +469,6 @@ class BankTrainResult:
     histories: dict    # (m_lo, m_hi) -> per-epoch history
     examples: dict     # (m_lo, m_hi) -> training examples per epoch, 0 if skipped
     wall_s: dict       # (m_lo, m_hi) -> wall seconds of its training
-
-
-def split_week(weeks) -> int | None:
-    """The week a split sets aside: the newest of the examples' ``weeks``,
-    or None when they cover a single week."""
-    weeks = set(weeks)
-    return max(weeks) if len(weeks) > 1 else None
 
 
 def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
@@ -510,9 +488,8 @@ def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
     # both maps return the results in job order
     models, histories, counts, walls = zip(*(map if pool is None else pool.map)(
         _train_one_bank, *zip(*jobs)))
-    bank = ModelBank(kind=kind, n_sections=n_sections, models=list(models))
-    bank.validate()
-    return BankTrainResult(bank=bank, histories=dict(zip(layout, histories)),
+    return BankTrainResult(bank=ModelBank(kind, n_sections, list(models)),
+                           histories=dict(zip(layout, histories)),
                            examples=dict(zip(layout, counts)),
                            wall_s=dict(zip(layout, walls)))
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataprep import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, SECONDS_PER_DAY,
-                       RouteSpec, TripRecord, check_ranges, write_csv)
+                       RouteSpec, TripRecord, check_ranges, split_week,
+                       write_csv)
 from .numkit import spawn_rng
 
 _DISPATCH_STREAM, _EVENT_STREAM, _NOISE_STREAM = 1, 2, 3
@@ -223,12 +224,13 @@ def simulate_dataset(cfg: SimConfig
 
 def split_train_test(trips: list[TripRecord]
                      ) -> tuple[list[TripRecord], list[TripRecord]]:
-    """Split by calendar week: last observed week is the test set."""
-    weeks = sorted({t.day_index // 7 for t in trips})
-    if len(weeks) < 2:
+    """Split by calendar week: the newest observed week is the test set."""
+    weeks = [t.day_index // 7 for t in trips]
+    test_week = split_week(weeks)
+    if test_week is None:
         raise ValueError("need at least 2 weeks of data to split")
-    return ([t for t in trips if t.day_index // 7 != weeks[-1]],
-            [t for t in trips if t.day_index // 7 == weeks[-1]])
+    return ([t for t, week in zip(trips, weeks) if week != test_week],
+            [t for t, week in zip(trips, weeks) if week == test_week])
 
 
 EVENTS_CSV_HEADER = ["day", "origin_section", "onset_s", "duration_s",

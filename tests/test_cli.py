@@ -301,14 +301,52 @@ class TestTrain:
         assert digest(d1 / "edu_bank_03_07.json") == \
             digest(d2 / "edu_bank_03_07.json")
 
-    def test_overfit_mode_converges(self, tmp_path, tiny_config, prep_dir):
+    def test_empty_examples_file_rejected(self, tmp_path, tiny_config, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
         out = tmp_path / "ckpt"
-        assert run(["train", "--config", tiny_config, "--examples",
-                    prep_dir / "examples.jsonl", "--out", out,
-                    "--kind", "edu", "--overfit", "--threads", 1]) == 0
-        rows = (out / "loss_curves.csv").read_text().splitlines()[1:]
-        final_loss = float(rows[-1].split(",")[3])
-        assert final_loss < 1e-3
+        assert run(["train", "--config", tiny_config, "--examples", empty,
+                    "--out", out, "--kind", "edu", "--threads", 1]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: no training examples\n"
+        assert not out.exists()
+
+    def test_examples_outside_every_bank_rejected(self, tmp_path, tiny_config,
+                                                  sim_dir, capsys):
+        # positions 1 and 2 lie below the first bank, which starts at m=3
+        dataset = load_trips_csv(sim_dir / "trips.csv", RouteSpec(8, 500.0))
+        examples, _ = dataprep.build_examples(dataset, positions=[1, 2])
+        path, out = tmp_path / "low.jsonl", tmp_path / "ckpt"
+        dataprep.save_examples_jsonl(examples, path)
+        capsys.readouterr()
+        assert run(["train", "--config", tiny_config, "--examples", path,
+                    "--out", out, "--kind", "edu", "--threads", 1]) == 2
+        assert capsys.readouterr().err == (
+            "error: no examples fall inside any coverable bank\n")
+        assert not out.exists()
+
+    def test_bank_without_examples_is_skipped(self, tmp_path, tiny_config,
+                                              capsys):
+        # 13 sections make banks 3-7 and 8-12; the examples keep m <= 7 only
+        cfg = json.loads(tiny_config.read_text())
+        cfg["route"]["n_sections"] = 13
+        config = tmp_path / "thirteen.json"
+        config.write_text(json.dumps(cfg))
+        sim, prep, out = tmp_path / "sim", tmp_path / "prep", tmp_path / "ckpt"
+        run(["simulate", "--config", config, "--out", sim])
+        run(["prepare", "--config", config, "--trips", sim / "trips.csv",
+             "--out", prep])
+        lines = (prep / "examples.jsonl").read_text().splitlines(keepends=True)
+        low = tmp_path / "low.jsonl"
+        low.write_text("".join(line for line in lines if json.loads(line)["m"] <= 7))
+        capsys.readouterr()
+        assert run(["train", "--config", config, "--examples", low,
+                    "--out", out, "--kind", "edu", "--threads", 1]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "train: skipped edu bank m=8-12 (no examples)")
+        # the skipped bank keeps its initial weights and has no run summary
+        assert (out / "edu_bank_08_12.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["training"]["edu"]["banks"]) == ["3-7"]
 
     def test_non_object_example_line_reports_path_and_line(
             self, tmp_path, tiny_config, prep_dir, capsys):
@@ -459,7 +497,8 @@ class TestPredict:
         assert run(["predict", "--config", tiny_config, "--checkpoints",
                     ckpt_dir, "--trips", sim_dir / "trips.csv",
                     "--trip-id", 999999, "--m", 4]) == 2
-        assert "unknown trip id" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {sim_dir / 'trips.csv'}: no trip 999999\n")
 
     def test_out_of_coverage_m_explains_banks(self, tiny_config, sim_dir,
                                               ckpt_dir, capsys):
@@ -716,6 +755,19 @@ class TestEvaluate:
                  "--threads", 1])
         assert digest(d1 / "report.csv") == digest(d2 / "report.csv")
         assert digest(d1 / "queries.csv") == digest(d2 / "queries.csv")
+
+    def test_checkpoints_without_a_manifest_rejected(self, tmp_path, tiny_config,
+                                                     sim_dir, ckpt_dir, capsys):
+        manifest = ckpt_dir / "manifest.json"
+        manifest.unlink()
+        out = tmp_path / "rep"
+        capsys.readouterr()
+        assert run(["evaluate", "--config", tiny_config, "--checkpoints",
+                    ckpt_dir, "--trips", sim_dir / "trips.csv", "--out", out,
+                    "--threads", 1]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: cannot read the training manifest: ")
+        assert not out.exists()
 
     def test_missing_checkpoint_reported(self, tmp_path, tiny_config, sim_dir,
                                          ckpt_dir, capsys):

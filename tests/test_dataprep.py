@@ -911,6 +911,18 @@ class TestNormalizer:
         with pytest.raises(ValueError):
             fit_normalizer([])
 
+    def test_zero_span_times_of_day_clamp_to_one(self):
+        rng = make_rng(47)
+        examples = [make_example(rng, 4, 8, trip_id=i) for i in range(3)]
+        for ex in examples:
+            ex.dec[:, [DEC_TE_PV, DEC_TE_PW]] = 30000.0
+            ex.t_c = 30000.0
+        with pytest.warns(UserWarning,
+                          match="zero-span times of day; clamping span to 1"):
+            norm = fit_normalizer(examples)
+        assert (norm.tod_min, norm.tod_max) == (30000.0, 30001.0)
+        assert norm.travel_std > 0
+
     def test_bitwise_equal_to_per_example_concatenation(self):
         examples, _ = build_examples(tied_dataset(41))
         per_example = NormStats(*reference_normalizer_pools(examples))
@@ -928,6 +940,25 @@ def reference_normalizer_pools(examples):
                           for ex in examples])
     return (float(np.mean(travel)), float(np.std(travel)),
             float(np.min(tod)), float(np.max(tod)))
+
+
+# (fault, for_trip, message) of test_trips_file_error_names_path_and_line
+TRIPS_FILE_FAULTS = [
+    ("header", None, "{path}: unexpected trip CSV header: ['a', 'b']"),
+    ("header", 7000, "{path}: unexpected trip CSV header: ['a', 'b']"),
+    ("sections", None, "{path}:20: trip 7000: sections [1, 2, 4]... do not "
+                       "cover 1..6"),
+    ("sections", 7000, "{path}:20: trip 7000: sections [1, 2, 4]... do not "
+                       "cover 1..6"),
+    *[(check, for_trip, f"{{path}}:26: trip {trip_id}: {message}")
+      for for_trip in (None, 7000) for check, trip_id, message in [
+          ("travel", 7001, "non-positive travel time"),
+          ("increasing", 7001, "entry times not increasing"),
+          ("consistent", 7001, "entry times inconsistent with travel times"),
+          ("weekday", 7001, "weekday does not match day index"),
+          ("negative-id", -7001, "negative trip id")]],
+    ("unknown-trip", 999999, "{path}: no trip 999999"),
+]
 
 
 class TestCsvFormats:
@@ -1069,6 +1100,30 @@ class TestCsvFormats:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError, match="header"):
             dataprep.load_trips_csv(path, small_route)
+
+    @pytest.mark.parametrize("fault, for_trip, message", TRIPS_FILE_FAULTS, ids=[
+        f"{fault}-{'whole-file' if for_trip is None else f'for-trip-{for_trip}'}"
+        for fault, for_trip, _ in TRIPS_FILE_FAULTS])
+    def test_trips_file_error_names_path_and_line(self, tmp_path, small_route,
+                                                  fault, for_trip, message):
+        # six rows a trip from line 2: trips 0 and 1 (day 0), 1000 (day 1),
+        # 7000 and 7001 (day 7); a read for trip 7000 skips day 1's rows, and
+        # its errors still name the lines of the file
+        trips = [make_trip(i, i // 1000, 21600.0 + 400.0 * (i % 1000), [60.0] * 6)
+                 for i in (0, 1, 1000, 7000, 7001)]
+        if fault not in ("header", "sections", "unknown-trip"):
+            break_trip(trips[-1], fault)
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv(trips, path)
+        lines = path.read_text().splitlines(keepends=True)
+        if fault == "header":
+            lines[0] = "a,b\n"
+        elif fault == "sections":
+            del lines[21]                       # trip 7000's section 3
+        path.write_text("".join(lines))
+        with pytest.raises(DataError) as info:
+            dataprep.load_trips_csv(path, small_route, for_trip=for_trip)
+        assert str(info.value) == message.format(path=path)
 
     def test_example_id_and_mask_shapes_checked(self):
         ex = make_example(make_rng(3), 5, 8)

@@ -264,6 +264,18 @@ class TestGrid:
         with pytest.raises(ValueError, match="alpha"):
             paired_z_test(np.ones(5), np.zeros(5), alpha=alpha)
 
+    @pytest.mark.parametrize("n, edu_vs_edb, edb_vs_edu",
+                             [(29, "n<30", "n<30"), (30, "worse", "better")])
+    def test_fewer_than_30_pairs_are_flagged(self, n, edu_vs_edb, edb_vs_edu):
+        rng = make_rng(15)
+        examples = [make_example(rng, 5, 12, trip_id=i) for i in range(n)]
+        methods = {"edu": lambda ex: ex.targets + 30.0,
+                   "edb": lambda ex: ex.targets + 1.0}
+        rows, _ = evaluate_grid(methods, examples, 12, i_values=(5,))
+        assert rows and all(r.n == n for r in rows)
+        assert {(r.method, r.sig_vs_edu, r.sig_vs_edb) for r in rows} == {
+            ("edu", "-", edu_vs_edb), ("edb", edb_vs_edu, "-")}
+
     def test_empty_cell_marked(self):
         rows, _ = evaluate_grid({"edu": lambda ex: ex.targets}, [], 12,
                                 i_values=(5,))

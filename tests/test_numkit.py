@@ -97,7 +97,7 @@ class TestAdam:
             theta = np.array([0.0])
             state = numkit.init_adam(theta, lr=1e-3)
             numkit.adam_step(theta, np.array([g]), state)
-            expect = -1e-3 * g / (abs(g) + state.eps)
+            expect = -1e-3 * g / (abs(g) + numkit.ADAM_EPS)
             npt.assert_allclose(theta, [expect], rtol=1e-12)
 
     def test_converges_on_quadratic(self):
@@ -107,11 +107,12 @@ class TestAdam:
             numkit.adam_step(theta, 2.0 * (theta - 3.0), state)
         assert abs(theta[0] - 3.0) < 0.05
 
-    def test_scale_aware_first_step(self):
+    def test_scale_aware_first_step(self, monkeypatch):
         # with eps ~ 0 the first update magnitude is lr for any gradient scale
+        monkeypatch.setattr(numkit, "ADAM_EPS", 1e-300)
         for g in (1e-6, 1.0, 1e6):
             theta = np.array([0.0])
-            state = numkit.init_adam(theta, lr=0.01, eps=1e-300)
+            state = numkit.init_adam(theta, lr=0.01)
             numkit.adam_step(theta, np.array([g]), state)
             npt.assert_allclose(abs(theta[0]), 0.01, rtol=1e-9)
 

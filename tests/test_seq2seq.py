@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from busarrival import seq2seq
-from busarrival.dataprep import DataError, NormStats
+from busarrival.dataprep import DataError, NormStats, split_week
 from busarrival.gru import gru_forward
 from busarrival.numkit import adam_step, finite_diff_grad, init_adam, make_rng
 from busarrival.seq2seq import (CoverageError, EdModel, ModelBank,
@@ -24,6 +24,22 @@ from conftest import (bi_hidden_for_parity, decoder_param_count, denorm_tod,
 
 # the format-2 checkpoint test_format_2_bytes_are_stable saves
 GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "edb_bank_03_04.json"
+
+
+def mistyped_edb_kind(doc, model):
+    """An EDB checkpoint whose kind reads "edx": theta has EDB's size."""
+    doc["kind"] = "edx"
+    doc["theta"] += [0.0] * (model.dec_fwd.theta.size + model.hidden_dec)
+
+
+def swapped_bank_range(doc, model):
+    doc["m_lo"], doc["m_hi"] = doc["m_hi"], doc["m_lo"]
+
+
+# checkpoint faults whose error names the field at fault, not theta's size
+NAMED_FAULTS = {mistyped_edb_kind: "ValueError: unknown model kind 'edx'",
+                swapped_bank_range: "ValueError: bank range must lie within "
+                                    "[3, n_sections-1]"}
 
 
 def zero_model(kind, m_lo, m_hi, n_sections, norm, hidden_enc=4, hidden_dec=3):
@@ -432,8 +448,8 @@ class TestTraining:
     def test_split_week_sets_aside_the_newest_of_several_weeks(self, monkeypatch):
         rng = make_rng(19)
         exs = [make_example(rng, 4, 8, day_index=d) for d in (8, 15, 16, 9)]
-        assert seq2seq.split_week(ex.week for ex in exs) == 2
-        assert seq2seq.split_week([exs[0].week]) is None
+        assert split_week(ex.week for ex in exs) == 2
+        assert split_week([exs[0].week]) is None
         # the training and validation examples each bank trains on
         splits = []
         monkeypatch.setattr(seq2seq, "train_model", lambda model, train, val, cfg,
@@ -854,6 +870,7 @@ class TestCheckpoints:
         lambda doc, model: doc["theta"].__setitem__(1, True),
         lambda doc, model: doc["norm"].update({"travel_mean": "130"}),
         lambda doc, model: doc["norm"].update({"tod_min": [0]}),
+        *NAMED_FAULTS,
     ])
     def test_malformed_checkpoint_names_path(self, tmp_path, toy_norm, corrupt):
         model = new_model("edu", 3, 7, 10, make_rng(29), hidden_enc=4,
@@ -863,8 +880,9 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         corrupt(doc, model)
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="m.json: malformed checkpoint"):
+        with pytest.raises(DataError, match="m.json: malformed checkpoint") as info:
             load_model_json(path)
+        assert NAMED_FAULTS.get(corrupt, "") in str(info.value)
 
     @staticmethod
     def load_edited(tmp_path, toy_norm, edit):
@@ -964,21 +982,3 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=rf"\({n},\).*"
                            rf"{re.escape(str(theta.shape))}"):
             EdModel(*dims, norm=toy_norm, theta=theta)
-
-    def test_bank_tiling_checked(self, toy_norm):
-        models = [zero_model("edu", 3, 7, 10, toy_norm)]
-        bank = ModelBank(kind="edu", n_sections=10, models=models)
-        with pytest.raises(ValueError):
-            bank.validate()
-
-    def test_kind_consistency(self, toy_norm):
-        m = zero_model("edu", 3, 7, 8, toy_norm)
-        bank = ModelBank(kind="edb", n_sections=8, models=[m])
-        with pytest.raises(ValueError):
-            bank.validate()
-
-    def test_edb_requires_reverse_params(self, toy_norm):
-        m = zero_model("edb", 3, 7, 8, toy_norm)
-        m.dec_bwd = None
-        with pytest.raises(ValueError):
-            m.validate()
