@@ -226,7 +226,8 @@ def cmd_train(args, cfg: dict) -> int:
     train_ex = [ex for ex in examples if ex.week != held_out]
     if not any(seq2seq.FIRST_POSITION <= ex.m <= route.n_sections - 1
                for ex in train_ex):
-        raise ValueError("no examples fall inside any coverable bank")
+        raise ValueError(f"{args.examples}: no examples fall inside any coverable "
+                         f"bank; it holds positions {sorted({ex.m for ex in examples})}")
     validation_week = dataprep.split_week(ex.week for ex in train_ex)
     if validation_week is None:
         print(f"train: held-out week {held_out} leaves one training week, so "
@@ -249,7 +250,10 @@ def cmd_train(args, cfg: dict) -> int:
                                                                result.wall_s[lo, hi])
                                     for (lo, hi), h in sorted(result.histories.items())
                                     if h}}
-            outputs.extend(seq2seq.save_bank(result.bank, args.out))
+            # a bank without examples gets no checkpoint: evaluate and predict refuse it
+            trained = [mo for mo in result.bank.models if result.examples[mo.m_lo, mo.m_hi]]
+            outputs += seq2seq.save_bank(seq2seq.ModelBank(kind, route.n_sections, trained),
+                                         args.out)
             loss_rows += [[kind, f"{m_lo}-{m_hi}", h["epoch"], f"{h['train_loss']:.8f}",
                            "" if h["val_loss"] is None else f"{h['val_loss']:.8f}"]
                           for (m_lo, m_hi), history in sorted(result.histories.items())
@@ -279,18 +283,15 @@ def cmd_predict(args, cfg: dict) -> int:
     # one query needs only the checkpoint of the bank that covers m
     bank = seq2seq.ModelBank(args.kind, route.n_sections, [seq2seq.load_bank_model(
         args.checkpoints, args.kind, m_range, route.n_sections)])
-    trip = dataset.by_id[args.trip_id]
-    pw = dataprep.closest_prev_week_trip(dataset, trip.day_index,
-                                         trip.start_time)
-    ex = dataprep.build_example(dataset, trip, args.m, pw, args.tc,
+    ex = dataprep.build_example(dataset, args.trip_id, args.m, args.tc,
                                 cfg["dataprep"]["fallback"])
     if isinstance(ex, str):
         raise ValueError(f"could not assemble inputs for trip {args.trip_id} "
                          f"at m={args.m}: {ex}")
     if args.tc is not None:
-        print(f"predict: overriding T_c {trip.entry(args.m + 1):.1f}s -> "
-              f"{args.tc:.1f}s (previous-bus inputs re-resolved)",
-              file=sys.stderr)
+        t_c = dataset.entry[dataset.row_of(args.trip_id), args.m]
+        print(f"predict: overriding T_c {t_c:.1f}s -> {args.tc:.1f}s "
+              "(previous-bus inputs re-resolved)", file=sys.stderr)
     result = seq2seq.predict(bank, ex)
     print("section,predicted_travel_s,cumulative_s,arrival_s")
     for sec, z, c, a in zip(result.sections, result.travel_s,
@@ -320,13 +321,15 @@ def cmd_evaluate(args, cfg: dict) -> int:
         raise dataprep.DataError(
             f"{manifest_path}: training held out week {held_out}, not week "
             f"{test_week}, the week evaluate scores")
-    test_days = sorted({t.day_index for t in test_trips})
     examples, _ = dataprep.build_examples(
-        dataset, positions=i_values, days=test_days,
+        dataset, positions=i_values, days={t.day_index for t in test_trips},
         fallback=cfg["dataprep"]["fallback"])
     methods = {}
+    # only the banks that score a query, as in predict
+    ranges = sorted({seq2seq.bank_range(route.n_sections, i) for i in i_values})
     for kind in _kinds(args.kind):
-        bank = seq2seq.load_bank(args.checkpoints, kind, route.n_sections)
+        bank = seq2seq.ModelBank(kind, route.n_sections, [seq2seq.load_bank_model(
+            args.checkpoints, kind, r, route.n_sections) for r in ranges])
         methods[kind] = (lambda ex, b=bank: seq2seq.predict(b, ex).travel_s)
     hist = evalkit.fit_hist_mean(train_trips)
     methods["persistence"] = evalkit.baseline_persistence

@@ -16,15 +16,14 @@ knowable at the moment a bus finished section ``m`` (query time ``T_c``):
 "Previous bus" is resolved per section: the same-day trip that most recently
 entered that section strictly before ``T_c`` (robust to overtaking and
 bunching). "Previous week" is the same-weekday trip exactly 7 days earlier
-with the closest start time. Both searches use one sort per (day, section)
-(:meth:`TripDataset.day_order`). The builders resolve all requested trips
-at once, one ``searchsorted`` per (day, section), and validate each
-position's block once; ``prepare``, ``predict`` and ``evaluate`` share this
-one resolver.
+with the closest start time. Both search one sort per (day, section) of the
+dataset's rows (:meth:`TripDataset.day_order`) for all of a day's trips at
+once, in the one resolver that ``prepare``, ``predict`` and ``evaluate`` share.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import json
@@ -201,9 +200,9 @@ class SkipRecord:
 
 
 class TripDataset:
-    """Immutable collection of trips, sorted by (day, start time, trip_id)
-    and also held as arrays: ``entry`` and ``travel`` (trips × sections) and
-    ``ids``, row i for ``trips[i]``."""
+    """Immutable collection of trips as rows sorted by (day, start time,
+    trip_id): ``ids`` and ``day``, one per trip, and ``entry`` and ``travel``
+    (trips × sections); ``trips[i]`` is the TripRecord view of row i."""
 
     def __init__(self, trips: list[TripRecord], route: RouteSpec):
         """The dataset of ``trips`` in any order; the first bad one raises DataError."""
@@ -219,8 +218,7 @@ class TripDataset:
 
     @classmethod
     def from_arrays(cls, route, ids, day, weekday, entry, travel) -> TripDataset:
-        """The dataset of the trips in the rows of the arrays
-        :func:`trip_arrays` returns; its TripRecords are views of its rows."""
+        """The dataset of the trips in the rows of arrays :func:`check_trips` takes."""
         dataset = cls.__new__(cls)
         dataset._index(route, ids, day, weekday, entry, travel)
         return dataset
@@ -230,26 +228,30 @@ class TripDataset:
         check_trips(ids, day, weekday, e, z)
         order = np.lexsort((ids, e[:, 0], day))
         self.route = route
-        self.entry, self.travel, self.ids = e[order], z[order], ids[order]
+        self.ids, self.day = ids[order], day[order]
+        self.entry, self.travel = e[order], z[order]
         self.trips = [TripRecord(*fields) for fields in zip(
-            self.ids.tolist(), day[order].tolist(), weekday[order].tolist(),
+            self.ids.tolist(), self.day.tolist(), weekday[order].tolist(),
             self.entry, self.travel)]
-        self.by_day: dict[int, list[TripRecord]] = {}
-        self.by_id: dict[int, TripRecord] = {}
-        self._first: dict[int, int] = {}        # day -> row of its first trip
-        for i, t in enumerate(self.trips):
-            self.by_day.setdefault(t.day_index, []).append(t)
-            self._first.setdefault(t.day_index, i)
-            if t.trip_id in self.by_id:
-                raise DataError(f"duplicate trip id {t.trip_id}")
-            self.by_id[t.trip_id] = t
+        self._rows: dict[int, int] = {}
+        for row, trip_id in enumerate(self.ids.tolist()):
+            if self._rows.setdefault(trip_id, row) != row:
+                raise DataError(f"duplicate trip id {trip_id}")
         self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
-        return len(self.trips)
+        return len(self.ids)
 
     def days(self) -> list[int]:
-        return sorted(self.by_day)
+        return np.unique(self.day).tolist()
+
+    def row_of(self, trip_id: int) -> int:
+        """The row of trip ``trip_id``; KeyError if there is none."""
+        return self._rows[trip_id]
+
+    def day_rows(self, day: int) -> slice:
+        """The rows of ``day``'s trips, empty on a day without trips."""
+        return slice(bisect.bisect_left(self.day, day), bisect.bisect_right(self.day, day))
 
     def day_order(self, day: int) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, order)`` for ``day``: ``keys[c]`` holds the day's entry
@@ -257,13 +259,12 @@ class TripDataset:
         the one sort and tie rule of both searches, and ``order[c, 1:]`` the
         rows of those trips, after a -1 in ``order[c, 0]``."""
         if day not in self._orders:
-            lo = self._first.get(day, 0)
-            day_rows = slice(lo, lo + len(self.by_day.get(day, [])))
-            entry, ids = self.entry[day_rows].T, self.ids[day_rows]
-            rows = np.lexsort((np.broadcast_to(ids, entry.shape), entry))
+            rows = self.day_rows(day)
+            entry, ids = self.entry[rows].T, self.ids[rows]
+            sort = np.lexsort((np.broadcast_to(ids, entry.shape), entry))
             order = np.full((entry.shape[0], len(ids) + 1), -1, dtype=np.int64)
-            order[:, 1:] = lo + rows
-            self._orders[day] = np.take_along_axis(entry, rows, axis=1), order
+            order[:, 1:] = rows.start + sort
+            self._orders[day] = np.take_along_axis(entry, sort, axis=1), order
         return self._orders[day]
 
     def prev_rows(self, day: int, col: int, t_c):
@@ -274,25 +275,41 @@ class TripDataset:
         # searchsorted counts the keys below t_c; order[col, 0] is the -1
         return order[col, np.searchsorted(keys[col], t_c)]
 
+    def _scan(self, day: int, col: int, queries, best) -> np.ndarray:
+        """Per query, the row ``best`` picks of ``day``'s (entry, trip id, row) keys."""
+        rows = self.day_rows(day)
+        keys = list(zip(self.entry[rows, col].tolist(), self.ids[rows].tolist(),
+                        range(rows.start, rows.stop)))
+        found = [best(keys, q)[2] for q in np.ravel(queries).tolist()]
+        return np.array(found, dtype=np.int64).reshape(np.shape(queries))
+
     def scan_prev_rows(self, day: int, col: int, t_c) -> np.ndarray:
-        """:meth:`prev_rows` by the reference search, a scan without the index:
-        the day's largest (entry time, trip id) before each query time."""
-        lo = self._first.get(day, 0)
-        keys = [(t.entry(col + 1), t.trip_id, lo + i)
-                for i, t in enumerate(self.by_day.get(day, []))]
-        found = [max((key for key in keys if key[0] < tc), default=(0, 0, -1))[2]
-                 for tc in np.ravel(t_c).tolist()]
-        return np.array(found, dtype=np.int64).reshape(np.shape(t_c))
+        """:meth:`prev_rows` by a scan: the largest key before each query time."""
+        return self._scan(day, col, t_c, lambda keys, tc: max(
+            (key for key in keys if key[0] < tc), default=(0, 0, -1)))
+
+    def prev_week_rows(self, day: int, starts):
+        """Per start time (any shape), the row of the trip of day - 7 with
+        the closest start, the earlier trip on equal distance and the
+        smaller trip id on equal starts, or -1."""
+        keys, order = self.day_order(day - 7)
+        keys = np.r_[-np.inf, keys[0], np.inf]            # keys[j] is of order[0, j]
+        last = np.searchsorted(keys, starts) - 1          # the last start before
+        first = np.searchsorted(keys, keys[last])         # of its equal starts
+        return order[0, np.where(starts - keys[first] <= keys[last + 1] - starts,
+                                 first, last + 1)]
+
+    def scan_prev_week_rows(self, day: int, starts) -> np.ndarray:
+        """:meth:`prev_week_rows` by a scan: the least (|start difference|, key)."""
+        return self._scan(day - 7, 0, starts, lambda keys, start: min(
+            keys, default=(0, 0, -1), key=lambda key: (abs(key[0] - start), *key)))
 
 
 def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
                                  t_c: float, brute_force: bool = False
                                  ) -> TripRecord | None:
-    """Most recent same-day trip that entered ``section`` strictly before t_c.
-
-    Ties on entry time go to the larger trip id (the later dispatch). Returns
-    None when no trip qualifies; absence is a valid result.
-    """
+    """The trip of :meth:`TripDataset.prev_rows` (with ``brute_force``, of
+    its scan) at ``section``, or None when no trip entered it before t_c."""
     if not 1 <= section <= dataset.route.n_sections:
         raise ValueError(f"section {section} outside route")
     search = dataset.scan_prev_rows if brute_force else dataset.prev_rows
@@ -303,99 +320,84 @@ def closest_prev_trip_at_section(dataset: TripDataset, day: int, section: int,
 def closest_prev_week_trip(dataset: TripDataset, day_index: int,
                            start_time: float, brute_force: bool = False
                            ) -> TripRecord | None:
-    """Trip from exactly 7 days earlier with the closest start time.
-
-    Same weekday by construction. Ties on |start difference| go to the
-    earlier trip, and on equal starts to the smaller trip id.
-    """
-    prev_day = day_index - 7
-    if brute_force:
-        return min(dataset.by_day.get(prev_day, []), default=None, key=lambda t: (
-            abs(t.start_time - start_time), t.start_time, t.trip_id))
-    keys, order = dataset.day_order(prev_day)
-    starts = keys[0]
-    i = int(np.searchsorted(starts, start_time))
-    # candidates: the first of the equal latest starts before start_time (the
-    # smallest trip id among them) and the first start at or after it
-    cands = [int(np.searchsorted(starts, starts[i - 1]))] if i else []
-    cands += [i] if i < len(starts) else []
-    best = min(cands, default=None, key=lambda j: abs(starts[j] - start_time))
-    return None if best is None else dataset.trips[order[0, best + 1]]
+    """The trip of :meth:`TripDataset.prev_week_rows` (with ``brute_force``,
+    of its scan), or None when no trip ran 7 days earlier."""
+    search = dataset.scan_prev_week_rows if brute_force else dataset.prev_week_rows
+    row = search(day_index, start_time)
+    return dataset.trips[row] if row >= 0 else None
 
 
-def _assemble(dataset: TripDataset, trips: list[TripRecord],
-              pws: list[TripRecord | None], positions: list[int],
+def _assemble(dataset: TripDataset, rows: np.ndarray, positions: list[int],
               t_c: np.ndarray | None, fallback: str, brute_force: bool
               ) -> list[list[TrainingExample | str]]:
-    """The decoder-input resolver of both builders: per trip and position,
-    the example at query time ``t_c[trip, position]`` (by default when the
-    trip finished section m) given the previous-week match ``pws[trip]``,
-    or why it is skipped. Per day, one search per section over all of that
-    day's query times (the index, or with ``brute_force`` the scan) finds the
-    previous buses; per position, fresh arrays of the trips it keeps are
-    validated once and split into rows, so no two examples share memory."""
-    n_s, n = dataset.route.n_sections, len(trips)
+    """The decoder-input resolver of both builders: per row of ``rows`` and
+    position, the example at query time ``t_c[row, position]`` (by default
+    when the trip finished section m), or why it is skipped. Per day, one
+    search finds the previous-week trips and one per section the previous
+    buses (the index, or with ``brute_force`` the scans); per position, the
+    kept trips' fresh arrays are validated once and split into examples, so
+    no two examples share memory."""
+    n_s = dataset.route.n_sections
     if fallback not in FALLBACK_POLICIES:
         raise ValueError(f"unknown fallback policy {fallback!r}")
     for m in positions:
         if not 1 <= m <= n_s - 1:
             raise ValueError(f"position m={m} outside [1, {n_s - 1}]")
-    _, trip_day, _, entry, travel = trip_arrays(trips, n_s)
-    t_c = entry[:, positions] if t_c is None else t_c
-    # the dataset row of each previous bus, -1 where there is none
-    prev = np.full((n_s, n, len(positions)), -1, dtype=np.int32)
-    search = dataset.scan_prev_rows if brute_force else dataset.prev_rows
+    trip_day, travel = dataset.day[rows], dataset.travel[rows]
+    t_c = dataset.entry[rows][:, positions] if t_c is None else t_c
+    # the dataset rows of each previous bus and previous-week trip, -1 for none
+    prev = np.full((n_s, len(rows), len(positions)), -1, dtype=np.int32)
+    pw = np.full(len(rows), -1, dtype=np.int64)
+    search, week_search = ((dataset.scan_prev_rows, dataset.scan_prev_week_rows)
+                           if brute_force else (dataset.prev_rows, dataset.prev_week_rows))
     for day in set(trip_day.tolist()):
         on_day = trip_day == day
+        pw[on_day] = week_search(day, dataset.entry[rows[on_day], 0])
         for col in range(min(positions, default=n_s), n_s):
             prev[col, on_day] = search(day, col, t_c[on_day])
-    has_pw = np.array([pw is not None for pw in pws])
-    # a trip with no previous-week match stands in for it; its rows are skipped
-    pws = [pw or t for pw, t in zip(pws, trips)]
-    *_, pw_entry, pw_travel = trip_arrays(pws, n_s)
+    has_pw = pw >= 0
+    # the last row stands in for a missing previous-week trip; its rows are skipped
+    pw_entry, pw_travel = dataset.entry[pw], dataset.travel[pw]
+    days, ids, pw_ids = (a.tolist() for a in (trip_day, dataset.ids[rows], dataset.ids[pw]))
     out = [[("no_previous_bus" if h else "no_previous_week_trip")] * len(positions)
            for h in has_pw.tolist()]
     for j, m in enumerate(positions):
         keep = np.flatnonzero(has_pw & ((prev[m:, :, j] >= 0).all(axis=0)
                                         if fallback == "skip" else True))
-        rows = prev[m:, keep, j].T                    # (kept trips, K)
-        have = rows >= 0
+        found = prev[m:, keep, j].T                   # (kept trips, K)
+        have = found >= 0
         enc = np.empty((len(keep), m, 2))
         enc[..., ENC_Z_CUR] = travel[keep, m - 1::-1]
         enc[..., ENC_Z_PW] = pw_travel[keep, m - 1::-1]
-        dec = np.empty((*rows.shape, 4))
+        dec = np.empty((*found.shape, 4))
         # previous-week values everywhere, then the previous bus where one exists
         dec[..., DEC_Z_PV] = dec[..., DEC_Z_PW] = pw_travel[keep, m:]
         dec[..., DEC_TE_PV] = dec[..., DEC_TE_PW] = pw_entry[keep, m:]
-        prev_ids = np.full(rows.shape, -1, dtype=np.int64)
+        prev_ids = np.full(found.shape, -1, dtype=np.int64)
         r, c = np.nonzero(have)
-        dec[r, c, DEC_Z_PV] = dataset.travel[rows[r, c], c + m]
-        dec[r, c, DEC_TE_PV] = dataset.entry[rows[r, c], c + m]
-        prev_ids[r, c] = dataset.ids[rows[r, c]]
+        dec[r, c, DEC_Z_PV] = dataset.travel[found[r, c], c + m]
+        dec[r, c, DEC_TE_PV] = dataset.entry[found[r, c], c + m]
+        prev_ids[r, c] = dataset.ids[found[r, c]]
         targets, mask, tcs = travel[keep, m:], ~have, t_c[keep, j]
         # one validation for the block; each example is one of its rows
         TrainingExample(m, tcs, None, None, enc, dec, targets, prev_ids, None,
                         mask).validate(n_s)
         for i, tc, e, d, tg, pid, fm in zip(keep.tolist(), tcs.tolist(), enc, dec,
                                              targets, prev_ids, mask):
-            out[i][j] = TrainingExample(m, tc, trips[i].day_index, trips[i].trip_id,
-                                        e, d, tg, pid, pws[i].trip_id, fm)
+            out[i][j] = TrainingExample(m, tc, days[i], ids[i], e, d, tg, pid,
+                                        pw_ids[i], fm)
     return out
 
 
-def build_example(dataset: TripDataset, trip: TripRecord, m: int,
-                  pw: TripRecord | None, t_c: float | None = None,
+def build_example(dataset: TripDataset, trip_id: int, m: int,
+                  t_c: float | None = None,
                   fallback: str = FALLBACK_POLICIES[0]) -> TrainingExample | str:
-    """The example for ``trip`` at position m, or the reason it is skipped:
-    the one-trip, one-position case of :func:`build_examples`.
-
-    ``pw`` is the trip's previous-week match (see
-    :func:`closest_prev_week_trip`). ``t_c`` defaults to the moment the trip
-    finished section m; another query time re-resolves the previous-bus
-    inputs as of that time while the encoder sequence and targets stay the
-    trip's own. ``fallback`` is applied as in :func:`build_examples`.
-    """
-    return _assemble(dataset, [trip], [pw], [m],
+    """The example for trip ``trip_id`` at position m, or why it is skipped:
+    the one-trip, one-position case of :func:`build_examples`. ``t_c``
+    defaults to the moment the trip finished section m; another query time
+    re-resolves the previous-bus inputs as of that time, while the encoder
+    sequence and targets stay the trip's own."""
+    return _assemble(dataset, np.array([dataset.row_of(trip_id)]), [m],
                      None if t_c is None else np.array([[t_c]], dtype=float),
                      fallback, brute_force=False)[0][0]
 
@@ -418,13 +420,11 @@ def build_examples(dataset: TripDataset, positions: range | list | None = None,
         raise DataError("empty dataset")
     positions = list(range(FIRST_POSITION, dataset.route.n_sections)
                      if positions is None else positions)
-    day_set = None if days is None else set(days)
-    trips = [t for t in dataset.trips if day_set is None or t.day_index in day_set]
-    pws = [closest_prev_week_trip(dataset, t.day_index, t.start_time, brute_force)
-           for t in trips]
-    rows = _assemble(dataset, trips, pws, positions, None, fallback, brute_force)
-    return ([ex for row in rows for ex in row if not isinstance(ex, str)],
-            [SkipRecord(t.day_index, t.trip_id, m, ex) for t, row in zip(trips, rows)
+    rows = np.flatnonzero(np.isin(dataset.day, dataset.day if days is None else list(days)))
+    out = _assemble(dataset, rows, positions, None, fallback, brute_force)
+    return ([ex for row in out for ex in row if not isinstance(ex, str)],
+            [SkipRecord(day, trip_id, m, ex) for day, trip_id, row in zip(
+                dataset.day[rows].tolist(), dataset.ids[rows].tolist(), out)
              for m, ex in zip(positions, row) if isinstance(ex, str)])
 
 

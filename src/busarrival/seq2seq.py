@@ -168,14 +168,10 @@ def bank_layout(n_sections: int) -> list[tuple[int, int]]:
     positions get a single short bank.
     """
     first_m, width, last_m = FIRST_POSITION, BANK_WIDTH, n_sections - 1
-    span = last_m - first_m + 1
-    if span < 1:
+    if last_m < first_m:
         raise ValueError("route too short for any covered position")
-    n_full = span // width
-    if n_full == 0:
-        return [(first_m, last_m)]
     banks = [(first_m + i * width, first_m + (i + 1) * width - 1)
-             for i in range(n_full)]
+             for i in range(max(1, (last_m - first_m + 1) // width))]
     banks[-1] = (banks[-1][0], last_m)
     return banks
 

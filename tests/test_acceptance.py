@@ -111,7 +111,7 @@ def test_c03_dataprep_oracle_equivalence():
     # bunching check: at least one entry-order inversion must exist
     inversions = 0
     for day in ds.days():
-        day_trips = sorted(ds.by_day[day], key=lambda t: t.start_time)
+        day_trips = sorted(ds.trips[ds.day_rows(day)], key=lambda t: t.start_time)
         for a, b in zip(day_trips, day_trips[1:]):
             if np.any(b.entry_times < a.entry_times):
                 inversions += 1

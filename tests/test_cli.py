@@ -321,7 +321,8 @@ class TestTrain:
         assert run(["train", "--config", tiny_config, "--examples", path,
                     "--out", out, "--kind", "edu", "--threads", 1]) == 2
         assert capsys.readouterr().err == (
-            "error: no examples fall inside any coverable bank\n")
+            f"error: {path}: no examples fall inside any coverable bank; it "
+            "holds positions [1, 2]\n")
         assert not out.exists()
 
     def test_bank_without_examples_is_skipped(self, tmp_path, tiny_config,
@@ -343,10 +344,20 @@ class TestTrain:
                     "--out", out, "--kind", "edu", "--threads", 1]) == 0
         assert capsys.readouterr().err.splitlines()[-1] == (
             "train: skipped edu bank m=8-12 (no examples)")
-        # the skipped bank keeps its initial weights and has no run summary
-        assert (out / "edu_bank_08_12.json").exists()
+        # the skipped bank has no checkpoint and no run summary
+        assert not (out / "edu_bank_08_12.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["training"]["edu"]["banks"]) == ["3-7"]
+        # evaluate refuses to score the skipped bank, and scores the other
+        for i_values, code in (([5, 10], 2), ([5], 0)):
+            cfg["evaluation"] = {"i_values": i_values}
+            config.write_text(json.dumps(cfg))
+            assert run(["evaluate", "--config", config, "--checkpoints", out,
+                        "--trips", sim / "trips.csv", "--out", tmp_path / "rep",
+                        "--kind", "edu", "--threads", 1]) == code
+            err = capsys.readouterr().err
+            assert err == ("" if code == 0 else "error: missing checkpoint for edu "
+                           f"bank 8-12: {out / 'edu_bank_08_12.json'}\n")
 
     def test_non_object_example_line_reports_path_and_line(
             self, tmp_path, tiny_config, prep_dir, capsys):
@@ -526,7 +537,8 @@ class TestPredict:
 
     def test_tc_at_default_matches_plain_query(self, tiny_config, sim_dir,
                                                ckpt_dir, capsys):
-        trip = load_trips_csv(sim_dir / "trips.csv", RouteSpec(8, 500.0)).by_id[14001]
+        ds = load_trips_csv(sim_dir / "trips.csv", RouteSpec(8, 500.0))
+        trip = ds.trips[ds.row_of(14001)]
         assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 0
         plain = capsys.readouterr().out
         assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4,
@@ -555,12 +567,9 @@ class TestPredict:
         full = load_trips_csv(sim_dir / "trips.csv", RouteSpec(8, 500.0))
         bank = seq2seq.load_bank(ckpt_dir, kind, 8)
         for trip_id, m in ((14001, 4), (7003, 3), (14004, 6)):
-            trip = full.by_id[trip_id]
-            pw = dataprep.closest_prev_week_trip(full, trip.day_index,
-                                                 trip.start_time)
+            trip = full.trips[full.row_of(trip_id)]
             for tc in (None, trip.entry(m + 1) - 200.0):
-                ex = dataprep.build_example(full, trip, m, pw, tc,
-                                            "previous_week")
+                ex = dataprep.build_example(full, trip_id, m, tc, "previous_week")
                 r = seq2seq.predict(bank, ex)
                 expect = "section,predicted_travel_s,cumulative_s,arrival_s\n"
                 expect += "".join(

@@ -176,13 +176,14 @@ class TestTripDataset:
         trips = [t for day in (8, 0, 7) for t in random_day_trips(rng, day, 4, 6)]
         want = TripDataset(trips, small_route)
         got = TripDataset.from_arrays(small_route, *dataprep.trip_arrays(trips, 6))
-        for name in ("entry", "travel", "ids"):
+        for name in ("entry", "travel", "ids", "day"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         fields = lambda t: (t.trip_id, t.day_index, t.weekday)
         assert [fields(t) for t in got.trips] == [fields(t) for t in want.trips]
         assert {type(v) for t in got.trips for v in fields(t)} == {int}
-        assert got.by_day.keys() == want.by_day.keys()
-        assert got.by_id.keys() == want.by_id.keys()
+        assert got.days() == want.days() == [0, 7, 8]
+        assert [got.row_of(t.trip_id) for t in trips] == \
+            [want.row_of(t.trip_id) for t in trips]
         # the trips are views of the dataset's rows
         for i, t in enumerate(got.trips):
             assert np.shares_memory(t.entry_times, got.entry[i])
@@ -308,14 +309,18 @@ class TestReferenceScan:
         monkeypatch.setattr(TripDataset, "day_order", day_order)
         examples, _ = build_examples(ds, brute_force=True)
         assert examples
-        trip = ds.by_day[8][-1]
+        trip = ds.trips[ds.day_rows(8)][-1]
         assert closest_prev_trip_at_section(ds, 8, 5, trip.entry(6),
                                             brute_force=True) is not None
         assert closest_prev_week_trip(ds, 8, trip.start_time,
                                       brute_force=True) is not None
+        starts = ds.entry[ds.day_rows(8), 0]
+        assert (ds.scan_prev_week_rows(8, starts) >= 0).all()
         # the patch is in force: the indexed searches do read it
         with pytest.raises(AssertionError, match="the index was read"):
             build_examples(ds)
+        with pytest.raises(AssertionError, match="the index was read"):
+            ds.prev_week_rows(8, starts)
 
     def test_scan_equals_prev_rows(self):
         ds = tied_dataset(38)
@@ -325,13 +330,27 @@ class TestReferenceScan:
             for col in range(ds.route.n_sections):
                 # every entry time at the section, which the strictly-before
                 # rule excludes, and times between, before and after them
-                entries = [t.entry(col + 1) for t in ds.by_day.get(day, [])]
+                entries = ds.entry[ds.day_rows(day), col].tolist()
                 t_c = np.array([*entries, *rng.uniform(6 * 3600.0, 10 * 3600.0, 20),
                                 0.0, 86399.0]).reshape(-1, 1)
                 got = ds.scan_prev_rows(day, col, t_c)
                 assert got.shape == t_c.shape
                 npt.assert_array_equal(got, ds.prev_rows(day, col, t_c))
                 found, missing = found + (got >= 0).sum(), missing + (got < 0).sum()
+        assert found and missing
+
+    def test_scan_equals_prev_week_rows(self):
+        ds = tied_dataset(38)
+        # every start time (some repeat), 1 s either side of each, midpoints
+        # between neighbours, and the ends of the day
+        starts = np.unique(ds.entry[:, 0])
+        queries = np.concatenate([starts, starts - 1.0, starts + 1.0,
+                                  (starts[1:] + starts[:-1]) / 2, [0.0, 86399.0]])
+        found = missing = 0
+        for day in (*ds.days(), 3):     # days 0, 1, 3 and 9 have no previous week
+            got = ds.scan_prev_week_rows(day, queries)
+            npt.assert_array_equal(got, ds.prev_week_rows(day, queries))
+            found, missing = found + (got >= 0).sum(), missing + (got < 0).sum()
         assert found and missing
 
 
@@ -357,7 +376,7 @@ class TestBuildExamples:
         for ex in examples:
             assert ex.fallback_mask.all()
             assert (ex.prev_trip_ids == -1).all()
-            pw = ds.by_id[ex.pw_trip_id]
+            pw = ds.trips[ds.row_of(ex.pw_trip_id)]
             npt.assert_array_equal(ex.dec[:, DEC_Z_PV], ex.dec[:, DEC_Z_PW])
             npt.assert_array_equal(ex.dec[:, DEC_Z_PW],
                                    pw.travel_times[ex.m:])
@@ -427,10 +446,9 @@ class TestBuildExamples:
             examples, skips = build_examples(ds, fallback=fallback)
             built = {}
             for trip in ds.trips:
-                pw = closest_prev_week_trip(ds, trip.day_index, trip.start_time)
                 for m in range(3, 8):
                     built[(trip.trip_id, m)] = build_example(
-                        ds, trip, m, pw, fallback=fallback)
+                        ds, trip.trip_id, m, fallback=fallback)
             assert len(built) == len(examples) + len(skips)
             for ex in examples:
                 assert example_key(built[(ex.trip_id, ex.m)]) == example_key(ex)
@@ -444,13 +462,19 @@ class TestBuildExamples:
         ds = TripDataset([pw, early, cur], small_route)
         # before the earlier bus reaches section 5 nothing is known about it
         t_c = early.entry(5) - 1.0
-        ex = build_example(ds, cur, 4, pw, t_c)
-        assert ex.t_c == t_c and ex.fallback_mask.all()
+        ex = build_example(ds, 11, 4, t_c)
+        assert ex.t_c == t_c and ex.fallback_mask.all() and ex.pw_trip_id == 1
         npt.assert_array_equal(ex.dec[:, DEC_Z_PV], [140.0, 150.0])
         npt.assert_array_equal(ex.targets, [84.0, 85.0])
-        assert build_example(ds, cur, 4, pw, t_c, fallback="skip") == \
+        assert build_example(ds, 11, 4, t_c, fallback="skip") == \
             "no_previous_bus"
-        assert build_example(ds, cur, 4, None) == "no_previous_week_trip"
+        without_pw = TripDataset([early, cur], small_route)
+        assert build_example(without_pw, 11, 4) == "no_previous_week_trip"
+
+    @pytest.mark.parametrize("days", [[6], [100], []],
+                             ids=["sunday", "outside", "none"])
+    def test_days_without_trips_give_nothing(self, days):
+        assert build_examples(tied_dataset(37), days=days) == ([], [])
 
     def test_empty_dataset_raises(self, small_route):
         with pytest.raises(DataError):
@@ -470,8 +494,8 @@ class TestBlockBuilder:
         ref, ref_skips = reference_examples(ds, fallback)
         # the data exercise the tie rule: a chosen previous bus shares its
         # entry time at that section with another trip of the day
-        assert any(sum(t.entry(sec) == ds.by_id[pid].entry(sec)
-                       for t in ds.by_day[ex.day_index]) > 1
+        assert any(sum(t.entry(sec) == ds.trips[ds.row_of(pid)].entry(sec)
+                       for t in ds.trips[ds.day_rows(ex.day_index)]) > 1
                    for ex in ref for sec, pid in zip(
                        range(ex.m + 1, 9), ex.prev_trip_ids) if pid >= 0)
         assert {s.reason for s in ref_skips} >= {"no_previous_week_trip"}
@@ -489,9 +513,10 @@ class TestBlockBuilder:
             m = int(rng.integers(3, 8))
             t_c = float(rng.choice([rng.uniform(6 * 3600.0, 8 * 3600.0),
                                     ds.trips[int(rng.integers(len(ds)))].entry(m + 1)]))
-            pw = closest_prev_week_trip(ds, trip.day_index, trip.start_time)
+            pw = closest_prev_week_trip(ds, trip.day_index, trip.start_time,
+                                        brute_force=True)
             for fallback in ("previous_week", "skip"):
-                got = build_example(ds, trip, m, pw, t_c, fallback=fallback)
+                got = build_example(ds, trip.trip_id, m, t_c, fallback=fallback)
                 want = reference_example(ds, trip, m, pw, t_c, fallback)
                 if isinstance(want, str):
                     assert got == want
@@ -510,7 +535,7 @@ class TestBlockBuilder:
     def test_examples_share_no_memory(self):
         ds = tied_dataset(36, days=(0, 7))
         examples, _ = build_examples(ds)
-        single = build_example(ds, ds.by_day[7][0], 4, ds.by_day[0][0])
+        single = build_example(ds, ds.trips[ds.day_rows(7)][0].trip_id, 4)
         trips = [(t.entry_times.copy(), t.travel_times.copy()) for t in ds.trips]
         keys = [example_key(e) for e in examples]
 
@@ -859,11 +884,10 @@ class TestComplexity:
             ds = tied_dataset(37, days=(0, 7), n_trips=n_trips)
             calls.clear()
             examples, skips = build_examples(ds, days=[7])
-            # previous bus: one search per decoder section (4..8) over all
-            # (trip, m) query times; previous week: at most two per trip
-            block = [size for _, size in calls if size > 1]
-            assert block == [n_trips * 5] * 5
-            assert len(calls) - len(block) <= 2 * n_trips
+            # previous week: two searches over the day's start times, among
+            # day 0's (padded by two ends); previous bus: one search per
+            # decoder section (4..8) over all (trip, m) query times
+            assert calls == [(n_trips + 2, n_trips)] * 2 + [(n_trips, n_trips * 5)] * 5
             assert len(examples) + len(skips) == n_trips * 5
 
 
@@ -972,7 +996,7 @@ class TestCsvFormats:
         ds = dataprep.load_trips_csv(path, small_route)
         assert len(ds) == 5
         for t in trips:
-            got = ds.by_id[t.trip_id]
+            got = ds.trips[ds.row_of(t.trip_id)]
             npt.assert_allclose(got.entry_times, t.entry_times, atol=1e-6)
             npt.assert_allclose(got.travel_times, t.travel_times, atol=1e-6)
 
