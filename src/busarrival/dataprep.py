@@ -35,6 +35,10 @@ import numpy as np
 SECONDS_PER_DAY = 86400.0
 # The first position m that examples are built for and models cover.
 FIRST_POSITION = 3
+# The most sections a route may have: about 30 times the paper's 34, and small
+# enough that the per-trip arrays and the bank layout stay small; a larger
+# count would allocate before any check named it.
+MAX_SECTIONS = 1000
 # A section with no previous bus before T_c: use previous-week inputs (the
 # default) or skip the example.
 FALLBACK_POLICIES = ("previous_week", "skip")
@@ -72,7 +76,8 @@ class RouteSpec:
     section_length_m: float = 800.0
 
     def __post_init__(self):
-        check_ranges(self, {"n_sections": (lambda v: v >= 4, ">= 4"),
+        check_ranges(self, {"n_sections": (lambda v: 4 <= v <= MAX_SECTIONS,
+                                           f"in [4, {MAX_SECTIONS}]"),
                             "section_length_m": POSITIVE})
 
 
@@ -246,8 +251,11 @@ class TripDataset:
         return np.unique(self.day).tolist()
 
     def row_of(self, trip_id: int) -> int:
-        """The row of trip ``trip_id``; KeyError if there is none."""
-        return self._rows[trip_id]
+        """The row of trip ``trip_id``; DataError if there is none."""
+        try:
+            return self._rows[trip_id]
+        except KeyError:
+            raise DataError(f"no trip with id {trip_id}") from None
 
     def day_rows(self, day: int) -> slice:
         """The rows of ``day``'s trips, empty on a day without trips."""
@@ -745,21 +753,29 @@ def _parse_block(lines: list[str]) -> list[TrainingExample]:
 def load_examples_jsonl(path) -> list[TrainingExample]:
     """Examples from JSON lines, in file order, checked in chunks of
     ``READ_CHUNK`` non-blank lines, as one block per (m, K); a chunk that fails
-    is read again line by line, so DataError names the first faulty path:line."""
+    is read again line by line, so DataError names the first faulty path:line.
+    A (trip_id, m) may appear once: a repeat's DataError names both lines."""
     # TypeError: JSON that is no object; OverflowError: past int64
     examples, faults = [], (KeyError, TypeError, ValueError, OverflowError)
+    first_line: dict[tuple[int, int], int] = {}
     with open(path) as f:
         lines = ((n, line) for n, line in enumerate(f, start=1) if line.strip())
         while chunk := list(itertools.islice(lines, READ_CHUNK)):
             try:
-                examples += _parse_block([line for _, line in chunk])
+                block = _parse_block([line for _, line in chunk])
             except faults:
-                for lineno, line in chunk:
-                    try:
-                        examples += _parse_block([line])
-                    except faults as e:
-                        raise DataError(f"{path}:{lineno}: malformed example: "
-                                        f"{type(e).__name__}: {e}") from e
+                block = None
+            for i, (lineno, line) in enumerate(chunk):
+                try:
+                    ex = block[i] if block else _parse_block([line])[0]
+                except faults as e:
+                    raise DataError(f"{path}:{lineno}: malformed example: "
+                                    f"{type(e).__name__}: {e}") from e
+                first = first_line.setdefault((ex.trip_id, ex.m), lineno)
+                if first != lineno:
+                    raise DataError(f"{path}:{lineno}: repeated example: trip "
+                                    f"{ex.trip_id} at m={ex.m} is also on line {first}")
+                examples.append(ex)
     return examples
 
 

@@ -29,6 +29,7 @@ decoder's parameter count just under the EDU decoder's.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -49,7 +50,7 @@ KIND_EDB = "edb"
 BANK_WIDTH = 5
 DEFAULT_HIDDEN_ENC = 32
 DEFAULT_HIDDEN_DEC = {KIND_EDU: 32, KIND_EDB: 19}
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 CHAINS = ("enc", "dec_fwd", "dec_bwd")
 # the constructor arguments that fix the layout of EdModel.theta
 DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec")
@@ -177,13 +178,16 @@ def bank_layout(n_sections: int) -> list[tuple[int, int]]:
 
 
 def bank_range(n_sections: int, m: int) -> tuple[int, int]:
-    """The ``(m_lo, m_hi)`` of the bank of :func:`bank_layout` that covers m."""
-    layout = bank_layout(n_sections)
-    for m_lo, m_hi in layout:
-        if m_lo <= m <= m_hi:
-            return m_lo, m_hi
-    raise CoverageError(f"position m={m} is not covered; models span m in "
-                        f"[{FIRST_POSITION}, {n_sections - 1}] over banks {layout}")
+    """The ``(m_lo, m_hi)`` of the bank of :func:`bank_layout` that covers m,
+    found by arithmetic, so a large route builds no layout."""
+    first_m, width, last_m = FIRST_POSITION, BANK_WIDTH, n_sections - 1
+    if not first_m <= m <= last_m:
+        raise CoverageError(f"position m={m} is not covered; models span m in "
+                            f"[{first_m}, {last_m}]")
+    last_bank = max(1, (last_m - first_m + 1) // width) - 1
+    bank = min((m - first_m) // width, last_bank)
+    m_lo = first_m + bank * width
+    return m_lo, last_m if bank == last_bank else m_lo + width - 1
 
 
 def new_model(kind: str, m_lo: int, m_hi: int, n_sections: int,
@@ -455,7 +459,7 @@ class ModelBank:
         for mo in self.models:
             if mo.m_lo <= m <= mo.m_hi:
                 return mo
-        bank_range(self.n_sections, m)      # raises the error naming the banks
+        bank_range(self.n_sections, m)      # raises the error naming the span
         raise CoverageError(f"no bank owns position m={m}")
 
 
@@ -540,10 +544,11 @@ def predict(bank: ModelBank, ex: TrainingExample) -> PredictionResult:
 # Checkpoints
 
 def save_model_json(model: EdModel, path) -> None:
-    """Write a format-2 checkpoint: the dims, ``use_bias`` (always false),
-    ``norm`` and ``theta``."""
-    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **model.dims(), "use_bias": False,
-           "norm": model.norm.to_dict(), "theta": model.theta.tolist()}
+    """Write a format-3 checkpoint: the dims, ``norm`` and ``theta`` as the
+    base64 text of its little-endian float64 bytes."""
+    theta = base64.b64encode(model.theta.astype("<f8", copy=False).tobytes())
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **model.dims(),
+           "norm": model.norm.to_dict(), "theta": theta.decode("ascii")}
     with open(path, "w") as f:
         f.write(json.dumps(doc))    # the C encoder; json.dump runs the Python one
         f.write("\n")
@@ -564,16 +569,18 @@ def load_model_json(path) -> EdModel:
             want, what = (str, "string") if name == "kind" else (int, "integer")
             if type(doc[name]) is not want:
                 raise ValueError(f"{name} must be a JSON {what}, got {doc[name]!r}")
-        if doc["use_bias"] is not False:
-            raise ValueError(f"use_bias must be false, got {doc['use_bias']!r}")
         # numpy would convert strings and booleans; JSON numbers are int or float
-        for what, values in (("theta entries", doc["theta"]),
-                             ("norm fields", doc["norm"].values())):
-            if not set(map(type, values)) <= {int, float}:
-                raise ValueError(f"{what} must be numbers")
+        if not set(map(type, doc["norm"].values())) <= {int, float}:
+            raise ValueError("norm fields must be numbers")
+        try:    # a list, number or null is a TypeError; binascii.Error a ValueError
+            raw = base64.b64decode(doc["theta"], validate=True)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"theta must be a base64 string: {e}") from e
+        if len(raw) % 8:
+            raise ValueError(f"theta holds {len(raw)} bytes, not whole float64 values")
         model = EdModel(**{name: doc[name] for name in DIMS},
                         norm=NormStats.from_dict(doc["norm"]),
-                        theta=np.array(doc["theta"], np.float64))
+                        theta=np.frombuffer(raw, "<f8").astype(np.float64))
         if not np.isfinite(model.theta).all():
             raise ValueError("non-finite weights")
         if not model.norm.travel_std > 0:

@@ -125,6 +125,8 @@ class TestConfig:
           "simulator": {"weeks": 1, "trips_per_day": 1001,
                         "headway_mean_s": 60.0, "headway_jitter_s": 0.0}}, [],
          "{path}: simulator.trips_per_day: must be in [1, 1000], got 1001"),
+        ({"route": {"n_sections": 10**22}}, [],
+         "{path}: route.n_sections: must be in [4, 1000], got 10000000000000000000000"),
         ({"evaluation": {"i_values": [2, 5]}}, [],
          "{path}: evaluation.i_values: must be one or more distinct positions "
          ">= 3, got (2, 5)"),
@@ -135,8 +137,8 @@ class TestConfig:
          "{path}: evaluation.i_values: must be one or more distinct positions "
          ">= 3, got ()"),
     ], ids=["seed-in-file", "seed-flag", "service-past-midnight",
-            "trip-past-midnight", "trip-ids-collide", "i-values-below-3",
-            "i-values-repeated", "i-values-empty"])
+            "trip-past-midnight", "trip-ids-collide", "route-too-long",
+            "i-values-below-3", "i-values-repeated", "i-values-empty"])
     def test_out_of_range_fails_by_name(self, tmp_path, capsys, doc, flags,
                                         message):
         path = tmp_path / "bad.json"

@@ -136,6 +136,13 @@ def break_trip(trip, check):
 
 
 class TestTripDataset:
+    def test_unknown_trip_id_is_named(self, small_route):
+        ds = TripDataset([make_trip(1, 0, 21600.0, [60.0] * 6)], small_route)
+        with pytest.raises(DataError, match="^no trip with id 999$"):
+            ds.row_of(999)
+        with pytest.raises(DataError, match="^no trip with id 999$"):
+            build_example(ds, 999, 4)
+
     @pytest.mark.parametrize("check, message", [
         ("length", "entry/travel length mismatch"),
         ("travel", "non-positive travel time"),
@@ -829,6 +836,32 @@ class TestBlockLoader:
         path = tmp_path / "ex.jsonl"
         path.write_text("".join(lines))
         self.assert_names_line(path, first, "DataError: ")
+
+
+    @pytest.mark.parametrize("n, first, repeat", [
+        (3, 0, 3), (dataprep.READ_CHUNK + 40, 5, dataprep.READ_CHUNK + 9)],
+        ids=["first-chunk", "past-the-first-chunk"])
+    def test_repeated_example_names_both_lines(self, tmp_path, n, first, repeat):
+        lines = example_lines(make_rng(45), n)
+        lines.insert(repeat, lines[first])
+        path = tmp_path / "ex.jsonl"
+        path.write_text("".join(lines))
+        m = json.loads(lines[first])["m"]
+        with pytest.raises(DataError) as info:
+            dataprep.load_examples_jsonl(path)
+        assert str(info.value) == (f"{path}:{repeat + 1}: repeated example: trip "
+                                   f"{first} at m={m} is also on line {first + 1}")
+
+    def test_repeat_before_a_faulty_line_is_named_first(self, tmp_path):
+        # the chunk fails as a block, and its lines are read in order
+        lines = example_lines(make_rng(46), 40)
+        lines[20] = lines[3]
+        lines[30] = "{\n"
+        path = tmp_path / "ex.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=f"ex.jsonl:21: repeated example: "
+                                            f"trip 3 at m=\\d is also on line 4$"):
+            dataprep.load_examples_jsonl(path)
 
 
 class TestComplexity:

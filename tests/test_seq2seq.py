@@ -1,6 +1,12 @@
+import base64
 import json
+import os
 import pickle
 import re
+import resource
+import struct
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -15,31 +21,65 @@ from busarrival.gru import gru_forward
 from busarrival.numkit import adam_step, finite_diff_grad, init_adam, make_rng
 from busarrival.seq2seq import (CoverageError, EdModel, ModelBank,
                                 NonFiniteGradientError, NonFiniteLossError,
-                                TrainConfig, bank_layout, load_bank, load_model_json, mean_loss,
-                                model_backward, model_loss, new_model, predict,
-                                predict_example, save_bank, save_model_json,
-                                train_bank, train_model)
+                                TrainConfig, bank_layout, bank_range, load_bank,
+                                load_model_json, mean_loss, model_backward,
+                                model_loss, new_model, predict, predict_example,
+                                save_bank, save_model_json, train_bank,
+                                train_model)
 from conftest import (bi_hidden_for_parity, decoder_param_count, denorm_tod,
                       make_example)
 
-# the format-2 checkpoint test_format_2_bytes_are_stable saves
-GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "edb_bank_03_04.json"
+# the format-3 checkpoint test_format_3_bytes_are_stable saves
+GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "edb_bank_03_04_format3.json"
+# the same model in format 2, whose theta is a JSON list; it is not read
+FORMAT_2_CHECKPOINT = Path(__file__).parent / "data" / "edb_bank_03_04.json"
+
+
+def theta_text(values) -> str:
+    """Format-3 theta: the base64 text of little-endian float64 bytes."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def edit_theta(doc, edit):
+    """Apply ``edit`` to the list of a format-3 document's theta values."""
+    values = [v for v, in struct.iter_unpack("<d", base64.b64decode(doc["theta"]))]
+    edit(values)
+    doc["theta"] = theta_text(values)
 
 
 def mistyped_edb_kind(doc, model):
     """An EDB checkpoint whose kind reads "edx": theta has EDB's size."""
     doc["kind"] = "edx"
-    doc["theta"] += [0.0] * (model.dec_fwd.theta.size + model.hidden_dec)
+    edit_theta(doc, lambda t: t.extend(
+        [0.0] * (model.dec_fwd.theta.size + model.hidden_dec)))
 
 
 def swapped_bank_range(doc, model):
     doc["m_lo"], doc["m_hi"] = doc["m_hi"], doc["m_lo"]
 
 
+def theta_as_json_list(doc, model):
+    doc["theta"] = model.theta.tolist()
+
+
+def theta_not_base64(doc, model):
+    doc["theta"] = doc["theta"][:-4] + "*AA="
+
+
+def theta_bytes_not_whole_values(doc, model):
+    doc["theta"] = base64.b64encode(base64.b64decode(doc["theta"])[:-3]).decode()
+
+
 # checkpoint faults whose error names the field at fault, not theta's size
 NAMED_FAULTS = {mistyped_edb_kind: "ValueError: unknown model kind 'edx'",
                 swapped_bank_range: "ValueError: bank range must lie within "
-                                    "[3, n_sections-1]"}
+                                    "[3, n_sections-1]",
+                theta_as_json_list: "ValueError: theta must be a base64 string: "
+                                    "argument should be a bytes-like object or "
+                                    "ASCII string, not 'list'",
+                theta_not_base64: "ValueError: theta must be a base64 string: ",
+                theta_bytes_not_whole_values: "ValueError: theta holds 2061 bytes, "
+                                              "not whole float64 values"}
 
 
 def zero_model(kind, m_lo, m_hi, n_sections, norm, hidden_enc=4, hidden_dec=3):
@@ -72,6 +112,31 @@ class TestBankLayout:
             assert banks[0][0] == 3 and banks[-1][1] == n_s - 1
             for (a, b), (c, d) in zip(banks, banks[1:]):
                 assert c == b + 1
+
+    def test_bank_range_agrees_with_layout(self):
+        for n_s in range(4, 61):
+            layout = bank_layout(n_s)
+            for m in range(3, n_s):
+                assert bank_range(n_s, m) == next(
+                    (lo, hi) for lo, hi in layout if lo <= m <= hi)
+            for m in (2, n_s):
+                with pytest.raises(CoverageError, match=rf"m={m} is not covered; "
+                                   rf"models span m in \[3, {n_s - 1}\]$"):
+                    bank_range(n_s, m)
+
+    def test_bank_range_of_a_huge_route_builds_no_layout(self):
+        # in a child under a 1 GB address-space limit, so building the
+        # 2e21-bank layout fails this test instead of exhausting memory
+        code = ("from busarrival.seq2seq import bank_range; n = 10**22; "
+                "print(bank_range(n, 5), bank_range(n, n - 1) == (n - 7, n - 1))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src,
+                             "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (2**30, 2**30)))
+        assert (proc.returncode, proc.stdout) == (0, "(3, 7) True\n"), proc.stderr
 
 
 def step(params, h, u):
@@ -840,34 +905,41 @@ class TestCheckpoints:
         path = tmp_path / "m.json"
         save_model_json(model, path)
         doc = json.loads(path.read_text())
-        for version in (99, 1):
+        for version in (99, 2, 1):
             doc["format_version"] = version
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="format") as info:
                 load_model_json(path)
             assert isinstance(info.value, DataError)
             assert str(path) in str(info.value)
-            assert f"format_version {version}, but this reads 2" in str(info.value)
+            assert f"format_version {version}, but this reads 3" in str(info.value)
             assert "busarrival train" in str(info.value)
 
+    def test_format_2_checkpoint_is_refused(self):
+        with pytest.raises(DataError) as info:
+            load_model_json(FORMAT_2_CHECKPOINT)
+        assert str(FORMAT_2_CHECKPOINT) in str(info.value)
+        assert "format_version 2, but this reads 3" in str(info.value)
+        assert "busarrival train" in str(info.value)
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc, model: doc.pop("theta"),
         lambda doc, model: doc.update({"theta": None}),
-        lambda doc, model: doc["theta"].pop(),
-        lambda doc, model: doc["theta"].__setitem__(0, float("nan")),
+        lambda doc, model: edit_theta(doc, list.pop),
+        lambda doc, model: edit_theta(doc, lambda t: t.__setitem__(0, float("nan"))),
         lambda doc, model: doc["norm"].update({"travel_std": 0.0}),
         # theta longer than the dims lay out: by a dec_bwd block, which edu
         # models do not have, by hidden_enc entries, or by one
-        lambda doc, model: doc["theta"].extend([0.0] * model.dec_fwd.theta.size),
-        lambda doc, model: doc["theta"].extend([0.0] * model.hidden_enc),
-        lambda doc, model: doc["theta"].append(0.0),
+        lambda doc, model: edit_theta(
+            doc, lambda t: t.extend([0.0] * model.dec_fwd.theta.size)),
+        lambda doc, model: edit_theta(doc, lambda t: t.extend([0.0] * model.hidden_enc)),
+        lambda doc, model: edit_theta(doc, lambda t: t.append(0.0)),
         lambda doc, model: doc.update({"kind": "edb"}),
         lambda doc, model: doc.update({"hidden_enc": "4"}),
-        # values numpy would convert: a string and a boolean in theta, and
-        # norm fields that are not numbers
-        lambda doc, model: doc["theta"].__setitem__(0, "0.5"),
-        lambda doc, model: doc["theta"].__setitem__(1, True),
+        # theta of another JSON type: a list holding a string, and a boolean;
+        # and norm fields that are not numbers
+        lambda doc, model: doc.update({"theta": ["0.5"]}),
+        lambda doc, model: doc.update({"theta": True}),
         lambda doc, model: doc["norm"].update({"travel_mean": "130"}),
         lambda doc, model: doc["norm"].update({"tod_min": [0]}),
         *NAMED_FAULTS,
@@ -910,16 +982,6 @@ class TestCheckpoints:
                                             f"{name} must be a JSON {want}"):
             self.load_edited(tmp_path, toy_norm, edit)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update({"use_bias": True}), "use_bias must be false, got True"),
-        (lambda doc: doc.update({"use_bias": 0}), "use_bias must be false, got 0"),
-        (lambda doc: doc.pop("use_bias"), "KeyError: 'use_bias'"),
-    ], ids=["true", "zero", "missing"])
-    def test_use_bias_other_than_false_is_refused(self, tmp_path, toy_norm, edit,
-                                                  message):
-        with pytest.raises(DataError, match=message):
-            self.load_edited(tmp_path, toy_norm, edit)
-
     @pytest.mark.parametrize("name", ["hidden_enc", "hidden_dec"])
     @pytest.mark.parametrize("size", [0, -1])
     def test_hidden_size_below_one_is_named(self, tmp_path, toy_norm, name, size):
@@ -931,7 +993,7 @@ class TestCheckpoints:
             dims.__dict__.update({k: doc[k] for k in seq2seq.DIMS})
             n = sum(n for *_, n in dims._layout())
             if n >= 0:
-                doc["theta"] = [0.1] * n
+                doc["theta"] = theta_text([0.1] * n)
 
         with pytest.raises(DataError, match=f"malformed checkpoint: ValueError: "
                                             f"{name}: must be >= 1, got {size}$"):
@@ -940,32 +1002,33 @@ class TestCheckpoints:
             EdModel(**{**dict(kind="edu", m_lo=3, m_hi=7, n_sections=10,
                               hidden_enc=4, hidden_dec=3), name: size})
 
-    def test_format_2_bytes_are_stable(self, tmp_path, toy_norm):
+    def test_format_3_bytes_are_stable(self, tmp_path, toy_norm):
         dims = dict(kind="edb", m_lo=3, m_hi=4, n_sections=5, hidden_enc=1,
                     hidden_dec=1)
         size = EdModel(**dims).theta.size
         model = EdModel(**dims, norm=toy_norm, theta=np.arange(size) / 8)
         save_model_json(model, tmp_path / "m.json")
         assert (tmp_path / "m.json").read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+        # theta is little-endian float64 whatever the host's byte order
+        raw = base64.b64decode(json.loads(GOLDEN_CHECKPOINT.read_text())["theta"])
+        assert raw[8:16] == struct.pack("<d", 0.125) == bytes.fromhex("000000000000c03f")
+        assert [v for v, in struct.iter_unpack("<d", raw)] == (np.arange(size) / 8).tolist()
         loaded = load_model_json(GOLDEN_CHECKPOINT)
         assert loaded.dims() == model.dims()
         assert loaded.norm == model.norm
         npt.assert_array_equal(loaded.theta, model.theta)
+        assert loaded.theta.flags.writeable and loaded.theta.dtype == np.float64
 
     def test_full_size_checkpoint_matches_json_dump(self, tmp_path):
-        # the writer's C-encoded text is what json.dump streams, byte for byte
+        # the documented document: dims, norm and theta's base64 <f8 bytes
         model = new_model("edb", 28, 33, 34, make_rng(12),
                           norm=NormStats(131.7, 41.3, 20160.5, 79320.25))
         model.theta *= np.pi
         path = tmp_path / "m.json"
         save_model_json(model, path)
-        doc = {"format_version": seq2seq.CHECKPOINT_FORMAT_VERSION,
-               **model.dims(), "use_bias": False, "norm": model.norm.to_dict(),
-               "theta": model.theta.tolist()}
-        with open(tmp_path / "dump.json", "w") as f:
-            json.dump(doc, f)
-            f.write("\n")
-        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+        doc = {"format_version": 3, **model.dims(), "norm": model.norm.to_dict(),
+               "theta": theta_text(model.theta.tolist())}
+        assert path.read_text() == json.dumps(doc) + "\n"
 
 
 class TestModelValidation:
