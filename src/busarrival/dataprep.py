@@ -39,6 +39,10 @@ FIRST_POSITION = 3
 # enough that the per-trip arrays and the bank layout stay small; a larger
 # count would allocate before any check named it.
 MAX_SECTIONS = 1000
+# The most weeks a simulation may cover: ten years, 65 times the paper's 8.
+# The simulator allocates every week's trips at once, so a larger count
+# would run out of memory before any check named it.
+MAX_WEEKS = 520
 # A section with no previous bus before T_c: use previous-week inputs (the
 # default) or skip the example.
 FALLBACK_POLICIES = ("previous_week", "skip")
@@ -529,18 +533,20 @@ def _malformed(path, lineno: int, line: str) -> DataError:
     return DataError(f"{path}: malformed row {lineno}: {next(csv.reader([line]), [])}")
 
 
-def _example_days(path, lines: list[str], trip_id: int) -> set[int]:
-    """The day of ``trip_id``'s first row in a trips CSV's data ``lines`` and
-    the day a week before; reads other lines no further than their start."""
-    prefix = f"{trip_id},"
-    for lineno, line in enumerate(lines, start=2):
-        if line.startswith(prefix):
-            try:
-                day = int(line.split(",")[1])
-            except (ValueError, IndexError) as e:
-                raise _malformed(path, lineno, line) from e
-            return {day, day - 7}
-    raise DataError(f"{path}: no trip {trip_id}")
+def _example_days(path, text: str, trip_id: int) -> set[int]:
+    """The day of ``trip_id``'s first row in a trips CSV's ``text`` and the
+    day a week before, found by one search for the row's start; reads no
+    other line."""
+    start = text.find(f"\n{trip_id},") + 1     # the header line is never a row
+    if not start:
+        raise DataError(f"{path}: no trip {trip_id}")
+    end = text.find("\n", start)
+    line = text[start:] if end < 0 else text[start:end]
+    try:
+        day = int(line.split(",")[1])
+    except (ValueError, IndexError) as e:
+        raise _malformed(path, text.count("\n", 0, start) + 1, line) from e
+    return {day, day - 7}
 
 
 def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray]:
@@ -601,14 +607,16 @@ def load_trips_csv(path, route: RouteSpec, days=None,
     and every check applies to the rows kept. The rows kept are parsed as a
     whole and checked as arrays; an error names the first line at fault."""
     with open(path) as f:
-        header, *lines = f.read().split("\n")
+        text = f.read()
+    header, *lines = text.split("\n")
     header = next(csv.reader([header]), None) if header else None
     if header != TRIP_CSV_HEADER:
         raise DataError(f"{path}: unexpected trip CSV header: {header}")
     if lines[-1:] == [""]:
         lines.pop()                     # after the newline ending the last row
     if for_trip is not None:
-        days = _example_days(path, lines, for_trip)
+        days = _example_days(path, text, for_trip)
+    del text            # the lines hold the same characters; keep one copy
     try:
         rows, kept = _read_rows(lines, days)
     except ValueError as e:

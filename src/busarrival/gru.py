@@ -30,8 +30,12 @@ rather than re-allocated each call (:func:`_scratch_blocks`), and so do the
 projection block and ``rec`` of a forward-only call (``keep_cache=False``),
 which keeps no cache and reuses its per-step views, made once per (T, H, B,
 direction) and kept per thread, for up to ``MAX_CHAIN_VIEWS`` shapes, until
-the buffer regrows. The states, a kept cache, dL/dh0, dL/dctx and the weight
-gradients never come from it.
+the buffer regrows. The buffer keeps the size of the widest call the thread
+has run; ``seq2seq`` runs forward-only chains in passes of
+``seq2seq.PASS_COLS`` columns (a last one up to 3 wider), which bounds it:
+3.3 MB at most in a full-scale training run, where whole 240-column
+validation blocks took it to 6.3 MB. The states, a kept cache, dL/dh0,
+dL/dctx and the weight gradients never come from it.
 Backward writes the weight gradients into a GruParams laid out as the
 weights, so a caller can hand it views into its own flat gradient vector.
 Weight gradients are single contractions over steps and batch. The only

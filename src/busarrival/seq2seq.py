@@ -54,12 +54,29 @@ CHECKPOINT_FORMAT_VERSION = 3
 CHAINS = ("enc", "dec_fwd", "dec_bwd")
 # the constructor arguments that fix the layout of EdModel.theta
 DIMS = ("kind", "m_lo", "m_hi", "n_sections", "hidden_enc", "hidden_dec")
-_HIDDEN_SIZES = dict.fromkeys(DIMS[-2:], AT_LEAST_1)
+# The largest hidden size, 16 times the default 32: an EDB model of 512 holds
+# 4.2 M weights (34 MB) and training keeps four more vectors of that size. A
+# size past numpy's limits would fail with a message that names no key.
+MAX_HIDDEN = 512
+_HIDDEN_SIZE = (lambda v: 1 <= v <= MAX_HIDDEN, f"in [1, {MAX_HIDDEN}]")
+_HIDDEN_SIZES = dict.fromkeys(DIMS[-2:], _HIDDEN_SIZE)
 # the params() names of the embed and output maps
 _MAP_NAMES = {"w_embed": "embed.w", "w_out": "out.w"}
 # per column of a decoder block (K, 4, N), whether it holds travel times;
 # the others hold entry times
 _DEC_TRAVEL = np.isin(np.arange(4), (DEC_Z_PV, DEC_Z_PW))[:, None]
+# Columns per forward-only pass (see _forward_only). A pass's GRU work blocks,
+# states and predictions grow with its width, and a thread keeps its work
+# buffer at the widest size it has met: whole 240-column validation blocks
+# took it to 6.3 MB in full-scale training, 3.3 MB with these passes. On the
+# benchmark's training workloads, passes of 128 columns lowered peak RSS by
+# 6-8% and left iteration_s where it was; passes of 64 lowered it 1-2 MB
+# further but cost 3-4% of iteration_s, the per-step numpy calls of more
+# passes.
+# Passes start at multiples of 128, which the column tiles of BLAS kernels
+# divide, so each column meets the kernel it meets in one whole-block pass
+# and keeps its bits.
+PASS_COLS = 128
 
 
 class CoverageError(ValueError):
@@ -228,8 +245,8 @@ class Block:
 
     def take(self, cols) -> "Block":
         """The examples at ``cols``, in that order, in contiguous arrays."""
-        return Block(self.m, *(a.take(cols, axis=-1) for a in
-                               (self.enc, self.dec, self.t_c, self.targets)))
+        return Block(self.m, *(None if a is None else a.take(cols, axis=-1)
+                               for a in (self.enc, self.dec, self.t_c, self.targets)))
 
 
 def stack_block(model: EdModel, exs: list[TrainingExample],
@@ -297,10 +314,24 @@ def _forward(model: EdModel, blk: Block, keep_cache: bool = True):
     return y, (e_a, enc_cache, h0, states, fwd_cache, bwd_cache)
 
 
+def _forward_only(model: EdModel, blk: Block) -> np.ndarray:
+    """Normalized predictions (K, N) of a block, by forward-only passes over
+    contiguous copies of ``PASS_COLS`` of its columns. A last pass of fewer
+    than 4 columns joins the pass before it: BLAS runs such narrow products
+    (the output map's, for one) by other kernels than a wide block's last
+    columns meet, and their bits differ."""
+    starts = range(0, max(blk.n - 3, 1), PASS_COLS)
+    if len(starts) == 1:
+        return _forward(model, blk, keep_cache=False)[0]
+    y = np.empty((blk.dec.shape[0], blk.n))
+    for lo, hi in zip(starts, [*starts[1:], blk.n]):
+        y[:, lo:hi] = _forward(model, blk.take(range(lo, hi)), keep_cache=False)[0]
+    return y
+
+
 def predict_example(model: EdModel, ex: TrainingExample) -> np.ndarray:
     """Per-section travel-time predictions (seconds) for one example."""
-    y, _ = _forward(model, stack_block(model, [ex], targets=False),
-                    keep_cache=False)
+    y = _forward_only(model, stack_block(model, [ex], targets=False))
     return model.norm.denorm_travel(y[:, 0])
 
 
@@ -347,13 +378,14 @@ def model_backward(model: EdModel, ex: TrainingExample) -> tuple[float, np.ndarr
 
 
 def mean_loss(model: EdModel, blocks: list[Block]) -> float:
-    """Mean example loss over ``blocks``, one forward-only pass per block."""
+    """Mean example loss over ``blocks``, each run by :func:`_forward_only`
+    and reduced as one (K, N) array."""
     n = sum(blk.n for blk in blocks)
     if not n:
         raise ValueError("mean_loss over an empty example set")
     total = 0.0
     for blk in blocks:
-        y, _ = _forward(model, blk, keep_cache=False)
+        y = _forward_only(model, blk)
         total += float(np.sum(np.mean((y - blk.targets) ** 2, axis=0)))
     return total / n
 
@@ -375,9 +407,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_ranges(self, {"lr": POSITIVE, **dict.fromkeys(
-            ("batch_size", "max_epochs", "patience", "hidden_enc",
-             "hidden_dec_edu", "hidden_dec_edb"), AT_LEAST_1)})
+        check_ranges(self, {
+            "lr": POSITIVE,
+            **dict.fromkeys(("batch_size", "max_epochs", "patience"), AT_LEAST_1),
+            **dict.fromkeys(("hidden_enc", "hidden_dec_edu", "hidden_dec_edb"),
+                            _HIDDEN_SIZE)})
 
     def hidden_dec(self, kind: str) -> int:
         return self.hidden_dec_edu if kind == KIND_EDU else self.hidden_dec_edb

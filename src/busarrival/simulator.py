@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataprep import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, SECONDS_PER_DAY,
-                       RouteSpec, TripRecord, check_ranges, split_week,
-                       write_csv)
+from .dataprep import (AT_LEAST_1, MAX_WEEKS, NON_NEGATIVE, POSITIVE,
+                       SECONDS_PER_DAY, RouteSpec, TripRecord, check_ranges,
+                       split_week, write_csv)
 from .numkit import spawn_rng
 
 _DISPATCH_STREAM, _EVENT_STREAM, _NOISE_STREAM = 1, 2, 3
@@ -106,7 +106,7 @@ class SimConfig:
         ordered = (lambda v: len(v) == 2 and 0 < v[0] <= v[1],
                    "two ordered values > 0")
         check_ranges(self, {
-            "weeks": AT_LEAST_1,
+            "weeks": (lambda v: 1 <= v <= MAX_WEEKS, f"in [1, {MAX_WEEKS}]"),
             "trips_per_day": (lambda v: 1 <= v <= TRIP_ID_STRIDE,
                               f"in [1, {TRIP_ID_STRIDE}]"),
             "first_dispatch_s": (lambda v: 0 <= v < SECONDS_PER_DAY,

@@ -1,7 +1,12 @@
 import builtins
 import hashlib
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +153,32 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, bound", [
+        ("simulate", "simulator.weeks", dataprep.MAX_WEEKS),
+        ("train", "training.hidden_enc", seq2seq.MAX_HIDDEN),
+        ("train", "training.hidden_dec_edu", seq2seq.MAX_HIDDEN),
+        ("train", "training.hidden_dec_edb", seq2seq.MAX_HIDDEN),
+    ])
+    def test_huge_size_fails_by_name(self, tmp_path, command, key, bound):
+        # the command runs in a child process under a 1 GB address-space
+        # limit, so a size that allocates before its check fails this test
+        # rather than the test run
+        section, name = key.split(".")
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({section: {name: 10**22}}))
+        inputs = ["--examples", tmp_path / "examples.jsonl"] if command == "train" else []
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "busarrival.cli", command, "--config", path,
+             *inputs, "--out", tmp_path / "out"], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src,
+                             "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (2**30, 2**30)))
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: {path}: {key}: must be in [1, {bound}], got {10**22}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:

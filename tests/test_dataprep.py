@@ -1182,6 +1182,37 @@ class TestCsvFormats:
             dataprep.load_trips_csv(path, small_route, for_trip=for_trip)
         assert str(info.value) == message.format(path=path)
 
+    @pytest.mark.parametrize("row, rest, message", [
+        ("7000,seven,7,0,21600.000000,60.000000\n", True,
+         "['7000', 'seven', '7', '0', '21600.000000', '60.000000']"),
+        ("7000,", False, "['7000', '']"),
+    ], ids=["day-not-a-number", "last-line-without-a-day"])
+    def test_first_row_of_the_trip_read_names_its_line(self, tmp_path, small_route,
+                                                        row, rest, message):
+        # trip 7000's first row, line 14 after trips 0 and 700, gives the
+        # days a read for it keeps; the rows after it are never reached
+        trips = [make_trip(i, i // 1000, 21600.0 + 400.0 * (i % 1000), [60.0] * 6)
+                 for i in (0, 700, 7000)]
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv(trips, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:13] + [row] + (lines[14:] if rest else [])))
+        with pytest.raises(DataError) as info:
+            dataprep.load_trips_csv(path, small_route, for_trip=7000)
+        assert str(info.value) == f"{path}: malformed row 14: {message}"
+
+    def test_trip_id_that_begins_another_is_found_by_its_own_rows(
+            self, tmp_path, small_route):
+        # trip 7000's rows come first, and "7000," does not start trip 700's
+        trips = [make_trip(i, i // 1000, 21600.0 + 400.0 * (i % 1000), [60.0] * 6)
+                 for i in (7000, 700, 0)]
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv(trips, path)
+        ds = dataprep.load_trips_csv(path, small_route, for_trip=700)
+        assert sorted(ds.ids.tolist()) == [0, 700]
+        with pytest.raises(DataError, match=re.escape(f"{path}: no trip 70")):
+            dataprep.load_trips_csv(path, small_route, for_trip=70)
+
     def test_example_id_and_mask_shapes_checked(self):
         ex = make_example(make_rng(3), 5, 8)
         ex.validate(8)

@@ -7,6 +7,7 @@ import resource
 import struct
 import subprocess
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from busarrival import seq2seq
+from busarrival import gru, seq2seq
 from busarrival.dataprep import DataError, NormStats, split_week
 from busarrival.gru import gru_forward
 from busarrival.numkit import adam_step, finite_diff_grad, init_adam, make_rng
@@ -357,6 +358,31 @@ class TestLoss:
         want = np.mean([model_loss(model, ex) for ex in exs])
         got = mean_loss(model, seq2seq.stack_blocks(model, exs))
         assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("kind", ["edu", "edb"])
+    @pytest.mark.parametrize("extra", [1, 3, 4, 37, 112])
+    def test_capped_passes_equal_one_whole_block_pass(self, kind, extra, toy_norm,
+                                                      monkeypatch):
+        # a block one pass and `extra` columns wide, at the full-scale hidden
+        # sizes: mean_loss runs it in passes of PASS_COLS (a last pass of
+        # fewer than 4 columns joins the one before), with the bits of one
+        # pass over the whole block
+        rng = make_rng(13)
+        model = new_model(kind, 3, 7, 34, rng, norm=toy_norm)
+        n = seq2seq.PASS_COLS + extra
+        blk = seq2seq.stack_block(model, [make_example(rng, 5, 34, trip_id=i)
+                                          for i in range(n)])
+        y, _ = seq2seq._forward(model, blk, keep_cache=False)
+        want = float(np.sum(np.mean((y - blk.targets) ** 2, axis=0))) / n
+        widths, forward = [], seq2seq._forward
+        monkeypatch.setattr(seq2seq, "_forward", lambda model, blk, **kw: (
+            widths.append(blk.n), forward(model, blk, **kw))[1])
+        assert mean_loss(model, [blk]) == want
+        cap = seq2seq.PASS_COLS
+        assert widths == ([cap + extra] if extra < 4 else [cap, extra])
+        # a block without targets, as predict stacks them, runs the same way
+        got = seq2seq._forward_only(model, replace(blk, targets=None))
+        assert got.tobytes() == y.tobytes()
 
 
 class TestModelBackward:
@@ -756,6 +782,44 @@ class TestBlockTraining:
         assert history == want
         assert len(history) == 6 or validate
 
+    @pytest.mark.parametrize("kind", ["edu", "edb"])
+    def test_matches_list_batch_reference_over_capped_passes(self, kind, toy_norm):
+        # 2 PASS_COLS + 5 validation examples at m=4, which mean_loss runs in
+        # three passes and the reference in one
+        rng = make_rng(58)
+        train_ex = [make_example(rng, m, 8, trip_id=i)
+                    for i, m in enumerate([4] * 7 + [6] * 5)]
+        val_ex = [make_example(rng, 4, 8, trip_id=100 + i)
+                  for i in range(2 * seq2seq.PASS_COLS + 5)]
+        cfg = TrainConfig(batch_size=5, max_epochs=3, patience=3, lr=2e-2)
+        model, ref = (new_model(kind, 3, 7, 8, make_rng(59), hidden_enc=4,
+                                hidden_dec=3, norm=toy_norm) for _ in range(2))
+        history = train_model(model, train_ex, val_ex, cfg, make_rng(60))
+        want = reference_train_model(ref, train_ex, val_ex, cfg, make_rng(60))
+        assert model.theta.tobytes() == ref.theta.tobytes()
+        assert history == want
+
+    def test_validation_leaves_the_work_buffer_at_a_capped_pass(self, toy_norm,
+                                                                monkeypatch):
+        # a validation block four passes and 9 columns wide: the thread's GRU
+        # work buffer grows no larger than the larger of a minibatch's
+        # backward and one forward-only pass of PASS_COLS (+3) columns
+        monkeypatch.setattr(gru, "_scratch", threading.local())
+        rng = make_rng(55)
+        n_s, m = 34, 5
+        model = new_model("edb", 3, 7, n_s, make_rng(56), norm=toy_norm)
+        train_ex = [make_example(rng, m, n_s, trip_id=i) for i in range(16)]
+        val_ex = [make_example(rng, m, n_s, trip_id=100 + i)
+                  for i in range(4 * seq2seq.PASS_COLS + 9)]
+        cfg = TrainConfig(batch_size=8, max_epochs=1)
+        train_model(model, train_ex, val_ex, cfg, make_rng(57))
+        chains = [(m, model.hidden_enc), (n_s - m, model.hidden_dec)]
+        # gru_backward's blocks hold 7 T H B values, a forward-only pass's
+        # (T + 1) 3H W values
+        backward = max(7 * t * h * cfg.batch_size for t, h in chains)
+        capped = max((t + 1) * 3 * h * (seq2seq.PASS_COLS + 3) for t, h in chains)
+        assert gru._scratch.buf.size <= max(backward, capped)
+
     @pytest.mark.parametrize("where", ["train", "val"])
     def test_example_outside_bank_raises_before_any_step(self, where, toy_norm,
                                                          monkeypatch):
@@ -995,12 +1059,25 @@ class TestCheckpoints:
             if n >= 0:
                 doc["theta"] = theta_text([0.1] * n)
 
+        bound = re.escape(f"in [1, {seq2seq.MAX_HIDDEN}]")
         with pytest.raises(DataError, match=f"malformed checkpoint: ValueError: "
-                                            f"{name}: must be >= 1, got {size}$"):
+                                            f"{name}: must be {bound}, got {size}$"):
             self.load_edited(tmp_path, toy_norm, edit)
-        with pytest.raises(ValueError, match=f"{name}: must be >= 1"):
+        with pytest.raises(ValueError, match=f"{name}: must be {bound}"):
             EdModel(**{**dict(kind="edu", m_lo=3, m_hi=7, n_sections=10,
                               hidden_enc=4, hidden_dec=3), name: size})
+
+    @pytest.mark.parametrize("name", ["hidden_enc", "hidden_dec"])
+    @pytest.mark.parametrize("size", [seq2seq.MAX_HIDDEN + 1, 10**22])
+    def test_hidden_size_above_the_bound_is_named(self, tmp_path, toy_norm, name,
+                                                  size):
+        # refused by the dims check before theta would be sized from them
+        path = re.escape(str(tmp_path / "m.json"))
+        bound = re.escape(f"in [1, {seq2seq.MAX_HIDDEN}]")
+        with pytest.raises(DataError, match=f"^{path}: malformed checkpoint: "
+                                            f"ValueError: {name}: must be "
+                                            f"{bound}, got {size}$"):
+            self.load_edited(tmp_path, toy_norm, lambda doc: doc.update({name: size}))
 
     def test_format_3_bytes_are_stable(self, tmp_path, toy_norm):
         dims = dict(kind="edb", m_lo=3, m_hi=4, n_sections=5, hidden_enc=1,
