@@ -25,8 +25,7 @@ def random_example(rng, m, n_sections):
                              rng.uniform(25000, 35000, k),
                              rng.uniform(25000, 35000, k)]),
         targets=rng.uniform(60, 200, k),
-        prev_trip_ids=np.zeros(k, dtype=np.int64), pw_trip_id=2,
-        fallback_mask=np.zeros(k, dtype=bool))
+        prev_trip_ids=np.zeros(k, dtype=np.int64), pw_trip_id=2)
 
 
 print("GRU chain, T=6 steps, batch of 3 (loss = sum of ||h_t||^2 / 2)")

@@ -174,17 +174,17 @@ def cmd_prepare(args, cfg: dict) -> int:
     skip_path = os.path.join(args.out, "skipped.csv")
     _timed(stage_s, "write_examples", dataprep.save_examples_jsonl, examples, ex_path)
     _timed(stage_s, "write_skips", dataprep.save_skip_report_csv, skips, skip_path)
-    masks = {}
+    fallbacks, sections = Counter(), Counter()
     for ex in examples:
-        masks.setdefault(ex.m, []).append(ex.fallback_mask)
+        fallbacks[ex.m] += int(np.count_nonzero(ex.prev_trip_ids == -1))
+        sections[ex.m] += ex.k
     _write_manifest(
         args.out, "prepare", cfg, [ex_path, skip_path],
         stage_s=stage_s,
         examples=len(examples),
         skips_by_reason=dict(Counter(s.reason for s in skips)),
         # per m, the share of decoder sections with no previous bus
-        fallback_share_by_m={m: float(np.concatenate(v).mean())
-                             for m, v in masks.items()})
+        fallback_share_by_m={m: fallbacks[m] / n for m, n in sections.items()})
     print(f"prepare: {len(examples)} examples, {len(skips)} skipped")
     for m_lo, m_hi in seq2seq.bank_layout(route.n_sections):
         n = sum(1 for ex in examples if m_lo <= ex.m <= m_hi)
@@ -307,7 +307,8 @@ def cmd_evaluate(args, cfg: dict) -> int:
     if not i_values:
         raise ValueError(f"{args.config or 'default config'}: evaluation.i_values: must "
                          f"hold a position < {route.n_sections}, got {list(ecfg['i_values'])}")
-    dataset = dataprep.load_trips_csv(args.trips, route)
+    stage_s = {}
+    dataset = _timed(stage_s, "load_trips", dataprep.load_trips_csv, args.trips, route)
     train_trips, test_trips = simulator.split_train_test(dataset.trips)
     test_week = test_trips[0].day_index // 7
     manifest_path = os.path.join(args.checkpoints, "manifest.json")
@@ -321,29 +322,33 @@ def cmd_evaluate(args, cfg: dict) -> int:
         raise dataprep.DataError(
             f"{manifest_path}: training held out week {held_out}, not week "
             f"{test_week}, the week evaluate scores")
-    examples, _ = dataprep.build_examples(
+    examples, _ = _timed(
+        stage_s, "build_examples", dataprep.build_examples,
         dataset, positions=i_values, days={t.day_index for t in test_trips},
         fallback=cfg["dataprep"]["fallback"])
-    methods = {}
     # only the banks that score a query, as in predict
     ranges = sorted({seq2seq.bank_range(route.n_sections, i) for i in i_values})
-    for kind in _kinds(args.kind):
-        bank = seq2seq.ModelBank(kind, route.n_sections, [seq2seq.load_bank_model(
+    banks = _timed(stage_s, "load_checkpoints", lambda: [seq2seq.ModelBank(
+        kind, route.n_sections, [seq2seq.load_bank_model(
             args.checkpoints, kind, r, route.n_sections) for r in ranges])
-        methods[kind] = (lambda ex, b=bank: seq2seq.predict(b, ex).travel_s)
+        for kind in _kinds(args.kind)])
+    methods = {bank.kind: (lambda ex, b=bank: seq2seq.predict(b, ex).travel_s)
+               for bank in banks}
     hist = evalkit.fit_hist_mean(train_trips)
     methods["persistence"] = evalkit.baseline_persistence
     methods["hist_mean"] = (lambda ex: evalkit.baseline_hist_mean(hist, ex))
-    rows, queries = evalkit.evaluate_grid(
+    rows, queries = _timed(
+        stage_s, "evaluate_grid", evalkit.evaluate_grid,
         methods, examples, route.n_sections, i_values=i_values,
         j_step=ecfg["j_step"], alpha=ecfg["alpha"])
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
     query_path = os.path.join(args.out, "queries.csv")
-    evalkit.save_report_csv(rows, report_path)
-    evalkit.save_query_log_csv(queries, query_path)
+    _timed(stage_s, "write_reports", lambda: (
+        evalkit.save_report_csv(rows, report_path),
+        evalkit.save_query_log_csv(queries, query_path)))
     _write_manifest(args.out, "evaluate", cfg, [report_path, query_path],
-                    test_week=test_week)
+                    test_week=test_week, stage_s=stage_s)
     print(f"evaluate: {len(rows)} grid rows over {len(examples)} test queries "
           f"-> {args.out}")
     return 0

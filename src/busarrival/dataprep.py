@@ -141,7 +141,7 @@ def check_trips(ids, day, weekday, e, z) -> None:
         raise error
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainingExample:
     """One (position m, query time T_c) snapshot; see module docstring."""
 
@@ -154,11 +154,17 @@ class TrainingExample:
     targets: np.ndarray                  # (K,)
     prev_trip_ids: np.ndarray            # (K,) int, -1 where fallback used
     pw_trip_id: int
-    fallback_mask: np.ndarray            # (K,) bool
 
     @property
     def k(self) -> int:
         return len(self.targets)
+
+    @property
+    def fallback_mask(self) -> np.ndarray:
+        """Read-only (K,) bool, True where no previous bus was found."""
+        mask = self.prev_trip_ids == -1
+        mask.flags.writeable = False
+        return mask
 
     @property
     def week(self) -> int:
@@ -172,9 +178,12 @@ class TrainingExample:
             raise DataError("encoder sequence shape mismatch")
         if self.dec.shape != (*lead, k, 4) or self.targets.shape != (*lead, k):
             raise DataError("decoder sequence / target shape mismatch")
-        if (self.prev_trip_ids.shape != (*lead, k)
-                or self.fallback_mask.shape != (*lead, k)):
+        if self.prev_trip_ids.shape != (*lead, k):
             raise DataError("previous-trip ids / fallback mask shape mismatch")
+        bad = self.prev_trip_ids[self.prev_trip_ids < -1]
+        if bad.size:
+            raise DataError(f"previous-trip ids must be -1 (no previous bus) "
+                            f"or a trip id, got {bad.flat[0]}")
         t_c = np.asarray(self.t_c)
         bad = t_c[~((t_c >= 0) & (t_c < SECONDS_PER_DAY))]      # NaN too
         if bad.size:
@@ -189,7 +198,7 @@ class TrainingExample:
         if (entries < 0).any() or (entries >= SECONDS_PER_DAY).any():
             raise DataError("entry times must lie in [0, 86400)")
         if ((self.dec[..., DEC_TE_PV] >= t_c[..., None])
-                & ~self.fallback_mask).any():
+                & (self.prev_trip_ids >= 0)).any():
             raise DataError("previous-bus entry time not before T_c")
 
 
@@ -390,14 +399,14 @@ def _assemble(dataset: TripDataset, rows: np.ndarray, positions: list[int],
         dec[r, c, DEC_Z_PV] = dataset.travel[found[r, c], c + m]
         dec[r, c, DEC_TE_PV] = dataset.entry[found[r, c], c + m]
         prev_ids[r, c] = dataset.ids[found[r, c]]
-        targets, mask, tcs = travel[keep, m:], ~have, t_c[keep, j]
+        targets, tcs = travel[keep, m:], t_c[keep, j]
         # one validation for the block; each example is one of its rows
-        TrainingExample(m, tcs, None, None, enc, dec, targets, prev_ids, None,
-                        mask).validate(n_s)
-        for i, tc, e, d, tg, pid, fm in zip(keep.tolist(), tcs.tolist(), enc, dec,
-                                             targets, prev_ids, mask):
+        TrainingExample(m, tcs, None, None, enc, dec, targets, prev_ids,
+                        None).validate(n_s)
+        for i, tc, e, d, tg, pid in zip(keep.tolist(), tcs.tolist(), enc, dec,
+                                        targets, prev_ids):
             out[i][j] = TrainingExample(m, tc, days[i], ids[i], e, d, tg, pid,
-                                        pw_ids[i], fm)
+                                        pw_ids[i])
     return out
 
 
@@ -656,14 +665,15 @@ def save_skip_report_csv(skips: list[SkipRecord], path) -> None:
               ([s.day_index, s.trip_id, s.m, s.reason] for s in skips))
 
 
-def _json_lists(arrays: list[np.ndarray], width: int | None) -> list[str]:
-    """``json.dumps(a.tolist())`` for each of ``arrays``, all of one dtype
-    and 1-D (``width`` None) or with ``width`` columns, formatting each
-    distinct value of a column once. Values are told apart by their bit
-    patterns, so -0.0 stays apart from 0.0, and one ``json.dumps`` writes a
-    column's distinct values, so JSON's own rules write NaN, Infinity and
-    exponents."""
-    flat = np.concatenate(arrays, axis=None).reshape(-1, width or 1)
+def _json_lists(arrays: list[np.ndarray], width: int | None,
+                derive=lambda flat: flat) -> list[str]:
+    """``json.dumps(derive(a).tolist())`` for each of ``arrays``, all of one
+    dtype and 1-D (``width`` None) or with ``width`` columns, formatting each
+    distinct value of a column once; ``derive`` maps all values at once.
+    Values are told apart by their bit patterns, so -0.0 stays apart from
+    0.0, and one ``json.dumps`` writes a column's distinct values, so JSON's
+    own rules write NaN, Infinity and exponents."""
+    flat = derive(np.concatenate(arrays, axis=None)).reshape(-1, width or 1)
     pieces = np.empty(flat.shape, dtype=object)
     for c in range(flat.shape[1]):
         keys, inv = np.unique(flat[:, c].view(f"u{flat.itemsize}"),
@@ -703,8 +713,9 @@ def save_examples_jsonl(examples: list[TrainingExample], path) -> None:
                     _json_lists([ex.dec for ex in block], 4),
                     _json_lists([ex.targets for ex in block], None),
                     _json_lists([ex.prev_trip_ids for ex in block], None),
-                    _json_lists([ex.fallback_mask.astype(int) for ex in block],
-                                None))
+                    # the fallback entries: 1 where no previous bus was found
+                    _json_lists([ex.prev_trip_ids for ex in block], None,
+                                lambda ids: (ids == -1).view(np.int8)))
                 f.writelines(
                     f'{{"m": {m}, "t_c": {tc}, "day": {day}, "trip_id": {tid}, '
                     f'"enc": {enc}, "dec": {dec}, "targets": {tg}, '
@@ -717,9 +728,10 @@ def _has_bool(value) -> bool:
     return type(value) is bool or (type(value) is list and any(map(_has_bool, value)))
 
 
-def _parse_example(line: str) -> TrainingExample:
-    """The example of one JSON line; ValueError names the first field not of
-    its JSON type (a boolean is neither an integer nor a number)."""
+def _parse_example(line: str) -> tuple[TrainingExample, list[int]]:
+    """The example of one JSON line and its ``fallback`` entries; ValueError
+    names the first field not of its JSON type (a boolean is neither an
+    integer nor a number)."""
     d = json.loads(line)
     for name in ("m", "t_c", "day", "trip_id", "pw_trip_id"):
         if type(d[name]) is not int and (name != "t_c" or type(d[name]) is not float):
@@ -742,20 +754,26 @@ def _parse_example(line: str) -> TrainingExample:
         # K = 0 is written as [], which numpy reads as shape (0,)
         enc=enc, dec=dec if d["dec"] != [] else np.empty((0, 4)), targets=targets,
         prev_trip_ids=np.array(d["prev_trip_ids"], dtype=np.int64),
-        pw_trip_id=d["pw_trip_id"], fallback_mask=np.array(d["fallback"], dtype=bool))
+        pw_trip_id=d["pw_trip_id"]), d["fallback"]
 
 
-def _parse_block(lines: list[str]) -> list[TrainingExample]:
-    """The examples of JSON ``lines``, validated as one block per (m, K)."""
-    examples, groups = [_parse_example(line) for line in lines], {}
-    for ex in examples:
-        groups.setdefault((ex.m, ex.k), []).append(ex)
+def _parse_block(lines: list[bytes]) -> list[TrainingExample]:
+    """The examples of UTF-8 JSON ``lines``, validated as one block per
+    (m, K), whose ``fallback`` entries must be 1 exactly where the
+    previous-trip id is -1."""
+    parsed, groups = [_parse_example(line.decode()) for line in lines], {}
+    for ex, fallback in parsed:
+        groups.setdefault((ex.m, ex.k), []).append((ex, fallback))
     for (m, k), group in groups.items():
-        TrainingExample(m, np.array([ex.t_c for ex in group]), None, None, *(
-            np.stack([getattr(ex, name) for ex in group]) for name in (
-                "enc", "dec", "targets", "prev_trip_ids")), None,
-            np.stack([ex.fallback_mask for ex in group])).validate(m + k)
-    return examples
+        block = TrainingExample(m, np.array([ex.t_c for ex, _ in group]), None, None, *(
+            np.stack([getattr(ex, name) for ex, _ in group]) for name in (
+                "enc", "dec", "targets", "prev_trip_ids")), None)
+        block.validate(m + k)
+        # ValueError for lists of unequal lengths; a line alone has one shape
+        if not np.array_equal(np.array([fb for _, fb in group]), block.fallback_mask):
+            raise DataError("fallback entries must be 1 exactly where "
+                            "prev_trip_ids is -1")
+    return [ex for ex, _ in parsed]
 
 
 def load_examples_jsonl(path) -> list[TrainingExample]:
@@ -763,10 +781,11 @@ def load_examples_jsonl(path) -> list[TrainingExample]:
     ``READ_CHUNK`` non-blank lines, as one block per (m, K); a chunk that fails
     is read again line by line, so DataError names the first faulty path:line.
     A (trip_id, m) may appear once: a repeat's DataError names both lines."""
-    # TypeError: JSON that is no object; OverflowError: past int64
+    # TypeError: JSON that is no object; OverflowError: past int64;
+    # UnicodeDecodeError, a ValueError: a line that is not UTF-8
     examples, faults = [], (KeyError, TypeError, ValueError, OverflowError)
     first_line: dict[tuple[int, int], int] = {}
-    with open(path) as f:
+    with open(path, "rb") as f:
         lines = ((n, line) for n, line in enumerate(f, start=1) if line.strip())
         while chunk := list(itertools.islice(lines, READ_CHUNK)):
             try:
@@ -792,4 +811,4 @@ def example_key(ex: TrainingExample) -> tuple:
     return (ex.m, ex.day_index, ex.trip_id, round(ex.t_c, 9),
             ex.enc.round(9).tobytes(), ex.dec.round(9).tobytes(),
             ex.targets.round(9).tobytes(), ex.prev_trip_ids.tobytes(),
-            ex.pw_trip_id, ex.fallback_mask.tobytes())
+            ex.pw_trip_id)

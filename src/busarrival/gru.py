@@ -29,13 +29,14 @@ Backward's work blocks come from one grow-only buffer per thread, reused
 rather than re-allocated each call (:func:`_scratch_blocks`), and so do the
 projection block and ``rec`` of a forward-only call (``keep_cache=False``),
 which keeps no cache and reuses its per-step views, made once per (T, H, B,
-direction) and kept per thread, for up to ``MAX_CHAIN_VIEWS`` shapes, until
-the buffer regrows. The buffer keeps the size of the widest call the thread
-has run; ``seq2seq`` runs forward-only chains in passes of
-``seq2seq.PASS_COLS`` columns (a last one up to 3 wider), which bounds it:
-3.3 MB at most in a full-scale training run, where whole 240-column
-validation blocks took it to 6.3 MB. The states, a kept cache, dL/dh0,
-dL/dctx and the weight gradients never come from it.
+direction) and kept per thread, for up to ``MAX_CHAIN_VIEWS`` shapes (a new
+shape past them evicts the oldest), until the buffer regrows. The buffer
+keeps the size of the widest call the thread has run; ``seq2seq`` runs
+forward-only chains in passes of ``seq2seq.PASS_COLS`` columns (a last one
+up to 3 wider), which bounds it: 3.3 MB at most in a full-scale training
+run, where whole 240-column validation blocks took it to 6.3 MB. The
+states, a kept cache, dL/dh0, dL/dctx and the weight gradients never come
+from it.
 Backward writes the weight gradients into a GruParams laid out as the
 weights, so a caller can hand it views into its own flat gradient vector.
 Weight gradients are single contractions over steps and batch. The only
@@ -179,7 +180,8 @@ def gru_forward(params: GruParams, h0: np.ndarray, xs: np.ndarray,
         if key not in getattr(_scratch, "chains", ()):
             gates, rec = _scratch_blocks((n, 3 * hid, b), (3 * hid, b))
             if len(_scratch.chains) >= MAX_CHAIN_VIEWS:
-                _scratch.chains.clear()
+                # the oldest shape goes: in a one-thread train, an earlier bank's
+                del _scratch.chains[next(iter(_scratch.chains))]
             steps = [(g[:2 * hid], *np.split(g, 3))
                      for g in (gates[::-1] if reverse else gates)]
             _scratch.chains[key] = (gates, rec, steps, rec[:hid], rec[:2 * hid],

@@ -16,8 +16,7 @@ def make_example(rng, m, n_sections, day_index=8, trip_id=1):
                              rng.uniform(20000, 30000, k),
                              rng.uniform(20000, 30000, k)]),
         targets=rng.uniform(60, 200, k),
-        prev_trip_ids=np.zeros(k, dtype=np.int64), pw_trip_id=2,
-        fallback_mask=np.zeros(k, dtype=bool))
+        prev_trip_ids=np.zeros(k, dtype=np.int64), pw_trip_id=2)
 
 
 def make_trip(trip_id, day_index, start_s, travel_times):

@@ -6,12 +6,13 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from busarrival import cli, dataprep, seq2seq
+from busarrival import cli, dataprep, evalkit, seq2seq
 from busarrival.dataprep import (RouteSpec, example_key, load_examples_jsonl,
                                  load_trips_csv)
 
@@ -762,6 +763,34 @@ class TestEvaluate:
                     ckpt_dir, "--trips", sim_dir / "trips.csv",
                     "--out", out, "--kind", "edu", "--threads", 1]) == 0
         assert json.loads((out / "manifest.json").read_text())["test_week"] == 2
+
+    @pytest.mark.parametrize("stage, module, name", [
+        ("load_trips", dataprep, "load_trips_csv"),
+        ("build_examples", dataprep, "build_examples"),
+        ("load_checkpoints", seq2seq, "load_bank_model"),
+        ("evaluate_grid", evalkit, "evaluate_grid"),
+        ("write_reports", evalkit, "save_query_log_csv"),
+    ])
+    def test_manifest_times_each_stage(self, tmp_path, tiny_config, sim_dir,
+                                       ckpt_dir, monkeypatch, stage, module, name):
+        # the work a stage times, slowed down, shows in that stage's time
+        delay, work = 0.25, getattr(module, name)
+
+        def slowed(*args, **kwargs):
+            time.sleep(delay)
+            return work(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, slowed)
+        out = tmp_path / "rep"
+        assert run(["evaluate", "--config", tiny_config, "--checkpoints",
+                    ckpt_dir, "--trips", sim_dir / "trips.csv",
+                    "--out", out, "--kind", "edu", "--threads", 1]) == 0
+        stage_s = json.loads((out / "manifest.json").read_text())["stage_s"]
+        assert list(stage_s) == sorted(["load_trips", "build_examples",
+                                        "load_checkpoints", "evaluate_grid",
+                                        "write_reports"])
+        assert stage_s[stage] >= delay
+        assert all(v >= 0 for v in stage_s.values())
 
     def test_refuses_checkpoints_trained_on_the_test_week(self, tmp_path,
                                                            capsys):

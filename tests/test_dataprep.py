@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -71,8 +72,7 @@ def reference_example(ds, trip, m, pw, t_c, fallback):
             return "no_previous_bus"
     enc = np.column_stack([trip.travel_times[m - 1::-1], pw.travel_times[m - 1::-1]])
     return TrainingExample(m, t_c, trip.day_index, trip.trip_id, enc, dec,
-                           trip.travel_times[m:].copy(), prev_ids, pw.trip_id,
-                           prev_ids < 0)
+                           trip.travel_times[m:].copy(), prev_ids, pw.trip_id)
 
 
 def reference_examples(ds, fallback):
@@ -547,9 +547,9 @@ class TestBlockBuilder:
         keys = [example_key(e) for e in examples]
 
         def shift(ex, step):
+            # the fallback mask is derived from the previous-trip ids
             for arr in (ex.enc, ex.dec, ex.targets, ex.prev_trip_ids):
                 arr += step
-            ex.fallback_mask ^= True
 
         for i, ex in enumerate([*examples, single]):
             shift(ex, 1)
@@ -614,7 +614,7 @@ class TestJsonlWriter:
         examples[1].targets[:] = [1e16, 5e-324, -5e-324]
         examples[1].t_c = float("-inf")
         examples[2].dec[:, 0] = -0.0
-        examples[3].fallback_mask[:] = True
+        examples[3].prev_trip_ids[:] = -1
         # integer arrays, as loading a file of whole numbers gives, write
         # as integers, also in a block next to float arrays
         ints = make_example(rng, 4, 8, trip_id=9)
@@ -664,17 +664,23 @@ WRONGLY_TYPED_IDS = [
     "prev_trip_id_false", "targets_string", "prev_trip_id_past_int64"]
 
 
+FALLBACK_MISMATCH = "fallback entries must be 1 exactly where prev_trip_ids is -1"
+BELOW_MINUS_ONE = "previous-trip ids must be -1 (no previous bus) or a trip id, got"
+
+
 def reference_load_examples_jsonl(path):
     """Each line parsed and validated on its own, in file order: the oracle
     for the block loader."""
     examples = []
-    with open(path) as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                ex = dataprep._parse_example(line)
+                ex, fallback = dataprep._parse_example(line.decode())
                 ex.validate(ex.m + ex.k)
+                if fallback != [int(i == -1) for i in ex.prev_trip_ids.tolist()]:
+                    raise DataError(FALLBACK_MISMATCH)
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise DataError(f"{path}:{lineno}: malformed example: "
                                 f"{type(e).__name__}: {e}") from e
@@ -686,8 +692,8 @@ def assert_same_examples(got, want):
     """Equal fields of equal types, arrays of equal dtype, shape and bits."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for name, value in vars(b).items():
-            other = getattr(a, name)
+        for name in (field.name for field in dataclasses.fields(b)):
+            value, other = getattr(b, name), getattr(a, name)
             assert type(other) is type(value), name
             if isinstance(value, np.ndarray):
                 assert (other.dtype, other.shape) == (value.dtype, value.shape), name
@@ -712,7 +718,6 @@ def mixed_lines(rng, n):
         ex = make_example(rng, int(rng.integers(1, n_s + 1)), n_s,
                           day_index=int(rng.integers(7, 21)), trip_id=i)
         ex.prev_trip_ids[:] = rng.integers(-1, 3, ex.k)
-        ex.fallback_mask = ex.prev_trip_ids < 0
         doc = json.loads(reference_example_line(ex))
         if i % 5 == 0:       # JSON integers: int64 arrays and an int T_c
             doc.update(t_c=int(doc["t_c"]), enc=np.trunc(ex.enc).astype(int).tolist(),
@@ -803,8 +808,15 @@ class TestBlockLoader:
         (lambda d: d["dec"][0].__setitem__(DEC_TE_PV, d["t_c"]),
          "DataError: previous-bus entry time not before T_c"),
         (lambda d: d.pop("enc"), "KeyError: 'enc'"),
+        (lambda d: d["fallback"].__setitem__(0, 1 - d["fallback"][0]),
+         f"DataError: {FALLBACK_MISMATCH}"),
+        (lambda d: d.update(fallback=d["fallback"][1:]),
+         f"DataError: {FALLBACK_MISMATCH}"),
+        (lambda d: d["prev_trip_ids"].__setitem__(0, -2),
+         f"DataError: {BELOW_MINUS_ONE} -2"),
     ], ids=["nan_t_c", "dec_shape", "enc_shape", "ids_shape", "negative_target",
-            "prev_bus_at_t_c", "missing_key"])
+            "prev_bus_at_t_c", "missing_key", "fallback_flipped", "fallback_shape",
+            "prev_trip_id_below_minus_one"])
     def test_invalid_line_past_the_first_chunk(self, tmp_path, edit, message):
         lines = example_lines(make_rng(42), dataprep.READ_CHUNK + 40)
         bad = dataprep.READ_CHUNK + 5
@@ -825,6 +837,16 @@ class TestBlockLoader:
         path = tmp_path / "ex.jsonl"
         path.write_text("".join(lines))
         self.assert_names_line(path, bad, message)
+
+    def test_line_that_is_not_utf8_past_the_first_chunk(self, tmp_path):
+        lines = [line.encode() for line in
+                 example_lines(make_rng(45), dataprep.READ_CHUNK + 40)]
+        bad = dataprep.READ_CHUNK + 12
+        lines[bad] = lines[bad][:30] + b"\xff" + lines[bad][30:]
+        path = tmp_path / "ex.jsonl"
+        path.write_bytes(b"".join(lines))
+        self.assert_names_line(path, bad, "UnicodeDecodeError: 'utf-8' codec "
+                                          "can't decode byte 0xff in position 30")
 
     def test_first_of_two_bad_lines_in_different_chunks_is_named(self, tmp_path):
         lines = example_lines(make_rng(44), 3 * dataprep.READ_CHUNK)
@@ -1216,10 +1238,33 @@ class TestCsvFormats:
     def test_example_id_and_mask_shapes_checked(self):
         ex = make_example(make_rng(3), 5, 8)
         ex.validate(8)
-        for name in ("prev_trip_ids", "fallback_mask"):
-            bad = replace(ex, **{name: getattr(ex, name)[:-1]})
-            with pytest.raises(DataError, match="fallback mask shape mismatch"):
-                bad.validate(8)
+        bad = replace(ex, prev_trip_ids=ex.prev_trip_ids[:-1])
+        with pytest.raises(DataError, match="fallback mask shape mismatch"):
+            bad.validate(8)
+        # the mask is derived, so it has the ids' shape
+        assert bad.fallback_mask.shape == bad.prev_trip_ids.shape
+
+    def test_fallback_mask_is_derived_and_read_only(self):
+        ex = make_example(make_rng(4), 3, 8)
+        ex.prev_trip_ids[[1, 3]] = -1
+        assert ex.fallback_mask.tolist() == [False, True, False, True, False]
+        with pytest.raises(ValueError, match="read-only"):
+            ex.fallback_mask[0] = True
+        with pytest.raises(AttributeError):
+            ex.fallback_mask = np.ones(5, dtype=bool)
+        assert ex.prev_trip_ids.tolist() == [0, -1, 0, -1, 0]
+        assert not hasattr(ex, "__dict__")
+
+    def test_previous_trip_id_below_minus_one_refused(self):
+        ex = make_example(make_rng(5), 4, 8)
+        ex.prev_trip_ids[2] = -7
+        block = TrainingExample(4, np.array([ex.t_c] * 2), None, None,
+                                *(np.stack([getattr(ex, f)] * 2) for f in (
+                                    "enc", "dec", "targets", "prev_trip_ids")),
+                                None)
+        for example in (ex, block):
+            with pytest.raises(DataError, match=re.escape(f"{BELOW_MINUS_ONE} -7")):
+                example.validate(8)
 
     def test_invalid_jsonl_example_reports_line(self, tmp_path):
         rng = make_rng(13)
@@ -1264,7 +1309,7 @@ class TestCsvFormats:
         block = TrainingExample(5, np.array([30000.0, t_c]), None, None,
                                 *(np.stack([getattr(ex, f)] * 2) for f in (
                                     "enc", "dec", "targets", "prev_trip_ids")),
-                                None, np.stack([ex.fallback_mask] * 2))
+                                None)
         with pytest.raises(DataError, match="T_c must be finite"):
             block.validate(8)
 

@@ -123,7 +123,7 @@ class TestBaselines:
 
     def test_persistence_uses_stored_fallback_values(self):
         ex = make_example(make_rng(8), 4, 10)
-        ex.fallback_mask[2] = True
+        ex.prev_trip_ids[2] = -1
         pred = baseline_persistence(ex)
         npt.assert_array_equal(pred, ex.dec[:, DEC_Z_PV])
 

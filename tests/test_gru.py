@@ -558,8 +558,8 @@ def test_param_count_and_validate():
 
 def test_forward_only_view_cache_is_bounded():
     # more widths than the cap, widest first so the work buffer never
-    # regrows: the cache is emptied when full, and states stay bitwise those
-    # of the training path
+    # regrows: once full, each new shape evicts the oldest, and states stay
+    # bitwise those of the training path
     rng = make_rng(59)
     hidden, d_x, steps = 3, 2, 4
     p = init_gru(rng, hidden, d_x)
@@ -573,9 +573,36 @@ def test_forward_only_view_cache_is_bounded():
             got, _ = gru_forward(p, h0, xs, keep_cache=False)
             same.append(got.tobytes() == want.tobytes())
             sizes.append(len(gru._scratch.chains))
-        return sizes, same
+        return sizes, same, [key[2] for key in gru._scratch.chains]
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        sizes, same = pool.submit(run).result(timeout=60)
+        sizes, same, kept = pool.submit(run).result(timeout=60)
     assert all(same)
-    assert sizes == [*range(1, gru.MAX_CHAIN_VIEWS + 1), *range(1, 10)]
+    assert sizes == [*range(1, gru.MAX_CHAIN_VIEWS + 1), *[gru.MAX_CHAIN_VIEWS] * 9]
+    assert kept == list(range(gru.MAX_CHAIN_VIEWS, 0, -1))
+
+
+def test_forward_only_view_cache_evicts_its_oldest_shape():
+    # a full cache keeps the newest shapes: those of the bank a one-thread
+    # train is on, whose views a later call reuses without carving them again
+    rng = make_rng(60)
+    hidden, d_x, steps = 3, 2, 4
+    p = init_gru(rng, hidden, d_x)
+    old = range(gru.MAX_CHAIN_VIEWS + 2, 2, -1)      # an earlier bank's widths
+
+    def run():
+        for b in (*old, 2, 1):
+            gru_forward(p, rng.normal(size=(hidden, b)),
+                        rng.normal(size=(steps, d_x, b)), keep_cache=False)
+        entries = {b: gru._scratch.chains[steps, hidden, b, False] for b in (2, 1)}
+        h0, xs = rng.normal(size=(hidden, 2)), rng.normal(size=(steps, d_x, 2))
+        got, _ = gru_forward(p, h0, xs, keep_cache=False)
+        want, _ = gru_forward(p, h0, xs)
+        return (entries, dict(gru._scratch.chains), got.tobytes() == want.tobytes())
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        entries, chains, same = pool.submit(run).result(timeout=60)
+    assert same and len(chains) == gru.MAX_CHAIN_VIEWS
+    assert [key[2] for key in chains] == [*range(gru.MAX_CHAIN_VIEWS, 2, -1), 2, 1]
+    for b, entry in entries.items():
+        assert chains[steps, hidden, b, False] is entry
