@@ -176,7 +176,7 @@ def cmd_prepare(args, cfg: dict) -> int:
     _timed(stage_s, "write_skips", dataprep.save_skip_report_csv, skips, skip_path)
     fallbacks, sections = Counter(), Counter()
     for ex in examples:
-        fallbacks[ex.m] += int(np.count_nonzero(ex.prev_trip_ids == -1))
+        fallbacks[ex.m] += int(np.count_nonzero(ex.fallback_mask))
         sections[ex.m] += ex.k
     _write_manifest(
         args.out, "prepare", cfg, [ex_path, skip_path],
@@ -194,19 +194,6 @@ def cmd_prepare(args, cfg: dict) -> int:
 
 def _kinds(kind_flag: str) -> list[str]:
     return [seq2seq.KIND_EDU, seq2seq.KIND_EDB] if kind_flag == "both" else [kind_flag]
-
-
-def _run_summary(history: list[dict], patience: int, wall_s: float) -> dict:
-    """One bank's training run: epochs run, why training stopped, the best
-    epoch (None without validation), each epoch's gradient norm and the
-    bank's wall seconds."""
-    vals = [h["val_loss"] for h in history]
-    best = None if vals[0] is None else int(np.argmin(vals))
-    # training stops once `patience` epochs have passed without improvement
-    stopped = ("patience" if best is not None and len(vals) - 1 - best >= patience
-               else "max_epochs")
-    return {"epochs": len(history), "stopped": stopped, "best_epoch": best,
-            "grad_norm": [h["grad_norm"] for h in history], "wall_s": wall_s}
 
 
 def cmd_train(args, cfg: dict) -> int:
@@ -246,10 +233,8 @@ def cmd_train(args, cfg: dict) -> int:
             trained = sum(len(h) * result.examples[r]
                           for r, h in result.histories.items())
             runs[kind] = {"wall_s": wall, "examples_per_s": trained / wall,
-                          "banks": {f"{lo}-{hi}": _run_summary(h, tcfg.patience,
-                                                               result.wall_s[lo, hi])
-                                    for (lo, hi), h in sorted(result.histories.items())
-                                    if h}}
+                          "banks": {f"{lo}-{hi}": summary for (lo, hi), summary
+                                    in sorted(result.summaries.items())}}
             # a bank without examples gets no checkpoint: evaluate and predict refuse it
             trained = [mo for mo in result.bank.models if result.examples[mo.m_lo, mo.m_hi]]
             outputs += seq2seq.save_bank(seq2seq.ModelBank(kind, route.n_sections, trained),
@@ -360,14 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Section-level bus travel time prediction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, out=True, threads=None):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides config)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="max worker processes for per-bank training")
         if out:
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed (overrides config)")
             p.add_argument("--out", required=True, help="output directory")
+        if threads:
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                           help=threads)
 
     p = sub.add_parser("simulate", help="generate a synthetic trip dataset")
     common(p)
@@ -387,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "the examples file is held out entirely (it is the "
                     "pipeline's test week); the newest remaining week serves "
                     "as the early-stopping validation split.")
-    common(p)
+    common(p, threads="max worker processes for per-bank training")
     p.add_argument("--examples", required=True, help="examples JSONL")
     p.add_argument("--kind", choices=["edu", "edb", "both"], default="both")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict remaining sections for a trip")
-    common(p, out=False)
+    common(p, out=False, threads="unused: predict runs in one process")
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--trips", required=True)
     p.add_argument("--trip-id", type=int, required=True, dest="trip_id")
@@ -416,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads: must be >= 1, got {args.threads}")
-        return args.func(args, load_config(args.config, args.seed))
+        return args.func(args, load_config(args.config, getattr(args, "seed", None)))
     except (ValueError, OSError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

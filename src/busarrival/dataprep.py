@@ -129,6 +129,8 @@ def check_trips(ids, day, weekday, e, z) -> None:
              (~(np.diff(e) > 0).all(axis=1), "entry times not increasing"),
              (~np.isclose(e[:, 1:], e[:, :-1] + z[:, :-1], atol=1e-6).all(axis=1),
               "entry times inconsistent with travel times"),
+             (~((day >= 0) & (day < 7 * MAX_WEEKS)),
+              f"day index outside [0, {7 * MAX_WEEKS})"),
              (weekday != day % 7, "weekday does not match day index"),
              # examples mark "no previous bus" with id -1
              (ids < 0, "negative trip id")]
@@ -172,7 +174,8 @@ class TrainingExample:
 
     def validate(self, n_sections: int) -> None:
         """Raise DataError unless this is a valid example; with ``t_c`` of
-        shape (n,) and a leading axis of n on every array, a block of n."""
+        shape (n,), a leading axis of n on every array and lists of n ids
+        (or None), a block of n."""
         lead, m, k = np.shape(self.t_c), self.m, n_sections - self.m
         if self.enc.shape != (*lead, m, 2):
             raise DataError("encoder sequence shape mismatch")
@@ -184,6 +187,13 @@ class TrainingExample:
         if bad.size:
             raise DataError(f"previous-trip ids must be -1 (no previous bus) "
                             f"or a trip id, got {bad.flat[0]}")
+        for name, end in (("day_index", 7 * MAX_WEEKS), ("trip_id", 2 ** 63),
+                          ("pw_trip_id", 2 ** 63)):
+            values = getattr(self, name)
+            bad = [v for v in (values if isinstance(values, list) else [values])
+                   if v is not None and not 0 <= v < end]
+            if bad:
+                raise DataError(f"{name} must lie in [0, {end}), got {bad[0]}")
         t_c = np.asarray(self.t_c)
         bad = t_c[~((t_c >= 0) & (t_c < SECONDS_PER_DAY))]      # NaN too
         if bad.size:
@@ -608,13 +618,13 @@ def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray):
     return s, starts, first
 
 
-def load_trips_csv(path, route: RouteSpec, days=None,
+def load_trips_csv(path, route: RouteSpec,
                    for_trip: int | None = None) -> TripDataset:
-    """The trips of a trips CSV, or only those of ``days`` when given, or of
-    the two days an example of trip ``for_trip`` reads, its own and the day
-    a week before: rows of other days are read no further than their day,
-    and every check applies to the rows kept. The rows kept are parsed as a
-    whole and checked as arrays; an error names the first line at fault."""
+    """The trips of a trips CSV, or only those of the two days an example of
+    trip ``for_trip`` reads, its own and the day a week before: rows of
+    other days are read no further than their day, and every check applies
+    to the rows kept. The rows kept are parsed as a whole and checked as
+    arrays; an error names the first line at fault."""
     with open(path) as f:
         text = f.read()
     header, *lines = text.split("\n")
@@ -623,8 +633,7 @@ def load_trips_csv(path, route: RouteSpec, days=None,
         raise DataError(f"{path}: unexpected trip CSV header: {header}")
     if lines[-1:] == [""]:
         lines.pop()                     # after the newline ending the last row
-    if for_trip is not None:
-        days = _example_days(path, text, for_trip)
+    days = None if for_trip is None else _example_days(path, text, for_trip)
     del text            # the lines hold the same characters; keep one copy
     try:
         rows, kept = _read_rows(lines, days)
@@ -743,7 +752,8 @@ def _parse_example(line: str) -> tuple[TrainingExample, list[int]]:
     if not set(d["fallback"]) <= {0, 1}:
         raise ValueError("fallback entries must be 0 or 1")
     # numpy reads true and false among numbers as 1 and 0; no key holds a "u"
-    # and only "fallback" an "f", so a line of no "u" and one "f" holds neither
+    # and only "fallback" an "f", so a line of no "u" and one "f" holds neither.
+    # Searching for the two literals instead took 16 times as long per line
     maybe_bool = "u" in line or line.find("f", line.find("f") + 1) >= 0
     enc, dec, targets = (np.array(d[name]) for name in ("enc", "dec", "targets"))
     for name, values in (("enc", enc), ("dec", dec), ("targets", targets)):
@@ -765,9 +775,12 @@ def _parse_block(lines: list[bytes]) -> list[TrainingExample]:
     for ex, fallback in parsed:
         groups.setdefault((ex.m, ex.k), []).append((ex, fallback))
     for (m, k), group in groups.items():
-        block = TrainingExample(m, np.array([ex.t_c for ex, _ in group]), None, None, *(
-            np.stack([getattr(ex, name) for ex, _ in group]) for name in (
-                "enc", "dec", "targets", "prev_trip_ids")), None)
+        column = lambda name: [getattr(ex, name) for ex, _ in group]
+        block = TrainingExample(
+            m, np.array(column("t_c")), column("day_index"), column("trip_id"),
+            *(np.stack(column(name)) for name in ("enc", "dec", "targets",
+                                                  "prev_trip_ids")),
+            column("pw_trip_id"))
         block.validate(m + k)
         # ValueError for lists of unequal lengths; a line alone has one shape
         if not np.array_equal(np.array([fb for _, fb in group]), block.fallback_mask):

@@ -425,9 +425,9 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     The examples are stacked and checked once, one block per position m, and
     each batch gathers its columns out of one block, so it runs as
     matrix-shaped GRU steps; batch order and composition are shuffled per
-    epoch from ``rng``. With a validation set, training stops after
-    ``patience`` epochs without improvement and the best weights are
-    restored (they are also restored when the epoch budget runs out). Each
+    epoch from ``rng``. With a validation set, training stops when
+    :func:`run_summary` of the history says so and the best epoch's weights
+    are restored (they are also restored when the epoch budget runs out). Each
     history entry holds the epoch's mean training loss, its validation loss
     (None without a validation set) and ``grad_norm``, the mean over its
     batches of the gradient's Euclidean norm.
@@ -439,7 +439,7 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
     state = init_adam(model.theta, lr=cfg.lr)
     bank = f"{model.kind} bank m={model.m_lo}-{model.m_hi}"
     history: list[dict] = []
-    best_val, best_theta, bad_epochs = np.inf, None, 0
+    best_theta = None
     for epoch in range(cfg.max_epochs):
         batches = []
         for blk in blocks:
@@ -466,18 +466,28 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
         entry = {"epoch": epoch, "train_loss": total / len(train_ex),
                  "val_loss": None, "grad_norm": norm_sum / len(batches)}
         if val_blocks:
-            val_loss = mean_loss(model, val_blocks)
-            entry["val_loss"] = val_loss
-            if val_loss < best_val:
-                best_val, best_theta, bad_epochs = val_loss, model.theta.copy(), 0
-            else:
-                bad_epochs += 1
+            entry["val_loss"] = mean_loss(model, val_blocks)
         history.append(entry)
-        if val_blocks and bad_epochs >= cfg.patience:
+        summary = run_summary(history, cfg.patience)
+        if summary["best_epoch"] == epoch:
+            best_theta = model.theta.copy()
+        if summary["stopped"] == "patience":
             break
     if best_theta is not None:
         model.theta[...] = best_theta
     return history
+
+
+def run_summary(history: list[dict], patience: int) -> dict:
+    """The :func:`train_model` run of ``history``: its epochs, why it stopped
+    ("patience" once ``patience`` epochs pass after the first lowest validation
+    loss, else "max_epochs"), that best epoch (or None) and each grad_norm."""
+    vals = [h["val_loss"] for h in history if h["val_loss"] is not None]
+    best = int(np.argmin(vals)) if vals else None
+    stopped = ("patience" if best is not None and len(vals) - 1 - best >= patience
+               else "max_epochs")
+    return {"epochs": len(history), "stopped": stopped, "best_epoch": best,
+            "grad_norm": [h["grad_norm"] for h in history]}
 
 
 @dataclass
@@ -502,7 +512,7 @@ class BankTrainResult:
     bank: ModelBank
     histories: dict    # (m_lo, m_hi) -> per-epoch history
     examples: dict     # (m_lo, m_hi) -> training examples per epoch, 0 if skipped
-    wall_s: dict       # (m_lo, m_hi) -> wall seconds of its training
+    summaries: dict    # trained (m_lo, m_hi) -> its run_summary and wall_s
 
 
 def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
@@ -520,12 +530,12 @@ def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
              [ex for ex in examples if m_lo <= ex.m <= m_hi])
             for idx, (m_lo, m_hi) in enumerate(layout)]
     # both maps return the results in job order
-    models, histories, counts, walls = zip(*(map if pool is None else pool.map)(
+    models, histories, counts, summaries = zip(*(map if pool is None else pool.map)(
         _train_one_bank, *zip(*jobs)))
     return BankTrainResult(bank=ModelBank(kind, n_sections, list(models)),
                            histories=dict(zip(layout, histories)),
                            examples=dict(zip(layout, counts)),
-                           wall_s=dict(zip(layout, walls)))
+                           summaries={r: s for r, s in zip(layout, summaries) if s})
 
 
 def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
@@ -535,7 +545,7 @@ def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
     model = new_model(kind, m_lo, m_hi, n_sections, init_rng,
                       hidden_enc=cfg.hidden_enc, hidden_dec=cfg.hidden_dec(kind))
     if not exs:
-        return model, [], 0, time.perf_counter() - start
+        return model, [], 0, None
     # duplicating a lone example leaves the pooled statistics unchanged
     model.norm = fit_normalizer(exs if len(exs) >= 2 else exs * 2)
     weeks = [ex.week for ex in exs]
@@ -544,7 +554,8 @@ def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
     val_ex = [ex for ex, week in zip(exs, weeks) if week == val_week]
     shuffle_rng = spawn_rng(cfg.seed, 20 + kind_tag, idx)
     history = train_model(model, train_ex, val_ex, cfg, shuffle_rng)
-    return model, history, len(train_ex), time.perf_counter() - start
+    return model, history, len(train_ex), {**run_summary(history, cfg.patience),
+                                           "wall_s": time.perf_counter() - start}
 
 
 # ---------------------------------------------------------------------------

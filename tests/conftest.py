@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from busarrival.dataprep import NormStats, RouteSpec, TrainingExample, TripRecord
+from busarrival import dataprep
+from busarrival.dataprep import (DataError, NormStats, RouteSpec, TrainingExample,
+                                 TripRecord)
 from busarrival.seq2seq import BANK_WIDTH, DEFAULT_HIDDEN_DEC, DEFAULT_HIDDEN_ENC
 
 
@@ -68,3 +72,40 @@ def toy_norm():
 @pytest.fixture
 def small_route():
     return RouteSpec(6, 800.0)
+
+
+FALLBACK_MISMATCH = "fallback entries must be 1 exactly where prev_trip_ids is -1"
+
+
+def reference_load_examples_jsonl(path):
+    """Each line parsed and validated on its own, in file order: the oracle
+    for the block loader."""
+    examples = []
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                ex, fallback = dataprep._parse_example(line.decode())
+                ex.validate(ex.m + ex.k)
+                if fallback != [int(i == -1) for i in ex.prev_trip_ids.tolist()]:
+                    raise DataError(FALLBACK_MISMATCH)
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise DataError(f"{path}:{lineno}: malformed example: "
+                                f"{type(e).__name__}: {e}") from e
+            examples.append(ex)
+    return examples
+
+
+def assert_same_examples(got, want):
+    """Equal fields of equal types, arrays of equal dtype, shape and bits."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in (field.name for field in dataclasses.fields(b)):
+            value, other = getattr(b, name), getattr(a, name)
+            assert type(other) is type(value), name
+            if isinstance(value, np.ndarray):
+                assert (other.dtype, other.shape) == (value.dtype, value.shape), name
+                assert other.tobytes() == value.tobytes(), name
+            else:
+                assert other == value, name

@@ -251,7 +251,7 @@ def test_c08_pipeline_determinism(tmp_path):
         assert cli.main(argv("evaluate", "--config", cfg_path, "--seed", 7,
                              "--checkpoints", root / "ckpt",
                              "--trips", root / "sim" / "trips.csv",
-                             "--out", root / "rep", "--threads", 1)) == 0
+                             "--out", root / "rep")) == 0
         digests = {}
         for sub in ("sim", "prep", "ckpt", "rep"):
             for p in sorted((root / sub).glob("*")):

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import json
@@ -220,11 +221,43 @@ def assert_threads_rejected(capsys, argv, out, threads):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", [0, -4])
-def test_simulate_rejects_threads_below_one(tmp_path, tiny_config, capsys,
-                                            threads):
-    assert_threads_rejected(capsys, ["simulate", "--config", tiny_config],
-                            tmp_path / "sim", threads)
+def test_each_command_takes_the_flags_it_reads():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    flags = {name: {flag for action in p._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")}
+             for name, p in commands.items()}
+    state = {"--config", "--seed", "--out"}
+    assert flags == {
+        "simulate": state,
+        "prepare": state | {"--trips", "--brute-force"},
+        "train": state | {"--threads", "--examples", "--kind"},
+        # --threads, unread, stays while the benchmark's serve workload passes it
+        "predict": {"--config", "--threads", "--checkpoints", "--trips",
+                    "--trip-id", "--m", "--tc", "--kind"},
+        "evaluate": state | {"--checkpoints", "--trips", "--kind"},
+    }
+    assert sum(map(len, flags.values())) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "sim", "--threads", "1"],
+    ["prepare", "--trips", "trips.csv", "--out", "prep", "--threads", "1"],
+    ["evaluate", "--checkpoints", "ckpt", "--trips", "trips.csv", "--out", "rep",
+     "--threads", "1"],
+    ["predict", "--checkpoints", "ckpt", "--trips", "trips.csv", "--trip-id", "1",
+     "--m", "3", "--seed", "1"],
+], ids=["simulate-threads", "prepare-threads", "evaluate-threads", "predict-seed"])
+def test_flag_a_command_does_not_read_is_unrecognized(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture
@@ -388,7 +421,7 @@ class TestTrain:
             config.write_text(json.dumps(cfg))
             assert run(["evaluate", "--config", config, "--checkpoints", out,
                         "--trips", sim / "trips.csv", "--out", tmp_path / "rep",
-                        "--kind", "edu", "--threads", 1]) == code
+                        "--kind", "edu"]) == code
             err = capsys.readouterr().err
             assert err == ("" if code == 0 else "error: missing checkpoint for edu "
                            f"bank 8-12: {out / 'edu_bank_08_12.json'}\n")
@@ -552,6 +585,24 @@ class TestPredict:
                     "--trip-id", 14000, "--m", 2]) == 2
         assert "m=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, tiny_config, sim_dir, ckpt_dir,
+                                        capsys, threads):
+        capsys.readouterr()
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4,
+                            "--threads", threads) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --threads: must be >= 1, got {threads}\n")
+
+    def test_threads_are_accepted_and_unused(self, tiny_config, sim_dir,
+                                             ckpt_dir, capsys):
+        outputs = []
+        for extra in ([], ["--threads", 1]):
+            capsys.readouterr()
+            assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4,
+                                *extra) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def predict(self, config, ckpt_dir, sim_dir, trip_id, m, *extra):
         return run(["predict", "--config", config, "--checkpoints", ckpt_dir,
@@ -711,8 +762,7 @@ def test_every_manifest_reports_peak_rss(tmp_path, tiny_config, sim_dir,
                                          prep_dir, ckpt_dir):
     out = tmp_path / "rep"
     assert run(["evaluate", "--config", tiny_config, "--checkpoints", ckpt_dir,
-                "--trips", sim_dir / "trips.csv", "--out", out, "--kind", "edu",
-                "--threads", 1]) == 0
+                "--trips", sim_dir / "trips.csv", "--out", out, "--kind", "edu"]) == 0
     for directory in (sim_dir, prep_dir, ckpt_dir, out):
         manifest = json.loads((directory / "manifest.json").read_text())
         assert manifest["peak_rss_mb"] > 0
@@ -724,7 +774,7 @@ class TestEvaluate:
         out = tmp_path / "rep"
         assert run(["evaluate", "--config", tiny_config, "--checkpoints",
                     ckpt_dir, "--trips", sim_dir / "trips.csv",
-                    "--out", out, "--threads", 1]) == 0
+                    "--out", out]) == 0
         report = (out / "report.csv").read_text().splitlines()
         queries = (out / "queries.csv").read_text().splitlines()
         assert report[0] == "i,j,method,n,mae_s,mape_pct,sig_vs_edu,sig_vs_edb"
@@ -749,8 +799,7 @@ class TestEvaluate:
         capsys.readouterr()
         # the check comes before any work: the trips file is never opened
         assert run(["evaluate", "--config", cfg, "--checkpoints", ckpt_dir,
-                    "--trips", tmp_path / "no_trips.csv", "--out", out,
-                    "--threads", 1]) == 2
+                    "--trips", tmp_path / "no_trips.csv", "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: {cfg}: evaluation.i_values: must hold a position < 8, "
             "got [8, 12]\n")
@@ -761,7 +810,7 @@ class TestEvaluate:
         out = tmp_path / "rep"
         assert run(["evaluate", "--config", tiny_config, "--checkpoints",
                     ckpt_dir, "--trips", sim_dir / "trips.csv",
-                    "--out", out, "--kind", "edu", "--threads", 1]) == 0
+                    "--out", out, "--kind", "edu"]) == 0
         assert json.loads((out / "manifest.json").read_text())["test_week"] == 2
 
     @pytest.mark.parametrize("stage, module, name", [
@@ -784,7 +833,7 @@ class TestEvaluate:
         out = tmp_path / "rep"
         assert run(["evaluate", "--config", tiny_config, "--checkpoints",
                     ckpt_dir, "--trips", sim_dir / "trips.csv",
-                    "--out", out, "--kind", "edu", "--threads", 1]) == 0
+                    "--out", out, "--kind", "edu"]) == 0
         stage_s = json.loads((out / "manifest.json").read_text())["stage_s"]
         assert list(stage_s) == sorted(["load_trips", "build_examples",
                                         "load_checkpoints", "evaluate_grid",
@@ -813,7 +862,7 @@ class TestEvaluate:
         capsys.readouterr()
         assert run(["evaluate", "--config", cfg, "--checkpoints", ckpt,
                     "--trips", sim / "trips.csv", "--out", tmp_path / "rep",
-                    "--kind", "edu", "--threads", 1]) == 2
+                    "--kind", "edu"]) == 2
         err = capsys.readouterr().err
         assert str(ckpt / "manifest.json") in err and "week 1" in err
         assert not (tmp_path / "rep").exists()
@@ -822,8 +871,7 @@ class TestEvaluate:
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         for d in (d1, d2):
             run(["evaluate", "--config", tiny_config, "--checkpoints",
-                 ckpt_dir, "--trips", sim_dir / "trips.csv", "--out", d,
-                 "--threads", 1])
+                 ckpt_dir, "--trips", sim_dir / "trips.csv", "--out", d])
         assert digest(d1 / "report.csv") == digest(d2 / "report.csv")
         assert digest(d1 / "queries.csv") == digest(d2 / "queries.csv")
 
@@ -834,8 +882,7 @@ class TestEvaluate:
         out = tmp_path / "rep"
         capsys.readouterr()
         assert run(["evaluate", "--config", tiny_config, "--checkpoints",
-                    ckpt_dir, "--trips", sim_dir / "trips.csv", "--out", out,
-                    "--threads", 1]) == 2
+                    ckpt_dir, "--trips", sim_dir / "trips.csv", "--out", out]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {manifest}: cannot read the training manifest: ")
         assert not out.exists()

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import warnings
@@ -17,7 +16,8 @@ from busarrival.dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
                                  closest_prev_week_trip, example_key,
                                  fit_normalizer)
 from busarrival.numkit import make_rng
-from conftest import denorm_tod, make_example, make_trip
+from conftest import (FALLBACK_MISMATCH, assert_same_examples, denorm_tod,
+                      make_example, make_trip, reference_load_examples_jsonl)
 
 
 def random_day_trips(rng, day, n_trips, n_sections, headway=300.0,
@@ -119,7 +119,7 @@ class TestTripRecord:
 
 
 def break_trip(trip, check):
-    """``trip`` edited to fail one of the six checks TripDataset makes of a trip."""
+    """``trip`` edited to fail one of the seven checks TripDataset makes of a trip."""
     if check == "length":
         trip.travel_times = trip.travel_times[:-1]
     elif check == "travel":
@@ -130,6 +130,8 @@ def break_trip(trip, check):
         trip.entry_times[3] += 5.0
     elif check == "weekday":
         trip.weekday = (trip.weekday + 1) % 7
+    elif check == "day":
+        trip.day_index += 7 * dataprep.MAX_WEEKS        # the same weekday
     else:
         trip.trip_id = -trip.trip_id
     return trip
@@ -149,6 +151,7 @@ class TestTripDataset:
         ("increasing", "entry times not increasing"),
         ("consistent", "entry times inconsistent with travel times"),
         ("weekday", "weekday does not match day index"),
+        ("day", "day index outside [0, 3640)"),
         ("negative-id", "negative trip id"),
     ])
     def test_first_bad_trip_in_input_order_is_named(self, small_route, check,
@@ -664,42 +667,7 @@ WRONGLY_TYPED_IDS = [
     "prev_trip_id_false", "targets_string", "prev_trip_id_past_int64"]
 
 
-FALLBACK_MISMATCH = "fallback entries must be 1 exactly where prev_trip_ids is -1"
 BELOW_MINUS_ONE = "previous-trip ids must be -1 (no previous bus) or a trip id, got"
-
-
-def reference_load_examples_jsonl(path):
-    """Each line parsed and validated on its own, in file order: the oracle
-    for the block loader."""
-    examples = []
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                ex, fallback = dataprep._parse_example(line.decode())
-                ex.validate(ex.m + ex.k)
-                if fallback != [int(i == -1) for i in ex.prev_trip_ids.tolist()]:
-                    raise DataError(FALLBACK_MISMATCH)
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise DataError(f"{path}:{lineno}: malformed example: "
-                                f"{type(e).__name__}: {e}") from e
-            examples.append(ex)
-    return examples
-
-
-def assert_same_examples(got, want):
-    """Equal fields of equal types, arrays of equal dtype, shape and bits."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for name in (field.name for field in dataclasses.fields(b)):
-            value, other = getattr(b, name), getattr(a, name)
-            assert type(other) is type(value), name
-            if isinstance(value, np.ndarray):
-                assert (other.dtype, other.shape) == (value.dtype, value.shape), name
-                assert other.tobytes() == value.tobytes(), name
-            else:
-                assert other == value, name
 
 
 def example_lines(rng, n):
@@ -814,9 +782,17 @@ class TestBlockLoader:
          f"DataError: {FALLBACK_MISMATCH}"),
         (lambda d: d["prev_trip_ids"].__setitem__(0, -2),
          f"DataError: {BELOW_MINUS_ONE} -2"),
+        # a day past MAX_WEEKS would set aside week 1428571428571428571428
+        (lambda d: d.update(day=10 ** 22),
+         f"DataError: day_index must lie in [0, 3640), got {10 ** 22}"),
+        (lambda d: d.update(trip_id=-5),
+         f"DataError: trip_id must lie in [0, {2 ** 63}), got -5"),
+        (lambda d: d.update(pw_trip_id=10 ** 22),
+         f"DataError: pw_trip_id must lie in [0, {2 ** 63}), got {10 ** 22}"),
     ], ids=["nan_t_c", "dec_shape", "enc_shape", "ids_shape", "negative_target",
             "prev_bus_at_t_c", "missing_key", "fallback_flipped", "fallback_shape",
-            "prev_trip_id_below_minus_one"])
+            "prev_trip_id_below_minus_one", "day_past_max_weeks", "negative_trip_id",
+            "pw_trip_id_past_int64"])
     def test_invalid_line_past_the_first_chunk(self, tmp_path, edit, message):
         lines = example_lines(make_rng(42), dataprep.READ_CHUNK + 40)
         bad = dataprep.READ_CHUNK + 5
@@ -1036,6 +1012,9 @@ TRIPS_FILE_FAULTS = [
           ("consistent", 7001, "entry times inconsistent with travel times"),
           ("weekday", 7001, "weekday does not match day index"),
           ("negative-id", -7001, "negative trip id")]],
+    # trip 7001 on day 3640 is on no day a read for trip 7000 keeps
+    *[("day", for_trip, "{path}:26: trip 7001: day index outside [0, 3640)")
+      for for_trip in (None, 7001)],
     ("unknown-trip", 999999, "{path}: no trip 999999"),
 ]
 
@@ -1104,9 +1083,9 @@ class TestCsvFormats:
         header, *rows = path.read_text().splitlines(keepends=True)
         shuffled.write_text(header + "".join(rows[i] for i in
                                              rng.permutation(len(rows))))
-        for days in (None, {1, 7}):
-            a = dataprep.load_trips_csv(path, small_route, days=days)
-            b = dataprep.load_trips_csv(shuffled, small_route, days=days)
+        for for_trip in (None, trips[-1].trip_id):          # days 7 and 0
+            a = dataprep.load_trips_csv(path, small_route, for_trip=for_trip)
+            b = dataprep.load_trips_csv(shuffled, small_route, for_trip=for_trip)
             for name in ("entry", "travel", "ids"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
             assert ([(t.trip_id, t.day_index, t.weekday) for t in a.trips]
@@ -1118,23 +1097,22 @@ class TestCsvFormats:
         path = tmp_path / "trips.csv"
         dataprep.save_trips_csv(trips, path)
         full = dataprep.load_trips_csv(path, small_route)
-        for days in ({8, 1}, {0}, {7, 99}):
-            got = dataprep.load_trips_csv(path, small_route, days=days)
+        # a read for a trip keeps its day and the day a week before, if any
+        for trip in (trips[-1], trips[4], trips[0]):         # days 8, 1 and 0
+            days = {trip.day_index, trip.day_index - 7}
+            got = dataprep.load_trips_csv(path, small_route, for_trip=trip.trip_id)
             want = TripDataset([t for t in full.trips if t.day_index in days],
                                small_route)
             for name in ("entry", "travel", "ids"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        with pytest.raises(DataError, match="no trip rows"):
-            dataprep.load_trips_csv(path, small_route, days={99})
 
     def test_header_only_file_has_no_trip_rows(self, tmp_path, small_route):
         path = tmp_path / "trips.csv"
         path.write_text(",".join(dataprep.TRIP_CSV_HEADER) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for days in (None, {0}):
-                with pytest.raises(DataError, match=re.escape(f"{path}: no trip rows")):
-                    dataprep.load_trips_csv(path, small_route, days=days)
+            with pytest.raises(DataError, match=re.escape(f"{path}: no trip rows")):
+                dataprep.load_trips_csv(path, small_route)
 
     def test_blank_row_is_malformed(self, tmp_path, small_route):
         path = tmp_path / "trips.csv"
@@ -1159,10 +1137,10 @@ class TestCsvFormats:
                 f"{path}:4: trip 0 repeats section 2")):
             dataprep.load_trips_csv(path, small_route)
 
-    @pytest.mark.parametrize("days", [None, {0}])
+    @pytest.mark.parametrize("for_trip", [None, 0])
     @pytest.mark.parametrize("column", ["trip_id", "day", "section"])
     def test_decimal_in_an_integer_column_is_malformed(self, tmp_path, small_route,
-                                                       column, days):
+                                                       column, for_trip):
         # numpy versions that only warn on "7.9" for an integer read it as 7
         path = tmp_path / "trips.csv"
         dataprep.save_trips_csv([make_trip(0, 0, 21600.0, [60.0] * 6)], path)
@@ -1172,7 +1150,7 @@ class TestCsvFormats:
         rows[3] = ",".join(fields)
         path.write_text("".join(rows))
         with pytest.raises(DataError, match=re.escape(f"{path}: malformed row 4: [")):
-            dataprep.load_trips_csv(path, small_route, days=days)
+            dataprep.load_trips_csv(path, small_route, for_trip=for_trip)
 
     def test_wrong_header_rejected(self, tmp_path, small_route):
         path = tmp_path / "bad.csv"

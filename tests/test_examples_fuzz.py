@@ -6,6 +6,11 @@ file truncated, a byte inserted, or one ``fallback`` entry flipped. Each
 mutated file must either load or fail with a DataError that starts with
 ``<path>:<line>:``; no other exception may escape. Where the mutation fixes
 the line at fault, the error must name that line.
+
+Each outcome is also compared with the per-line reference loader's: the
+same examples when the file loads, the same message when it fails. The one
+check the reference lacks is the refusal of a repeated example, so a file
+refused for a repeat is not compared.
 """
 
 import re
@@ -15,6 +20,7 @@ import pytest
 from busarrival import dataprep, simulator
 from busarrival.dataprep import DataError, RouteSpec, TripDataset
 from busarrival.numkit import make_rng
+from conftest import assert_same_examples, reference_load_examples_jsonl
 
 # Mutated files per mutation kind.
 MUTATIONS = 50
@@ -121,8 +127,13 @@ def test_mutated_file_loads_or_names_its_line(tmp_path, prepared, kind):
             assert where, str(e)
             assert bad_line is None or int(where.group(1)) == bad_line, str(e)
             outcomes.append("fail")
+            if str(e).startswith(f"{where.group(0)}repeated example: "):
+                continue
+            with pytest.raises(DataError) as want:
+                reference_load_examples_jsonl(path)
+            assert str(e) == str(want.value)
         else:
-            assert all(isinstance(ex, dataprep.TrainingExample) for ex in loaded)
+            assert_same_examples(loaded, reference_load_examples_jsonl(path))
             outcomes.append("load")
     if outcome is not None:
         assert set(outcomes) == {outcome}
