@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -174,10 +175,11 @@ def cmd_prepare(args, cfg: dict) -> int:
     skip_path = os.path.join(args.out, "skipped.csv")
     _timed(stage_s, "write_examples", dataprep.save_examples_jsonl, examples, ex_path)
     _timed(stage_s, "write_skips", dataprep.save_skip_report_csv, skips, skip_path)
-    fallbacks, sections = Counter(), Counter()
+    fallbacks, sections, banks = Counter(), Counter(), Counter()
     for ex in examples:
         fallbacks[ex.m] += int(np.count_nonzero(ex.fallback_mask))
         sections[ex.m] += ex.k
+        banks[seq2seq.bank_range(route.n_sections, ex.m)] += 1
     _write_manifest(
         args.out, "prepare", cfg, [ex_path, skip_path],
         stage_s=stage_s,
@@ -187,8 +189,7 @@ def cmd_prepare(args, cfg: dict) -> int:
         fallback_share_by_m={m: fallbacks[m] / n for m, n in sections.items()})
     print(f"prepare: {len(examples)} examples, {len(skips)} skipped")
     for m_lo, m_hi in seq2seq.bank_layout(route.n_sections):
-        n = sum(1 for ex in examples if m_lo <= ex.m <= m_hi)
-        print(f"  bank m={m_lo}-{m_hi}: {n} examples")
+        print(f"  bank m={m_lo}-{m_hi}: {banks[m_lo, m_hi]} examples")
     return 0
 
 
@@ -221,35 +222,24 @@ def cmd_train(args, cfg: dict) -> int:
               "nothing is validated and early stopping is off",
               file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
-    outputs, loss_rows, runs = [], [], {}
-    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=args.threads)
-            if args.threads > 1 else None)
-    try:
+    outputs, loss_rows, runs, walls = [], [], {}, {}
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=args.threads)
+          if args.threads > 1 else contextlib.nullcontext()) as pool:
         for kind in _kinds(args.kind):
-            start = time.perf_counter()
-            result = seq2seq.train_bank(kind, train_ex, route.n_sections,
-                                        tcfg, pool=pool)
-            wall = time.perf_counter() - start
-            trained = sum(len(h) * result.examples[r]
-                          for r, h in result.histories.items())
-            runs[kind] = {"wall_s": wall, "examples_per_s": trained / wall,
+            result = _timed(walls, kind, seq2seq.train_bank, kind, train_ex,
+                            route.n_sections, tcfg, pool=pool)
+            trained = sum(s["epochs"] * s["examples"] for s in result.summaries.values())
+            runs[kind] = {"wall_s": walls[kind], "examples_per_s": trained / walls[kind],
                           "banks": {f"{lo}-{hi}": summary for (lo, hi), summary
                                     in sorted(result.summaries.items())}}
-            # a bank without examples gets no checkpoint: evaluate and predict refuse it
-            trained = [mo for mo in result.bank.models if result.examples[mo.m_lo, mo.m_hi]]
-            outputs += seq2seq.save_bank(seq2seq.ModelBank(kind, route.n_sections, trained),
-                                         args.out)
+            # a bank without examples has no model: evaluate and predict refuse it
+            outputs += seq2seq.save_bank(result.bank, args.out)
             loss_rows += [[kind, f"{m_lo}-{m_hi}", h["epoch"], f"{h['train_loss']:.8f}",
                            "" if h["val_loss"] is None else f"{h['val_loss']:.8f}"]
                           for (m_lo, m_hi), history in sorted(result.histories.items())
                           for h in history]
-            for (m_lo, m_hi), n in result.examples.items():
-                if not n:
-                    print(f"train: skipped {kind} bank m={m_lo}-{m_hi} "
-                          "(no examples)", file=sys.stderr)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            for lo, hi in sorted(result.histories.keys() - result.summaries.keys()):
+                print(f"train: skipped {kind} bank m={lo}-{hi} (no examples)", file=sys.stderr)
     loss_path = os.path.join(args.out, "loss_curves.csv")
     dataprep.write_csv(loss_path, ["kind", "bank", "epoch", "train_loss",
                                    "val_loss"], loss_rows)
@@ -263,11 +253,9 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_predict(args, cfg: dict) -> int:
     route = _route(cfg)
-    m_range = seq2seq.bank_range(route.n_sections, args.m)
-    dataset = dataprep.load_trips_csv(args.trips, route, for_trip=args.trip_id)
     # one query needs only the checkpoint of the bank that covers m
-    bank = seq2seq.ModelBank(args.kind, route.n_sections, [seq2seq.load_bank_model(
-        args.checkpoints, args.kind, m_range, route.n_sections)])
+    bank = seq2seq.load_bank(args.checkpoints, args.kind, route.n_sections, [args.m])
+    dataset = dataprep.load_trips_csv(args.trips, route, for_trip=args.trip_id)
     ex = dataprep.build_example(dataset, args.trip_id, args.m, args.tc,
                                 cfg["dataprep"]["fallback"])
     if isinstance(ex, str):
@@ -312,10 +300,8 @@ def cmd_evaluate(args, cfg: dict) -> int:
         dataset, positions=i_values, days={t.day_index for t in test_trips},
         fallback=cfg["dataprep"]["fallback"])
     # only the banks that score a query, as in predict
-    ranges = sorted({seq2seq.bank_range(route.n_sections, i) for i in i_values})
-    banks = _timed(stage_s, "load_checkpoints", lambda: [seq2seq.ModelBank(
-        kind, route.n_sections, [seq2seq.load_bank_model(
-            args.checkpoints, kind, r, route.n_sections) for r in ranges])
+    banks = _timed(stage_s, "load_checkpoints", lambda: [seq2seq.load_bank(
+        args.checkpoints, kind, route.n_sections, i_values)
         for kind in _kinds(args.kind)])
     methods = {bank.kind: (lambda ex, b=bank: seq2seq.predict(b, ex).travel_s)
                for bank in banks}
@@ -333,7 +319,8 @@ def cmd_evaluate(args, cfg: dict) -> int:
         evalkit.save_report_csv(rows, report_path),
         evalkit.save_query_log_csv(queries, query_path)))
     _write_manifest(args.out, "evaluate", cfg, [report_path, query_path],
-                    test_week=test_week, stage_s=stage_s)
+                    test_week=test_week, stage_s=stage_s,
+                    verdict=evalkit.verdict(rows))
     print(f"evaluate: {len(rows)} grid rows over {len(examples)} test queries "
           f"-> {args.out}")
     return 0

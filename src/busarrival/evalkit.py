@@ -230,6 +230,21 @@ def _sig_flag(name: str, ref: str, abs_err: dict, alpha: float) -> str:
     return "better" if res.direction == "a" else "worse"
 
 
+def verdict(rows: list[GridRow]) -> dict:
+    """Per method, against EDU and EDB when each is another of the rows'
+    methods: the (i, j) pairs of lower MAPE and the better/worse flags."""
+    mape_of = {(r.i, r.j, r.method): r.mape_pct for r in rows}
+    out = {r.method: {} for r in rows}
+    for name, refs in out.items():
+        own = [r for r in rows if r.method == name]
+        for ref in sorted({"edu", "edb"} & out.keys() - {name}):
+            flags = [getattr(r, f"sig_vs_{ref}") for r in own]
+            refs[f"vs_{ref}"] = {
+                "mape_below": sum(r.mape_pct < mape_of[r.i, r.j, ref] for r in own),
+                "better": flags.count("better"), "worse": flags.count("worse")}
+    return out
+
+
 REPORT_CSV_HEADER = ["i", "j", "method", "n", "mae_s", "mape_pct",
                      "sig_vs_edu", "sig_vs_edb"]
 QUERY_CSV_HEADER = ["i", "j", "method", "day", "trip_id", "predicted_s",

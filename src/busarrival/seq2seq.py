@@ -84,7 +84,7 @@ class CoverageError(ValueError):
 
 
 class NonFiniteLossError(ValueError):
-    """A training batch produced a NaN or infinite loss."""
+    """A training batch or a validation pass produced a NaN or infinite loss."""
 
 
 class NonFiniteGradientError(ValueError):
@@ -179,24 +179,18 @@ class EdModel:
 
 
 def bank_layout(n_sections: int) -> list[tuple[int, int]]:
-    """Contiguous position ranges covering m in [3, n_sections-1].
-
-    Full ``BANK_WIDTH``-wide banks; a remainder widens the last bank (28-33
-    for a 34-section route). Routes with fewer than ``BANK_WIDTH`` coverable
-    positions get a single short bank.
-    """
-    first_m, width, last_m = FIRST_POSITION, BANK_WIDTH, n_sections - 1
-    if last_m < first_m:
+    """The :func:`bank_range` of each m in [3, n_sections-1], in order."""
+    if n_sections - 1 < FIRST_POSITION:
         raise ValueError("route too short for any covered position")
-    banks = [(first_m + i * width, first_m + (i + 1) * width - 1)
-             for i in range(max(1, (last_m - first_m + 1) // width))]
-    banks[-1] = (banks[-1][0], last_m)
-    return banks
+    return list(dict.fromkeys(bank_range(n_sections, m)
+                              for m in range(FIRST_POSITION, n_sections)))
 
 
 def bank_range(n_sections: int, m: int) -> tuple[int, int]:
-    """The ``(m_lo, m_hi)`` of the bank of :func:`bank_layout` that covers m,
-    found by arithmetic, so a large route builds no layout."""
+    """The ``(m_lo, m_hi)`` of the bank that covers m: banks are
+    ``BANK_WIDTH`` positions wide from m=3, a remainder widens the last one
+    (28-33 for a 34-section route), and a route of fewer coverable positions
+    has one short bank. Found by arithmetic, so a large route builds no layout."""
     first_m, width, last_m = FIRST_POSITION, BANK_WIDTH, n_sections - 1
     if not first_m <= m <= last_m:
         raise CoverageError(f"position m={m} is not covered; models span m in "
@@ -466,7 +460,10 @@ def train_model(model: EdModel, train_ex: list[TrainingExample],
         entry = {"epoch": epoch, "train_loss": total / len(train_ex),
                  "val_loss": None, "grad_norm": norm_sum / len(batches)}
         if val_blocks:
-            entry["val_loss"] = mean_loss(model, val_blocks)
+            entry["val_loss"] = val_loss = mean_loss(model, val_blocks)
+            if not math.isfinite(val_loss):
+                raise NonFiniteLossError(
+                    f"{bank}: validation loss is {val_loss} at epoch {epoch}")
         history.append(entry)
         summary = run_summary(history, cfg.patience)
         if summary["best_epoch"] == epoch:
@@ -492,8 +489,8 @@ def run_summary(history: list[dict], patience: int) -> dict:
 
 @dataclass
 class ModelBank:
-    """Ordered models of one kind, one per bank of :func:`bank_layout`; a
-    bank that only predicts may hold just the models its queries need."""
+    """Ordered models of one kind, one per bank of :func:`bank_layout`; it
+    may hold just the banks that trained, or that its queries need."""
 
     kind: str
     n_sections: int
@@ -509,53 +506,52 @@ class ModelBank:
 
 @dataclass
 class BankTrainResult:
-    bank: ModelBank
-    histories: dict    # (m_lo, m_hi) -> per-epoch history
-    examples: dict     # (m_lo, m_hi) -> training examples per epoch, 0 if skipped
-    summaries: dict    # trained (m_lo, m_hi) -> its run_summary and wall_s
+    bank: ModelBank    # the trained models: a bank without examples has none
+    histories: dict    # every (m_lo, m_hi) -> per-epoch history, [] if skipped
+    summaries: dict    # trained (m_lo, m_hi) -> its run_summary, examples, wall_s
 
 
 def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
                cfg: TrainConfig, pool=None) -> BankTrainResult:
     """Train one model per bank on its own examples.
 
-    The last training week serves as the validation split. Banks without
-    examples keep their initial weights and count 0 examples. When
-    ``pool`` (a concurrent.futures executor) is given, banks train in
-    parallel; results are identical either way because every bank derives
-    its own RNG from (seed, kind, bank index).
+    The last training week serves as the validation split. A bank without
+    examples gets no model and no summary. When ``pool`` (a
+    concurrent.futures executor) is given, banks train in parallel; results
+    are identical either way because every bank derives its own RNG from
+    (seed, kind, bank index).
     """
     layout = bank_layout(n_sections)
     jobs = [(kind, n_sections, cfg, idx, m_lo, m_hi,
              [ex for ex in examples if m_lo <= ex.m <= m_hi])
             for idx, (m_lo, m_hi) in enumerate(layout)]
     # both maps return the results in job order
-    models, histories, counts, summaries = zip(*(map if pool is None else pool.map)(
+    models, histories, summaries = zip(*(map if pool is None else pool.map)(
         _train_one_bank, *zip(*jobs)))
-    return BankTrainResult(bank=ModelBank(kind, n_sections, list(models)),
+    return BankTrainResult(bank=ModelBank(kind, n_sections,
+                                          [mo for mo in models if mo is not None]),
                            histories=dict(zip(layout, histories)),
-                           examples=dict(zip(layout, counts)),
                            summaries={r: s for r, s in zip(layout, summaries) if s})
 
 
 def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
+    if not exs:
+        return None, [], None
     start = time.perf_counter()
     kind_tag = 0 if kind == KIND_EDU else 1
     init_rng = spawn_rng(cfg.seed, 10 + kind_tag, idx)
     model = new_model(kind, m_lo, m_hi, n_sections, init_rng,
                       hidden_enc=cfg.hidden_enc, hidden_dec=cfg.hidden_dec(kind))
-    if not exs:
-        return model, [], 0, None
     # duplicating a lone example leaves the pooled statistics unchanged
     model.norm = fit_normalizer(exs if len(exs) >= 2 else exs * 2)
-    weeks = [ex.week for ex in exs]
-    val_week = split_week(weeks)
-    train_ex = [ex for ex, week in zip(exs, weeks) if week != val_week]
-    val_ex = [ex for ex, week in zip(exs, weeks) if week == val_week]
+    val_week = split_week(ex.week for ex in exs)
+    train_ex = [ex for ex in exs if ex.week != val_week]
+    val_ex = [ex for ex in exs if ex.week == val_week]
     shuffle_rng = spawn_rng(cfg.seed, 20 + kind_tag, idx)
     history = train_model(model, train_ex, val_ex, cfg, shuffle_rng)
-    return model, history, len(train_ex), {**run_summary(history, cfg.patience),
-                                           "wall_s": time.perf_counter() - start}
+    return model, history, {**run_summary(history, cfg.patience),
+                            "examples": len(train_ex),
+                            "wall_s": time.perf_counter() - start}
 
 
 # ---------------------------------------------------------------------------
@@ -636,38 +632,36 @@ def load_model_json(path) -> EdModel:
     return model
 
 
-def checkpoint_filename(kind: str, m_lo: int, m_hi: int) -> str:
-    return f"{kind}_bank_{m_lo:02d}_{m_hi:02d}.json"
+def checkpoint_path(ckpt_dir, kind: str, m_lo: int, m_hi: int) -> str:
+    return os.path.join(str(ckpt_dir), f"{kind}_bank_{m_lo:02d}_{m_hi:02d}.json")
 
 
 def save_bank(bank: ModelBank, out_dir) -> list:
-    paths = [os.path.join(str(out_dir), checkpoint_filename(mo.kind, mo.m_lo, mo.m_hi))
-             for mo in bank.models]
+    paths = [checkpoint_path(out_dir, mo.kind, mo.m_lo, mo.m_hi) for mo in bank.models]
     for model, path in zip(bank.models, paths):
         save_model_json(model, path)
     return paths
 
 
-def load_bank_model(ckpt_dir, kind: str, m_range: tuple[int, int],
-                    n_sections: int) -> EdModel:
-    """The model of one bank, read from its checkpoint in ``ckpt_dir``,
-    which must hold what its file name says: that kind and bank range, on a
-    route of ``n_sections``."""
-    m_lo, m_hi = m_range
-    path = os.path.join(str(ckpt_dir), checkpoint_filename(kind, m_lo, m_hi))
-    if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"missing checkpoint for {kind} bank {m_lo}-{m_hi}: {path}")
-    model = load_model_json(path)
-    got = (model.kind, model.m_lo, model.m_hi, model.n_sections)
-    if got != (kind, m_lo, m_hi, n_sections):
-        raise DataError(f"{path}: holds the {got[0]} model of bank "
-                        f"{got[1]}-{got[2]} on {got[3]} sections, not the "
-                        f"{kind} model of bank {m_lo}-{m_hi} on {n_sections}")
-    return model
-
-
-def load_bank(ckpt_dir, kind: str, n_sections: int) -> ModelBank:
-    return ModelBank(kind=kind, n_sections=n_sections, models=[
-        load_bank_model(ckpt_dir, kind, m_range, n_sections)
-        for m_range in bank_layout(n_sections)])
+def load_bank(ckpt_dir, kind: str, n_sections: int, positions=None) -> ModelBank:
+    """The models of ``kind`` of the banks that cover ``positions`` (every
+    bank when None), each read from its checkpoint in ``ckpt_dir``, which
+    must hold what its file name says: that kind and bank range, on a route
+    of ``n_sections``. An uncovered position raises CoverageError before
+    any checkpoint is read."""
+    ranges = (bank_layout(n_sections) if positions is None
+              else sorted({bank_range(n_sections, m) for m in positions}))
+    models = []
+    for m_lo, m_hi in ranges:
+        path = checkpoint_path(ckpt_dir, kind, m_lo, m_hi)
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"missing checkpoint for {kind} bank {m_lo}-{m_hi}: {path}")
+        model = load_model_json(path)
+        got = (model.kind, model.m_lo, model.m_hi, model.n_sections)
+        if got != (kind, m_lo, m_hi, n_sections):
+            raise DataError(f"{path}: holds the {got[0]} model of bank "
+                            f"{got[1]}-{got[2]} on {got[3]} sections, not the "
+                            f"{kind} model of bank {m_lo}-{m_hi} on {n_sections}")
+        models.append(model)
+    return ModelBank(kind, n_sections, models)

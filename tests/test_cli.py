@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import csv
 import hashlib
 import json
 import os
@@ -509,6 +510,35 @@ class TestTrain:
         assert {summary["banks"]["3-7"]["stopped"] for summary
                 in manifest["training"].values()} == {"patience", "max_epochs"}
 
+    def test_manifest_records_each_banks_examples(self, tmp_path, tiny_config):
+        # 13 sections make banks 3-7 and 8-12; without m=9 and m=10 the
+        # second trains on fewer examples
+        cfg = json.loads(tiny_config.read_text())
+        cfg["route"]["n_sections"] = 13
+        cfg["training"]["max_epochs"] = 1
+        config = tmp_path / "thirteen.json"
+        config.write_text(json.dumps(cfg))
+        sim, prep, out = tmp_path / "sim", tmp_path / "prep", tmp_path / "ckpt"
+        run(["simulate", "--config", config, "--out", sim])
+        run(["prepare", "--config", config, "--trips", sim / "trips.csv",
+             "--out", prep])
+        lines = (prep / "examples.jsonl").read_text().splitlines(keepends=True)
+        some = tmp_path / "some.jsonl"
+        some.write_text("".join(line for line in lines
+                                if json.loads(line)["m"] not in (9, 10)))
+        assert run(["train", "--config", config, "--examples", some,
+                    "--out", out, "--threads", 1]) == 0
+        examples = load_examples_jsonl(some)
+        held_out = max(ex.week for ex in examples)
+        want = {f"{lo}-{hi}": sum(lo <= ex.m <= hi and ex.week != held_out
+                                  for ex in examples)
+                for lo, hi in ((3, 7), (8, 12))}
+        assert want["3-7"] != want["8-12"]
+        training = json.loads((out / "manifest.json").read_text())["training"]
+        for kind in ("edu", "edb"):
+            assert {bank: summary["examples"] for bank, summary
+                    in training[kind]["banks"].items()} == want
+
     def test_manifest_reports_load_time_and_memory(self, ckpt_dir):
         manifest = json.loads((ckpt_dir / "manifest.json").read_text())
         assert list(manifest["stage_s"]) == ["load_examples"]
@@ -813,10 +843,32 @@ class TestEvaluate:
                     "--out", out, "--kind", "edu"]) == 0
         assert json.loads((out / "manifest.json").read_text())["test_week"] == 2
 
+    @pytest.mark.parametrize("field", ["mape_below", "better", "worse"])
+    def test_manifest_records_the_verdict(self, tmp_path, tiny_config, sim_dir,
+                                          ckpt_dir, field):
+        out = tmp_path / "rep"
+        assert run(["evaluate", "--config", tiny_config, "--checkpoints",
+                    ckpt_dir, "--trips", sim_dir / "trips.csv", "--out", out]) == 0
+        # recomputed from the report: per method, each other model kind's counts
+        with open(out / "report.csv") as f:
+            report = list(csv.DictReader(f))
+        mape = {(r["i"], r["j"], r["method"]): float(r["mape_pct"]) for r in report}
+        want = {}
+        for r in report:
+            for ref in {"edu", "edb"} - {r["method"]}:
+                hit = (float(r["mape_pct"]) < mape[r["i"], r["j"], ref]
+                       if field == "mape_below" else r[f"sig_vs_{ref}"] == field)
+                counts = want.setdefault(r["method"], {})
+                counts[f"vs_{ref}"] = counts.get(f"vs_{ref}", 0) + hit
+        verdict = json.loads((out / "manifest.json").read_text())["verdict"]
+        assert set(verdict) == {"edu", "edb", "persistence", "hist_mean"}
+        assert {method: {ref: c[field] for ref, c in refs.items()}
+                for method, refs in verdict.items()} == want
+
     @pytest.mark.parametrize("stage, module, name", [
         ("load_trips", dataprep, "load_trips_csv"),
         ("build_examples", dataprep, "build_examples"),
-        ("load_checkpoints", seq2seq, "load_bank_model"),
+        ("load_checkpoints", seq2seq, "load_model_json"),
         ("evaluate_grid", evalkit, "evaluate_grid"),
         ("write_reports", evalkit, "save_query_log_csv"),
     ])

@@ -314,3 +314,49 @@ def test_report_csv_format(tmp_path):
     assert rp.read_text().splitlines()[0] == \
         "i,j,method,n,mae_s,mape_pct,sig_vs_edu,sig_vs_edb"
     assert qp.read_text().splitlines()[1] == "5,10,edu,7,3,10.000000,12.000000"
+
+
+class TestVerdict:
+    # three (i, j) pairs; each row is (method, mape_pct, sig_vs_edu, sig_vs_edb)
+    GRID = {(5, 10): [("edu", 4.0, "-", "worse"), ("edb", 3.0, "better", "-"),
+                      ("persistence", 5.0, "worse", "worse")],
+            (5, 12): [("edu", 4.0, "-", "ns"), ("edb", 4.0, "ns", "-"),
+                      ("persistence", 3.5, "better", "n<30")],
+            (10, 12): [("edu", 6.0, "-", "worse"), ("edb", 2.0, "better", "-"),
+                       ("persistence", 2.5, "ns", "worse")]}
+
+    def verdict(self, methods=("edu", "edb", "persistence")):
+        return evalkit.verdict([
+            evalkit.GridRow(i, j, method, 40, 1.0, mape_pct, vs_edu, vs_edb)
+            for (i, j), rows in self.GRID.items()
+            for method, mape_pct, vs_edu, vs_edb in rows if method in methods])
+
+    def field(self, name):
+        return {method: {ref: counts[name] for ref, counts in refs.items()}
+                for method, refs in self.verdict().items()}
+
+    def test_mape_below_edu(self):
+        # equal MAPEs (edb at (5, 12)) are not below
+        assert {method: refs.get("vs_edu") for method, refs
+                in self.field("mape_below").items()} == {
+            "edu": None, "edb": 2, "persistence": 2}
+
+    def test_mape_below_edb(self):
+        assert {method: refs.get("vs_edb") for method, refs
+                in self.field("mape_below").items()} == {
+            "edu": 0, "edb": None, "persistence": 1}
+
+    def test_better(self):
+        assert self.field("better") == {
+            "edu": {"vs_edb": 0}, "edb": {"vs_edu": 2},
+            "persistence": {"vs_edu": 1, "vs_edb": 0}}
+
+    def test_worse(self):
+        assert self.field("worse") == {
+            "edu": {"vs_edb": 2}, "edb": {"vs_edu": 0},
+            "persistence": {"vs_edu": 1, "vs_edb": 2}}
+
+    def test_absent_reference_is_left_out(self):
+        assert self.verdict(("edu", "persistence")) == {
+            "edu": {},
+            "persistence": {"vs_edu": {"mape_below": 2, "better": 1, "worse": 1}}}

@@ -652,8 +652,36 @@ class TestTraining:
         cfg = TrainConfig(max_epochs=1, hidden_enc=4, hidden_dec_edu=3,
                           hidden_dec_edb=2)
         result = train_bank("edu", exs, 34, cfg)
-        assert result.examples[(8, 12)] == 0 and result.examples[(3, 7)] != 0
-        assert len(result.bank.models) == 6
+        # every bank has a history; only the trained one has a summary
+        assert list(result.histories) == bank_layout(34)
+        assert result.histories[(8, 12)] == [] and result.histories[(3, 7)] != []
+        assert list(result.summaries) == [(3, 7)]
+        assert result.summaries[(3, 7)]["examples"] == 3
+        assert [(mo.m_lo, mo.m_hi) for mo in result.bank.models] == [(3, 7)]
+
+    def test_skipped_bank_builds_no_model(self, tmp_path, toy_norm, monkeypatch):
+        built = []
+        original = seq2seq.new_model
+
+        def counted(kind, m_lo, m_hi, *args, **kwargs):
+            built.append((m_lo, m_hi))
+            return original(kind, m_lo, m_hi, *args, **kwargs)
+
+        monkeypatch.setattr(seq2seq, "new_model", counted)
+        rng = make_rng(23)
+        exs = [make_example(rng, m, 34, day_index=7, trip_id=i)
+               for i, m in enumerate((4, 14, 15))]
+        cfg = TrainConfig(max_epochs=1, hidden_enc=4, hidden_dec_edu=3,
+                          hidden_dec_edb=2)
+        result = train_bank("edb", exs, 34, cfg)
+        assert built == [(3, 7), (13, 17)]
+        assert save_bank(result.bank, tmp_path) == [
+            os.path.join(tmp_path, name)
+            for name in ("edb_bank_03_07.json", "edb_bank_13_17.json")]
+        assert sorted(os.listdir(tmp_path)) == ["edb_bank_03_07.json",
+                                                "edb_bank_13_17.json"]
+        assert {r: s["examples"] for r, s in result.summaries.items()} == {
+            (3, 7): 1, (13, 17): 2}
 
     def test_nonfinite_loss_raises_before_update(self, toy_norm):
         model = new_model("edb", 3, 7, 8, make_rng(30), hidden_enc=4,
@@ -666,6 +694,27 @@ class TestTraining:
                            match=r"edb bank m=3-7: .* epoch 0, batch 0"):
             train_model(model, exs, exs, TrainConfig(max_epochs=2), make_rng(0))
         npt.assert_array_equal(model.theta, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_validation_loss_raises(self, toy_norm, monkeypatch, bad):
+        # epoch 0 validates finitely, epoch 1 does not; the stop rule must
+        # never see the bad loss
+        losses, seen, summary = iter([0.5, bad]), [], seq2seq.run_summary
+
+        def watched(history, patience):
+            seen.append([h["val_loss"] for h in history])
+            return summary(history, patience)
+
+        monkeypatch.setattr(seq2seq, "mean_loss", lambda model, blocks: next(losses))
+        monkeypatch.setattr(seq2seq, "run_summary", watched)
+        model = new_model("edu", 3, 7, 8, make_rng(30), hidden_enc=4,
+                          hidden_dec=3, norm=toy_norm)
+        rng = make_rng(31)
+        exs = [make_example(rng, 4, 8, trip_id=i) for i in range(3)]
+        with pytest.raises(NonFiniteLossError) as info:
+            train_model(model, exs, exs, TrainConfig(max_epochs=5), make_rng(0))
+        assert str(info.value) == f"edu bank m=3-7: validation loss is {bad} at epoch 1"
+        assert seen == [[0.5]]
 
     def test_nonfinite_gradient_raises_before_update(self, toy_norm):
         # all-zero states make the prediction exactly 0 whatever w_out is,
@@ -952,10 +1001,43 @@ class TestCheckpoints:
         assert first.read_bytes() == second.read_bytes()
 
     def test_bank_round_trip(self, tmp_path, toy_norm):
-        bank = zero_bank("edu", 10, toy_norm)
+        # without positions, every bank of the layout: six at 34 sections
+        bank = ModelBank("edb", 34, [
+            new_model("edb", lo, hi, 34, make_rng(lo), hidden_enc=3, hidden_dec=2,
+                      norm=toy_norm) for lo, hi in bank_layout(34)])
         save_bank(bank, tmp_path)
-        loaded = load_bank(tmp_path, "edu", 10)
-        assert [(m.m_lo, m.m_hi) for m in loaded.models] == bank_layout(10)
+        loaded = load_bank(tmp_path, "edb", 34)
+        assert (loaded.kind, loaded.n_sections) == ("edb", 34)
+        assert [(m.m_lo, m.m_hi) for m in loaded.models] == bank_layout(34)
+        for model, back in zip(bank.models, loaded.models):
+            assert back.dims() == model.dims()
+            npt.assert_array_equal(back.theta, model.theta)
+
+    def test_bank_of_positions_reads_only_their_checkpoints(self, tmp_path, toy_norm):
+        # 20 sections make banks 3-7, 8-12 and 13-19; 8-12 covers no position
+        save_bank(zero_bank("edu", 20, toy_norm), tmp_path)
+        (tmp_path / "edu_bank_08_12.json").unlink()
+        bank = load_bank(tmp_path, "edu", 20, [14, 4, 19, 5])
+        assert [(mo.m_lo, mo.m_hi) for mo in bank.models] == [(3, 7), (13, 19)]
+        assert bank.model_for(19) is bank.models[1]
+
+    def test_bank_of_positions_names_a_missing_checkpoint(self, tmp_path, toy_norm):
+        save_bank(zero_bank("edu", 20, toy_norm), tmp_path)
+        path = tmp_path / "edu_bank_13_19.json"
+        path.unlink()
+        with pytest.raises(FileNotFoundError) as info:
+            load_bank(tmp_path, "edu", 20, [4, 15])
+        assert str(info.value) == f"missing checkpoint for edu bank 13-19: {path}"
+
+    def test_uncovered_position_fails_before_any_read(self, tmp_path, toy_norm,
+                                                      monkeypatch):
+        save_bank(zero_bank("edu", 20, toy_norm), tmp_path)
+        read = []
+        monkeypatch.setattr(seq2seq, "load_model_json", read.append)
+        for positions in ([5, 2], [20, 14]):
+            with pytest.raises(CoverageError, match=r"is not covered"):
+                load_bank(tmp_path, "edu", 20, positions)
+        assert read == []
 
     def test_missing_checkpoint_names_bank(self, tmp_path, toy_norm):
         bank = zero_bank("edu", 10, toy_norm)
