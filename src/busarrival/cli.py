@@ -197,25 +197,26 @@ def _kinds(kind_flag: str) -> list[str]:
     return [seq2seq.KIND_EDU, seq2seq.KIND_EDB] if kind_flag == "both" else [kind_flag]
 
 
+def _split(trips_path, dataset) -> tuple[list, list, int]:
+    """Training and test trips, and the test week: the trips file's newest."""
+    try:
+        train, test = simulator.split_train_test(dataset.trips)
+    except ValueError as e:
+        raise ValueError(f"{trips_path}: {e}") from e
+    return train, test, test[0].day_index // 7
+
+
 def cmd_train(args, cfg: dict) -> int:
     route = _route(cfg)
     tcfg = _train_config(cfg)
     stage_s = {}
-    examples = _timed(stage_s, "load_examples", dataprep.load_examples_jsonl,
-                      args.examples)
-    if not examples:
-        raise ValueError(f"{args.examples}: no training examples")
-    for ex in examples:
-        if ex.m + ex.k != route.n_sections:
-            raise dataprep.DataError(
-                f"{args.examples}: the example of trip {ex.trip_id} at m={ex.m} "
-                f"spans {ex.m + ex.k} sections, the route has {route.n_sections}")
-    held_out = dataprep.split_week(ex.week for ex in examples)
-    train_ex = [ex for ex in examples if ex.week != held_out]
-    if not any(seq2seq.FIRST_POSITION <= ex.m <= route.n_sections - 1
-               for ex in train_ex):
-        raise ValueError(f"{args.examples}: no examples fall inside any coverable "
-                         f"bank; it holds positions {sorted({ex.m for ex in examples})}")
+    dataset = _timed(stage_s, "load_trips", dataprep.load_trips_csv, args.trips, route)
+    train_trips, _, held_out = _split(args.trips, dataset)
+    train_ex, _ = _timed(stage_s, "build_examples", dataprep.build_examples, dataset,
+                         days={t.day_index for t in train_trips},
+                         fallback=cfg["dataprep"]["fallback"])
+    if not train_ex:
+        raise ValueError(f"{args.trips}: no training examples outside held-out week {held_out}")
     validation_week = dataprep.split_week(ex.week for ex in train_ex)
     if validation_week is None:
         print(f"train: held-out week {held_out} leaves one training week, so "
@@ -282,8 +283,7 @@ def cmd_evaluate(args, cfg: dict) -> int:
                          f"hold a position < {route.n_sections}, got {list(ecfg['i_values'])}")
     stage_s = {}
     dataset = _timed(stage_s, "load_trips", dataprep.load_trips_csv, args.trips, route)
-    train_trips, test_trips = simulator.split_train_test(dataset.trips)
-    test_week = test_trips[0].day_index // 7
+    train_trips, test_trips, test_week = _split(args.trips, dataset)
     manifest_path = os.path.join(args.checkpoints, "manifest.json")
     try:
         with open(manifest_path) as f:
@@ -356,12 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train",
         help="train per-bank models",
-        description="Trains one model per bank per kind. The newest week in "
-                    "the examples file is held out entirely (it is the "
-                    "pipeline's test week); the newest remaining week serves "
-                    "as the early-stopping validation split.")
+        description="Trains one model per bank per kind. The newest week in the trips "
+                    "file is held out entirely (it is the week evaluate scores); the "
+                    "newest remaining week is the early-stopping validation split.")
     common(p, threads="max worker processes for per-bank training")
-    p.add_argument("--examples", required=True, help="examples JSONL")
+    p.add_argument("--trips", required=True, help="trip CSV")
     p.add_argument("--kind", choices=["edu", "edb", "both"], default="both")
     p.set_defaults(func=cmd_train)
 

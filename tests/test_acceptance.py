@@ -246,7 +246,7 @@ def test_c08_pipeline_determinism(tmp_path):
                              "--trips", root / "sim" / "trips.csv",
                              "--out", root / "prep")) == 0
         assert cli.main(argv("train", "--config", cfg_path, "--seed", 7,
-                             "--examples", root / "prep" / "examples.jsonl",
+                             "--trips", root / "sim" / "trips.csv",
                              "--out", root / "ckpt", "--threads", 1)) == 0
         assert cli.main(argv("evaluate", "--config", cfg_path, "--seed", 7,
                              "--checkpoints", root / "ckpt",

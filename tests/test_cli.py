@@ -68,8 +68,8 @@ class TestConfig:
         path = tmp_path / "old.json"
         path.write_text('{"training": {"use_bias": false}}')
         out = tmp_path / "ckpt"
-        assert run(["train", "--config", path, "--examples",
-                    tmp_path / "examples.jsonl", "--out", out]) == 2
+        assert run(["train", "--config", path, "--trips",
+                    tmp_path / "trips.csv", "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: unknown config key training.use_bias\n")
         assert not out.exists()
@@ -170,7 +170,7 @@ class TestConfig:
         section, name = key.split(".")
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({section: {name: 10**22}}))
-        inputs = ["--examples", tmp_path / "examples.jsonl"] if command == "train" else []
+        inputs = ["--trips", tmp_path / "trips.csv"] if command == "train" else []
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "busarrival.cli", command, "--config", path,
@@ -233,7 +233,7 @@ def test_each_command_takes_the_flags_it_reads():
     assert flags == {
         "simulate": state,
         "prepare": state | {"--trips", "--brute-force"},
-        "train": state | {"--threads", "--examples", "--kind"},
+        "train": state | {"--threads", "--trips", "--kind"},
         # --threads, unread, stays while the benchmark's serve workload passes it
         "predict": {"--config", "--threads", "--checkpoints", "--trips",
                     "--trip-id", "--m", "--tc", "--kind"},
@@ -249,7 +249,9 @@ def test_each_command_takes_the_flags_it_reads():
      "--threads", "1"],
     ["predict", "--checkpoints", "ckpt", "--trips", "trips.csv", "--trip-id", "1",
      "--m", "3", "--seed", "1"],
-], ids=["simulate-threads", "prepare-threads", "evaluate-threads", "predict-seed"])
+    ["train", "--trips", "trips.csv", "--out", "ckpt", "--examples", "examples.jsonl"],
+], ids=["simulate-threads", "prepare-threads", "evaluate-threads", "predict-seed",
+        "train-examples"])
 def test_flag_a_command_does_not_read_is_unrecognized(tmp_path, monkeypatch,
                                                       capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -344,80 +346,107 @@ def prep_dir(tmp_path, tiny_config, sim_dir):
 
 
 class TestTrain:
-    def test_kind_flag_limits_checkpoints(self, tmp_path, tiny_config, prep_dir):
+    def test_kind_flag_limits_checkpoints(self, tmp_path, tiny_config, sim_dir):
         out = tmp_path / "ckpt"
-        assert run(["train", "--config", tiny_config, "--examples",
-                    prep_dir / "examples.jsonl", "--out", out,
+        assert run(["train", "--config", tiny_config, "--trips",
+                    sim_dir / "trips.csv", "--out", out,
                     "--kind", "edb", "--threads", 1]) == 0
         names = sorted(p.name for p in out.glob("*.json")
                        if p.name != "manifest.json")
         assert names == ["edb_bank_03_07.json"]
 
     @pytest.mark.parametrize("threads", [0, -4])
-    def test_threads_below_one_rejected(self, tmp_path, tiny_config, prep_dir,
+    def test_threads_below_one_rejected(self, tmp_path, tiny_config, sim_dir,
                                         capsys, threads):
         assert_threads_rejected(
-            capsys, ["train", "--config", tiny_config, "--examples",
-                     prep_dir / "examples.jsonl"], tmp_path / "ckpt", threads)
+            capsys, ["train", "--config", tiny_config, "--trips",
+                     sim_dir / "trips.csv"], tmp_path / "ckpt", threads)
 
-    def test_checkpoints_deterministic(self, tmp_path, tiny_config, prep_dir):
+    def test_checkpoints_deterministic(self, tmp_path, tiny_config, sim_dir):
         d1, d2 = tmp_path / "c1", tmp_path / "c2"
         for d in (d1, d2):
-            run(["train", "--config", tiny_config, "--examples",
-                 prep_dir / "examples.jsonl", "--out", d, "--kind", "edu",
+            run(["train", "--config", tiny_config, "--trips",
+                 sim_dir / "trips.csv", "--out", d, "--kind", "edu",
                  "--threads", 1])
         assert digest(d1 / "edu_bank_03_07.json") == \
             digest(d2 / "edu_bank_03_07.json")
 
-    def test_empty_examples_file_rejected(self, tmp_path, tiny_config, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("\n")
-        out = tmp_path / "ckpt"
-        assert run(["train", "--config", tiny_config, "--examples", empty,
-                    "--out", out, "--kind", "edu", "--threads", 1]) == 2
-        assert capsys.readouterr().err == f"error: {empty}: no training examples\n"
-        assert not out.exists()
+    def test_trips_train_as_the_examples_file_did(self, tmp_path, tiny_config):
+        # the reference: prepare's examples file, read back, less the newest
+        # week, trained bank by bank; four weeks leave week 2 to validate on
+        cfg = json.loads(tiny_config.read_text())
+        cfg["simulator"]["weeks"] = 4
+        cfg["training"].update(max_epochs=4, patience=1)
+        config = tmp_path / "four_weeks.json"
+        config.write_text(json.dumps(cfg))
+        sim, prep, out, ref = (tmp_path / d for d in ("sim", "prep", "ckpt", "ref"))
+        run(["simulate", "--config", config, "--out", sim])
+        run(["prepare", "--config", config, "--trips", sim / "trips.csv",
+             "--out", prep])
+        assert run(["train", "--config", config, "--trips", sim / "trips.csv",
+                    "--out", out, "--threads", 1]) == 0
+        examples = load_examples_jsonl(prep / "examples.jsonl")
+        held_out = max(ex.week for ex in examples)
+        train_ex = [ex for ex in examples if ex.week != held_out]
+        tcfg = cli._train_config(cli.load_config(str(config)))
+        ref.mkdir()
+        rows = ["kind,bank,epoch,train_loss,val_loss"]
+        for kind in ("edu", "edb"):
+            result = seq2seq.train_bank(kind, train_ex, 8, tcfg)
+            seq2seq.save_bank(result.bank, ref)
+            rows += [f"{kind},{lo}-{hi},{h['epoch']},{h['train_loss']:.8f},"
+                     + ("" if h["val_loss"] is None else f"{h['val_loss']:.8f}")
+                     for (lo, hi), history in sorted(result.histories.items())
+                     for h in history]
+        assert not any(row.endswith(",") for row in rows)  # each epoch validated
+        (ref / "loss_curves.csv").write_text("\n".join(rows) + "\n")
+        names = sorted(p.name for p in ref.iterdir())
+        assert names == ["edb_bank_03_07.json", "edu_bank_03_07.json",
+                         "loss_curves.csv"]
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
-    def test_examples_outside_every_bank_rejected(self, tmp_path, tiny_config,
-                                                  sim_dir, capsys):
-        # positions 1 and 2 lie below the first bank, which starts at m=3
-        dataset = load_trips_csv(sim_dir / "trips.csv", RouteSpec(8, 500.0))
-        examples, _ = dataprep.build_examples(dataset, positions=[1, 2])
-        path, out = tmp_path / "low.jsonl", tmp_path / "ckpt"
-        dataprep.save_examples_jsonl(examples, path)
+    def test_two_weeks_leave_no_training_examples(self, tmp_path, capsys):
+        # week 1 is held out, and week 0 has no previous week to build from
+        cfg = tmp_path / "two_weeks.json"
+        cfg.write_text(json.dumps({
+            "route": {"n_sections": 8, "section_length_m": 500.0},
+            "simulator": {"weeks": 2, "trips_per_day": 6}}))
+        sim, out = tmp_path / "sim", tmp_path / "ckpt"
+        run(["simulate", "--config", cfg, "--out", sim])
         capsys.readouterr()
-        assert run(["train", "--config", tiny_config, "--examples", path,
+        assert run(["train", "--config", cfg, "--trips", sim / "trips.csv",
                     "--out", out, "--kind", "edu", "--threads", 1]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}: no examples fall inside any coverable bank; it "
-            "holds positions [1, 2]\n")
+        assert capsys.readouterr() == ("", (
+            f"error: {sim / 'trips.csv'}: no training examples outside "
+            "held-out week 1\n"))
         assert not out.exists()
 
     def test_bank_without_examples_is_skipped(self, tmp_path, tiny_config,
                                               capsys):
-        # 13 sections make banks 3-7 and 8-12; the examples keep m <= 7 only
+        # 13 sections make banks 3-7 and 8-12; with buses 90 s apart and no
+        # fallback to the previous week, only the last positions find a
+        # previous bus in every section ahead, so bank 3-7 has no examples
         cfg = json.loads(tiny_config.read_text())
         cfg["route"]["n_sections"] = 13
+        cfg["simulator"].update(headway_mean_s=90.0, headway_jitter_s=0.0,
+                                events_per_day=0.0)
+        cfg["dataprep"] = {"fallback": "skip"}
         config = tmp_path / "thirteen.json"
         config.write_text(json.dumps(cfg))
-        sim, prep, out = tmp_path / "sim", tmp_path / "prep", tmp_path / "ckpt"
+        sim, out = tmp_path / "sim", tmp_path / "ckpt"
         run(["simulate", "--config", config, "--out", sim])
-        run(["prepare", "--config", config, "--trips", sim / "trips.csv",
-             "--out", prep])
-        lines = (prep / "examples.jsonl").read_text().splitlines(keepends=True)
-        low = tmp_path / "low.jsonl"
-        low.write_text("".join(line for line in lines if json.loads(line)["m"] <= 7))
         capsys.readouterr()
-        assert run(["train", "--config", config, "--examples", low,
+        assert run(["train", "--config", config, "--trips", sim / "trips.csv",
                     "--out", out, "--kind", "edu", "--threads", 1]) == 0
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "train: skipped edu bank m=8-12 (no examples)")
+            "train: skipped edu bank m=3-7 (no examples)")
         # the skipped bank has no checkpoint and no run summary
-        assert not (out / "edu_bank_08_12.json").exists()
+        assert not (out / "edu_bank_03_07.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest["training"]["edu"]["banks"]) == ["3-7"]
+        assert list(manifest["training"]["edu"]["banks"]) == ["8-12"]
         # evaluate refuses to score the skipped bank, and scores the other
-        for i_values, code in (([5, 10], 2), ([5], 0)):
+        for i_values, code in (([5, 10], 2), ([10], 0)):
             cfg["evaluation"] = {"i_values": i_values}
             config.write_text(json.dumps(cfg))
             assert run(["evaluate", "--config", config, "--checkpoints", out,
@@ -425,31 +454,20 @@ class TestTrain:
                         "--kind", "edu"]) == code
             err = capsys.readouterr().err
             assert err == ("" if code == 0 else "error: missing checkpoint for edu "
-                           f"bank 8-12: {out / 'edu_bank_08_12.json'}\n")
-
-    def test_non_object_example_line_reports_path_and_line(
-            self, tmp_path, tiny_config, prep_dir, capsys):
-        lines = (prep_dir / "examples.jsonl").read_text().splitlines()
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join([lines[0], "[1, 2]", *lines[1:]]) + "\n")
-        code = run(["train", "--config", tiny_config, "--examples", bad,
-                    "--out", tmp_path / "ckpt", "--kind", "edu",
-                    "--threads", 1])
-        assert code == 2
-        assert f"{bad}:2: malformed example" in capsys.readouterr().err
+                           f"bank 3-7: {out / 'edu_bank_03_07.json'}\n")
 
     def test_examples_for_another_route_rejected(self, tmp_path, tiny_config,
-                                                 prep_dir, capsys):
+                                                 sim_dir, capsys):
         cfg = json.loads(tiny_config.read_text())
         cfg["route"]["n_sections"] = 12
         other = tmp_path / "twelve.json"
         other.write_text(json.dumps(cfg))
         out = tmp_path / "ckpt"
-        assert run(["train", "--config", other, "--examples",
-                    prep_dir / "examples.jsonl", "--out", out, "--kind", "edu",
+        assert run(["train", "--config", other, "--trips",
+                    sim_dir / "trips.csv", "--out", out, "--kind", "edu",
                     "--threads", 1]) == 2
         err = capsys.readouterr().err
-        assert "spans 8 sections, the route has 12" in err
+        assert "do not cover 1..12" in err
         assert not out.exists()
 
     def test_manifest_records_held_out_and_validation_weeks(
@@ -461,9 +479,9 @@ class TestTrain:
         assert manifest["validation_week"] is None
 
     def test_single_training_week_is_reported(self, tmp_path, tiny_config,
-                                               prep_dir, capsys):
-        assert run(["train", "--config", tiny_config, "--examples",
-                    prep_dir / "examples.jsonl", "--out", tmp_path / "ckpt",
+                                               sim_dir, capsys):
+        assert run(["train", "--config", tiny_config, "--trips",
+                    sim_dir / "trips.csv", "--out", tmp_path / "ckpt",
                     "--kind", "edu", "--threads", 1]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if "early stopping is off" in line] \
@@ -482,8 +500,8 @@ class TestTrain:
         run(["prepare", "--config", config, "--trips", tmp_path / "sim" / "trips.csv",
              "--out", tmp_path / "prep"])
         out = tmp_path / "ckpt"
-        assert run(["train", "--config", config, "--examples",
-                    tmp_path / "prep" / "examples.jsonl", "--out", out,
+        assert run(["train", "--config", config, "--trips",
+                    tmp_path / "sim" / "trips.csv", "--out", out,
                     "--threads", 1]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["held_out_week"], manifest["validation_week"]) == (3, 2)
@@ -511,10 +529,14 @@ class TestTrain:
                 in manifest["training"].values()} == {"patience", "max_epochs"}
 
     def test_manifest_records_each_banks_examples(self, tmp_path, tiny_config):
-        # 13 sections make banks 3-7 and 8-12; without m=9 and m=10 the
-        # second trains on fewer examples
+        # 13 sections make banks 3-7 and 8-12; with buses 200 s apart and no
+        # fallback to the previous week, fewer early positions find a previous
+        # bus in every section ahead, so the first bank has fewer examples
         cfg = json.loads(tiny_config.read_text())
         cfg["route"]["n_sections"] = 13
+        cfg["simulator"].update(headway_mean_s=200.0, headway_jitter_s=0.0,
+                                events_per_day=0.0)
+        cfg["dataprep"] = {"fallback": "skip"}
         cfg["training"]["max_epochs"] = 1
         config = tmp_path / "thirteen.json"
         config.write_text(json.dumps(cfg))
@@ -522,18 +544,14 @@ class TestTrain:
         run(["simulate", "--config", config, "--out", sim])
         run(["prepare", "--config", config, "--trips", sim / "trips.csv",
              "--out", prep])
-        lines = (prep / "examples.jsonl").read_text().splitlines(keepends=True)
-        some = tmp_path / "some.jsonl"
-        some.write_text("".join(line for line in lines
-                                if json.loads(line)["m"] not in (9, 10)))
-        assert run(["train", "--config", config, "--examples", some,
+        assert run(["train", "--config", config, "--trips", sim / "trips.csv",
                     "--out", out, "--threads", 1]) == 0
-        examples = load_examples_jsonl(some)
+        examples = load_examples_jsonl(prep / "examples.jsonl")
         held_out = max(ex.week for ex in examples)
         want = {f"{lo}-{hi}": sum(lo <= ex.m <= hi and ex.week != held_out
                                   for ex in examples)
                 for lo, hi in ((3, 7), (8, 12))}
-        assert want["3-7"] != want["8-12"]
+        assert 0 < want["3-7"] < want["8-12"]
         training = json.loads((out / "manifest.json").read_text())["training"]
         for kind in ("edu", "edb"):
             assert {bank: summary["examples"] for bank, summary
@@ -541,16 +559,16 @@ class TestTrain:
 
     def test_manifest_reports_load_time_and_memory(self, ckpt_dir):
         manifest = json.loads((ckpt_dir / "manifest.json").read_text())
-        assert list(manifest["stage_s"]) == ["load_examples"]
-        assert manifest["stage_s"]["load_examples"] > 0
+        assert list(manifest["stage_s"]) == ["build_examples", "load_trips"]
+        assert all(v > 0 for v in manifest["stage_s"].values())
         assert manifest["peak_rss_mb"] > 0
         assert manifest["peak_rss_children_mb"] >= 0
 
     def test_manifest_reports_the_pool_workers_memory(self, tmp_path, tiny_config,
-                                                       prep_dir):
+                                                       sim_dir):
         out = tmp_path / "ckpt"
-        assert run(["train", "--config", tiny_config, "--examples",
-                    prep_dir / "examples.jsonl", "--out", out, "--kind", "edu",
+        assert run(["train", "--config", tiny_config, "--trips",
+                    sim_dir / "trips.csv", "--out", out, "--kind", "edu",
                     "--threads", 2]) == 0
         assert json.loads((out / "manifest.json").read_text())[
             "peak_rss_children_mb"] > 0
@@ -561,10 +579,10 @@ class TestTrain:
         assert (bank["epochs"], bank["stopped"], bank["best_epoch"]) == \
             (2, "max_epochs", None)
 
-    def test_loss_curves_format(self, tmp_path, tiny_config, prep_dir):
+    def test_loss_curves_format(self, tmp_path, tiny_config, sim_dir):
         out = tmp_path / "ckpt"
-        run(["train", "--config", tiny_config, "--examples",
-             prep_dir / "examples.jsonl", "--out", out, "--kind", "edu",
+        run(["train", "--config", tiny_config, "--trips",
+             sim_dir / "trips.csv", "--out", out, "--kind", "edu",
              "--threads", 1])
         lines = (out / "loss_curves.csv").read_text().splitlines()
         assert lines[0] == "kind,bank,epoch,train_loss,val_loss"
@@ -572,10 +590,10 @@ class TestTrain:
 
 
 @pytest.fixture
-def ckpt_dir(tmp_path, tiny_config, prep_dir):
+def ckpt_dir(tmp_path, tiny_config, sim_dir):
     out = tmp_path / "ckpt"
-    run(["train", "--config", tiny_config, "--examples",
-         prep_dir / "examples.jsonl", "--out", out, "--threads", 1])
+    run(["train", "--config", tiny_config, "--trips",
+         sim_dir / "trips.csv", "--out", out, "--threads", 1])
     return out
 
 
@@ -798,6 +816,23 @@ def test_every_manifest_reports_peak_rss(tmp_path, tiny_config, sim_dir,
         assert manifest["peak_rss_mb"] > 0
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_one_week_trips_file_is_named(tmp_path, capsys, command):
+    cfg = tmp_path / "one_week.json"
+    cfg.write_text(json.dumps({
+        "route": {"n_sections": 8, "section_length_m": 500.0},
+        "simulator": {"weeks": 1, "trips_per_day": 4}}))
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    run(["simulate", "--config", cfg, "--out", sim])
+    capsys.readouterr()
+    inputs = ["--checkpoints", tmp_path / "ckpt"] if command == "evaluate" else []
+    assert run([command, "--config", cfg, "--trips", sim / "trips.csv", *inputs,
+                "--out", out]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {sim / 'trips.csv'}: need at least 2 weeks of data to split\n"))
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_report_audit_and_clamp(self, tmp_path, tiny_config, sim_dir,
                                     ckpt_dir):
@@ -894,29 +929,22 @@ class TestEvaluate:
         assert all(v >= 0 for v in stage_s.values())
 
     def test_refuses_checkpoints_trained_on_the_test_week(self, tmp_path,
+                                                           tiny_config, ckpt_dir,
                                                            capsys):
-        cfg = tmp_path / "two_weeks.json"
-        cfg.write_text(json.dumps({
-            "route": {"n_sections": 8, "section_length_m": 500.0},
-            "simulator": {"weeks": 2, "trips_per_day": 4},
-            "training": {"max_epochs": 1, "hidden_enc": 4,
-                         "hidden_dec_edu": 4, "hidden_dec_edb": 3}}))
-        sim, prep, ckpt = (tmp_path / d for d in ("sim", "prep", "ckpt"))
-        run(["simulate", "--config", cfg, "--out", sim])
-        run(["prepare", "--config", cfg, "--trips", sim / "trips.csv",
-             "--out", prep])
-        # week 0 has no previous week, so every example is from week 1
-        assert run(["train", "--config", cfg, "--examples",
-                    prep / "examples.jsonl", "--out", ckpt, "--kind", "edu",
-                    "--threads", 1]) == 0
-        assert json.loads((ckpt / "manifest.json").read_text())[
-            "held_out_week"] is None
+        # the checkpoints held out week 2 of three and trained on weeks 0
+        # and 1; the newest week of a two-week trips file is week 1
+        cfg = json.loads(tiny_config.read_text())
+        cfg["simulator"]["weeks"] = 2
+        two_weeks = tmp_path / "two_weeks.json"
+        two_weeks.write_text(json.dumps(cfg))
+        sim = tmp_path / "sim2"
+        run(["simulate", "--config", two_weeks, "--out", sim])
         capsys.readouterr()
-        assert run(["evaluate", "--config", cfg, "--checkpoints", ckpt,
+        assert run(["evaluate", "--config", tiny_config, "--checkpoints", ckpt_dir,
                     "--trips", sim / "trips.csv", "--out", tmp_path / "rep",
                     "--kind", "edu"]) == 2
         err = capsys.readouterr().err
-        assert str(ckpt / "manifest.json") in err and "week 1" in err
+        assert str(ckpt_dir / "manifest.json") in err and "week 1" in err
         assert not (tmp_path / "rep").exists()
 
     def test_idempotent(self, tmp_path, tiny_config, sim_dir, ckpt_dir):
