@@ -217,11 +217,6 @@ def cmd_train(args, cfg: dict) -> int:
                          fallback=cfg["dataprep"]["fallback"])
     if not train_ex:
         raise ValueError(f"{args.trips}: no training examples outside held-out week {held_out}")
-    validation_week = dataprep.split_week(ex.week for ex in train_ex)
-    if validation_week is None:
-        print(f"train: held-out week {held_out} leaves one training week, so "
-              "nothing is validated and early stopping is off",
-              file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
     outputs, loss_rows, runs, walls = [], [], {}, {}
     with (concurrent.futures.ProcessPoolExecutor(max_workers=args.threads)
@@ -239,6 +234,10 @@ def cmd_train(args, cfg: dict) -> int:
                            "" if h["val_loss"] is None else f"{h['val_loss']:.8f}"]
                           for (m_lo, m_hi), history in sorted(result.histories.items())
                           for h in history]
+            for (lo, hi), summary in sorted(result.summaries.items()):
+                if summary["validation_week"] is None:
+                    print(f"train: {kind} bank m={lo}-{hi} has examples in one week only, so "
+                          "nothing is validated and early stopping is off", file=sys.stderr)
             for lo, hi in sorted(result.histories.keys() - result.summaries.keys()):
                 print(f"train: skipped {kind} bank m={lo}-{hi} (no examples)", file=sys.stderr)
     loss_path = os.path.join(args.out, "loss_curves.csv")
@@ -246,7 +245,7 @@ def cmd_train(args, cfg: dict) -> int:
                                    "val_loss"], loss_rows)
     outputs.append(loss_path)
     _write_manifest(args.out, "train", cfg, outputs, held_out_week=held_out,
-                    validation_week=validation_week, training=runs, stage_s=stage_s,
+                    training=runs, stage_s=stage_s,
                     peak_rss_children_mb=getrusage(RUSAGE_CHILDREN).ru_maxrss / 1024)
     print(f"train: wrote {len(outputs) - 1} checkpoints -> {args.out}")
     return 0
@@ -287,8 +286,9 @@ def cmd_evaluate(args, cfg: dict) -> int:
     manifest_path = os.path.join(args.checkpoints, "manifest.json")
     try:
         with open(manifest_path) as f:
-            held_out = json.load(f).get("held_out_week")
-    except (OSError, ValueError, AttributeError) as e:
+            manifest = json.load(f)
+        held_out, listed = manifest.get("held_out_week"), set(manifest.get("outputs", ()))
+    except (OSError, ValueError, AttributeError, TypeError) as e:
         raise dataprep.DataError(
             f"{manifest_path}: cannot read the training manifest: {e}") from e
     if held_out != test_week:
@@ -303,6 +303,11 @@ def cmd_evaluate(args, cfg: dict) -> int:
     banks = _timed(stage_s, "load_checkpoints", lambda: [seq2seq.load_bank(
         args.checkpoints, kind, route.n_sections, i_values)
         for kind in _kinds(args.kind)])
+    for mo in (mo for bank in banks for mo in bank.models):
+        path = seq2seq.checkpoint_path(args.checkpoints, mo.kind, mo.m_lo, mo.m_hi)
+        if os.path.basename(path) not in listed:
+            raise dataprep.DataError(f"{path}: not among the outputs that {manifest_path} "
+                                     "lists, so another training run wrote it")
     methods = {bank.kind: (lambda ex, b=bank: seq2seq.predict(b, ex).travel_s)
                for bank in banks}
     hist = evalkit.fit_hist_mean(train_trips)
@@ -357,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         "train",
         help="train per-bank models",
         description="Trains one model per bank per kind. The newest week in the trips "
-                    "file is held out entirely (it is the week evaluate scores); the "
-                    "newest remaining week is the early-stopping validation split.")
+                    "file is held out entirely (it is the week evaluate scores); each bank "
+                    "early-stops on the newest week of its own examples.")
     common(p, threads="max worker processes for per-bank training")
     p.add_argument("--trips", required=True, help="trip CSV")
     p.add_argument("--kind", choices=["edu", "edb", "both"], default="both")

@@ -213,8 +213,8 @@ class TrainingExample:
 
 
 def split_week(weeks) -> int | None:
-    """The week a split sets aside: the newest of ``weeks`` (examples' or
-    trips' calendar weeks), or None when they hold a single week."""
+    """The week a split sets aside, the newest of ``weeks``, or None when
+    they hold one: the trips' test week and each bank's validation week."""
     weeks = set(weeks)
     return max(weeks) if len(weeks) > 1 else None
 

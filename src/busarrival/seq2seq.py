@@ -508,18 +508,18 @@ class ModelBank:
 class BankTrainResult:
     bank: ModelBank    # the trained models: a bank without examples has none
     histories: dict    # every (m_lo, m_hi) -> per-epoch history, [] if skipped
-    summaries: dict    # trained (m_lo, m_hi) -> its run_summary, examples, wall_s
+    summaries: dict    # trained (m_lo, m_hi) -> run_summary, examples, validation_week, wall_s
 
 
 def train_bank(kind: str, examples: list[TrainingExample], n_sections: int,
                cfg: TrainConfig, pool=None) -> BankTrainResult:
     """Train one model per bank on its own examples.
 
-    The last training week serves as the validation split. A bank without
-    examples gets no model and no summary. When ``pool`` (a
-    concurrent.futures executor) is given, banks train in parallel; results
-    are identical either way because every bank derives its own RNG from
-    (seed, kind, bank index).
+    Each bank validates on the newest week of its examples, its summary's
+    ``validation_week`` (None when they hold one week: no early stopping).
+    A bank without examples gets no model and no summary. With ``pool`` (a
+    concurrent.futures executor) banks train in parallel, with the same
+    results: each derives its RNGs from (seed, kind, bank index).
     """
     layout = bank_layout(n_sections)
     jobs = [(kind, n_sections, cfg, idx, m_lo, m_hi,
@@ -550,7 +550,7 @@ def _train_one_bank(kind, n_sections, cfg, idx, m_lo, m_hi, exs):
     shuffle_rng = spawn_rng(cfg.seed, 20 + kind_tag, idx)
     history = train_model(model, train_ex, val_ex, cfg, shuffle_rng)
     return model, history, {**run_summary(history, cfg.patience),
-                            "examples": len(train_ex),
+                            "examples": len(train_ex), "validation_week": val_week,
                             "wall_s": time.perf_counter() - start}
 
 

@@ -474,9 +474,11 @@ class TestTrain:
             self, tiny_config, ckpt_dir):
         manifest = json.loads((ckpt_dir / "manifest.json").read_text())
         # examples cover weeks 1 and 2 (week 0 has no previous week); with
-        # week 2 held out, week 1 alone is left, so nothing is validated on
+        # week 2 held out, week 1 alone is left, so no bank validates
         assert manifest["held_out_week"] == 2
-        assert manifest["validation_week"] is None
+        assert "validation_week" not in manifest
+        for kind in ("edu", "edb"):
+            assert manifest["training"][kind]["banks"]["3-7"]["validation_week"] is None
 
     def test_single_training_week_is_reported(self, tmp_path, tiny_config,
                                                sim_dir, capsys):
@@ -485,8 +487,36 @@ class TestTrain:
                     "--kind", "edu", "--threads", 1]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if "early stopping is off" in line] \
-            == ["train: held-out week 2 leaves one training week, so nothing "
+            == ["train: edu bank m=3-7 has examples in one week only, so nothing "
                 "is validated and early stopping is off"]
+
+    def test_each_bank_records_its_own_validation_week(self, tmp_path, tiny_config,
+                                                        capsys):
+        # buses 90 s apart and no fallback to the previous week: week 3 is
+        # held out, and of weeks 1 and 2 bank 3-7's examples fall in week 1
+        # alone, so that bank validates on nothing while bank 8-12 does
+        cfg = json.loads(tiny_config.read_text())
+        cfg["seed"] = 3
+        cfg["route"]["n_sections"] = 13
+        cfg["simulator"].update(weeks=4, headway_mean_s=90.0, headway_jitter_s=30.0)
+        cfg["dataprep"] = {"fallback": "skip"}
+        cfg["training"].update(max_epochs=3, patience=1)
+        config = tmp_path / "thirteen.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "ckpt"
+        run(["simulate", "--config", config, "--out", tmp_path / "sim"])
+        capsys.readouterr()
+        assert run(["train", "--config", config, "--trips",
+                    tmp_path / "sim" / "trips.csv", "--out", out,
+                    "--kind", "edu", "--threads", 1]) == 0
+        assert capsys.readouterr().err == (
+            "train: edu bank m=3-7 has examples in one week only, so nothing "
+            "is validated and early stopping is off\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "validation_week" not in manifest
+        assert {bank: summary["validation_week"] for bank, summary
+                in manifest["training"]["edu"]["banks"].items()} == \
+            {"3-7": None, "8-12": 2}
 
     def test_manifest_reports_each_run(self, tmp_path, tiny_config):
         # four weeks: week 3 is held out and week 2 validates, so early
@@ -504,7 +534,7 @@ class TestTrain:
                     tmp_path / "sim" / "trips.csv", "--out", out,
                     "--threads", 1]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert (manifest["held_out_week"], manifest["validation_week"]) == (3, 2)
+        assert manifest["held_out_week"] == 3
         lines = (out / "loss_curves.csv").read_text().splitlines()
         assert lines[0] == "kind,bank,epoch,train_loss,val_loss"
         examples = load_examples_jsonl(tmp_path / "prep" / "examples.jsonl")
@@ -515,6 +545,7 @@ class TestTrain:
                    if row.startswith(f"{kind},3-7,")]
             assert list(summary["banks"]) == ["3-7"]
             bank = summary["banks"]["3-7"]
+            assert bank["validation_week"] == 2
             assert bank["epochs"] == len(val) == len(bank["grad_norm"])
             assert bank["best_epoch"] == int(np.argmin(val))
             stopped_early = len(val) < 30 or len(val) - 1 - bank["best_epoch"] >= 1
@@ -946,6 +977,37 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(ckpt_dir / "manifest.json") in err and "week 1" in err
         assert not (tmp_path / "rep").exists()
+
+    def test_refuses_checkpoints_its_manifest_does_not_list(self, tmp_path,
+                                                            tiny_config, capsys):
+        # a second, EDU-only run into the same directory leaves the first
+        # run's EDB checkpoints behind, and its manifest does not list them
+        cfg = json.loads(tiny_config.read_text())
+        cfg["seed"] = 1
+        cfg["route"]["n_sections"] = 13
+        cfg["simulator"]["trips_per_day"] = 8
+        cfg["training"]["max_epochs"] = 1
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(cfg))
+        cfg["training"]["max_epochs"] = 2
+        second.write_text(json.dumps(cfg))
+        trips, ck, rep = tmp_path / "sim" / "trips.csv", tmp_path / "ck", tmp_path / "rep"
+        run(["simulate", "--config", first, "--out", tmp_path / "sim"])
+        assert run(["train", "--config", first, "--trips", trips, "--out", ck,
+                    "--threads", 1]) == 0
+        assert run(["train", "--config", second, "--trips", trips, "--out", ck,
+                    "--kind", "edu", "--threads", 1]) == 0
+        assert (ck / "edb_bank_03_07.json").exists()
+        capsys.readouterr()
+        assert run(["evaluate", "--config", second, "--checkpoints", ck,
+                    "--trips", trips, "--out", rep]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ck / 'edb_bank_03_07.json'}: not among the outputs that "
+            f"{ck / 'manifest.json'} lists, so another training run wrote it\n")
+        assert not rep.exists()
+        # the checkpoints that run wrote are scored
+        assert run(["evaluate", "--config", second, "--checkpoints", ck,
+                    "--trips", trips, "--out", rep, "--kind", "edu"]) == 0
 
     def test_idempotent(self, tmp_path, tiny_config, sim_dir, ckpt_dir):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

@@ -541,13 +541,14 @@ class TestTraining:
         exs = [make_example(rng, 4, 8, day_index=d) for d in (8, 15, 16, 9)]
         assert split_week(ex.week for ex in exs) == 2
         assert split_week([exs[0].week]) is None
-        # the training and validation examples each bank trains on
+        # the training and validation examples each bank trains on, and the
+        # validation week its summary records: weeks {1, 2}, then {1}
         splits = []
         monkeypatch.setattr(seq2seq, "train_model", lambda model, train, val, cfg,
                             rng: splits.append((train, val)) or [])
         cfg = TrainConfig(max_epochs=1, hidden_enc=4, hidden_dec_edu=3)
-        train_bank("edu", exs, 8, cfg)
-        train_bank("edu", exs[:1], 8, cfg)
+        assert [train_bank("edu", bank_exs, 8, cfg).summaries[3, 7]["validation_week"]
+                for bank_exs in (exs, exs[:1])] == [2, None]
         (train, val), lone = splits
         assert [ex.day_index for ex in train] == [8, 9]
         assert [ex.day_index for ex in val] == [15, 16]
