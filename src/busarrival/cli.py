@@ -168,8 +168,7 @@ def cmd_prepare(args, cfg: dict) -> int:
     stage_s = {}
     dataset = _timed(stage_s, "load_trips", dataprep.load_trips_csv, args.trips, route)
     examples, skips = _timed(stage_s, "build_examples", dataprep.build_examples,
-                             dataset, fallback=cfg["dataprep"]["fallback"],
-                             brute_force=args.brute_force)
+                             dataset, fallback=cfg["dataprep"]["fallback"])
     os.makedirs(args.out, exist_ok=True)
     ex_path = os.path.join(args.out, "examples.jsonl")
     skip_path = os.path.join(args.out, "skipped.csv")
@@ -219,8 +218,10 @@ def cmd_train(args, cfg: dict) -> int:
         raise ValueError(f"{args.trips}: no training examples outside held-out week {held_out}")
     os.makedirs(args.out, exist_ok=True)
     outputs, loss_rows, runs, walls = [], [], {}, {}
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=args.threads)
-          if args.threads > 1 else contextlib.nullcontext()) as pool:
+    # the executor starts all its workers at once, and a kind maps one job per bank
+    workers = min(args.threads, len(seq2seq.bank_layout(route.n_sections)))
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
         for kind in _kinds(args.kind):
             result = _timed(walls, kind, seq2seq.train_bank, kind, train_ex,
                             route.n_sections, tcfg, pool=pool)
@@ -354,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="build training examples from trips")
     common(p)
     p.add_argument("--trips", required=True, help="trip CSV")
-    p.add_argument("--brute-force", action="store_true",
-                   help="use the quadratic reference search instead of indexes")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser(
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trains one model per bank per kind. The newest week in the trips "
                     "file is held out entirely (it is the week evaluate scores); each bank "
                     "early-stops on the newest week of its own examples.")
-    common(p, threads="max worker processes for per-bank training")
+    common(p, threads="max worker processes for per-bank training, one per bank at most")
     p.add_argument("--trips", required=True, help="trip CSV")
     p.add_argument("--kind", choices=["edu", "edb", "both"], default="both")
     p.set_defaults(func=cmd_train)

@@ -43,6 +43,9 @@ MAX_SECTIONS = 1000
 # The simulator allocates every week's trips at once, so a larger count
 # would run out of memory before any check named it.
 MAX_WEEKS = 520
+# The most congestion events a simulated day may average, 125 times the default
+# 8: the simulator builds all days' events at once, and numpy's draw overflows.
+MAX_EVENTS_PER_DAY = 1000
 # A section with no previous bus before T_c: use previous-week inputs (the
 # default) or skip the example.
 FALLBACK_POLICIES = ("previous_week", "skip")

@@ -14,12 +14,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataprep import DEC_Z_PV, TrainingExample, TripRecord, write_csv
+from .dataprep import DEC_Z_PV, SECONDS_PER_DAY, TrainingExample, TripRecord, write_csv
 
 DEFAULT_I_VALUES = (5, 10, 15, 20, 25, 30)
 DEFAULT_J_STEP = 5
 DEFAULT_ALPHA = 0.1
 MIN_Z_TEST_SAMPLES = 30
+# A trip may run past midnight, not past the next one: the historical-mean
+# table spans every time bin a training trip entered, so this bounds its size.
+MAX_ENTRY_S = 2 * SECONDS_PER_DAY
 
 
 def mae(predicted, actual) -> float:
@@ -94,20 +97,16 @@ def baseline_persistence(ex: TrainingExample) -> np.ndarray:
 
 @dataclass
 class HistMeanModel:
-    """Training means per (section, weekday, time-of-day bin), with fallbacks."""
+    """Training means per (section, weekday, time-of-day bin) in ``table[s - 1,
+    weekday, bin]``. A bin no trip entered, and the last one, which serves all
+    later times, hold the (section, weekday) mean, or the section's."""
 
     bin_s: float
-    by_bin: dict       # (section, weekday, bin) -> mean travel
-    by_weekday: dict   # (section, weekday) -> mean travel
-    by_section: dict   # section -> mean travel
+    table: np.ndarray    # (sections, 7, time bins + the padding bin)
 
     def section_mean(self, section: int, weekday: int, t: float) -> float:
-        key = (section, weekday, int(t // self.bin_s))
-        if key in self.by_bin:
-            return self.by_bin[key]
-        if key[:2] in self.by_weekday:
-            return self.by_weekday[key[:2]]
-        return self.by_section[section]
+        b, pad = int(t // self.bin_s), self.table.shape[2] - 1
+        return self.table.item(section - 1, weekday, b if 0 <= b < pad else pad)
 
 
 def fit_hist_mean(train_trips: list[TripRecord], bin_s: float = 1800.0
@@ -115,28 +114,26 @@ def fit_hist_mean(train_trips: list[TripRecord], bin_s: float = 1800.0
     if not train_trips:
         raise ValueError("no training trips")
     travel = np.array([t.travel_times for t in train_trips], dtype=np.float64)
-    n_s = travel.shape[1]
-    section = np.tile(np.arange(1, n_s + 1), len(train_trips))
-    weekday = np.repeat([t.weekday for t in train_trips], n_s)
-    time_bin = (np.array([t.entry_times for t in train_trips]).ravel()
-                // bin_s).astype(np.int64)
+    entry = np.array([t.entry_times for t in train_trips], dtype=np.float64)
+    for row, sec in np.argwhere(~((entry >= 0) & (entry < MAX_ENTRY_S)))[:1]:
+        raise ValueError(f"trip {train_trips[row].trip_id} enters section {sec + 1} "
+                         f"at {entry[row, sec]} s, outside [0, {MAX_ENTRY_S:.0f})")
+    n_s, bins = travel.shape[1], int(entry.max() // bin_s) + 2
+    # flat (section, weekday) and (section, weekday, bin) keys, a row per trip
+    cell = np.arange(n_s) * 7 + np.array([[t.weekday] for t in train_trips])
+    key = cell * bins + (entry // bin_s).astype(np.int64)
 
-    def means(*cols) -> dict:
-        order = np.lexsort(cols[::-1])
-        new_key = np.r_[True, np.any([c[order][1:] != c[order][:-1]
-                                      for c in cols], axis=0)]
-        group = np.empty_like(order)
-        group[order] = np.cumsum(new_key) - 1
-        # bincount adds in input order, as a loop over trips and sections
-        # would, so each mean has that loop's bits
-        sums, counts = np.bincount(group, travel.ravel()), np.bincount(group)
-        keys = zip(*(c[order[new_key]].tolist() for c in cols))
-        return {k: v / n for k, v, n in zip(keys, sums.tolist(), counts.tolist())}
+    def means(keys, size) -> tuple[np.ndarray, np.ndarray]:
+        # bincount adds in input order, as a loop over the trips would: same bits
+        counts = np.bincount(keys.ravel(), minlength=size)
+        sums = np.bincount(keys.ravel(), travel.ravel(), size)
+        return sums / np.maximum(counts, 1), counts > 0
 
-    return HistMeanModel(
-        bin_s=bin_s, by_bin=means(section, weekday, time_bin),
-        by_weekday=means(section, weekday),
-        by_section={k[0]: v for k, v in means(section).items()})
+    by_bin, seen_bin = means(key, n_s * 7 * bins)
+    by_day, seen_day = means(cell, n_s * 7)
+    by_day = np.where(seen_day, by_day, np.repeat(means(cell // 7, n_s)[0], 7))
+    table = np.where(seen_bin, by_bin, np.repeat(by_day, bins))
+    return HistMeanModel(bin_s, table.reshape(n_s, 7, bins))
 
 
 def baseline_hist_mean(model: HistMeanModel, ex: TrainingExample) -> np.ndarray:
@@ -186,8 +183,9 @@ def evaluate_grid(methods: dict, examples: list[TrainingExample],
                   ) -> tuple[list[GridRow], list[QueryRecord]]:
     """Cumulative-travel-time comparison over the (i, j) grid.
 
-    ``methods`` maps a method name to a callable producing per-section
-    travel-time predictions (seconds) for one example. Each report row
+    ``methods`` maps a method name to a callable giving an example's K
+    per-section travel-time predictions (seconds), K = n_sections - i;
+    another count raises ValueError naming the method. Each report row
     carries paired Z-test outcomes against the "edu" and "edb" methods:
     "better"/"worse"/"ns" (not significant), "n<30", or "-" when the
     comparison does not apply.
@@ -195,27 +193,28 @@ def evaluate_grid(methods: dict, examples: list[TrainingExample],
     rows: list[GridRow] = []
     queries: list[QueryRecord] = []
     for i in i_values:
-        exs = [ex for ex in examples if ex.m == i]
+        exs, k = [ex for ex in examples if ex.m == i], n_sections - i
+        truth_k = np.array([ex.targets for ex in exs]).reshape(len(exs), k)
         preds = {name: [fn(ex) for ex in exs] for name, fn in methods.items()}
+        for name, p in preds.items():
+            if any(np.shape(v) != (k,) for v in p):
+                raise ValueError(f"method {name!r} at i={i}: expected {k} values per query")
+            preds[name] = np.array(p, dtype=np.float64).reshape(len(exs), k)
         for j in grid_j_values(i, n_sections, j_step):
-            span = j - i
-            truth = np.array([float(np.sum(ex.targets[:span])) for ex in exs])
-            cum = {name: np.array([float(np.sum(p[:span])) for p in preds[name]])
-                   for name in methods}
+            # a row's sum over its first j - i columns has np.sum's bits
+            truth = truth_k[:, :j - i].sum(axis=1)
+            cum = {name: p[:, :j - i].sum(axis=1) for name, p in preds.items()}
             abs_err = {name: np.abs(cum[name] - truth) for name in methods}
             for name in methods:
-                queries += [QueryRecord(i, j, name, ex.day_index, ex.trip_id,
-                                        float(p), float(t))
-                            for ex, p, t in zip(exs, cum[name], truth)]
+                queries += [QueryRecord(i, j, name, ex.day_index, ex.trip_id, p, t)
+                            for ex, p, t in zip(exs, cum[name].tolist(), truth.tolist())]
                 if not exs:
                     rows.append(GridRow(i, j, name, 0, math.nan, math.nan, "-", "-"))
                     continue
-                rows.append(GridRow(
-                    i=i, j=j, method=name, n=len(exs),
-                    mae_s=mae(cum[name], truth),
-                    mape_pct=mape(cum[name], truth),
-                    sig_vs_edu=_sig_flag(name, "edu", abs_err, alpha),
-                    sig_vs_edb=_sig_flag(name, "edb", abs_err, alpha)))
+                rows.append(GridRow(i, j, name, len(exs), mae(cum[name], truth),
+                                    mape(cum[name], truth),
+                                    _sig_flag(name, "edu", abs_err, alpha),
+                                    _sig_flag(name, "edb", abs_err, alpha)))
     return rows, queries
 
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataprep import (AT_LEAST_1, MAX_WEEKS, NON_NEGATIVE, POSITIVE,
-                       SECONDS_PER_DAY, RouteSpec, TripRecord, check_ranges,
-                       split_week, write_csv)
+from .dataprep import (AT_LEAST_1, MAX_EVENTS_PER_DAY, MAX_WEEKS, NON_NEGATIVE,
+                       POSITIVE, SECONDS_PER_DAY, RouteSpec, TripRecord,
+                       check_ranges, split_week, write_csv)
 from .numkit import spawn_rng
 
 _DISPATCH_STREAM, _EVENT_STREAM, _NOISE_STREAM = 1, 2, 3
@@ -115,7 +115,8 @@ class SimConfig:
             "peak_amplitude": NON_NEGATIVE, "peak_width_h": POSITIVE,
             "weekday_multipliers": (lambda v: len(v) == 6 and min(v) > 0,
                                     "6 values > 0 (Mon-Sat)"),
-            "events_per_day": NON_NEGATIVE,
+            "events_per_day": (lambda v: 0 <= v <= MAX_EVENTS_PER_DAY,
+                               f"in [0, {MAX_EVENTS_PER_DAY}]"),
             "event_severity_range": (lambda v: len(v) == 2
                                      and 1 <= v[0] <= v[1],
                                      "two ordered values >= 1"),

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -15,8 +16,7 @@ import numpy as np
 import pytest
 
 from busarrival import cli, dataprep, evalkit, seq2seq
-from busarrival.dataprep import (RouteSpec, example_key, load_examples_jsonl,
-                                 load_trips_csv)
+from busarrival.dataprep import RouteSpec, load_examples_jsonl, load_trips_csv
 
 
 def digest(path):
@@ -157,13 +157,18 @@ class TestConfig:
         assert err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, key, bound", [
-        ("simulate", "simulator.weeks", dataprep.MAX_WEEKS),
-        ("train", "training.hidden_enc", seq2seq.MAX_HIDDEN),
-        ("train", "training.hidden_dec_edu", seq2seq.MAX_HIDDEN),
-        ("train", "training.hidden_dec_edb", seq2seq.MAX_HIDDEN),
-    ])
-    def test_huge_size_fails_by_name(self, tmp_path, command, key, bound):
+    @pytest.mark.parametrize("command, key, low, bound", [
+        ("simulate", "simulator.weeks", 1, dataprep.MAX_WEEKS),
+        # at 10**6 the simulator built a million events a day and ran out of
+        # memory; at 10**22 numpy's Poisson draw failed without naming the key
+        ("simulate", "simulator.events_per_day", 0, dataprep.MAX_EVENTS_PER_DAY),
+        ("train", "training.hidden_enc", 1, seq2seq.MAX_HIDDEN),
+        ("train", "training.hidden_dec_edu", 1, seq2seq.MAX_HIDDEN),
+        ("train", "training.hidden_dec_edb", 1, seq2seq.MAX_HIDDEN),
+    ], ids=["simulate-simulator.weeks-520", "simulate-simulator.events_per_day-1000",
+            "train-training.hidden_enc-512", "train-training.hidden_dec_edu-512",
+            "train-training.hidden_dec_edb-512"])
+    def test_huge_size_fails_by_name(self, tmp_path, command, key, low, bound):
         # the command runs in a child process under a 1 GB address-space
         # limit, so a size that allocates before its check fails this test
         # rather than the test run
@@ -180,7 +185,7 @@ class TestConfig:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                   (2**30, 2**30)))
         assert (proc.returncode, proc.stderr) == (
-            2, f"error: {path}: {key}: must be in [1, {bound}], got {10**22}\n")
+            2, f"error: {path}: {key}: must be in [{low}, {bound}], got {10**22}\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -232,34 +237,36 @@ def test_each_command_takes_the_flags_it_reads():
     state = {"--config", "--seed", "--out"}
     assert flags == {
         "simulate": state,
-        "prepare": state | {"--trips", "--brute-force"},
+        "prepare": state | {"--trips"},
         "train": state | {"--threads", "--trips", "--kind"},
         # --threads, unread, stays while the benchmark's serve workload passes it
         "predict": {"--config", "--threads", "--checkpoints", "--trips",
                     "--trip-id", "--m", "--tc", "--kind"},
         "evaluate": state | {"--checkpoints", "--trips", "--kind"},
     }
-    assert sum(map(len, flags.values())) == 28
+    assert sum(map(len, flags.values())) == 27
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--out", "sim", "--threads", "1"],
-    ["prepare", "--trips", "trips.csv", "--out", "prep", "--threads", "1"],
-    ["evaluate", "--checkpoints", "ckpt", "--trips", "trips.csv", "--out", "rep",
-     "--threads", "1"],
-    ["predict", "--checkpoints", "ckpt", "--trips", "trips.csv", "--trip-id", "1",
-     "--m", "3", "--seed", "1"],
-    ["train", "--trips", "trips.csv", "--out", "ckpt", "--examples", "examples.jsonl"],
-], ids=["simulate-threads", "prepare-threads", "evaluate-threads", "predict-seed",
-        "train-examples"])
+@pytest.mark.parametrize("argv, unread", [
+    (["simulate", "--out", "sim"], ["--threads", "1"]),
+    (["prepare", "--trips", "trips.csv", "--out", "prep"], ["--threads", "1"]),
+    (["prepare", "--trips", "trips.csv", "--out", "prep"], ["--brute-force"]),
+    (["evaluate", "--checkpoints", "ckpt", "--trips", "trips.csv", "--out", "rep"],
+     ["--threads", "1"]),
+    (["predict", "--checkpoints", "ckpt", "--trips", "trips.csv", "--trip-id", "1",
+      "--m", "3"], ["--seed", "1"]),
+    (["train", "--trips", "trips.csv", "--out", "ckpt"],
+     ["--examples", "examples.jsonl"]),
+], ids=["simulate-threads", "prepare-threads", "prepare-brute-force",
+        "evaluate-threads", "predict-seed", "train-examples"])
 def test_flag_a_command_does_not_read_is_unrecognized(tmp_path, monkeypatch,
-                                                      capsys, argv):
+                                                      capsys, argv, unread):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_:
-        cli.main(argv)
+        cli.main(argv + unread)
     assert exit_.value.code == 2
     assert capsys.readouterr().err.endswith(
-        f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        f"error: unrecognized arguments: {' '.join(unread)}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -294,16 +301,6 @@ class TestPrepare:
             masks = [ex.fallback_mask for ex in examples if ex.m == int(m)]
             assert share == np.concatenate(masks).mean()
         assert 0 < max(shares.values()) < 1
-
-    def test_brute_force_equivalent(self, tmp_path, tiny_config, sim_dir):
-        fast, slow = tmp_path / "fast", tmp_path / "slow"
-        run(["prepare", "--config", tiny_config, "--trips",
-             sim_dir / "trips.csv", "--out", fast])
-        run(["prepare", "--config", tiny_config, "--trips",
-             sim_dir / "trips.csv", "--out", slow, "--brute-force"])
-        a = {example_key(e) for e in load_examples_jsonl(fast / "examples.jsonl")}
-        b = {example_key(e) for e in load_examples_jsonl(slow / "examples.jsonl")}
-        assert a == b
 
     def test_two_week_minimum_round_trips(self, tmp_path, capsys):
         cfg = tmp_path / "two_weeks.json"
@@ -595,14 +592,43 @@ class TestTrain:
         assert manifest["peak_rss_mb"] > 0
         assert manifest["peak_rss_children_mb"] >= 0
 
-    def test_manifest_reports_the_pool_workers_memory(self, tmp_path, tiny_config,
-                                                       sim_dir):
+    def test_manifest_reports_the_pool_workers_memory(self, tmp_path, tiny_config):
+        # 13 sections make two banks, so --threads 2 runs two worker processes
+        config, sim = route_of(tmp_path, tiny_config, 13)
         out = tmp_path / "ckpt"
-        assert run(["train", "--config", tiny_config, "--trips",
-                    sim_dir / "trips.csv", "--out", out, "--kind", "edu",
-                    "--threads", 2]) == 0
+        assert run(["train", "--config", config, "--trips", sim / "trips.csv",
+                    "--out", out, "--kind", "edu", "--threads", 2]) == 0
         assert json.loads((out / "manifest.json").read_text())[
             "peak_rss_children_mb"] > 0
+
+    @pytest.mark.parametrize("sections, threads, workers", [
+        (8, 4, None), (13, 1, None), (13, 64, 2), (18, 2, 2)])
+    def test_pool_starts_at_most_one_worker_per_bank(
+            self, tmp_path, tiny_config, monkeypatch, sections, threads, workers):
+        # the executor starts all its workers at its first job; a stand-in
+        # records the count and runs the jobs here, starting no process
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        config, sim = route_of(tmp_path, tiny_config, sections)
+        out = tmp_path / "ckpt"
+        assert run(["train", "--config", config, "--trips", sim / "trips.csv",
+                    "--out", out, "--threads", threads]) == 0
+        assert started == ([] if workers is None else [workers])
+        banks = json.loads((out / "manifest.json").read_text())["training"]["edb"]["banks"]
+        assert len(banks) == len(seq2seq.bank_layout(sections))
 
     def test_manifest_reports_runs_without_validation(self, ckpt_dir):
         bank = json.loads((ckpt_dir / "manifest.json").read_text())[
@@ -618,6 +644,18 @@ class TestTrain:
         lines = (out / "loss_curves.csv").read_text().splitlines()
         assert lines[0] == "kind,bank,epoch,train_loss,val_loss"
         assert lines[1].startswith("edu,3-7,0,")
+
+
+def route_of(tmp_path, tiny_config, sections):
+    """The tiny config on a route of ``sections`` sections, trained for one
+    epoch, and the directory of its simulation."""
+    cfg = json.loads(tiny_config.read_text())
+    cfg["route"]["n_sections"] = sections
+    cfg["training"]["max_epochs"] = 1
+    config, sim = tmp_path / f"sections_{sections}.json", tmp_path / "sim"
+    config.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", config, "--out", sim]) == 0
+    return config, sim
 
 
 @pytest.fixture

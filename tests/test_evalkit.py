@@ -184,16 +184,36 @@ class TestBaselines:
         assert events
         for bin_s in (1800.0, 700.0):
             got = fit_hist_mean(trips, bin_s=bin_s)
-            want = reference_hist_mean(trips, bin_s)
-            for name in ("by_bin", "by_weekday", "by_section"):
-                got_means, want_means = getattr(got, name), getattr(want, name)
-                assert got_means.keys() == want_means.keys()
-                assert all(np.float64(got_means[k]).tobytes()
-                           == np.float64(v).tobytes() for k, v in want_means.items())
+            means, want = reference_hist_mean(trips, bin_s)
+            entered = {key for key in means if len(key) == 3}
+            last = max(b for _, _, b in entered)
+            queries = [(s, w, b * bin_s) for s, w, b in entered]
+            # bins no trip entered, times past the last bin, before midnight
+            # and on Sunday, when no bus runs
+            queries += [(s, w, t) for s in range(1, 11) for w in range(7)
+                        for t in [*(b * bin_s + 0.5 * bin_s for b in range(last + 3)),
+                                  3 * 86400.0, -1.0]]
+            assert any((s, w, int(t // bin_s)) not in entered and (s, w) in means
+                       for s, w, t in queries)
+            assert not any((s, 6) in means for s, _, _ in queries)
+            for s, w, t in queries:
+                assert (np.float64(got.section_mean(s, w, t)).tobytes()
+                        == np.float64(want(s, w, t)).tobytes()), (bin_s, s, w, t)
+
+    @pytest.mark.parametrize("start", [-60.0, 2 * 86400.0 - 250.0])
+    def test_fit_hist_mean_refuses_entry_times_outside_two_days(self, start):
+        trips = [make_trip(1, 0, 21600.0, [100.0] * 6),
+                 make_trip(7, 1, start, [100.0] * 6)]
+        sec, at = (1, -60.0) if start < 0 else (4, 2 * 86400.0 + 50.0)
+        with pytest.raises(ValueError, match=rf"^trip 7 enters section {sec} at "
+                                             rf"{at} s, outside \[0, 172800\)$"):
+            fit_hist_mean(trips)
 
 
 def reference_hist_mean(trips, bin_s):
-    """The per-key means by one dict update per trip and section, in order."""
+    """The per-key means by one dict update per trip and section, in order,
+    and the lookup that falls back from (section, weekday, bin) to (section,
+    weekday) to the section."""
     sums, counts = {}, {}
     for trip in trips:
         for sec in range(1, len(trip.entry_times) + 1):
@@ -203,10 +223,12 @@ def reference_hist_mean(trips, bin_s):
                 sums[key] = sums.get(key, 0.0) + z
                 counts[key] = counts.get(key, 0) + 1
     means = {k: sums[k] / counts[k] for k in sums}
-    return evalkit.HistMeanModel(
-        bin_s=bin_s, by_bin={k: v for k, v in means.items() if len(k) == 3},
-        by_weekday={k: v for k, v in means.items() if len(k) == 2},
-        by_section={k[0]: v for k, v in means.items() if len(k) == 1})
+
+    def section_mean(section, weekday, t):
+        return next(means[key] for key in ((section, weekday, int(t // bin_s)),
+                                           (section, weekday), (section,))
+                    if key in means)
+    return means, section_mean
 
 
 class TestGrid:
@@ -275,6 +297,28 @@ class TestGrid:
         assert rows and all(r.n == n for r in rows)
         assert {(r.method, r.sig_vs_edu, r.sig_vs_edb) for r in rows} == {
             ("edu", "-", edu_vs_edb), ("edb", edb_vs_edu, "-")}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 40, 240])
+    def test_row_sums_have_the_bits_of_a_sum_per_example(self, n):
+        # 140 sections past i reach numpy's pairwise blocks of 8 and of 128
+        rng = make_rng(16)
+        examples = [make_example(rng, 5, 145, trip_id=t) for t in range(n)]
+        _, queries = evaluate_grid({"edu": lambda ex: ex.dec[:, 0] * 1.07},
+                                   examples, 145, i_values=(5,), j_step=1)
+        assert len(queries) == 140 * n
+        by_trip = {ex.trip_id: ex for ex in examples}
+        for q in queries:
+            ex, span = by_trip[q.trip_id], q.j - q.i
+            assert (q.true_s, q.predicted_s) == (
+                float(np.sum(ex.targets[:span])),
+                float(np.sum((ex.dec[:, 0] * 1.07)[:span])))
+
+    def test_method_with_other_than_k_values_rejected(self):
+        examples = [make_example(make_rng(17), 5, 12, trip_id=t) for t in range(3)]
+        methods = {"edu": lambda ex: ex.targets, "short": lambda ex: ex.targets[:-1]}
+        with pytest.raises(ValueError, match=r"^method 'short' at i=5: expected 7 "
+                                             r"values per query$"):
+            evaluate_grid(methods, examples, 12, i_values=(5,))
 
     def test_empty_cell_marked(self):
         rows, _ = evaluate_grid({"edu": lambda ex: ex.targets}, [], 12,
