@@ -88,12 +88,14 @@ def load_config(path: str | None, seed_override: int | None = None) -> dict:
     """
     where, user = path or "default config", {}
     if path is not None:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             try:
                 user = json.load(f)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: invalid JSON at line {e.lineno}, "
                                  f"column {e.colno}: {e.msg}") from e
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: not UTF-8 text at byte {e.start + 1}") from e
     cfg = _merge(DEFAULT_CONFIG, user, where)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -247,7 +249,7 @@ def cmd_train(args, cfg: dict) -> int:
     outputs.append(loss_path)
     _write_manifest(args.out, "train", cfg, outputs, held_out_week=held_out,
                     training=runs, stage_s=stage_s,
-                    peak_rss_children_mb=getrusage(RUSAGE_CHILDREN).ru_maxrss / 1024)
+                    peak_rss_children_mb=pool and getrusage(RUSAGE_CHILDREN).ru_maxrss / 1024)
     print(f"train: wrote {len(outputs) - 1} checkpoints -> {args.out}")
     return 0
 
@@ -395,7 +397,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads: must be >= 1, got {args.threads}")
         return args.func(args, load_config(args.config, getattr(args, "seed", None)))
-    except (ValueError, OSError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

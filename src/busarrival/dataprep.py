@@ -136,7 +136,10 @@ def check_trips(ids, day, weekday, e, z) -> None:
               f"day index outside [0, {7 * MAX_WEEKS})"),
              (weekday != day % 7, "weekday does not match day index"),
              # examples mark "no previous bus" with id -1
-             (ids < 0, "negative trip id")]
+             (ids < 0, "negative trip id"),
+             (~((e >= 0) & (e < SECONDS_PER_DAY)).all(axis=1),
+              "entry time outside [0, 86400)"),
+             (~np.isfinite(z).all(axis=1), "non-finite travel time")]  # z > 0 lets inf by
     bad = np.any([mask for mask, _ in fails], axis=0)
     if bad.any():
         row = int(np.argmax(bad))
@@ -176,9 +179,8 @@ class TrainingExample:
         return self.day_index // 7
 
     def validate(self, n_sections: int) -> None:
-        """Raise DataError unless this is a valid example; with ``t_c`` of
-        shape (n,), a leading axis of n on every array and lists of n ids
-        (or None), a block of n."""
+        """Raise DataError unless this is a valid example, or a block of n: ``t_c``
+        of shape (n,), a leading axis of n on every array and lists of n ids."""
         lead, m, k = np.shape(self.t_c), self.m, n_sections - self.m
         if self.enc.shape != (*lead, m, 2):
             raise DataError("encoder sequence shape mismatch")
@@ -194,7 +196,7 @@ class TrainingExample:
                           ("pw_trip_id", 2 ** 63)):
             values = getattr(self, name)
             bad = [v for v in (values if isinstance(values, list) else [values])
-                   if v is not None and not 0 <= v < end]
+                   if not 0 <= v < end]
             if bad:
                 raise DataError(f"{name} must lie in [0, {end}), got {bad[0]}")
         t_c = np.asarray(self.t_c)
@@ -255,7 +257,6 @@ class TripDataset:
         return dataset
 
     def _index(self, route, ids, day, weekday, e, z) -> None:
-        # the first invalid trip in row order raises its own message
         check_trips(ids, day, weekday, e, z)
         order = np.lexsort((ids, e[:, 0], day))
         self.route = route
@@ -368,9 +369,8 @@ def _assemble(dataset: TripDataset, rows: np.ndarray, positions: list[int],
     position, the example at query time ``t_c[row, position]`` (by default
     when the trip finished section m), or why it is skipped. Per day, one
     search finds the previous-week trips and one per section the previous
-    buses (the index, or with ``brute_force`` the scans); per position, the
-    kept trips' fresh arrays are validated once and split into examples, so
-    no two examples share memory."""
+    buses (the index, or with ``brute_force`` the scans). The examples share
+    no memory and, made from trips :func:`check_trips` passed, are not validated."""
     n_s = dataset.route.n_sections
     if fallback not in FALLBACK_POLICIES:
         raise ValueError(f"unknown fallback policy {fallback!r}")
@@ -412,12 +412,8 @@ def _assemble(dataset: TripDataset, rows: np.ndarray, positions: list[int],
         dec[r, c, DEC_Z_PV] = dataset.travel[found[r, c], c + m]
         dec[r, c, DEC_TE_PV] = dataset.entry[found[r, c], c + m]
         prev_ids[r, c] = dataset.ids[found[r, c]]
-        targets, tcs = travel[keep, m:], t_c[keep, j]
-        # one validation for the block; each example is one of its rows
-        TrainingExample(m, tcs, None, None, enc, dec, targets, prev_ids,
-                        None).validate(n_s)
-        for i, tc, e, d, tg, pid in zip(keep.tolist(), tcs.tolist(), enc, dec,
-                                        targets, prev_ids):
+        for i, tc, e, d, tg, pid in zip(keep.tolist(), t_c[keep, j].tolist(), enc,
+                                        dec, travel[keep, m:], prev_ids):
             out[i][j] = TrainingExample(m, tc, days[i], ids[i], e, d, tg, pid,
                                         pw_ids[i])
     return out
@@ -431,6 +427,8 @@ def build_example(dataset: TripDataset, trip_id: int, m: int,
     defaults to the moment the trip finished section m; another query time
     re-resolves the previous-bus inputs as of that time, while the encoder
     sequence and targets stay the trip's own."""
+    if t_c is not None and not 0 <= t_c < SECONDS_PER_DAY:     # NaN too
+        raise DataError(f"query time T_c must be finite and lie in [0, 86400), got {t_c}")
     return _assemble(dataset, np.array([dataset.row_of(trip_id)]), [m],
                      None if t_c is None else np.array([[t_c]], dtype=float),
                      fallback, brute_force=False)[0][0]
@@ -628,8 +626,12 @@ def load_trips_csv(path, route: RouteSpec,
     other days are read no further than their day, and every check applies
     to the rows kept. The rows kept are parsed as a whole and checked as
     arrays; an error names the first line at fault."""
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:     # e.object holds the file's bytes
+        line = len((e.object[:e.start] + b".").splitlines())    # "." ends its line
+        raise DataError(f"{path}:{line}: not UTF-8 text") from None
     header, *lines = text.split("\n")
     header = next(csv.reader([header]), None) if header else None
     if header != TRIP_CSV_HEADER:

@@ -14,15 +14,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataprep import DEC_Z_PV, SECONDS_PER_DAY, TrainingExample, TripRecord, write_csv
+from .dataprep import (DEC_Z_PV, SECONDS_PER_DAY, TrainingExample, TripRecord,
+                       check_trips, trip_arrays, write_csv)
 
 DEFAULT_I_VALUES = (5, 10, 15, 20, 25, 30)
 DEFAULT_J_STEP = 5
 DEFAULT_ALPHA = 0.1
 MIN_Z_TEST_SAMPLES = 30
-# A trip may run past midnight, not past the next one: the historical-mean
-# table spans every time bin a training trip entered, so this bounds its size.
-MAX_ENTRY_S = 2 * SECONDS_PER_DAY
 
 
 def mae(predicted, actual) -> float:
@@ -102,7 +100,7 @@ class HistMeanModel:
     later times, hold the (section, weekday) mean, or the section's."""
 
     bin_s: float
-    table: np.ndarray    # (sections, 7, time bins + the padding bin)
+    table: np.ndarray    # (sections, 7, the day's time bins + the padding bin)
 
     def section_mean(self, section: int, weekday: int, t: float) -> float:
         b, pad = int(t // self.bin_s), self.table.shape[2] - 1
@@ -113,14 +111,11 @@ def fit_hist_mean(train_trips: list[TripRecord], bin_s: float = 1800.0
                   ) -> HistMeanModel:
     if not train_trips:
         raise ValueError("no training trips")
-    travel = np.array([t.travel_times for t in train_trips], dtype=np.float64)
-    entry = np.array([t.entry_times for t in train_trips], dtype=np.float64)
-    for row, sec in np.argwhere(~((entry >= 0) & (entry < MAX_ENTRY_S)))[:1]:
-        raise ValueError(f"trip {train_trips[row].trip_id} enters section {sec + 1} "
-                         f"at {entry[row, sec]} s, outside [0, {MAX_ENTRY_S:.0f})")
-    n_s, bins = travel.shape[1], int(entry.max() // bin_s) + 2
+    n_s, bins = len(train_trips[0].entry_times), int(SECONDS_PER_DAY // bin_s) + 2
+    ids, day, weekday, entry, travel = trip_arrays(train_trips, n_s)
+    check_trips(ids, day, weekday, entry, travel)
     # flat (section, weekday) and (section, weekday, bin) keys, a row per trip
-    cell = np.arange(n_s) * 7 + np.array([[t.weekday] for t in train_trips])
+    cell = np.arange(n_s) * 7 + weekday[:, None]
     key = cell * bins + (entry // bin_s).astype(np.int64)
 
     def means(keys, size) -> tuple[np.ndarray, np.ndarray]:

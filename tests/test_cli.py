@@ -74,6 +74,15 @@ class TestConfig:
             f"error: {path}: unknown config key training.use_bias\n")
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_fails_by_name(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": 1, "route": {"n_sections": 8}}\n\xff\n')
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text at byte 41\n")
+        assert not out.exists()
+
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"seed": }')
@@ -590,16 +599,19 @@ class TestTrain:
         assert list(manifest["stage_s"]) == ["build_examples", "load_trips"]
         assert all(v > 0 for v in manifest["stage_s"].values())
         assert manifest["peak_rss_mb"] > 0
-        assert manifest["peak_rss_children_mb"] >= 0
+        # one bank: no worker pool, so no child's memory to report
+        assert manifest["peak_rss_children_mb"] is None
 
     def test_manifest_reports_the_pool_workers_memory(self, tmp_path, tiny_config):
         # 13 sections make two banks, so --threads 2 runs two worker processes
+        # and --threads 1 none
         config, sim = route_of(tmp_path, tiny_config, 13)
-        out = tmp_path / "ckpt"
-        assert run(["train", "--config", config, "--trips", sim / "trips.csv",
-                    "--out", out, "--kind", "edu", "--threads", 2]) == 0
-        assert json.loads((out / "manifest.json").read_text())[
-            "peak_rss_children_mb"] > 0
+        for threads in (2, 1):
+            out = tmp_path / f"ckpt{threads}"
+            assert run(["train", "--config", config, "--trips", sim / "trips.csv",
+                        "--out", out, "--kind", "edu", "--threads", threads]) == 0
+            peak = json.loads((out / "manifest.json").read_text())["peak_rss_children_mb"]
+            assert peak > 0 if threads == 2 else peak is None
 
     @pytest.mark.parametrize("sections, threads, workers", [
         (8, 4, None), (13, 1, None), (13, 64, 2), (18, 2, 2)])
@@ -900,6 +912,39 @@ def test_one_week_trips_file_is_named(tmp_path, capsys, command):
     assert capsys.readouterr() == ("", (
         f"error: {sim / 'trips.csv'}: need at least 2 weeks of data to split\n"))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "evaluate"])
+def test_trip_outside_the_service_day_is_named(tmp_path, tiny_config, sim_dir,
+                                               capsys, command):
+    # trip 8000's rows moved 30,000 s earlier, so it starts before midnight
+    lines = (sim_dir / "trips.csv").read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("8000,"))
+    for i, line in enumerate(lines):
+        if line.startswith("8000,"):
+            fields = line.split(",")
+            fields[4] = f"{float(fields[4]) - 30000.0:.6f}"
+            lines[i] = ",".join(fields)
+    trips, out = tmp_path / "trips.csv", tmp_path / "out"
+    trips.write_text("".join(lines))
+    capsys.readouterr()
+    inputs = ["--checkpoints", tmp_path / "ckpt"] if command == "evaluate" else []
+    assert run([command, "--config", tiny_config, "--trips", trips, *inputs,
+                "--out", out]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {trips}:{first + 1}: trip 8000: entry time outside [0, 86400)\n"))
+    assert not out.exists()
+
+
+def test_trips_file_that_is_not_utf8_is_named(tmp_path, tiny_config, sim_dir, capsys):
+    lines = (sim_dir / "trips.csv").read_bytes().splitlines(keepends=True)
+    lines[9] = lines[9].replace(b".", b"\xff", 1)
+    trips = tmp_path / "trips.csv"
+    trips.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run(["prepare", "--config", tiny_config, "--trips", trips,
+                "--out", tmp_path / "prep"]) == 2
+    assert capsys.readouterr() == ("", f"error: {trips}:10: not UTF-8 text\n")
 
 
 class TestEvaluate:

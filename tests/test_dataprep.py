@@ -16,6 +16,7 @@ from busarrival.dataprep import (DEC_TE_PV, DEC_TE_PW, DEC_Z_PV, DEC_Z_PW,
                                  closest_prev_week_trip, example_key,
                                  fit_normalizer)
 from busarrival.numkit import make_rng
+from busarrival.simulator import SimConfig, simulate_dataset
 from conftest import (FALLBACK_MISMATCH, assert_same_examples, denorm_tod,
                       make_example, make_trip, reference_load_examples_jsonl)
 
@@ -119,7 +120,7 @@ class TestTripRecord:
 
 
 def break_trip(trip, check):
-    """``trip`` edited to fail one of the seven checks TripDataset makes of a trip."""
+    """``trip`` edited to fail one of the checks TripDataset makes of a trip."""
     if check == "length":
         trip.travel_times = trip.travel_times[:-1]
     elif check == "travel":
@@ -132,6 +133,13 @@ def break_trip(trip, check):
         trip.weekday = (trip.weekday + 1) % 7
     elif check == "day":
         trip.day_index += 7 * dataprep.MAX_WEEKS        # the same weekday
+    elif check == "shift":
+        trip.entry_times -= 30000.0                     # starts before midnight
+    elif check == "midnight":
+        # sections 4 on enter at or after the next midnight
+        trip.entry_times += dataprep.SECONDS_PER_DAY - trip.entry_times[3]
+    elif check == "inf":
+        trip.travel_times[-1] = np.inf      # no later entry time depends on it
     else:
         trip.trip_id = -trip.trip_id
     return trip
@@ -153,6 +161,9 @@ class TestTripDataset:
         ("weekday", "weekday does not match day index"),
         ("day", "day index outside [0, 3640)"),
         ("negative-id", "negative trip id"),
+        ("shift", "entry time outside [0, 86400)"),
+        ("midnight", "entry time outside [0, 86400)"),
+        ("inf", "non-finite travel time"),
     ])
     def test_first_bad_trip_in_input_order_is_named(self, small_route, check,
                                                     message):
@@ -486,6 +497,16 @@ class TestBuildExamples:
     def test_days_without_trips_give_nothing(self, days):
         assert build_examples(tied_dataset(37), days=days) == ([], [])
 
+    @pytest.mark.parametrize("t_c", [float("nan"), float("inf"), -1.0, 86400.0])
+    def test_query_time_outside_the_day_rejected(self, small_route, t_c):
+        # with the message TrainingExample.validate gives such a T_c
+        ds = TripDataset([make_trip(1, 0, 21600.0, [60.0] * 6),
+                          make_trip(7, 7, 21600.0, [60.0] * 6)], small_route)
+        for fallback in dataprep.FALLBACK_POLICIES:
+            with pytest.raises(DataError, match=re.escape(
+                    f"query time T_c must be finite and lie in [0, 86400), got {t_c}")):
+                build_example(ds, 7, 4, t_c, fallback=fallback)
+
     def test_empty_dataset_raises(self, small_route):
         with pytest.raises(DataError):
             build_examples(TripDataset([], small_route))
@@ -541,6 +562,45 @@ class TestBlockBuilder:
         dataprep.save_examples_jsonl(ref, tmp_path / "ref.jsonl")
         assert (tmp_path / "built.jsonl").read_bytes() == \
             (tmp_path / "ref.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("fallback", dataprep.FALLBACK_POLICIES)
+    @pytest.mark.parametrize("data", ["tied", "bunching", "tiny-pipeline"])
+    def test_built_blocks_pass_validate(self, tmp_path, data, fallback):
+        # the builder does not validate what it makes: every example built
+        # from trips that check_trips passed must pass validate all the same
+        if data == "tied":
+            ds = tied_dataset(38)
+        else:
+            # c03's bunching-heavy data, or the CLI tests' tiny config
+            # written by simulate and read back as prepare reads it
+            cfg = (SimConfig(route=RouteSpec(12, 800.0), weeks=2, trips_per_day=30,
+                             headway_mean_s=240.0, headway_jitter_s=200.0,
+                             events_per_day=10.0, noise_cv=0.3, seed=33)
+                   if data == "bunching" else
+                   SimConfig(route=RouteSpec(8, 500.0), weeks=3, trips_per_day=5,
+                             events_per_day=2.0, headway_mean_s=900.0))
+            dataprep.save_trips_csv(simulate_dataset(cfg)[0], tmp_path / "trips.csv")
+            ds = dataprep.load_trips_csv(tmp_path / "trips.csv", cfg.route)
+        n_s = ds.route.n_sections
+        for brute_force in (False, True):
+            examples, _ = build_examples(ds, fallback=fallback, brute_force=brute_force)
+            assert examples
+            assert any(ex.fallback_mask.any() for ex in examples) == (fallback != "skip")
+            for ex in examples:
+                ex.validate(n_s)
+        # a caller's query time anywhere in the day, the trip's own included
+        rng = make_rng(39)
+        built = 0
+        for _ in range(200):
+            trip = ds.trips[int(rng.integers(len(ds)))]
+            m = int(rng.integers(3, n_s))
+            t_c = float(rng.choice([0.0, rng.uniform(0.0, 86400.0),
+                                    np.nextafter(86400.0, 0.0), trip.entry(m + 1)]))
+            ex = build_example(ds, trip.trip_id, m, t_c, fallback=fallback)
+            if not isinstance(ex, str):
+                ex.validate(n_s)
+                built += 1
+        assert built
 
     def test_examples_share_no_memory(self):
         ds = tied_dataset(36, days=(0, 7))
@@ -897,10 +957,11 @@ class TestComplexity:
         route = RouteSpec(4, 500.0)
         rng = make_rng(9)
         for n in (64, 512, 4096):
-            starts = rng.uniform(0, 1e5, size=n)
+            # trips of 180 s that start and end inside the day
+            starts = rng.uniform(0, 8e4, size=n)
             ds = TripDataset([make_trip(i, 0, float(s), [60.0] * 4)
                               for i, s in enumerate(starts)], route)
-            queries = rng.uniform(0, 1e5, size=200)
+            queries = rng.uniform(0, 8e4, size=200)
             CountingTime.count = 0
             calls.clear()
             for q in queries:
@@ -1011,7 +1072,12 @@ TRIPS_FILE_FAULTS = [
           ("increasing", 7001, "entry times not increasing"),
           ("consistent", 7001, "entry times inconsistent with travel times"),
           ("weekday", 7001, "weekday does not match day index"),
-          ("negative-id", -7001, "negative trip id")]],
+          ("negative-id", -7001, "negative trip id"),
+          ("shift", 7001, "entry time outside [0, 86400)"),
+          ("midnight", 7001, "entry time outside [0, 86400)"),
+          ("inf", 7001, "non-finite travel time")]],
+    # a byte that is not UTF-8 in trip 7001's second row
+    *[("utf8", for_trip, "{path}:27: not UTF-8 text") for for_trip in (None, 7000)],
     # trip 7001 on day 3640 is on no day a read for trip 7000 keeps
     *[("day", for_trip, "{path}:26: trip 7001: day index outside [0, 3640)")
       for for_trip in (None, 7001)],
@@ -1152,6 +1218,17 @@ class TestCsvFormats:
         with pytest.raises(DataError, match=re.escape(f"{path}: malformed row 4: [")):
             dataprep.load_trips_csv(path, small_route, for_trip=for_trip)
 
+    def test_crlf_rows_read_as_lf_rows(self, tmp_path, small_route):
+        trips = [t for day in (0, 7) for t in random_day_trips(make_rng(40), day, 3, 6)]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        dataprep.save_trips_csv(trips, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        for for_trip in (None, trips[-1].trip_id):
+            a = dataprep.load_trips_csv(lf, small_route, for_trip=for_trip)
+            b = dataprep.load_trips_csv(crlf, small_route, for_trip=for_trip)
+            for name in ("entry", "travel", "ids", "day"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
     def test_wrong_header_rejected(self, tmp_path, small_route):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -1168,16 +1245,18 @@ class TestCsvFormats:
         # its errors still name the lines of the file
         trips = [make_trip(i, i // 1000, 21600.0 + 400.0 * (i % 1000), [60.0] * 6)
                  for i in (0, 1, 1000, 7000, 7001)]
-        if fault not in ("header", "sections", "unknown-trip"):
+        if fault not in ("header", "sections", "unknown-trip", "utf8"):
             break_trip(trips[-1], fault)
         path = tmp_path / "trips.csv"
         dataprep.save_trips_csv(trips, path)
-        lines = path.read_text().splitlines(keepends=True)
+        lines = path.read_bytes().splitlines(keepends=True)
         if fault == "header":
-            lines[0] = "a,b\n"
+            lines[0] = b"a,b\n"
         elif fault == "sections":
             del lines[21]                       # trip 7000's section 3
-        path.write_text("".join(lines))
+        elif fault == "utf8":
+            lines[26] = lines[26].replace(b".", b"\xff", 1)
+        path.write_bytes(b"".join(lines))
         with pytest.raises(DataError) as info:
             dataprep.load_trips_csv(path, small_route, for_trip=for_trip)
         assert str(info.value) == message.format(path=path)
@@ -1204,7 +1283,7 @@ class TestCsvFormats:
     def test_trip_id_that_begins_another_is_found_by_its_own_rows(
             self, tmp_path, small_route):
         # trip 7000's rows come first, and "7000," does not start trip 700's
-        trips = [make_trip(i, i // 1000, 21600.0 + 400.0 * (i % 1000), [60.0] * 6)
+        trips = [make_trip(i, i // 1000, 21600.0 + 40.0 * (i % 1000), [60.0] * 6)
                  for i in (7000, 700, 0)]
         path = tmp_path / "trips.csv"
         dataprep.save_trips_csv(trips, path)
@@ -1236,10 +1315,10 @@ class TestCsvFormats:
     def test_previous_trip_id_below_minus_one_refused(self):
         ex = make_example(make_rng(5), 4, 8)
         ex.prev_trip_ids[2] = -7
-        block = TrainingExample(4, np.array([ex.t_c] * 2), None, None,
+        block = TrainingExample(4, np.array([ex.t_c] * 2), [8, 8], [1, 3],
                                 *(np.stack([getattr(ex, f)] * 2) for f in (
                                     "enc", "dec", "targets", "prev_trip_ids")),
-                                None)
+                                [2, 2])
         for example in (ex, block):
             with pytest.raises(DataError, match=re.escape(f"{BELOW_MINUS_ONE} -7")):
                 example.validate(8)
@@ -1284,10 +1363,10 @@ class TestCsvFormats:
         with pytest.raises(DataError, match=re.escape(
                 f"T_c must be finite and lie in [0, 86400), got {t_c}")):
             ex.validate(8)
-        block = TrainingExample(5, np.array([30000.0, t_c]), None, None,
+        block = TrainingExample(5, np.array([30000.0, t_c]), [8, 8], [1, 3],
                                 *(np.stack([getattr(ex, f)] * 2) for f in (
                                     "enc", "dec", "targets", "prev_trip_ids")),
-                                None)
+                                [2, 2])
         with pytest.raises(DataError, match="T_c must be finite"):
             block.validate(8)
 
