@@ -219,6 +219,9 @@ def cmd_train(args, cfg: dict) -> int:
     if not train_ex:
         raise ValueError(f"{args.trips}: no training examples outside held-out week {held_out}")
     os.makedirs(args.out, exist_ok=True)
+    # a run that fails partway leaves no manifest, which evaluate refuses
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(args.out, "manifest.json"))
     outputs, loss_rows, runs, walls = [], [], {}, {}
     # the executor starts all its workers at once, and a kind maps one job per bank
     workers = min(args.threads, len(seq2seq.bank_layout(route.n_sections)))

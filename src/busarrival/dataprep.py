@@ -553,39 +553,29 @@ def _malformed(path, lineno: int, line: str) -> DataError:
     return DataError(f"{path}: malformed row {lineno}: {next(csv.reader([line]), [])}")
 
 
-def _example_days(path, text: str, trip_id: int) -> set[int]:
-    """The day of ``trip_id``'s first row in a trips CSV's ``text`` and the
-    day a week before, found by one search for the row's start; reads no
-    other line."""
-    start = text.find(f"\n{trip_id},") + 1     # the header line is never a row
-    if not start:
-        raise DataError(f"{path}: no trip {trip_id}")
-    end = text.find("\n", start)
-    line = text[start:] if end < 0 else text[start:end]
-    try:
-        day = int(line.split(",")[1])
-    except (ValueError, IndexError) as e:
-        raise _malformed(path, text.count("\n", 0, start) + 1, line) from e
-    return {day, day - 7}
-
-
-def _read_rows(lines: list[str], days) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a trips CSV's data ``lines`` on ``days`` (all if None) as
-    TRIP_DTYPE records, by one ``np.loadtxt`` call, and the indices of the
-    lines kept; ValueError if a line read is malformed."""
+def _read_rows(lines: list[str], trip_id: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a trips CSV's data ``lines`` as TRIP_DTYPE records, by
+    one ``np.loadtxt`` call, and the indices of the lines kept; ValueError
+    if a line read is malformed. With ``trip_id``, only the rows of each
+    trip with a row on the day of ``trip_id``'s first row or the day a week
+    before, found by one parse of every line's trip_id and day; none if no
+    line holds ``trip_id``."""
     if "" in lines:                     # np.loadtxt would skip a blank line
         raise ValueError("blank row")
     kept = np.arange(len(lines))
-    csv_format = {"delimiter": ",", "comments": None, "ndmin": 1}
+    csv_format = {"delimiter": ",", "comments": None}
     with warnings.catch_warnings():
         # older numpy reads "7.9" as the integer 7, with only this warning
         warnings.simplefilter("error", DeprecationWarning)
-        if days is not None and lines:
-            kept = np.flatnonzero(np.isin(np.loadtxt(
-                lines, np.int64, usecols=1, **csv_format), list(days)))
+        if trip_id is not None and lines:
+            ids, days = np.loadtxt(lines, np.int64, usecols=(0, 1), ndmin=2,
+                                   **csv_format).T
+            day = days[ids == trip_id][:1]
+            kept = np.flatnonzero(np.isin(ids, ids[np.isin(days, np.r_[day, day - 7])]))
             lines = [lines[i] for i in kept]
         # np.loadtxt warns when it reads no rows
-        return (np.loadtxt(lines, TRIP_DTYPE, **csv_format) if lines
+        return (np.loadtxt(lines, TRIP_DTYPE, ndmin=1, **csv_format) if lines
                 else np.empty(0, TRIP_DTYPE)), kept
 
 
@@ -621,39 +611,38 @@ def _sort_trip_rows(path, rows: np.ndarray, kept: np.ndarray):
 
 def load_trips_csv(path, route: RouteSpec,
                    for_trip: int | None = None) -> TripDataset:
-    """The trips of a trips CSV, or only those of the two days an example of
-    trip ``for_trip`` reads, its own and the day a week before: rows of
-    other days are read no further than their day, and every check applies
-    to the rows kept. The rows kept are parsed as a whole and checked as
-    arrays; an error names the first line at fault."""
+    """The trips of a trips CSV, or only those an example of trip
+    ``for_trip`` reads: every trip with a row on its day or the day a week
+    before. Rows of other trips are read no further than their trip_id and
+    day, and every check applies to the rows kept. The rows kept are parsed
+    as a whole and checked as arrays; an error names the first line at
+    fault."""
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            header, *lines = f.read().split("\n")
     except UnicodeDecodeError as e:     # e.object holds the file's bytes
         line = len((e.object[:e.start] + b".").splitlines())    # "." ends its line
         raise DataError(f"{path}:{line}: not UTF-8 text") from None
-    header, *lines = text.split("\n")
     header = next(csv.reader([header]), None) if header else None
     if header != TRIP_CSV_HEADER:
         raise DataError(f"{path}: unexpected trip CSV header: {header}")
     if lines[-1:] == [""]:
         lines.pop()                     # after the newline ending the last row
-    days = None if for_trip is None else _example_days(path, text, for_trip)
-    del text            # the lines hold the same characters; keep one copy
     try:
-        rows, kept = _read_rows(lines, days)
+        rows, kept = _read_rows(lines, for_trip)
     except ValueError as e:
-        # a re-scan, one line at a time, finds the first malformed line
+        # a re-scan, one whole line at a time, finds the first malformed line
         for i, line in enumerate(lines):
             try:
-                _read_rows([line], days)
+                _read_rows([line])
             except ValueError:
                 # a fault in the rows before it comes first
-                _sort_trip_rows(path, *_read_rows(lines[:i], days))
+                _sort_trip_rows(path, *_read_rows(lines[:i]))
                 raise _malformed(path, i + 2, line) from e
         raise DataError(f"{path}: {e}") from e
     if not rows.size:
-        raise DataError(f"{path}: no trip rows")
+        raise DataError(f"{path}: no trip rows" if for_trip is None
+                        else f"{path}: no trip {for_trip}")
     s, starts, first = _sort_trip_rows(path, rows, kept)
     n_s = route.n_sections
     ends = np.r_[starts[1:], rows.size]

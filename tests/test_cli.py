@@ -813,6 +813,20 @@ class TestPredict:
             out, err = capsys.readouterr()
             assert (out == plain) if code == 0 else f"malformed row {row + 1}" in err
 
+    @pytest.mark.parametrize("prefix", ["0", "+", " "])
+    def test_trip_id_is_read_as_an_integer(self, tmp_path, tiny_config, sim_dir,
+                                           ckpt_dir, capsys, prefix):
+        # trip 14001's rows write its id as "014001", "+14001" or " 14001"
+        assert self.predict(tiny_config, ckpt_dir, sim_dir, 14001, 4) == 0
+        plain = capsys.readouterr().out
+        padded = tmp_path / "padded"
+        padded.mkdir()
+        text = (sim_dir / "trips.csv").read_text()
+        assert text.count("\n14001,") == 8
+        (padded / "trips.csv").write_text(text.replace("\n14001,", f"\n{prefix}14001,"))
+        assert self.predict(tiny_config, ckpt_dir, padded, 14001, 4) == 0
+        assert capsys.readouterr().out == plain
+
     def test_trips_file_is_opened_once(self, tiny_config, sim_dir, ckpt_dir,
                                       monkeypatch):
         trips, opened, real_open = str(sim_dir / "trips.csv"), [], builtins.open
@@ -1091,6 +1105,32 @@ class TestEvaluate:
         # the checkpoints that run wrote are scored
         assert run(["evaluate", "--config", second, "--checkpoints", ck,
                     "--trips", trips, "--out", rep, "--kind", "edu"]) == 0
+
+    def test_refuses_checkpoints_of_a_run_that_failed(self, tmp_path, tiny_config,
+                                                       sim_dir, ckpt_dir, monkeypatch,
+                                                       capsys):
+        # a second run, with another seed, rewrites the EDU checkpoints and
+        # then fails on EDB, beside the first run's EDB checkpoints
+        real_train_bank = seq2seq.train_bank
+
+        def failing_edb(kind, *args, **kwargs):
+            if kind == seq2seq.KIND_EDB:
+                raise seq2seq.NonFiniteLossError("edb: non-finite loss")
+            return real_train_bank(kind, *args, **kwargs)
+
+        monkeypatch.setattr(seq2seq, "train_bank", failing_edb)
+        edu = (ckpt_dir / "edu_bank_03_07.json").read_bytes()
+        assert run(["train", "--config", tiny_config, "--trips", sim_dir / "trips.csv",
+                    "--out", ckpt_dir, "--seed", 7, "--threads", 1]) == 2
+        assert (ckpt_dir / "edu_bank_03_07.json").read_bytes() != edu
+        assert (ckpt_dir / "edb_bank_03_07.json").exists()
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        assert run(["evaluate", "--config", tiny_config, "--checkpoints", ckpt_dir,
+                    "--trips", sim_dir / "trips.csv", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {ckpt_dir / 'manifest.json'}: cannot read the training manifest: ")
+        assert not out.exists()
 
     def test_idempotent(self, tmp_path, tiny_config, sim_dir, ckpt_dir):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

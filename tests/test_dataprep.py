@@ -1081,6 +1081,11 @@ TRIPS_FILE_FAULTS = [
     # trip 7001 on day 3640 is on no day a read for trip 7000 keeps
     *[("day", for_trip, "{path}:26: trip 7001: day index outside [0, 3640)")
       for for_trip in (None, 7001)],
+    # trip 7001's fourth row on day 8: a read for trip 7000 keeps it too,
+    # as every row of a trip with a row on day 7
+    *[("moved", for_trip, "{path}:29: trip 7001 has day 8, weekday 1; its "
+                          "earlier rows say day 7, weekday 0")
+      for for_trip in (None, 7000)],
     ("unknown-trip", 999999, "{path}: no trip 999999"),
 ]
 
@@ -1164,13 +1169,53 @@ class TestCsvFormats:
         dataprep.save_trips_csv(trips, path)
         full = dataprep.load_trips_csv(path, small_route)
         # a read for a trip keeps its day and the day a week before, if any
-        for trip in (trips[-1], trips[4], trips[0]):         # days 8, 1 and 0
+        for trip in trips:
             days = {trip.day_index, trip.day_index - 7}
             got = dataprep.load_trips_csv(path, small_route, for_trip=trip.trip_id)
             want = TripDataset([t for t in full.trips if t.day_index in days],
                                small_route)
             for name in ("entry", "travel", "ids"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("prefix", ["0", "+", " "])
+    def test_trip_id_is_read_as_an_integer(self, tmp_path, small_route, prefix):
+        # the query trip's rows write its id as "08000", "+8000" or " 8000"
+        rng = make_rng(48)
+        trips = [t for day in (0, 1, 7, 8) for t in random_day_trips(rng, day, 3, 6)]
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        dataprep.save_trips_csv(trips, plain)
+        text = plain.read_text()
+        assert text.count("\n8000,") == 6
+        padded.write_text(text.replace("\n8000,", f"\n{prefix}8000,"))
+        want = dataprep.load_trips_csv(plain, small_route, for_trip=8000)
+        got = dataprep.load_trips_csv(padded, small_route, for_trip=8000)
+        for name in ("entry", "travel", "ids", "day"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert sorted(got.ids.tolist()) == [1000, 1001, 1002, 8000, 8001, 8002]
+
+    @pytest.mark.parametrize("column", dataprep.TRIP_CSV_HEADER)
+    def test_one_trip_read_parses_only_trip_id_and_day_of_other_days(
+            self, tmp_path, small_route, column):
+        # line 5 is on day 1, which a read for trip 7000 (day 7) does not keep
+        trips = [make_trip(i, i // 1000, 21600.0 + 400.0 * (i % 1000), [60.0] * 6)
+                 for i in (1000, 7000)]
+        path = tmp_path / "trips.csv"
+        dataprep.save_trips_csv(trips, path)
+        want = dataprep.load_trips_csv(path, small_route, for_trip=7000)
+        rows = path.read_text().splitlines(keepends=True)
+        fields = rows[4].split(",")
+        k = dataprep.TRIP_CSV_HEADER.index(column)
+        fields[k] = "x" + fields[k]
+        rows[4] = ",".join(fields)
+        path.write_text("".join(rows))
+        if column in ("trip_id", "day"):
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: malformed row 5: [")):
+                dataprep.load_trips_csv(path, small_route, for_trip=7000)
+            return
+        got = dataprep.load_trips_csv(path, small_route, for_trip=7000)
+        for name in ("entry", "travel", "ids", "day"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_header_only_file_has_no_trip_rows(self, tmp_path, small_route):
         path = tmp_path / "trips.csv"
@@ -1245,7 +1290,7 @@ class TestCsvFormats:
         # its errors still name the lines of the file
         trips = [make_trip(i, i // 1000, 21600.0 + 400.0 * (i % 1000), [60.0] * 6)
                  for i in (0, 1, 1000, 7000, 7001)]
-        if fault not in ("header", "sections", "unknown-trip", "utf8"):
+        if fault not in ("header", "sections", "unknown-trip", "utf8", "moved"):
             break_trip(trips[-1], fault)
         path = tmp_path / "trips.csv"
         dataprep.save_trips_csv(trips, path)
@@ -1256,6 +1301,8 @@ class TestCsvFormats:
             del lines[21]                       # trip 7000's section 3
         elif fault == "utf8":
             lines[26] = lines[26].replace(b".", b"\xff", 1)
+        elif fault == "moved":
+            lines[28] = lines[28].replace(b"7001,7,0,", b"7001,8,1,", 1)
         path.write_bytes(b"".join(lines))
         with pytest.raises(DataError) as info:
             dataprep.load_trips_csv(path, small_route, for_trip=for_trip)
